@@ -20,7 +20,6 @@ from .formula import (
     CounterExample,
     FormulaError,
     NoneWithinBound,
-    Witness,
     builtin,
     classify,
     parse as parse_formula,
@@ -134,6 +133,27 @@ def _parse_z(rep: Representation, literal: str) -> UT3Elem:
 
 _STATUS_EXIT = {"holds": 0, "violated": 1, "inconclusive": 2}
 
+# The exact checkers, by the name ``check`` and the JSON "check" field use:
+# name -> (function in reprs, takes --bound).  The function is looked up on
+# reprs at each call, so wrappers installed there see every call.
+CHECKERS = {
+    "lame": ("lame_check", False),
+    "tau": ("tau_check", False),
+    "sigma": ("sigma_check", False),
+    "NZCT": ("nzct_check", True),
+}
+
+
+def _run_checker(name: str, rep: Representation, args) -> Verdict:
+    fn_name, takes_bound = CHECKERS[name]
+    fn = getattr(reprs, fn_name)
+    return fn(rep, _bound(args, 2)) if takes_bound else fn(rep)
+
+
+def _print_fields(fields: dict) -> None:
+    for key, value in fields.items():
+        print(f"  {key}: {value}")
+
 
 def _emit_verdict(name: str, v: Verdict, json_mode: bool) -> int:
     if json_mode:
@@ -143,58 +163,26 @@ def _emit_verdict(name: str, v: Verdict, json_mode: bool) -> int:
         print(f"{v.status} method={v.method} bound={bound}")
         if v.witness is not None:
             print("witness:")
-            w = v.witness.to_dict() if hasattr(v.witness, "to_dict") else {"value": str(v.witness)}
-            for key, value in w.items():
-                print(f"  {key}: {value}")
+            _print_fields(v.witness.to_dict())
     return _STATUS_EXIT[v.status]
+
+
+def _read_spec(spec: str) -> str:
+    """The stripped contents of the file ``spec`` names, else ``spec``."""
+    if os.path.exists(spec):
+        with open(spec) as fh:
+            return fh.read().strip()
+    return spec
 
 
 def _resolve_formula(spec: str):
     """A builtin name, a file path, or inline formula text."""
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            spec = fh.read().strip()
+    spec = _read_spec(spec)
     try:
         return builtin(spec)
     except FormulaError:
         pass
     return parse_formula(spec)
-
-
-def _search_verdict(kind: str, result, json_mode: bool) -> int:
-    """Report a bounded-search outcome (refutation or witness search)."""
-    if isinstance(result, CounterExample):
-        v = Verdict(
-            "violated",
-            "bounded_search",
-            witness=_AssignmentWitness(result.words),
-            bound=result.bound,
-        )
-        return _emit_verdict(kind, v, json_mode)
-    if isinstance(result, Witness):
-        if json_mode:
-            print(
-                json.dumps(
-                    {
-                        "check": kind,
-                        "status": "holds",
-                        "method": "bounded_search",
-                        "bound": result.bound,
-                        "witness": dict(sorted(result.words.items())),
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(f"holds method=bounded_search bound={result.bound}")
-            print("witness:")
-            for var, word in sorted(result.words.items()):
-                print(f"  {var}: {word}")
-        return 0
-    assert isinstance(result, NoneWithinBound)
-    v = Verdict("inconclusive", "bounded_search", bound=result.bound)
-    return _emit_verdict(kind, v, json_mode)
 
 
 class _AssignmentWitness:
@@ -204,25 +192,26 @@ class _AssignmentWitness:
     def to_dict(self):
         return self.words
 
-    def __str__(self):
-        return ", ".join(f"{v}={w}" for v, w in self.words.items())
+
+def _search_verdict(kind: str, result, json_mode: bool) -> int:
+    """Report a bounded-search outcome (refutation or witness search)."""
+    if isinstance(result, NoneWithinBound):
+        v = Verdict("inconclusive", "bounded_search", bound=result.bound)
+    else:
+        status = "violated" if isinstance(result, CounterExample) else "holds"
+        v = Verdict(status, "bounded_search", _AssignmentWitness(result.words), result.bound)
+    return _emit_verdict(kind, v, json_mode)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
-_EXACT_BUILTINS = {"NZCT", "tau", "sigma"}
-
 
 def cmd_check(args) -> int:
     rep = _load_rep(args)
     name = args.formula.strip()
-    if name == "NZCT":
-        return _emit_verdict("NZCT", reprs.nzct_check(rep, _bound(args, 2)), args.json)
-    if name == "tau":
-        return _emit_verdict("tau", reprs.tau_check(rep), args.json)
-    if name == "sigma":
-        return _emit_verdict("sigma", reprs.sigma_check(rep), args.json)
+    if name in CHECKERS:
+        return _emit_verdict(name, _run_checker(name, rep, args), args.json)
     f = _resolve_formula(args.formula)
     cls = classify(f)
     env = rep.env()
@@ -234,43 +223,24 @@ def cmd_check(args) -> int:
     raise UsageError(f"no checker for sentences of class {cls!r}")
 
 
-def cmd_refute(args) -> int:
+def cmd_search(args) -> int:
+    """``refute`` a universal or ``witness`` an existential sentence."""
     rep = _load_rep(args)
     f = _resolve_formula(args.formula)
-    return _search_verdict(
-        "refute", refute_universal(f, rep.env(), _bound(args, 2)), args.json
-    )
+    search = refute_universal if args.command == "refute" else witness_existential
+    return _search_verdict(args.command, search(f, rep.env(), _bound(args, 2)), args.json)
 
 
-def cmd_witness(args) -> int:
-    rep = _load_rep(args)
-    f = _resolve_formula(args.formula)
-    return _search_verdict(
-        "witness", witness_existential(f, rep.env(), _bound(args, 2)), args.json
-    )
+def cmd_checker(args) -> int:
+    return _emit_verdict(args.check, _run_checker(args.check, _load_rep(args), args), args.json)
 
 
-def cmd_lame(args) -> int:
-    return _emit_verdict("lame", reprs.lame_check(_load_rep(args)), args.json)
-
-
-def cmd_tau(args) -> int:
-    return _emit_verdict("tau", reprs.tau_check(_load_rep(args)), args.json)
-
-
-def cmd_sigma(args) -> int:
-    return _emit_verdict("sigma", reprs.sigma_check(_load_rep(args)), args.json)
-
-
-def cmd_nzct(args) -> int:
-    rep = _load_rep(args)
-    return _emit_verdict("NZCT", reprs.nzct_check(rep, _bound(args, 2)), args.json)
-
-
-def _cmd_solve(args, solver, system: str) -> int:
+def cmd_solve(args) -> int:
+    """``solve-s`` or ``solve-t``."""
     rep = _load_rep(args)
     z = _parse_z(rep, args.z)
-    sol = solver(rep, z)
+    system = args.command[-1].upper()
+    sol = (reprs.solve_S if system == "S" else reprs.solve_T)(rep, z)
     if args.json:
         out = {"system": system, "z13": str(z.u13)}
         out["solvable"] = sol is not None
@@ -289,14 +259,6 @@ def _cmd_solve(args, solver, system: str) -> int:
             )
             print(f"  word: {word or '1'}")
     return 0 if sol is not None else 1
-
-
-def cmd_solve_s(args) -> int:
-    return _cmd_solve(args, reprs.solve_S, "S")
-
-
-def cmd_solve_t(args) -> int:
-    return _cmd_solve(args, reprs.solve_T, "T")
 
 
 def cmd_crank(args) -> int:
@@ -341,7 +303,7 @@ def cmd_appropriate(args) -> int:
     return {"confirmed": 0, "refuted": 1, "inconclusive": 2}[result.status]
 
 
-_GEN_NAME_RE = re.compile(r"a(\d+)")
+_GEN_NAME_RE = re.compile(r"a([1-9]\d*)")
 
 
 def _read_targets(path: str) -> list[str]:
@@ -351,19 +313,29 @@ def _read_targets(path: str) -> list[str]:
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     out = [ln.split("#", 1)[0].strip() for ln in lines]
-    return [ln for ln in out if ln]
+    out = [ln for ln in out if ln]
+    if not out:
+        raise UsageError("targets file is empty")
+    return out
+
+
+def _term_names(t) -> set[str]:
+    """Names of the variables and constants in a term."""
+    if isinstance(t, (formula.Var, formula.Const)):
+        return {t.name}
+    if isinstance(t, (formula.TMul, formula.TComm)):
+        return _term_names(t.left) | _term_names(t.right)
+    if isinstance(t, formula.TPow):
+        return _term_names(t.base)
+    return set()
 
 
 def cmd_discriminate(args) -> int:
     lines = _read_targets(args.targets)
-    if not lines:
-        raise UsageError("targets file is empty")
     terms = [parse_term(ln) for ln in lines]
     n = 2
     for t in terms:
-        for v in formula.free_vars(t) | {
-            c for c in _const_names(t)
-        }:
+        for v in _term_names(t):
             m = _GEN_NAME_RE.fullmatch(v)
             if not m:
                 raise UsageError(f"unknown generator {v!r} (expect a1, a2, a3, ...)")
@@ -405,21 +377,9 @@ def cmd_discriminate(args) -> int:
     return 0
 
 
-def _const_names(t):
-    if isinstance(t, formula.Const):
-        return {t.name}
-    if isinstance(t, (formula.TMul, formula.TComm)):
-        return _const_names(t.left) | _const_names(t.right)
-    if isinstance(t, formula.TPow):
-        return _const_names(t.base)
-    return set()
-
-
 def cmd_bigpowers(args) -> int:
     rep = _load_rep(args)
     lines = _read_targets(args.targets)
-    if not lines:
-        raise UsageError("targets file is empty")
     env = rep.env()
     targets = [formula.eval_term(parse_term(ln), env, {}) for ln in lines]
     i = 1 if args.at == "a1" else 2
@@ -447,22 +407,10 @@ _EXAMPLE_CHECKS = {
 def cmd_example(args) -> int:
     name = args.name
     rep = fixture(name)
-    code = 0
     if not args.json:
         sys.stdout.write(FIXTURES[name])
         print()
-    results = []
-    for check in _EXAMPLE_CHECKS[name]:
-        if check == "lame":
-            v = reprs.lame_check(rep)
-        elif check == "tau":
-            v = reprs.tau_check(rep)
-        elif check == "sigma":
-            v = reprs.sigma_check(rep)
-        else:
-            v = reprs.nzct_check(rep, _bound(args, 2))
-        results.append((check, v))
-        code = max(code, _STATUS_EXIT[v.status])
+    results = [(check, _run_checker(check, rep, args)) for check in _EXAMPLE_CHECKS[name]]
     if args.json:
         print(
             json.dumps(
@@ -477,26 +425,15 @@ def cmd_example(args) -> int:
         )
     else:
         for check, v in results:
-            label = {
-                "lame": "Lame property",
-                "tau": "tau",
-                "sigma": "sigma",
-                "NZCT": "NZCT",
-            }[check]
+            label = "Lame property" if check == "lame" else check
             print(f"{check}: {label} {v.status} (method={v.method})")
             if v.witness is not None:
-                w = v.witness.to_dict() if hasattr(v.witness, "to_dict") else {"value": str(v.witness)}
-                for key, value in w.items():
-                    print(f"  {key}: {value}")
-    return code
+                _print_fields(v.witness.to_dict())
+    return max(_STATUS_EXIT[v.status] for _, v in results)
 
 
 def cmd_parse(args) -> int:
-    spec = args.formula
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            spec = fh.read().strip()
-    f = parse_formula(spec)
+    f = parse_formula(_read_spec(args.formula))
     canonical = print_formula(f)
     fv = sorted(formula.free_vars(f))
     cls = classify(f) if not fv else "open"
@@ -544,37 +481,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bound_opt(p)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("refute", help="bounded counterexample search for a universal sentence")
-    p.add_argument("formula")
-    _add_rep_opts(p)
-    _add_bound_opt(p)
-    p.set_defaults(fn=cmd_refute)
-
-    p = sub.add_parser("witness", help="bounded witness search for an existential sentence")
-    p.add_argument("formula")
-    _add_rep_opts(p)
-    _add_bound_opt(p)
-    p.set_defaults(fn=cmd_witness)
-
-    for name, fn, hlp in (
-        ("lame", cmd_lame, "exact centralizer-entry (Lame property) check"),
-        ("tau", cmd_tau, "exact tau check"),
-        ("sigma", cmd_sigma, "exact sigma check"),
+    for name, hlp in (
+        ("refute", "bounded counterexample search for a universal sentence"),
+        ("witness", "bounded witness search for an existential sentence"),
     ):
         p = sub.add_parser(name, help=hlp)
+        p.add_argument("formula")
         _add_rep_opts(p)
-        p.set_defaults(fn=fn)
+        _add_bound_opt(p)
+        p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("nzct", help="NZCT check (exact shortcut, else bounded)")
-    _add_rep_opts(p)
-    _add_bound_opt(p)
-    p.set_defaults(fn=cmd_nzct)
+    for name, hlp in (
+        ("lame", "exact centralizer-entry (Lame property) check"),
+        ("tau", "exact tau check"),
+        ("sigma", "exact sigma check"),
+        ("NZCT", "NZCT check (exact shortcut, else bounded)"),
+    ):
+        p = sub.add_parser(name.lower(), help=hlp)
+        _add_rep_opts(p)
+        if CHECKERS[name][1]:
+            _add_bound_opt(p)
+        p.set_defaults(fn=cmd_checker, check=name)
 
-    for name, fn in (("solve-s", cmd_solve_s), ("solve-t", cmd_solve_t)):
+    for name in ("solve-s", "solve-t"):
         p = sub.add_parser(name, help=f"solve the centralizer system {name[-1].upper()}")
         p.add_argument("--z", required=True, metavar="ELT", help="(1,3) entry of the central target")
         _add_rep_opts(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("crank", help="C-rank of the representation")
     _add_rep_opts(p)

@@ -658,6 +658,20 @@ def _search_conjunction(literals, variables, env, ball):
     return descend(0)[0]
 
 
+def _search_ball(f, env: GroupEnv, bound: int, negate: bool, found_type):
+    """First assignment over the ball satisfying the (negated, if
+    ``negate``) matrix of f, wrapped in found_type; else NoneWithinBound."""
+    blocks, matrix = _peel_quantifiers(f)
+    variables = [v for _, vs in blocks for v in vs]
+    ball = env.ball(bound)
+    words = dict(ball)
+    for disjunct in dnf_disjuncts(matrix, negate=negate):
+        found = _search_conjunction(disjunct, variables, env, ball)
+        if found is not None:
+            return found_type(found, {v: words[e] for v, e in found.items()}, bound)
+    return NoneWithinBound(bound)
+
+
 def refute_universal(f, env: GroupEnv, bound: int):
     """Search the ball for a falsifying assignment of a universal sentence.
 
@@ -665,32 +679,14 @@ def refute_universal(f, env: GroupEnv, bound: int):
     """
     if classify(f) not in ("universal", "quasi_identity", "identity"):
         raise FormulaError("refute_universal requires a universal sentence")
-    blocks, matrix = _peel_quantifiers(f)
-    variables = [v for _, vs in blocks for v in vs]
-    ball = env.ball(bound)
-    words = dict((e, w) for e, w in ball)
-    for disjunct in dnf_disjuncts(matrix, negate=True):
-        found = _search_conjunction(disjunct, variables, env, ball)
-        if found is not None:
-            return CounterExample(
-                found, {v: words[e] for v, e in found.items()}, bound
-            )
-    return NoneWithinBound(bound)
+    return _search_ball(f, env, bound, True, CounterExample)
 
 
 def witness_existential(f, env: GroupEnv, bound: int):
     """Dual of refute_universal for existential sentences."""
     if classify(f) not in ("existential", "primitive"):
         raise FormulaError("witness_existential requires an existential sentence")
-    blocks, matrix = _peel_quantifiers(f)
-    variables = [v for _, vs in blocks for v in vs]
-    ball = env.ball(bound)
-    words = dict((e, w) for e, w in ball)
-    for disjunct in dnf_disjuncts(matrix, negate=False):
-        found = _search_conjunction(disjunct, variables, env, ball)
-        if found is not None:
-            return Witness(found, {v: words[e] for v, e in found.items()}, bound)
-    return NoneWithinBound(bound)
+    return _search_ball(f, env, bound, False, Witness)
 
 
 # ---------------------------------------------------------------------------
@@ -720,10 +716,7 @@ def ct(n: int):
     """Commutativity transitive off the n-th upper central subgroup."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 1:
-        w = [Var("w1")]
-        noncentral = Ne(TComm(w[0], Var("x2")), ONE)
-    elif n == 0:
+    if n == 0:
         noncentral = Ne(Var("x2"), ONE)
     else:
         w = [Var(f"w{i}") for i in range(1, n + 1)]
@@ -822,14 +815,3 @@ def builtin(name: str):
     if base == "zero_sq_qi" and arg is None:
         return zero_sq_qi()
     raise FormulaError(f"unknown builtin {name!r}")
-
-
-BUILTIN_NAMES = (
-    "NZCT",
-    "CT(n)",
-    "tau",
-    "sigma",
-    "centralizer_qi",
-    "torsion_free_qi(k)",
-    "zero_sq_qi",
-)

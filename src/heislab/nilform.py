@@ -41,10 +41,6 @@ class NilForm:
         if len(self.e) != self.n or len(self.f) != self.n * (self.n - 1) // 2:
             raise ValueError("exponent vector lengths do not match rank")
 
-    def f_at(self, i: int, j: int) -> int:
-        """Exponent of the basic commutator [a_j, a_i], i < j."""
-        return self.f[_pairs(self.n).index((i, j))]
-
     def is_identity(self) -> bool:
         return not any(self.e) and not any(self.f)
 
@@ -107,14 +103,6 @@ def collect(n: int, word) -> NilForm:
         g = generator(n, idx)
         out = out * (g if sign == 1 else g.inv())
     return out
-
-
-def nf_mul(x: NilForm, y: NilForm) -> NilForm:
-    return x * y
-
-
-def nf_inv(x: NilForm) -> NilForm:
-    return x.inv()
 
 
 def to_matrix(x: NilForm) -> UT3Elem:

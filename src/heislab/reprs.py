@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import rings, zlattice
-from .rings import RingDesc, RingElem, is_domain, is_zero_divisor
+from .rings import RingDesc, RingElem, is_domain
 from .ut3 import UT3Elem, a1 as _a1, a2 as _a2, identity as _ut3_identity
 from .zlattice import Lattice
 
@@ -37,16 +37,11 @@ class Verdict:
     bound: Optional[int] = None
 
     def to_dict(self) -> dict:
-        w = self.witness
-        if w is not None and hasattr(w, "to_dict"):
-            w = w.to_dict()
-        elif w is not None:
-            w = str(w)
         return {
             "status": self.status,
             "method": self.method,
             "bound": self.bound,
-            "witness": w,
+            "witness": None if self.witness is None else self.witness.to_dict(),
         }
 
 
@@ -114,7 +109,14 @@ class Solution:
         return {"element": str(self.element), "exponents": list(self.coefficients)}
 
 
-@dataclass
+def _monomials(elems) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Sorted (component, monomial) coordinates occurring in the elements."""
+    return tuple(
+        sorted({(j, e) for x in elems for j, p in enumerate(x.parts) for e, _c in p})
+    )
+
+
+@dataclass(frozen=True)
 class Representation:
     """Finitely generated H-subgroup of UT3(R) given by named generators.
 
@@ -129,25 +131,20 @@ class Representation:
     full_center: bool = False
 
     @cached_property
+    def pair_dets(self) -> tuple[RingElem, ...]:
+        """Entry determinants g12*h23 - h12*g23 of the generator pairs, in
+        itertools.combinations order: the (1,3) entries of commutators."""
+        return tuple(
+            g.u12 * h.u23 - h.u12 * g.u23
+            for (_, g), (_, h) in itertools.combinations(self.generators, 2)
+        )
+
+    @cached_property
     def frame(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Sorted (component, monomial) coordinates spanning every generator
         entry and every pairwise entry determinant."""
-        monos: set[tuple[int, tuple[int, ...]]] = set()
-
-        def absorb(elem: RingElem):
-            for j, p in enumerate(elem.parts):
-                for e, _c in p:
-                    monos.add((j, e))
-
-        elems = []
-        for _, g in self.generators:
-            elems.append(g)
-            absorb(g.u12)
-            absorb(g.u13)
-            absorb(g.u23)
-        for (_, g), (_, h) in itertools.combinations(self.generators, 2):
-            absorb(g.u12 * h.u23 - h.u12 * g.u23)
-        return tuple(sorted(monos))
+        entries = [x for _, g in self.generators for x in (g.u12, g.u13, g.u23)]
+        return _monomials(entries + list(self.pair_dets))
 
     @cached_property
     def _frame_index(self) -> dict:
@@ -196,11 +193,9 @@ class Representation:
         constants = {name: g for name, g in self.generators}
         return GroupEnv(_ut3_identity(self.ring), constants, list(self.generators))
 
-    def gen(self, name: str) -> UT3Elem:
-        for n, g in self.generators:
-            if n == name:
-                return g
-        raise KeyError(name)
+    # the EntryLattices, built once; entry_lattices is looked up at call
+    # time, so wrappers installed on the module see the call
+    lattices = cached_property(lambda self: entry_lattices(self))
 
 
 def representation(
@@ -248,19 +243,9 @@ def entry_lattices(rep: Representation) -> EntryLattices:
     A = zlattice.hnf(rows, ambient_dim=2 * d)
     A1 = zlattice.intersect_coordinate_zero(A, range(d))
     A2 = zlattice.intersect_coordinate_zero(A, range(d, 2 * d))
-    det_rows = []
-    for (_, g), (_, h) in itertools.combinations(rep.generators, 2):
-        det_rows.append(rep.coords(g.u12 * h.u23 - h.u12 * g.u23))
+    det_rows = [rep.coords(x) for x in rep.pair_dets]
     D = zlattice.hnf(det_rows, ambient_dim=d) if det_rows else Lattice(d, (), ())
     return EntryLattices(A, A1, A2, D)
-
-
-def lattices(rep: Representation) -> EntryLattices:
-    cached = rep.__dict__.get("_lattices")
-    if cached is None:
-        cached = entry_lattices(rep)
-        rep.__dict__["_lattices"] = cached
-    return cached
 
 
 def _block_coords(rep: Representation, block: int, component: int) -> list[int]:
@@ -286,7 +271,7 @@ def lame_check(rep: Representation) -> Verdict:
     it vanishes on some component, which is a lattice condition."""
     if is_domain(rep.ring):
         return Verdict("holds", "exact_lattice")
-    L = lattices(rep)
+    L = rep.lattices
     candidates = []
     for centralizer, lat, block in ((2, L.A2, 0), (1, L.A1, 1)):
         for comp in range(rep.ring.ncomponents):
@@ -311,46 +296,13 @@ def lame_check(rep: Representation) -> Verdict:
     return Verdict("violated", "exact_lattice", candidates[0][1])
 
 
-def lame_check_def1(rep: Representation, bound: int = 3) -> Verdict:
-    """The definitional formulation: search elements g of C(a1) u C(a2) and
-    test whether g12^2 + g23^2 is zero or a non-zero-divisor.
-
-    Candidates are small lattice vectors of A1 and A2 plus the basis vectors
-    of every component-vanishing sublattice (which makes the search complete
-    over this ring family while keeping it a genuine second code path)."""
-    L = lattices(rep)
-    for lat, block in ((L.A2, 0), (L.A1, 1)):
-        candidates = list(lat.vectors_up_to(min(bound, 2) if lat.rank > 4 else bound))
-        for comp in range(rep.ring.ncomponents):
-            sub = zlattice.intersect_coordinate_zero(
-                lat, _block_coords(rep, block, comp)
-            )
-            candidates.extend(sub.basis)
-        for vec in candidates:
-            u12, u23 = _split_pair(rep, vec)
-            s = u12 * u12 + u23 * u23
-            if not s.is_zero() and is_zero_divisor(s):
-                coeffs = zlattice.in_source_coordinates(lat, vec)
-                g = rep.product_of_generators(coeffs)
-                entry = u12 if block == 0 else u23
-                comp_dead = min(
-                    set(range(rep.ring.ncomponents)) - set(s.support)
-                )
-                return Verdict(
-                    "violated",
-                    "exact_lattice",
-                    LameWitness(2 if block == 0 else 1, g, entry, comp_dead),
-                )
-    return Verdict("holds", "exact_lattice")
-
-
 def tau_check(rep: Representation) -> Verdict:
     """Exact: tau fails iff some nonzero 12-entry u realized in C(a2) and
     nonzero 23-entry v realized in C(a1) have disjoint component supports
     (then u*v = 0).  Support patterns are enumerated over the components."""
     if is_domain(rep.ring):
         return Verdict("holds", "exact_lattice")
-    L = lattices(rep)
+    L = rep.lattices
     k = rep.ring.ncomponents
     for mask in range(1, 2**k - 1):
         inside = [j for j in range(k) if mask >> j & 1]
@@ -385,7 +337,7 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     exact, exhaustion is not a proof."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    L = lattices(rep)
+    L = rep.lattices
     if all(
         _pair_det(rep, u, v).is_zero() for u, v in itertools.combinations(L.A.basis, 2)
     ):
@@ -428,37 +380,33 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     return Verdict("inconclusive", "bounded_search", bound=bound)
 
 
-def solve_S(rep: Representation, z: UT3Elem) -> Optional[Solution]:
-    """Solve [a2,y]=1, [y,a1]=z for central z; None when unsolvable.
-
-    y must realize the 12-entry z13 inside C(a2), i.e. the vector
-    (z13, 0) must lie in the entry-pair lattice."""
+def _solve(rep: Representation, z: UT3Elem, block: int) -> Optional[Solution]:
+    """A group element whose entry pair is z13 in the given block (0: the
+    12-block, 1: the 23-block) and zero in the other; None if there is none."""
     if not z.is_central():
         raise ValueError("z must be central")
     zc = rep.coords(z.u13)
     if zc is None:
         return None  # outside the span of realizable entries
-    L = lattices(rep)
-    vec = zc + (0,) * rep.dim
-    coeffs = zlattice.in_source_coordinates(L.A, vec)
+    zero = (0,) * rep.dim
+    vec = zc + zero if block == 0 else zero + zc
+    coeffs = zlattice.in_source_coordinates(rep.lattices.A, vec)
     if coeffs is None:
         return None
     return Solution(rep.product_of_generators(coeffs), coeffs)
+
+
+def solve_S(rep: Representation, z: UT3Elem) -> Optional[Solution]:
+    """Solve [a2,y]=1, [y,a1]=z for central z; None when unsolvable.
+
+    y must realize the 12-entry z13 inside C(a2), i.e. the vector
+    (z13, 0) must lie in the entry-pair lattice."""
+    return _solve(rep, z, 0)
 
 
 def solve_T(rep: Representation, z: UT3Elem) -> Optional[Solution]:
     """Solve [x,a1]=1, [a2,x]=z for central z; None when unsolvable."""
-    if not z.is_central():
-        raise ValueError("z must be central")
-    zc = rep.coords(z.u13)
-    if zc is None:
-        return None
-    L = lattices(rep)
-    vec = (0,) * rep.dim + zc
-    coeffs = zlattice.in_source_coordinates(L.A, vec)
-    if coeffs is None:
-        return None
-    return Solution(rep.product_of_generators(coeffs), coeffs)
+    return _solve(rep, z, 1)
 
 
 def sigma_check(rep: Representation) -> Verdict:
@@ -466,7 +414,7 @@ def sigma_check(rep: Representation) -> Verdict:
     generator determinants, and system solvability is additive in the
     value, so it suffices that both (d,0) and (0,d) lie in the entry-pair
     lattice for each basis generator d of the determinant lattice."""
-    L = lattices(rep)
+    L = rep.lattices
     d = rep.dim
     for dvec in L.D.basis:
         value = rep.elem_from_coords(dvec)
@@ -574,6 +522,8 @@ def big_powers_retraction(
         if not comp0:
             raise ValueError("representation ring has no indeterminates to retract")
         name = comp0[-1]
+    elif not any(name in names for names in rep_ext.ring.components):
+        raise ValueError(f"{name!r} is not an indeterminate of {rep_ext.ring}")
     targets = list(targets)
     for t in targets:
         if t.is_identity():
@@ -599,7 +549,7 @@ def big_powers_retraction(
 
 def c_rank(rep: Representation) -> int:
     """rank(C(a1)/Z) + rank(C(a2)/Z) - 1, read off the entry lattices."""
-    L = lattices(rep)
+    L = rep.lattices
     return L.A1.rank + L.A2.rank - 1
 
 
@@ -795,12 +745,7 @@ def appropriateness_check(rep: Representation, degree_bound: int) -> Appropriate
         layer = nxt
     targets = _ring_targets(rep.ring)
     # one shared frame for span and targets
-    monos: set = set()
-    for x in products + targets:
-        for j, p in enumerate(x.parts):
-            for e, _c in p:
-                monos.add((j, e))
-    frame = sorted(monos)
+    frame = _monomials(products + targets)
     index = {m: i for i, m in enumerate(frame)}
 
     def vec(x):

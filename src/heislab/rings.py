@@ -31,6 +31,10 @@ class RingParseError(ValueError):
     pass
 
 
+# indeterminate names, as ring descriptors and element literals spell them
+_IDENT = r"[A-Za-z][A-Za-z0-9]*"
+
+
 def _canon(terms: dict[Monomial, int]) -> Poly:
     return tuple(sorted((e, c) for e, c in terms.items() if c != 0))
 
@@ -131,7 +135,7 @@ def parse_ring(text: str) -> RingDesc:
                 raise RingParseError(f"bad power in {factor!r}")
             comps.extend([()] * k)
             continue
-        m = re.fullmatch(r"Z\[([A-Za-z][A-Za-z0-9]*(\s*,\s*[A-Za-z][A-Za-z0-9]*)*)\]", factor)
+        m = re.fullmatch(rf"Z\[({_IDENT}(\s*,\s*{_IDENT})*)\]", factor)
         if m:
             comps.append(tuple(n.strip() for n in m.group(1).split(",")))
             continue
@@ -236,19 +240,6 @@ class RingElem:
         return format_elem(self)
 
 
-def ring_arith(op: str, x: RingElem, y: RingElem | None = None) -> RingElem:
-    """Dispatch surface over the operator implementations."""
-    if op == "add":
-        assert y is not None
-        return x + y
-    if op == "mul":
-        assert y is not None
-        return x * y
-    if op == "neg":
-        return -x
-    raise ValueError(f"unknown op {op!r}")
-
-
 @dataclass(frozen=True)
 class Retraction:
     """A homomorphism R -> Z: project to one component, then evaluate the
@@ -349,12 +340,9 @@ def discriminate(rs: list[RingElem]) -> Retraction | DomainFailure:
             prod = rs[0]
             for r in rs[1:]:
                 prod = prod * r
-            # the product is nonzero on this component (a domain)
-            names = ring.components[comp]
-            for point in _integer_points(len(names)):
-                if _peval(prod.parts[comp], point) != 0:
-                    return Retraction.of(comp, dict(zip(names, point)))
-            raise AssertionError("unreachable")
+            # the product is nonzero on this component (a domain) and zero on
+            # every earlier one, so separate() retracts through this component
+            return separate(prod)
     # no component works: exhibit an annihilating pair
     for a, b in itertools.combinations(rs, 2):
         if (a * b).is_zero():
@@ -365,6 +353,8 @@ def discriminate(rs: list[RingElem]) -> Retraction | DomainFailure:
 
 def adjoin_indeterminate(ring: RingDesc, name: str) -> RingDesc:
     """Append a fresh indeterminate to every component."""
+    if not re.fullmatch(_IDENT, name):
+        raise ValueError(f"bad indeterminate name {name!r} (want a letter, then letters or digits)")
     for names in ring.components:
         if name in names:
             raise ValueError(f"{name!r} already an indeterminate")
@@ -480,7 +470,7 @@ class _ExprParser:
         if tok.isdigit():
             names = self.ring.components[self.component]
             return self._comp_elem(_pconst(int(tok), len(names)))
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", tok):
+        if re.fullmatch(_IDENT, tok):
             names = self.ring.components[self.component]
             if tok not in names:
                 raise RingParseError(

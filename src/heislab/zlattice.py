@@ -18,6 +18,16 @@ from typing import Iterable, Optional, Sequence
 Vector = tuple[int, ...]
 
 
+def _combine(coeffs: Iterable[int], rows: Iterable[Sequence[int]], width: int) -> list[int]:
+    """The integer combination sum_k coeffs[k] * rows[k] of width-long rows."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                out[j] += c * x
+    return out
+
+
 def _row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Bring ``rows`` to row-style HNF by unimodular row operations.
 
@@ -84,15 +94,10 @@ class Lattice:
         [-bound, bound], in deterministic order (includes zero)."""
         import itertools
 
-        out = []
-        for coeffs in itertools.product(range(-bound, bound + 1), repeat=self.rank):
-            v = [0] * self.ambient_dim
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for j, x in enumerate(row):
-                        v[j] += c * x
-            out.append(tuple(v))
-        return out
+        return [
+            tuple(_combine(coeffs, self.basis, self.ambient_dim))
+            for coeffs in itertools.product(range(-bound, bound + 1), repeat=self.rank)
+        ]
 
 
 def hnf(vectors: Iterable[Sequence[int]], ambient_dim: int | None = None) -> Lattice:
@@ -143,11 +148,7 @@ def in_source_coordinates(L: Lattice, v: Sequence[int]) -> Optional[Vector]:
     if coeffs is None:
         return None
     nsrc = len(L.transform[0]) if L.transform else 0
-    out = [0] * nsrc
-    for c, trow in zip(coeffs, L.transform):
-        for j, t in enumerate(trow):
-            out[j] += c * t
-    return tuple(out)
+    return tuple(_combine(coeffs, L.transform, nsrc))
 
 
 def intersect_coordinate_zero(L: Lattice, coords: Iterable[int]) -> Lattice:
@@ -169,38 +170,13 @@ def intersect_coordinate_zero(L: Lattice, coords: Iterable[int]) -> Lattice:
     reduced, U = _row_reduce(restricted)
     nonzero = sum(1 for row in reduced if any(row))
     kernel = U[nonzero:]  # combos of basis rows vanishing on coords
-    vecs = []
-    srcs = []
-    for k in kernel:
-        v = [0] * L.ambient_dim
-        for c, row in zip(k, L.basis):
-            for j, x in enumerate(row):
-                v[j] += c * x
-        vecs.append(v)
-        if L.transform is not None:
-            nsrc = len(L.transform[0]) if L.transform else 0
-            s = [0] * nsrc
-            for c, trow in zip(k, L.transform):
-                for j, t in enumerate(trow):
-                    s[j] += c * t
-            srcs.append(s)
-    if not vecs:
+    if not kernel:
         return Lattice(L.ambient_dim, (), () if L.transform is not None else None)
-    rows, U2 = _row_reduce(vecs)
+    rows, U2 = _row_reduce([_combine(k, L.basis, L.ambient_dim) for k in kernel])
     basis = [tuple(row) for row in rows if any(row)]
     transform = None
     if L.transform is not None:
-        transform = []
-        for u in U2[: len(basis)]:
-            nsrc = len(L.transform[0]) if L.transform else 0
-            s = [0] * nsrc
-            for c, srow in zip(u, srcs):
-                for j, t in enumerate(srow):
-                    s[j] += c * t
-            transform.append(tuple(s))
-        transform = tuple(transform)
+        nsrc = len(L.transform[0]) if L.transform else 0
+        srcs = [_combine(k, L.transform, nsrc) for k in kernel]
+        transform = tuple(tuple(_combine(u, srcs, nsrc)) for u in U2[: len(basis)])
     return Lattice(L.ambient_dim, tuple(basis), transform)
-
-
-def rank(L: Lattice) -> int:
-    return L.rank

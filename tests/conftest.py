@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from heislab import reprs, rings, ut3
-from heislab.rings import RingDesc, RingElem
+from heislab import reprs, rings, ut3, zlattice
+from heislab.reprs import LameWitness, Verdict
+from heislab.rings import RingDesc, RingElem, is_zero_divisor
 from heislab.ut3 import UT3Elem
 
 # The ring family every randomized property in the suite ranges over.
@@ -43,6 +44,43 @@ def from_full_matrix(ring, m) -> UT3Elem:
 
 def oracle_mul(g: UT3Elem, h: UT3Elem) -> UT3Elem:
     return from_full_matrix(g.ring, matmul(to_full_matrix(g), to_full_matrix(h)))
+
+
+# ---------------------------------------------------------------------------
+# Definitional Lame oracle (a second code path beside reprs.lame_check)
+
+
+def lame_check_def1(rep: reprs.Representation, bound: int = 3) -> Verdict:
+    """The definitional formulation: search elements g of C(a1) u C(a2) and
+    test whether g12^2 + g23^2 is zero or a non-zero-divisor.
+
+    Candidates are small lattice vectors of A1 and A2 plus the basis vectors
+    of every component-vanishing sublattice (which makes the search complete
+    over this ring family while keeping it a genuine second code path)."""
+    L = rep.lattices
+    for lat, block in ((L.A2, 0), (L.A1, 1)):
+        candidates = list(lat.vectors_up_to(min(bound, 2) if lat.rank > 4 else bound))
+        for comp in range(rep.ring.ncomponents):
+            sub = zlattice.intersect_coordinate_zero(
+                lat, reprs._block_coords(rep, block, comp)
+            )
+            candidates.extend(sub.basis)
+        for vec in candidates:
+            u12, u23 = reprs._split_pair(rep, vec)
+            s = u12 * u12 + u23 * u23
+            if not s.is_zero() and is_zero_divisor(s):
+                coeffs = zlattice.in_source_coordinates(lat, vec)
+                g = rep.product_of_generators(coeffs)
+                entry = u12 if block == 0 else u23
+                comp_dead = min(
+                    set(range(rep.ring.ncomponents)) - set(s.support)
+                )
+                return Verdict(
+                    "violated",
+                    "exact_lattice",
+                    LameWitness(2 if block == 0 else 1, g, entry, comp_dead),
+                )
+    return Verdict("holds", "exact_lattice")
 
 
 # ---------------------------------------------------------------------------

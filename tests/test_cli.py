@@ -273,3 +273,66 @@ def test_fixture_configs_parse():
     for name, text in FIXTURES.items():
         rep = reprs.parse_config(text)
         assert [n for n, _ in rep.generators][:2] == ["a1", "a2"]
+
+
+# ---------------------------------------------------------------------------
+# check through the checker table; input validation
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_check_lame_matches_lame_subcommand(capsys, fixture, mode):
+    code, out, _ = run(capsys, "check", "lame", "--example", fixture, *mode)
+    assert (code, out) == run(capsys, "lame", "--example", fixture, *mode)[:2]
+
+
+def test_check_lame_zxz_is_violated(capsys):
+    code, out, _ = run(capsys, "check", "lame", "--example", "zxz-lame")
+    assert code == 1
+    assert out.startswith("violated method=exact_lattice bound=none\nwitness:\n")
+
+
+def test_bigpowers_unknown_name_is_exit_3(capsys, tmp_path):
+    _, ext, _ = run(capsys, "extend", "--at", "a1")
+    cfg = tmp_path / "ext.cfg"
+    cfg.write_text(ext)
+    targets = tmp_path / "targets.txt"
+    targets.write_text("@t\n")
+    code, out, err = run(
+        capsys, "bigpowers", "--targets", str(targets), "--rep", str(cfg),
+        "--at", "a1", "--name", "zzz",
+    )
+    assert code == 3
+    assert out == ""
+    assert "'zzz' is not an indeterminate" in err
+
+
+def test_extend_bad_name_is_exit_3(capsys):
+    code, out, err = run(capsys, "extend", "--at", "a1", "--name", "1x")
+    assert code == 3
+    assert out == ""
+    assert "bad indeterminate name '1x'" in err
+
+
+@pytest.mark.parametrize("name", ["theta", "x", "t2", "Z"])
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_extend_output_round_trips(capsys, fixture, name):
+    from heislab import reprs
+
+    for at in ("a1", "a2"):
+        code, out, _ = run(capsys, "extend", "--at", at, "--name", name, "--example", fixture)
+        if fixture == "ztheta-lame" and name == "theta":
+            assert code == 3  # theta is already an indeterminate
+            continue
+        assert code == 0
+        assert reprs.serialize_config(reprs.parse_config(out)) == out
+
+
+@pytest.mark.parametrize("target", ["a0*a1", "a01", "[a2,a00]"])
+def test_discriminate_rejects_zero_led_generator_names(capsys, tmp_path, target):
+    targets = tmp_path / "nil.txt"
+    targets.write_text(target + "\n")
+    code, out, err = run(capsys, "discriminate", "--targets", str(targets))
+    assert code == 3
+    assert out == ""
+    assert "unknown generator 'a0" in err

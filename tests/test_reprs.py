@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from conftest import corpus, random_ut3
+from conftest import corpus, lame_check_def1, random_ut3
 from heislab import formula, reprs, rings, zlattice
 from heislab.formula import CounterExample, NoneWithinBound, builtin, refute_universal
 from heislab.reprs import (
@@ -19,8 +19,6 @@ from heislab.reprs import (
     entry_lattices,
     heisenberg,
     lame_check,
-    lame_check_def1,
-    lattices,
     nzct_check,
     parse_config,
     representation,
@@ -61,7 +59,7 @@ def central(ring, lit):
 
 
 def test_entry_lattices_H():
-    L = lattices(heisenberg())
+    L = heisenberg().lattices
     assert L.A.basis == ((1, 0), (0, 1))  # Z^2 from a1:(0,1), a2:(1,0)
     assert L.A1.rank == 1 and L.A2.rank == 1
     assert L.D.rank == 1
@@ -69,7 +67,7 @@ def test_entry_lattices_H():
 
 def test_entry_lattices_zxz():
     rep = zxz_lame_rep()
-    L = lattices(rep)
+    L = rep.lattices
     # A1's 23-block spans the coordinates of 1 and e1 -> rank 2
     assert L.A1.rank == 2
     assert L.A2.rank == 1
@@ -77,8 +75,8 @@ def test_entry_lattices_zxz():
 
 def test_entry_lattices_trivial_extra_ring():
     rep = representation(ZTH)
-    L = lattices(rep)
-    H = lattices(heisenberg())
+    L = rep.lattices
+    H = heisenberg().lattices
     assert L.A1.rank == H.A1.rank and L.A2.rank == H.A2.rank and L.D.rank == H.D.rank
 
 
@@ -444,6 +442,14 @@ def test_big_powers_identity_target_rejected():
 
     with pytest.raises(ValueError):
         big_powers_retraction(rep2, [identity(rep2.ring)], 1)
+
+
+def test_big_powers_unknown_name_rejected():
+    rep2 = extend_centralizer(heisenberg(), 1, "theta")
+    _, t = rep2.generators[-1]
+    with pytest.raises(ValueError, match="not an indeterminate"):
+        big_powers_retraction(rep2, [t], 1, "zzz")
+    assert big_powers_retraction(rep2, [t], 1, "theta").indeterminate == "theta"
 
 
 def test_big_powers_retraction_is_homomorphism():

@@ -160,6 +160,12 @@ def test_adjoin_and_embed():
         rings.adjoin_indeterminate(ZTH, "theta")
 
 
+@pytest.mark.parametrize("name", ["1x", "", "t_1", "a-b", "x y", "theta]"])
+def test_adjoin_rejects_names_parse_ring_would_not_read(name):
+    with pytest.raises(ValueError, match="bad indeterminate name"):
+        rings.adjoin_indeterminate(ZZ, name)
+
+
 def test_substitute_polynomial():
     th = RingElem.var(ZTH, "theta")
     p = th * th - th.scale(3) + RingElem.integer(ZTH, 2)  # (theta-1)(theta-2)
