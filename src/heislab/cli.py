@@ -3,8 +3,9 @@
 Exit codes: 0 = holds/success, 1 = violated/counterexample (witness printed),
 2 = inconclusive/bound exhausted, 3 = usage or config error.
 
-The environment variable HEISLAB_MAX_BOUND caps all search bounds
-(default 6).  All output is deterministic for identical inputs.
+The environment variable HEISLAB_MAX_BOUND caps every ``--bound``
+(default 6); ``discriminate`` and ``bigpowers`` take no bound and always
+decide.  All output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -170,8 +171,11 @@ def _emit_verdict(name: str, v: Verdict, json_mode: bool) -> int:
 def _read_spec(spec: str) -> str:
     """The stripped contents of the file ``spec`` names, else ``spec``."""
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return fh.read().strip()
+        try:
+            with open(spec) as fh:
+                return fh.read().strip()
+        except OSError as exc:
+            raise UsageError(f"cannot read {spec}: {exc}")
     return spec
 
 
@@ -350,11 +354,7 @@ def cmd_discriminate(args) -> int:
     for ln, t in zip(lines, targets):
         if t.is_identity():
             raise UsageError(f"target {ln!r} is the identity")
-    try:
-        cert = nilform.discriminate_to_H(targets, cap=_max_bound())
-    except nilform.DiscriminationBoundExceeded as exc:
-        print(f"inconclusive method=bounded_search bound={exc.cap}")
-        return 2
+    cert = nilform.discriminate_to_H(targets)
     if args.json:
         print(
             json.dumps(
@@ -457,14 +457,15 @@ def cmd_parse(args) -> int:
 # Argument parsing
 
 
-def _add_rep_opts(p):
+def _add_rep_opts(p, with_json=True):
     p.add_argument("--rep", metavar="FILE", help="representation config file")
     p.add_argument(
         "--example",
         choices=sorted(FIXTURES),
         help="use a named fixture instead of --rep (default: heisenberg)",
     )
-    p.add_argument("--json", action="store_true", help="emit JSON")
+    if with_json:
+        p.add_argument("--json", action="store_true", help="emit JSON")
 
 
 def _add_bound_opt(p):
@@ -516,16 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="free rank-1 centralizer extension")
     p.add_argument("--at", choices=("a1", "a2"), required=True)
     p.add_argument("--name", default="theta", help="fresh indeterminate name")
-    _add_rep_opts(p)
+    _add_rep_opts(p, with_json=False)
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("adjoin-y", help="adjoin Y with [a2,Y]=1 and [Y,a1]=z")
     p.add_argument("--z", required=True, metavar="ELT", help="(1,3) entry of the central target")
-    _add_rep_opts(p)
+    _add_rep_opts(p, with_json=False)
     p.set_defaults(fn=cmd_adjoin_y)
 
     p = sub.add_parser("adjoin-center", help="mark the full center as adjoined")
-    _add_rep_opts(p)
+    _add_rep_opts(p, with_json=False)
     p.set_defaults(fn=cmd_adjoin_center)
 
     p = sub.add_parser("appropriate", help="bounded ring-appropriateness check")

@@ -9,18 +9,19 @@ class-2 rule a_j a_i = a_i a_j [a_j, a_i]; commutators are written
 g^-1 h^-1 g h throughout.
 
 The rank-2 group is identified with the integer Heisenberg group via
-a1^p a2^q c^r  ->  matrix entries (e12, e13, e23) = (q, r, p), and
-discrimination of higher-rank groups into it is by exhaustive search over
-retraction images with increasing exponent bound.
+a1^p a2^q c^r  ->  matrix entries (e12, e13, e23) = (q, r, p).  Higher-rank
+groups are discriminated into it by sending each a_k (k > 2) to the generic
+element with entries (q_k, r_k, p_k) over Z[p3, q3, r3, ...], which is
+injective, and then choosing integer exponents one at a time with
+``rings.nonvanishing_point``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from . import ut3
-from .rings import Z, RingElem
+from . import rings, ut3
+from .rings import Z, RingDesc, RingElem
 from .ut3 import UT3Elem
 
 
@@ -159,15 +160,6 @@ def hom_on_generators(images, target_identity=None) -> Hom:
     return Hom(images, target_identity)
 
 
-class DiscriminationBoundExceeded(Exception):
-    def __init__(self, cap, targets):
-        super().__init__(
-            f"no discriminating retraction found with exponent bound <= {cap}"
-        )
-        self.cap = cap
-        self.targets = targets
-
-
 @dataclass(frozen=True)
 class DiscriminationCertificate:
     """A retraction F_n(N_2) -> H that kills none of the targets, with the
@@ -184,12 +176,17 @@ class DiscriminationCertificate:
         )
 
 
-def discriminate_to_H(targets, cap: int = 10) -> DiscriminationCertificate:
+def discriminate_to_H(targets) -> DiscriminationCertificate:
     """Retraction to the rank-2 (Heisenberg) copy mapping no target to 1.
 
-    a1 and a2 are fixed; each a_k (k > 2) is sent to a1^p a2^q c^r with the
-    exponents searched by increasing sup-norm.  Raises
-    DiscriminationBoundExceeded when the cap is exhausted.
+    a1 and a2 are fixed; each a_k (k > 2) is sent to a1^p a2^q c^r.  The
+    targets are first mapped under the generic retraction with
+    indeterminate exponents p_k, q_k, r_k.  It is injective (the images of
+    a1, ..., an and of the basic commutators have independent entries), so
+    every image has a nonzero entry, and ``rings.nonvanishing_point`` picks
+    nonnegative exponents p3, q3, r3, p4, ... in that order, each the least
+    one keeping every image nonidentity.  When the retraction a_k -> 1 kills
+    no target, all exponents are 0.
     """
     targets = list(targets)
     if not targets:
@@ -202,34 +199,17 @@ def discriminate_to_H(targets, cap: int = 10) -> DiscriminationCertificate:
             raise ValueError("mixed ranks")
         if t.is_identity():
             raise ValueError("identity is annihilated by every retraction")
-    base = [ut3.a1(Z), ut3.a2(Z)]
-    c = ut3.a2(Z).comm(ut3.a1(Z))
-    extras = n - 2
-
-    def attempt(exps):
-        images = list(base)
-        for p, q, r in exps:
-            images.append(ut3.a1(Z).pow_int(p) * ut3.a2(Z).pow_int(q) * c.pow_int(r))
-        hom = Hom(images, ut3.identity(Z))
-        imgs = [hom(t) for t in targets]
-        if all(not g.is_identity() for g in imgs):
-            return DiscriminationCertificate(hom, tuple(exps), tuple(imgs))
-        return None
-
-    if extras == 0:
-        cert = attempt([])
-        if cert is not None:
-            return cert
-        raise AssertionError("identity retraction kills a nonidentity form")
-
-    for bound in range(cap + 1):
-        for flat in itertools.product(
-            range(-bound, bound + 1), repeat=3 * extras
-        ):
-            if bound and max(abs(v) for v in flat) != bound:
-                continue
-            exps = [tuple(flat[3 * k : 3 * k + 3]) for k in range(extras)]
-            cert = attempt(exps)
-            if cert is not None:
-                return cert
-    raise DiscriminationBoundExceeded(cap, targets)
+    extras = range(3, n + 1)
+    names = [f"{v}{k}" for k in extras for v in "pqr"]
+    ring = RingDesc((tuple(names),))
+    x = {v: RingElem.var(ring, v) for v in names}
+    generic = Hom(
+        [ut3.a1(ring), ut3.a2(ring)]
+        + [UT3Elem(ring, x[f"q{k}"], x[f"r{k}"], x[f"p{k}"]) for k in extras],
+        ut3.identity(ring),
+    )
+    images = [generic(t) for t in targets]
+    point = rings.nonvanishing_point([[g.u12, g.u13, g.u23] for g in images], names)
+    exps = tuple((point[f"p{k}"], point[f"q{k}"], point[f"r{k}"]) for k in extras)
+    hom = Hom([ut3.a1(Z), ut3.a2(Z)] + [ut3.elem(Z, q, r, p) for p, q, r in exps], ut3.identity(Z))
+    return DiscriminationCertificate(hom, exps, tuple(hom(t) for t in targets))

@@ -507,14 +507,14 @@ def big_powers_retraction(
     targets,
     i: int,
     name: str | None = None,
-    cap: int = 100000,
 ) -> BigPowersCertificate:
     """Smallest n >= 1 such that the retraction sending the extension
     indeterminate to n (i.e. t to a_i^n) kills no target.
 
-    Each nonzero entry is a polynomial in the indeterminate over a product
-    of domains, so only finitely many n are excluded and the search
-    terminates."""
+    Each target keeps a nonzero entry, a polynomial in the indeterminate over
+    a product of domains, so ``rings.nonvanishing_point`` finds n with
+    n <= 1 + D, where D is the sum over the targets of the largest degree of
+    an entry in the indeterminate."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     if name is None:
@@ -528,23 +528,12 @@ def big_powers_retraction(
     for t in targets:
         if t.is_identity():
             raise ValueError("identity target cannot survive any retraction")
-    for n in range(1, cap + 1):
-        images = []
-        alive = True
-        for t in targets:
-            img = UT3Elem(
-                rep_ext.ring,
-                rings.substitute(t.u12, name, n),
-                rings.substitute(t.u13, name, n),
-                rings.substitute(t.u23, name, n),
-            )
-            if img.is_identity():
-                alive = False
-                break
-            images.append(img)
-        if alive:
-            return BigPowersCertificate(n, name, tuple(images))
-    raise AssertionError("big powers search exhausted its safety cap")
+    groups = [[t.u12, t.u13, t.u23] for t in targets]
+    n = rings.nonvanishing_point(groups, [name], start=1)[name]
+    images = tuple(
+        UT3Elem(rep_ext.ring, *(rings.substitute(e, name, n) for e in g)) for g in groups
+    )
+    return BigPowersCertificate(n, name, images)
 
 
 def c_rank(rep: Representation) -> int:

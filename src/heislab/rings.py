@@ -7,7 +7,11 @@ syntactic, and all coefficients are arbitrary-precision Python ints.
 
 Retractions R -> Z factor through a single component (the idempotents must map
 to 0 or 1, summing to 1) followed by integer evaluation of the indeterminates,
-so they are represented by a component index plus an integer point.
+so they are represented by a component index plus an integer point.  Such
+points are chosen one indeterminate at a time by ``nonvanishing_point``: a
+nonzero polynomial of degree d in one variable over a domain has at most d
+roots, so each value is found among the first few integers and no search
+bound is needed.
 """
 
 from __future__ import annotations
@@ -286,29 +290,50 @@ def is_zero_divisor(r: RingElem) -> bool:
     return len(r.support) < r.ring.ncomponents
 
 
-def _integer_points(m: int):
-    """Points of N^m by increasing sup-norm, lexicographic tie-break.
-    A nonzero integer polynomial cannot vanish on all of N^m, so searches
-    over this enumeration terminate; witnesses are deterministic."""
-    if m == 0:
-        yield ()
-        return
-    for bound in itertools.count(0):
-        for point in itertools.product(range(bound + 1), repeat=m):
-            if max(point) == bound:
-                yield point
+def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
+    """Integer values for ``names`` under which every group keeps a nonzero
+    element.
+
+    Each group is a list of elements, at least one of them nonzero.  The names
+    are assigned in order, each the least integer >= ``start`` after which
+    every group, with all earlier names already substituted, still has a
+    nonzero element.  With a single name the value is therefore the least
+    valid one.
+
+    Termination (the one-variable case of Alon's Combinatorial
+    Nullstellensatz): fix a name x and in each group a nonzero element g,
+    nonzero on some component.  There g is a polynomial in x over a domain
+    (the integer polynomials in the other indeterminates) of degree at most
+    the group's maximal x-degree, so at most that many values of x kill it.
+    At most D = sum over groups of max deg_x values are therefore bad, and
+    one of start, ..., start + D is taken.
+    """
+    groups = [[r for r in group if not r.is_zero()] for group in groups]
+    if not all(groups):
+        raise ValueError("every group needs a nonzero element")
+    point = {}
+    for name in names:
+        value = start
+        while True:
+            images = []
+            for group in groups:
+                image = [s for r in group if not (s := substitute(r, name, value)).is_zero()]
+                if not image:
+                    break
+                images.append(image)
+            else:
+                break
+            value += 1
+        groups = images
+        point[name] = value
+    return point
 
 
 def separate(r: RingElem) -> Retraction:
     """A retraction that does not annihilate the nonzero element r."""
     if r.is_zero():
         raise ValueError("zero has no separating retraction")
-    comp = min(r.support)
-    names = r.ring.components[comp]
-    for point in _integer_points(len(names)):
-        if _peval(r.parts[comp], point) != 0:
-            return Retraction.of(comp, dict(zip(names, point)))
-    raise AssertionError("unreachable: nonzero polynomial vanishes on all of Z^m")
+    return discriminate([r])
 
 
 @dataclass(frozen=True)
@@ -322,10 +347,10 @@ class DomainFailure:
 def discriminate(rs: list[RingElem]) -> Retraction | DomainFailure:
     """A retraction keeping every element of rs nonzero, or a DomainFailure.
 
-    Over an integral domain the product of the elements is nonzero and a
-    single separating retraction works.  Over a proper product ring each
-    retraction factors through one component, so the search fails exactly
-    when every component annihilates some input.
+    Each retraction factors through one component, so it suffices to find
+    the first component on which no element vanishes and a point of its
+    indeterminates keeping each element nonzero there; the search fails
+    exactly when every component annihilates some input.
     """
     if not rs:
         raise ValueError("discriminate needs at least one element")
@@ -335,14 +360,13 @@ def discriminate(rs: list[RingElem]) -> Retraction | DomainFailure:
             raise ValueError("discriminate requires nonzero elements")
         if r.ring != ring:
             raise RingMismatchError("mixed rings")
-    for comp in range(ring.ncomponents):
+    for comp, names in enumerate(ring.components):
         if all(comp in r.support for r in rs):
-            prod = rs[0]
-            for r in rs[1:]:
-                prod = prod * r
-            # the product is nonzero on this component (a domain) and zero on
-            # every earlier one, so separate() retracts through this component
-            return separate(prod)
+            groups = [
+                [RingElem(ring, tuple(p if j == comp else () for j, p in enumerate(r.parts)))]
+                for r in rs
+            ]
+            return Retraction.of(comp, nonvanishing_point(groups, names))
     # no component works: exhibit an annihilating pair
     for a, b in itertools.combinations(rs, 2):
         if (a * b).is_zero():

@@ -194,6 +194,26 @@ def test_discriminate(capsys, tmp_path):
     assert "a3 ->" in out
 
 
+def test_discriminate_always_decides(capsys, tmp_path, monkeypatch):
+    # every exponent triple in {-1,0,1}^3 kills one target; discriminate takes
+    # no bound, so HEISLAB_MAX_BOUND=1 must not stop it and --json stays JSON
+    monkeypatch.setenv("HEISLAB_MAX_BOUND", "1")
+    targets = tmp_path / "cube.txt"
+    targets.write_text(
+        "".join(
+            f"a3*[a2,a1]^{-r}*a2^{-q}*a1^{-p}\n"
+            for p in (-1, 0, 1)
+            for q in (-1, 0, 1)
+            for r in (-1, 0, 1)
+        )
+    )
+    code, out, _ = run(capsys, "discriminate", "--targets", str(targets), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "holds"
+    assert doc["extra_images"] == [[0, 0, 2]]
+
+
 def test_discriminate_identity_target(capsys, tmp_path):
     targets = tmp_path / "nil.txt"
     targets.write_text("a1*a1^-1\n")
@@ -231,6 +251,14 @@ def test_config_error_is_exit_3(capsys, tmp_path):
     cfg.write_text("ring: Q\n")
     code, _, err = run(capsys, "lame", "--rep", str(cfg))
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["check", "parse"])
+def test_unreadable_formula_file_is_exit_3(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert "cannot read" in err
 
 
 def test_missing_rep_file_is_exit_3(capsys):

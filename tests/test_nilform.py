@@ -1,12 +1,12 @@
 """Tests for Mal'cev normal forms and discrimination into the rank-2 group."""
 
 import random
+import time
 
 import pytest
 
 from heislab import nilform, ut3
 from heislab.nilform import (
-    DiscriminationBoundExceeded,
     NilForm,
     collect,
     discriminate_to_H,
@@ -164,7 +164,44 @@ def test_discriminate_random_sets():
             assert not img.is_identity()
 
 
-def test_discriminate_bound_exhausted():
-    with pytest.raises(DiscriminationBoundExceeded):
-        # cap 0 only allows a3 -> 1, which kills a3
-        discriminate_to_H([generator(3, 3)], cap=0)
+def test_discriminate_leaves_the_exponent_cube():
+    # a3*[a2,a1]^-r*a2^-q*a1^-p dies when a3 goes to a1^p*a2^q*[a2,a1]^r, so
+    # these 27 targets leave a3 no exponent triple in {-1,0,1}^3
+    a1, a2, a3 = (generator(5, k) for k in (1, 2, 3))
+    c = a2.comm(a1)
+    targets = [
+        a3 * c.pow_int(-r) * a2.pow_int(-q) * a1.pow_int(-p)
+        for p in (-1, 0, 1)
+        for q in (-1, 0, 1)
+        for r in (-1, 0, 1)
+    ]
+    targets.append(generator(5, 4) * generator(5, 5))
+    started = time.perf_counter()
+    cert = discriminate_to_H(targets)
+    assert time.perf_counter() - started < 2.0
+    assert cert.verify(targets)
+    assert cert.extra_images == ((0, 0, 2), (0, 0, 0), (0, 0, 1))
+
+
+def test_discriminate_exponents_zero_when_trivial_retraction_works():
+    rng = random.Random(9)
+    seen_zero = seen_nonzero = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        targets = []
+        while len(targets) < rng.randint(1, 4):
+            t = random_form(rng, n)
+            if not t.is_identity():
+                targets.append(t)
+        trivial = hom_on_generators(
+            [ut3.a1(Z), ut3.a2(Z)] + [ut3.identity(Z)] * (n - 2), ut3.identity(Z)
+        )
+        cert = discriminate_to_H(targets)
+        assert cert.verify(targets)
+        if all(not trivial(t).is_identity() for t in targets):
+            assert cert.extra_images == ((0, 0, 0),) * (n - 2)
+            seen_zero += 1
+        else:
+            assert any(any(e) for e in cert.extra_images)
+            seen_nonzero += 1
+    assert seen_zero and seen_nonzero

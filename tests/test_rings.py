@@ -17,15 +17,19 @@ from heislab.rings import (
     format_elem,
     is_domain,
     is_zero_divisor,
+    nonvanishing_point,
     parse_elem,
     parse_ring,
     retract,
     separate,
+    substitute,
 )
 
 ZZ = parse_ring("Z x Z")
 ZTH = parse_ring("Z[theta]")
 ZZ3 = parse_ring("Z^3")
+ZXY = parse_ring("Z[x,y]")
+ZT2 = parse_ring("Z[t] x Z[t]")
 
 
 def test_parse_ring_forms():
@@ -217,3 +221,51 @@ def test_retraction_is_hom(a):
     b = RingElem.integer(ZZ, 3) + RingElem.idempotent(ZZ, 1)
     assert retract(rho, a * b) == retract(rho, a) * retract(rho, b)
     assert retract(rho, a + b) == retract(rho, a) + retract(rho, b)
+
+
+def _degree(r, name):
+    degrees = [
+        e[names.index(name)]
+        for names, p in zip(r.ring.components, r.parts)
+        if name in names
+        for e, _ in p
+    ]
+    return max(degrees, default=0)
+
+
+def _all_alive(groups, point):
+    """Whether every group keeps a nonzero element under the substitution."""
+    for group in groups:
+        for name, value in point.items():
+            group = [substitute(r, name, value) for r in group]
+        if all(r.is_zero() for r in group):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("ring", [ZXY, ZT2, ZZ], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_nonvanishing_point_properties(ring, data):
+    group = st.lists(_elems(ring), min_size=1, max_size=3).filter(
+        lambda g: any(not r.is_zero() for r in g)
+    )
+    groups = data.draw(st.lists(group, min_size=1, max_size=4))
+    start = data.draw(st.integers(-2, 2))
+    names = ring.components[0]
+    point = nonvanishing_point(groups, names, start)
+    assert list(point) == list(names)
+    assert _all_alive(groups, point)
+    for k, name in enumerate(names):
+        bad = sum(max(_degree(r, name) for r in g) for g in groups)
+        assert start <= point[name] <= start + bad
+        # least valid value given the earlier names: with one name, the least
+        # valid value outright (big-powers minimality)
+        earlier = {n: point[n] for n in names[:k]}
+        for value in range(start, point[name]):
+            assert not _all_alive(groups, {**earlier, name: value})
+
+
+def test_nonvanishing_point_rejects_dead_group():
+    with pytest.raises(ValueError):
+        nonvanishing_point([[RingElem.zero(ZTH)]], ["theta"])
