@@ -20,7 +20,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from . import rings, zlattice
@@ -166,13 +166,13 @@ class Representation:
         return tuple(v)
 
     def elem_from_coords(self, v) -> RingElem:
-        out = RingElem.zero(self.ring)
+        # the frame is sorted by (component, monomial), so each component's
+        # terms come out in canonical order
+        parts = [[] for _ in self.ring.components]
         for x, (j, e) in zip(v, self.frame):
             if x:
-                part = [() for _ in self.ring.components]
-                part[j] = ((e, x),)
-                out = out + RingElem(self.ring, tuple(part))
-        return out
+                parts[j].append((e, x))
+        return RingElem(self.ring, tuple(map(tuple, parts)))
 
     def component_coords(self, component: int) -> list[int]:
         return [i for i, (j, _e) in enumerate(self.frame) if j == component]
@@ -196,6 +196,21 @@ class Representation:
     # the EntryLattices, built once; entry_lattices is looked up at call
     # time, so wrappers installed on the module see the call
     lattices = cached_property(lambda self: entry_lattices(self))
+
+    @cached_property
+    def det_form(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``det_form[i][j]`` is the frame vector of the entry determinant
+        det(b_i, b_j) on the basis of the entry-pair lattice (see
+        ``nzct_check``)."""
+        T = self.lattices.A.transform
+        dets = [self.coords(x) for x in self.pair_dets]
+        pairs = list(itertools.combinations(range(len(self.generators)), 2))
+
+        def det(s, t):
+            wedge = [s[k] * t[l] - s[l] * t[k] for k, l in pairs]
+            return tuple(zlattice.combine(wedge, dets, self.dim))
+
+        return tuple(tuple(det(s, t) for t in T) for s in T)
 
 
 def representation(
@@ -253,11 +268,6 @@ def _block_coords(rep: Representation, block: int, component: int) -> list[int]:
     23-block (1) of the Z^(2d) ambient."""
     offset = 0 if block == 0 else rep.dim
     return [offset + i for i in rep.component_coords(component)]
-
-
-def _split_pair(rep: Representation, vec) -> tuple[RingElem, RingElem]:
-    d = rep.dim
-    return rep.elem_from_coords(vec[:d]), rep.elem_from_coords(vec[d:])
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +332,23 @@ def tau_check(rep: Representation) -> Verdict:
     return Verdict("holds", "exact_lattice")
 
 
-def _pair_det(rep, u, v) -> RingElem:
-    u12, u23 = _split_pair(rep, u)
-    v12, v23 = _split_pair(rep, v)
-    return u12 * v23 - v12 * u23
+def _commuting(rep: Representation, bound: int, d) -> bytes:
+    """One byte per coefficient tuple c in [-bound, bound]^r over the basis
+    of the entry-pair lattice, in itertools.product order: 1 if
+    det(c, d) = 0, else 0.
+
+    c -> det(c, d) is an integer matrix with one row per frame coordinate;
+    only its distinct nonzero rows matter, and each row's values over the
+    box are built one coordinate at a time."""
+    cols = [zlattice.combine(d, row, rep.dim) for row in rep.det_form]
+    steps = range(-bound, bound + 1)
+    flags = [True] * len(steps) ** len(cols)
+    for row in {row for row in zip(*cols) if any(row)}:
+        vals = [0]
+        for f in row:
+            vals = [v + f * t for v in vals for t in steps]
+        flags = [z and not v for z, v in zip(flags, vals)]
+    return bytes(flags)
 
 
 def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
@@ -334,49 +357,58 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     transitive through a noncentral element, so NZCT holds outright; the
     same is true when all generator pairs commute.  Otherwise small lattice
     vectors are searched for a violating triple; a verified witness is
-    exact, exhaustion is not a proof."""
+    exact, exhaustion is not a proof.
+
+    Every step runs on integer coefficient tuples over the basis b_i of the
+    entry-pair lattice A.  det(u, v) = u12*v23 - v12*u23 is Z-bilinear and
+    alternating, and b_i = sum_k t_ik g_k over the generator entry pairs g_k
+    (t is A's HNF transform), so det(b_i, b_j) = sum_{k<l} (t_ik t_jl -
+    t_il t_jk) det(g_k, g_l).  The det(g_k, g_l) are ``pair_dets``, whose
+    monomials are in the frame by its definition, so every determinant
+    value is an integer frame vector (``det_form``) and is zero iff its
+    coordinates are.  Ring elements are built only for the witness."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    L = rep.lattices
-    if all(
-        _pair_det(rep, u, v).is_zero() for u, v in itertools.combinations(L.A.basis, 2)
-    ):
-        return Verdict("holds", "exact_lattice")
     if is_domain(rep.ring):
         return Verdict("holds", "exact_lattice")
+    L = rep.lattices
+    if not any(any(v) for row in rep.det_form for v in row):
+        return Verdict("holds", "exact_lattice")
 
-    def diagonal(e: RingElem) -> bool:
-        return all(p == e.parts[0] for p in e.parts[1:])
+    def diagonal(v) -> bool:  # the same polynomial on every component
+        terms = [{} for _ in rep.ring.components]
+        for x, (j, e) in zip(v, rep.frame):
+            if x:
+                terms[j][e] = x
+        return all(t == terms[0] for t in terms)
 
+    d = rep.dim
     if len(set(rep.ring.components)) == 1 and all(
-        diagonal(x) for v in L.A.basis for x in _split_pair(rep, v)
+        diagonal(x) for v in L.A.basis for x in (v[:d], v[d:])
     ):
         # every realized entry is constant across the identical components, so
         # the group embeds in UT3 of one component -- a domain
         return Verdict("holds", "exact_lattice")
-    vectors = [v for v in L.A.vectors_up_to(bound) if any(v)]
-    for q in vectors:
-        parallels = [p for p in vectors if _pair_det(rep, p, q).is_zero()]
+    # vectors_up_to lists the basis combinations in itertools.product order
+    box = list(itertools.product(range(-bound, bound + 1), repeat=L.A.rank))
+    keep = [k for k, v in enumerate(L.A.vectors_up_to(bound)) if any(v)]
+    # the tables take len(keep) bytes each; keep about 32 MB of them at most
+    commuting = lru_cache(2**25 // len(keep) + 1)(lambda i: _commuting(rep, bound, box[i]))
+    for q in keep:
+        y = next((y for y in keep if not commuting(q)[y]), None)
+        if y is None:
+            continue  # q is central as far as the group is concerned
+        parallels = [p for p in keep if commuting(q)[p]]
         for p, w in itertools.combinations(parallels, 2):
-            if _pair_det(rep, p, w).is_zero():
+            if commuting(p)[w]:
                 continue
-            witness_y = next(
-                (y for y in vectors if not _pair_det(rep, q, y).is_zero()), None
-            )
-            if witness_y is None:
-                continue  # q is central as far as the group is concerned
 
-            def build(vec):
-                return rep.product_of_generators(
-                    zlattice.in_source_coordinates(L.A, vec)
-                )
+            def build(i):
+                source = zlattice.combine(box[i], L.A.transform, len(rep.generators))
+                return rep.product_of_generators(source)
 
-            return Verdict(
-                "violated",
-                "exact_lattice",
-                NzctWitness(build(q), build(p), build(w), build(witness_y)),
-                bound=bound,
-            )
+            witness = NzctWitness(build(q), build(p), build(w), build(y))
+            return Verdict("violated", "exact_lattice", witness, bound=bound)
     return Verdict("inconclusive", "bounded_search", bound=bound)
 
 
@@ -417,11 +449,10 @@ def sigma_check(rep: Representation) -> Verdict:
     L = rep.lattices
     d = rep.dim
     for dvec in L.D.basis:
-        value = rep.elem_from_coords(dvec)
-        if not zlattice.member(L.A, dvec + (0,) * d):
-            return Verdict("violated", "exact_lattice", SigmaWitness(value, "S"))
-        if not zlattice.member(L.A, (0,) * d + dvec):
-            return Verdict("violated", "exact_lattice", SigmaWitness(value, "T"))
+        for system, vec in (("S", dvec + (0,) * d), ("T", (0,) * d + dvec)):
+            if not zlattice.member(L.A, vec):
+                witness = SigmaWitness(rep.elem_from_coords(dvec), system)
+                return Verdict("violated", "exact_lattice", witness)
     return Verdict("holds", "exact_lattice")
 
 

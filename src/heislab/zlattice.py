@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 Vector = tuple[int, ...]
 
 
-def _combine(coeffs: Iterable[int], rows: Iterable[Sequence[int]], width: int) -> list[int]:
+def combine(coeffs: Iterable[int], rows: Iterable[Sequence[int]], width: int) -> list[int]:
     """The integer combination sum_k coeffs[k] * rows[k] of width-long rows."""
     out = [0] * width
     for c, row in zip(coeffs, rows):
@@ -95,7 +95,7 @@ class Lattice:
         import itertools
 
         return [
-            tuple(_combine(coeffs, self.basis, self.ambient_dim))
+            tuple(combine(coeffs, self.basis, self.ambient_dim))
             for coeffs in itertools.product(range(-bound, bound + 1), repeat=self.rank)
         ]
 
@@ -148,7 +148,7 @@ def in_source_coordinates(L: Lattice, v: Sequence[int]) -> Optional[Vector]:
     if coeffs is None:
         return None
     nsrc = len(L.transform[0]) if L.transform else 0
-    return tuple(_combine(coeffs, L.transform, nsrc))
+    return tuple(combine(coeffs, L.transform, nsrc))
 
 
 def intersect_coordinate_zero(L: Lattice, coords: Iterable[int]) -> Lattice:
@@ -172,11 +172,11 @@ def intersect_coordinate_zero(L: Lattice, coords: Iterable[int]) -> Lattice:
     kernel = U[nonzero:]  # combos of basis rows vanishing on coords
     if not kernel:
         return Lattice(L.ambient_dim, (), () if L.transform is not None else None)
-    rows, U2 = _row_reduce([_combine(k, L.basis, L.ambient_dim) for k in kernel])
+    rows, U2 = _row_reduce([combine(k, L.basis, L.ambient_dim) for k in kernel])
     basis = [tuple(row) for row in rows if any(row)]
     transform = None
     if L.transform is not None:
         nsrc = len(L.transform[0]) if L.transform else 0
-        srcs = [_combine(k, L.transform, nsrc) for k in kernel]
-        transform = tuple(tuple(_combine(u, srcs, nsrc)) for u in U2[: len(basis)])
+        srcs = [combine(k, L.transform, nsrc) for k in kernel]
+        transform = tuple(tuple(combine(u, srcs, nsrc)) for u in U2[: len(basis)])
     return Lattice(L.ambient_dim, tuple(basis), transform)

@@ -1,12 +1,13 @@
 """Shared oracles and randomized-corpus helpers for the test suite."""
 
+import itertools
 import random
 
 import pytest
 
 from heislab import reprs, rings, ut3, zlattice
-from heislab.reprs import LameWitness, Verdict
-from heislab.rings import RingDesc, RingElem, is_zero_divisor
+from heislab.reprs import LameWitness, NzctWitness, Verdict
+from heislab.rings import RingDesc, RingElem, is_domain, is_zero_divisor
 from heislab.ut3 import UT3Elem
 
 # The ring family every randomized property in the suite ranges over.
@@ -47,6 +48,64 @@ def oracle_mul(g: UT3Elem, h: UT3Elem) -> UT3Elem:
 
 
 # ---------------------------------------------------------------------------
+# Ring-element views of entry-pair vectors
+
+
+def split_pair(rep: reprs.Representation, vec) -> tuple[RingElem, RingElem]:
+    """The (1,2) and (2,3) entries of an entry-pair vector in Z^(2d)."""
+    d = rep.dim
+    return rep.elem_from_coords(vec[:d]), rep.elem_from_coords(vec[d:])
+
+
+def pair_det(rep: reprs.Representation, u, v) -> RingElem:
+    """det(u, v) = u12*v23 - v12*u23, computed in the ring."""
+    u12, u23 = split_pair(rep, u)
+    v12, v23 = split_pair(rep, v)
+    return u12 * v23 - v12 * u23
+
+
+# ---------------------------------------------------------------------------
+# Ring-element NZCT oracle (the search reprs.nzct_check runs on integers)
+
+
+def nzct_check_ringelem(rep: reprs.Representation, bound: int = 2) -> Verdict:
+    """The NZCT search with every determinant computed as a ring element
+    from the lattice vectors themselves: same shortcuts, same iteration
+    order, no integer determinant form."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    L = rep.lattices
+    if all(pair_det(rep, u, v).is_zero() for u, v in itertools.combinations(L.A.basis, 2)):
+        return Verdict("holds", "exact_lattice")
+    if is_domain(rep.ring):
+        return Verdict("holds", "exact_lattice")
+
+    def diagonal(e: RingElem) -> bool:
+        return all(p == e.parts[0] for p in e.parts[1:])
+
+    if len(set(rep.ring.components)) == 1 and all(
+        diagonal(x) for v in L.A.basis for x in split_pair(rep, v)
+    ):
+        return Verdict("holds", "exact_lattice")
+    vectors = [v for v in L.A.vectors_up_to(bound) if any(v)]
+    for q in vectors:
+        parallels = [p for p in vectors if pair_det(rep, p, q).is_zero()]
+        for p, w in itertools.combinations(parallels, 2):
+            if pair_det(rep, p, w).is_zero():
+                continue
+            witness_y = next((y for y in vectors if not pair_det(rep, q, y).is_zero()), None)
+            if witness_y is None:
+                continue
+
+            def build(vec):
+                return rep.product_of_generators(zlattice.in_source_coordinates(L.A, vec))
+
+            witness = NzctWitness(build(q), build(p), build(w), build(witness_y))
+            return Verdict("violated", "exact_lattice", witness, bound=bound)
+    return Verdict("inconclusive", "bounded_search", bound=bound)
+
+
+# ---------------------------------------------------------------------------
 # Definitional Lame oracle (a second code path beside reprs.lame_check)
 
 
@@ -66,7 +125,7 @@ def lame_check_def1(rep: reprs.Representation, bound: int = 3) -> Verdict:
             )
             candidates.extend(sub.basis)
         for vec in candidates:
-            u12, u23 = reprs._split_pair(rep, vec)
+            u12, u23 = split_pair(rep, vec)
             s = u12 * u12 + u23 * u23
             if not s.is_zero() and is_zero_divisor(s):
                 coeffs = zlattice.in_source_coordinates(lat, vec)

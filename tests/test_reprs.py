@@ -4,9 +4,18 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import corpus, lame_check_def1, random_ut3
+from conftest import (
+    corpus,
+    lame_check_def1,
+    nzct_check_ringelem,
+    pair_det,
+    random_representation,
+    random_ut3,
+)
 from heislab import formula, reprs, rings, zlattice
+from heislab.cli import FIXTURES, fixture
 from heislab.formula import CounterExample, NoneWithinBound, builtin, refute_universal
 from heislab.reprs import (
     Representation,
@@ -228,6 +237,71 @@ def test_nzct_full_zxz_violated():
 def test_nzct_bound_validation():
     with pytest.raises(ValueError):
         nzct_check(heisenberg(), 0)
+
+
+def _verdict_strings(v):
+    return v.status, v.method, v.bound, v.witness and v.witness.to_dict()
+
+
+def test_nzct_matches_ringelem_oracle_on_corpus():
+    for rep in corpus(25, seed=14):
+        assert _verdict_strings(nzct_check(rep, 1)) == _verdict_strings(
+            nzct_check_ringelem(rep, 1)
+        )
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_nzct_matches_ringelem_oracle_on_fixtures(name):
+    rep = fixture(name)
+    assert _verdict_strings(nzct_check(rep, 2)) == _verdict_strings(
+        nzct_check_ringelem(rep, 2)
+    )
+
+
+def test_nzct_diagonal_shortcut_with_one_sided_center_monomial():
+    # t occurs only in a (1,3) entry and only on the first component, so the
+    # frame has (0, t) but not (1, t); every realized entry is still diagonal
+    ring = parse_ring("Z[t] x Z[t]")
+    rep = representation(ring, {"b": elem(ring, "(2,2)", "(t,0)", 0)})
+    assert _verdict_strings(nzct_check(rep, 1)) == ("holds", "exact_lattice", None, None)
+    assert _verdict_strings(nzct_check_ringelem(rep, 1)) == _verdict_strings(nzct_check(rep, 1))
+
+
+def _form_det(rep, c, d):
+    """The integer determinant form at basis coefficients c and d."""
+    out = [0] * rep.dim
+    for i, ci in enumerate(c):
+        for j, dj in enumerate(d):
+            for m, x in enumerate(rep.det_form[i][j]):
+                out[m] += ci * dj * x
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_det_form_is_the_ring_determinant(seed, data):
+    rep = random_representation(random.Random(seed))
+    basis = rep.lattices.A.basis
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
+    c, d = data.draw(coeffs), data.draw(coeffs)
+    u = zlattice.combine(c, basis, 2 * rep.dim)
+    v = zlattice.combine(d, basis, 2 * rep.dim)
+    assert _form_det(rep, c, d) == rep.coords(pair_det(rep, u, v))
+    assert not any(_form_det(rep, c, c))
+    assert _form_det(rep, c, d) == tuple(-x for x in _form_det(rep, d, c))
+
+
+def test_nzct_builds_no_ring_elements_from_coordinates(monkeypatch):
+    calls = []
+    original = Representation.elem_from_coords
+
+    def counted(self, v):
+        calls.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(Representation, "elem_from_coords", counted)
+    assert nzct_check(fixture("tau-fails-zxz"), 2).status == "violated"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
