@@ -11,6 +11,7 @@ decide.  All output is deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -472,7 +473,9 @@ def _add_bound_opt(p):
     p.add_argument("--bound", type=int, help="search bound (capped by HEISLAB_MAX_BOUND)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``heislab`` parser, built once; every caller shares it."""
     top = _ArgumentParser(prog="heislab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -563,6 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one ``heislab`` command; returns its exit code.
+
+    The parser is built on the first call and reused for the rest of the
+    process.  It holds no per-query state: each ``parse_args`` returns a new
+    namespace, the handlers it dispatches to are fixed, HEISLAB_MAX_BOUND is
+    read when a bound is checked and help text is formatted when printed."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

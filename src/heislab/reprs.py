@@ -389,9 +389,10 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
         # every realized entry is constant across the identical components, so
         # the group embeds in UT3 of one component -- a domain
         return Verdict("holds", "exact_lattice")
-    # vectors_up_to lists the basis combinations in itertools.product order
     box = list(itertools.product(range(-bound, bound + 1), repeat=L.A.rank))
-    keep = [k for k, v in enumerate(L.A.vectors_up_to(bound)) if any(v)]
+    # the HNF basis is linearly independent: a combination is zero iff its
+    # coefficient tuple is
+    keep = [k for k, c in enumerate(box) if any(c)]
     # the tables take len(keep) bytes each; keep about 32 MB of them at most
     commuting = lru_cache(2**25 // len(keep) + 1)(lambda i: _commuting(rep, bound, box[i]))
     for q in keep:

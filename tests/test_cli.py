@@ -1,10 +1,15 @@
 """Tests for the heislab command-line interface."""
 
+import argparse
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from test_cli_golden import DATA, _key, _run, _write_files
 
-from heislab.cli import FIXTURES, main
+from heislab.cli import FIXTURES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -364,3 +369,56 @@ def test_discriminate_rejects_zero_led_generator_names(capsys, tmp_path, target)
     assert code == 3
     assert out == ""
     assert "unknown generator 'a0" in err
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def _help(parse, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+# cases that leave argparse or a handler early, mixed in between golden cases
+_INTERRUPTS = (
+    (["nzct", "--bound", "0"], 3),  # rejected by the handler
+    (["no-such-command"], 3),  # rejected by argparse
+    (["nzct", "--help"], None),  # SystemExit from argparse
+)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_main_is_reentrant(tmp_path, order):
+    _write_files(tmp_path)
+    cases = json.loads(DATA.read_text())
+    if order == "reversed":
+        cases.reverse()
+    else:
+        random.Random(5).shuffle(cases)
+    mismatches = []
+    for k, case in enumerate(cases):
+        if (case["exit"], case["stdout"]) != _run(case, tmp_path):
+            mismatches.append(_key(case))
+        argv, code = _INTERRUPTS[k % len(_INTERRUPTS)]
+        if code is None:
+            _help(main, argv)
+        else:
+            assert _run({"argv": argv}, tmp_path) == (code, "")
+    assert not mismatches, mismatches[:3]
+    assert build_parser.cache_info().misses == 1
+
+
+def test_help_matches_a_fresh_parser():
+    fresh = build_parser.__wrapped__()
+    subcommands = next(
+        a.choices for a in fresh._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for argv in [["--help"]] + [[name, "--help"] for name in subcommands]:
+        main(["lame"])  # a query between help requests changes nothing
+        assert _help(main, argv) == _help(fresh.parse_args, argv), argv
+    assert build_parser.cache_info().misses == 1

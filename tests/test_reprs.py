@@ -304,6 +304,19 @@ def test_nzct_builds_no_ring_elements_from_coordinates(monkeypatch):
     assert calls == []
 
 
+def test_nzct_enumerates_no_lattice_vectors(monkeypatch):
+    calls = []
+    original = zlattice.Lattice.vectors_up_to
+
+    def counted(self, bound):
+        calls.append(bound)
+        return original(self, bound)
+
+    monkeypatch.setattr(zlattice.Lattice, "vectors_up_to", counted)
+    assert nzct_check(fixture("tau-fails-zxz"), 2).status == "violated"
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Systems S and T
 
