@@ -111,14 +111,17 @@ def _bound(args, default: int) -> int:
     return min(b, cap)
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
+
+
 def _load_rep(args) -> Representation:
     if getattr(args, "rep", None):
-        try:
-            with open(args.rep) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.rep}: {exc}")
-        return reprs.parse_config(text)
+        return reprs.parse_config(_read_file(args.rep))
     if getattr(args, "example", None):
         return fixture(args.example)
     return reprs.heisenberg()
@@ -171,13 +174,7 @@ def _emit_verdict(name: str, v: Verdict, json_mode: bool) -> int:
 
 def _read_spec(spec: str) -> str:
     """The stripped contents of the file ``spec`` names, else ``spec``."""
-    if os.path.exists(spec):
-        try:
-            with open(spec) as fh:
-                return fh.read().strip()
-        except OSError as exc:
-            raise UsageError(f"cannot read {spec}: {exc}")
-    return spec
+    return _read_file(spec).strip() if os.path.exists(spec) else spec
 
 
 def _resolve_formula(spec: str):
@@ -312,12 +309,7 @@ _GEN_NAME_RE = re.compile(r"a([1-9]\d*)")
 
 
 def _read_targets(path: str) -> list[str]:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-    out = [ln.split("#", 1)[0].strip() for ln in lines]
+    out = [ln.split("#", 1)[0].strip() for ln in _read_file(path).splitlines()]
     out = [ln for ln in out if ln]
     if not out:
         raise UsageError("targets file is empty")

@@ -91,7 +91,8 @@ class NzctWitness:
 
 @dataclass(frozen=True)
 class SigmaWitness:
-    """Commutator value whose centralizer system has no solution."""
+    """The (1,3) entry of a generator commutator [g_k, g_l] (a commutator
+    value) whose centralizer system has no solution."""
 
     value: RingElem
     system: str  # "S" or "T"
@@ -174,9 +175,6 @@ class Representation:
                 parts[j].append((e, x))
         return RingElem(self.ring, tuple(map(tuple, parts)))
 
-    def component_coords(self, component: int) -> list[int]:
-        return [i for i, (j, _e) in enumerate(self.frame) if j == component]
-
     def product_of_generators(self, exponents) -> UT3Elem:
         """prod_k g_k^{c_k} in generator order; its entry pair is the
         corresponding integer combination of generator entry pairs."""
@@ -239,35 +237,29 @@ class EntryLattices:
 
     A lives in Z^(2d): 12-block then 23-block of generator entry pairs.
     A1 (resp. A2) is the sublattice with the 12-block (resp. 23-block) zero:
-    entry pairs realized in the centralizer of a1 (resp. a2).  D, in Z^d, is
-    generated by the pairwise entry determinants of the generators: the
-    (1,3) entries of commutators.
+    entry pairs realized in the centralizer of a1 (resp. a2).  Only A
+    takes an HNF of the generators; A1 and A2 are cut out of A's basis.
     """
 
     A: Lattice
     A1: Lattice
     A2: Lattice
-    D: Lattice
 
 
 def entry_lattices(rep: Representation) -> EntryLattices:
     d = rep.dim
-    rows = []
-    for _, g in rep.generators:
-        rows.append(rep.coords(g.u12) + rep.coords(g.u23))
+    rows = [rep.coords(g.u12) + rep.coords(g.u23) for _, g in rep.generators]
     A = zlattice.hnf(rows, ambient_dim=2 * d)
     A1 = zlattice.intersect_coordinate_zero(A, range(d))
     A2 = zlattice.intersect_coordinate_zero(A, range(d, 2 * d))
-    det_rows = [rep.coords(x) for x in rep.pair_dets]
-    D = zlattice.hnf(det_rows, ambient_dim=d) if det_rows else Lattice(d, (), ())
-    return EntryLattices(A, A1, A2, D)
+    return EntryLattices(A, A1, A2)
 
 
 def _block_coords(rep: Representation, block: int, component: int) -> list[int]:
     """Coordinates of one ring component inside the 12-block (0) or the
     23-block (1) of the Z^(2d) ambient."""
     offset = 0 if block == 0 else rep.dim
-    return [offset + i for i in rep.component_coords(component)]
+    return [offset + i for i, (j, _e) in enumerate(rep.frame) if j == component]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +280,7 @@ def lame_check(rep: Representation) -> Verdict:
             sub = zlattice.intersect_coordinate_zero(
                 lat, _block_coords(rep, block, comp)
             )
-            for coeffs in sub.transform or ():
+            for coeffs in sub.transform:
                 g = rep.product_of_generators(coeffs)
                 entry = g.u12 if centralizer == 2 else g.u23
                 candidates.append(
@@ -443,17 +435,20 @@ def solve_T(rep: Representation, z: UT3Elem) -> Optional[Solution]:
 
 
 def sigma_check(rep: Representation) -> Verdict:
-    """Exact: every commutator value is an integer combination of the
-    generator determinants, and system solvability is additive in the
-    value, so it suffices that both (d,0) and (0,d) lie in the entry-pair
-    lattice for each basis generator d of the determinant lattice."""
-    L = rep.lattices
-    d = rep.dim
-    for dvec in L.D.basis:
-        for system, vec in (("S", dvec + (0,) * d), ("T", (0,) * d + dvec)):
-            if not zlattice.member(L.A, vec):
-                witness = SigmaWitness(rep.elem_from_coords(dvec), system)
-                return Verdict("violated", "exact_lattice", witness)
+    """Exact: the group has class 2, so every commutator value [x2,x1] is an
+    integer combination of the generator commutator values ``pair_dets``;
+    and the values z for which S (resp. T) is solvable form a group, namely
+    those with (z, 0) (resp. (0, z)) in the entry-pair lattice.  So sigma
+    holds iff both pairs lie in A for every generator commutator value d.
+    A violation names the first such d, in ``pair_dets`` order, with S
+    tried before T: that d is itself a commutator value."""
+    A = rep.lattices.A
+    zero = (0,) * rep.dim
+    for value in rep.pair_dets:
+        d = rep.coords(value)
+        for system, vec in (("S", d + zero), ("T", zero + d)):
+            if not zlattice.member(A, vec):
+                return Verdict("violated", "exact_lattice", SigmaWitness(value, system))
     return Verdict("holds", "exact_lattice")
 
 
@@ -638,7 +633,9 @@ class ConfigError(ValueError):
 
 
 def _balanced_block(text: str, start: int) -> tuple[str, int]:
-    """The contents of the brace block opening at text[start] == '{'."""
+    """The contents of the brace block opening at the first non-space
+    character from text[start] on, and the index after its closing brace."""
+    start = re.compile(r"\s*").match(text, start).end()
     if start >= len(text) or text[start] != "{":
         raise ConfigError("expected '{'")
     depth = 0
@@ -674,6 +671,10 @@ def parse_elem_block(ring: RingDesc, body: str) -> UT3Elem:
     )
 
 
+_CONFIG_KEY = re.compile(r"\s*(\w+)\s*:[ \t]*([^\n]*)")
+_GENERATOR = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*:")
+
+
 def parse_config(text: str) -> Representation:
     """Parse the representation config format:
 
@@ -684,43 +685,50 @@ def parse_config(text: str) -> Representation:
         }
 
     a1 and a2 are implied; ``full_center`` and ``generators`` are optional;
-    ``#`` starts a comment."""
+    ``#`` starts a comment.  Any other key, a repeated key and any other
+    text are errors."""
     text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    m = re.search(r"^\s*ring\s*:\s*(.+?)\s*$", text, re.M)
-    if not m:
+    fields: dict[str, str] = {}
+    pos = 0
+    while text[pos:].strip():
+        m = _CONFIG_KEY.match(text, pos)
+        if not m:
+            raise ConfigError(f"unexpected text {text[pos:].strip()[:30]!r}")
+        key = m.group(1)
+        if key not in ("ring", "full_center", "generators"):
+            raise ConfigError(f"unknown key {key!r}")
+        if key in fields:
+            raise ConfigError(f"duplicate key {key!r}")
+        if key == "generators":
+            fields[key], pos = _balanced_block(text, m.start(2))
+        else:
+            fields[key], pos = m.group(2).strip(), m.end()
+    if "ring" not in fields:
         raise ConfigError("missing 'ring:' line")
     try:
-        ring = rings.parse_ring(m.group(1))
+        ring = rings.parse_ring(fields["ring"])
     except rings.RingParseError as exc:
         raise ConfigError(str(exc)) from exc
-    full_center = False
-    m = re.search(r"^\s*full_center\s*:\s*(\S+)\s*$", text, re.M)
-    if m:
-        if m.group(1) not in ("true", "false"):
-            raise ConfigError("full_center must be true or false")
-        full_center = m.group(1) == "true"
+    full_center = fields.get("full_center", "false")
+    if full_center not in ("true", "false"):
+        raise ConfigError("full_center must be true or false")
     extra: dict[str, UT3Elem] = {}
-    m = re.search(r"generators\s*:\s*", text)
-    if m:
-        body, _end = _balanced_block(text, text.index("{", m.end()))
-        pos = 0
-        while True:
-            nm = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*:\s*").match(body, pos)
-            if not nm:
-                if body[pos:].strip(" \t\n,"):
-                    raise ConfigError(f"bad generator syntax near {body[pos:pos+30]!r}")
-                break
-            name = nm.group(1)
-            if name in extra or name in ("a1", "a2"):
-                raise ConfigError(f"duplicate or reserved generator name {name!r}")
-            block, pos = _balanced_block(body, body.index("{", nm.end()))
-            try:
-                extra[name] = parse_elem_block(ring, block)
-            except rings.RingParseError as exc:
-                raise ConfigError(f"generator {name!r}: {exc}") from exc
-            rest = re.compile(r"\s*,?").match(body, pos)
-            pos = rest.end()
-    return representation(ring, extra, full_center)
+    body = fields.get("generators", "")
+    pos = 0
+    while body[pos:].strip(" \t\n,"):
+        nm = _GENERATOR.match(body, pos)
+        if not nm:
+            raise ConfigError(f"bad generator syntax near {body[pos:pos+30]!r}")
+        name = nm.group(1)
+        if name in extra or name in ("a1", "a2"):
+            raise ConfigError(f"duplicate or reserved generator name {name!r}")
+        block, pos = _balanced_block(body, nm.end())
+        try:
+            extra[name] = parse_elem_block(ring, block)
+        except rings.RingParseError as exc:
+            raise ConfigError(f"generator {name!r}: {exc}") from exc
+        pos = re.compile(r"\s*,?").match(body, pos).end()
+    return representation(ring, extra, full_center == "true")
 
 
 def serialize_config(rep: Representation) -> str:

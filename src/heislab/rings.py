@@ -482,7 +482,10 @@ class _ExprParser:
         out = self.atom()
         if self.peek() == "^":
             self.next()
-            out = out ** int(self.next())
+            tok = self.next()
+            if not tok.isdigit():
+                raise RingParseError(f"expected a non-negative integer exponent, got {tok!r}")
+            out = out ** int(tok)
         return out
 
     def atom(self) -> RingElem:

@@ -4,10 +4,9 @@ Everything downstream that has to decide something exactly (membership,
 rank, coordinate-subspace intersections) reduces to HNF computations here.
 Coefficients are Python ints, so there is no overflow to worry about.
 
-A ``Lattice`` optionally carries a transform matrix expressing its basis rows
-as integer combinations of the vectors it was generated from; decision
-procedures use this to reconstruct witnesses in terms of the original
-generators.
+A ``Lattice`` carries a transform matrix expressing its basis rows as integer
+combinations of the vectors it was generated from; decision procedures use
+this to reconstruct witnesses in terms of the original generators.
 """
 
 from __future__ import annotations
@@ -82,8 +81,8 @@ class Lattice:
 
     ambient_dim: int
     basis: tuple[Vector, ...]
-    # basis rows as integer combinations of the generating vectors, when known
-    transform: Optional[tuple[Vector, ...]] = None
+    # basis rows as integer combinations of the generating vectors
+    transform: tuple[Vector, ...]
 
     @property
     def rank(self) -> int:
@@ -142,8 +141,6 @@ def member(L: Lattice, v: Sequence[int]) -> bool:
 
 def in_source_coordinates(L: Lattice, v: Sequence[int]) -> Optional[Vector]:
     """Express v over the vectors L was generated from, via the transform."""
-    if L.transform is None:
-        raise ValueError("lattice carries no transform")
     coeffs = solve(L, v)
     if coeffs is None:
         return None
@@ -155,28 +152,24 @@ def intersect_coordinate_zero(L: Lattice, coords: Iterable[int]) -> Lattice:
     """HNF basis of the sublattice of L vanishing on the given coordinates.
 
     Computed via the integer left-kernel of the basis restricted to those
-    coordinates; the transform (when present) is composed so the result's
-    basis rows are still expressed over L's original source vectors.
+    coordinates; the transform is composed so the result's basis rows are
+    still expressed over L's original source vectors.
     """
     coords = sorted(set(coords))
     for c in coords:
         if not 0 <= c < L.ambient_dim:
             raise IndexError(f"coordinate {c} out of range")
-    if not L.basis:
-        return Lattice(L.ambient_dim, (), L.transform and ())
-    if not coords:
+    if not L.basis or not coords:
         return L
     restricted = [[row[c] for c in coords] for row in L.basis]
     reduced, U = _row_reduce(restricted)
     nonzero = sum(1 for row in reduced if any(row))
     kernel = U[nonzero:]  # combos of basis rows vanishing on coords
     if not kernel:
-        return Lattice(L.ambient_dim, (), () if L.transform is not None else None)
+        return Lattice(L.ambient_dim, (), ())
     rows, U2 = _row_reduce([combine(k, L.basis, L.ambient_dim) for k in kernel])
     basis = [tuple(row) for row in rows if any(row)]
-    transform = None
-    if L.transform is not None:
-        nsrc = len(L.transform[0]) if L.transform else 0
-        srcs = [combine(k, L.transform, nsrc) for k in kernel]
-        transform = tuple(tuple(combine(u, srcs, nsrc)) for u in U2[: len(basis)])
+    nsrc = len(L.transform[0])
+    srcs = [combine(k, L.transform, nsrc) for k in kernel]
+    transform = tuple(tuple(combine(u, srcs, nsrc)) for u in U2[: len(basis)])
     return Lattice(L.ambient_dim, tuple(basis), transform)

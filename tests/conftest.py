@@ -6,7 +6,7 @@ import random
 import pytest
 
 from heislab import reprs, rings, ut3, zlattice
-from heislab.reprs import LameWitness, NzctWitness, Verdict
+from heislab.reprs import LameWitness, NzctWitness, SigmaWitness, Verdict
 from heislab.rings import RingDesc, RingElem, is_domain, is_zero_divisor
 from heislab.ut3 import UT3Elem
 
@@ -143,6 +143,25 @@ def lame_check_def1(rep: reprs.Representation, bound: int = 3) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# Determinant-lattice sigma oracle (reprs.sigma_check reads pair_dets directly)
+
+
+def sigma_check_dlattice(rep: reprs.Representation) -> Verdict:
+    """sigma through the determinant lattice D: the HNF of the frame vectors
+    of the generator commutator values.  Both (d, 0) and (0, d) must lie in
+    the entry-pair lattice for every basis vector d of D; a violation names
+    that basis vector, which is only a combination of commutator values."""
+    d = rep.dim
+    D = zlattice.hnf([rep.coords(x) for x in rep.pair_dets], ambient_dim=d)
+    for dvec in D.basis:
+        for system, vec in (("S", dvec + (0,) * d), ("T", (0,) * d + dvec)):
+            if not zlattice.member(rep.lattices.A, vec):
+                witness = SigmaWitness(rep.elem_from_coords(dvec), system)
+                return Verdict("violated", "exact_lattice", witness)
+    return Verdict("holds", "exact_lattice")
+
+
+# ---------------------------------------------------------------------------
 # Random generators
 
 
@@ -182,6 +201,23 @@ def random_representation(rng: random.Random) -> reprs.Representation:
     extra = {}
     for k in range(rng.randint(0, 3)):  # plus implied a1, a2 -> <= 5 generators
         extra[f"g{k+1}"] = random_ut3(rng, ring)
+    return reprs.representation(ring, extra)
+
+
+def wide_representation(rng: random.Random, ngens: int) -> reprs.Representation:
+    """A random representation with ``ngens`` extra generators; about a third
+    of them have a single nonzero off-diagonal entry."""
+    ring = rings.parse_ring(rng.choice(CORPUS_RINGS))
+    zero = RingElem.zero(ring)
+    extra = {}
+    for k in range(ngens):
+        g = random_ut3(rng, ring)
+        shape = rng.randrange(3)
+        if shape == 1:
+            g = UT3Elem(ring, g.u12, g.u13, zero)
+        elif shape == 2:
+            g = UT3Elem(ring, zero, g.u13, g.u23)
+        extra[f"g{k+1}"] = g
     return reprs.representation(ring, extra)
 
 

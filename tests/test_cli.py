@@ -258,12 +258,15 @@ def test_config_error_is_exit_3(capsys, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("command", ["check", "parse"])
+@pytest.mark.parametrize(
+    "command", ["check", "parse", "lame --rep", "discriminate --targets", "bigpowers --at a1 --targets"]
+)
 def test_unreadable_formula_file_is_exit_3(capsys, tmp_path, command):
-    code, out, err = run(capsys, command, str(tmp_path))
+    # a directory exists but cannot be read as a file
+    code, out, err = run(capsys, *command.split(), str(tmp_path))
     assert code == 3
     assert out == ""
-    assert "cannot read" in err
+    assert err == f"error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_missing_rep_file_is_exit_3(capsys):

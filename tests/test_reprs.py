@@ -13,6 +13,8 @@ from conftest import (
     pair_det,
     random_representation,
     random_ut3,
+    sigma_check_dlattice,
+    wide_representation,
 )
 from heislab import formula, reprs, rings, zlattice
 from heislab.cli import FIXTURES, fixture
@@ -63,6 +65,11 @@ def central(ring, lit):
     return UT3Elem(ring, zero, parse_elem(ring, lit), zero)
 
 
+def commutator_rank(rep):
+    """Rank of the lattice spanned by the generator commutator values."""
+    return zlattice.hnf([rep.coords(x) for x in rep.pair_dets], ambient_dim=rep.dim).rank
+
+
 # ---------------------------------------------------------------------------
 # Entry lattices
 
@@ -71,7 +78,7 @@ def test_entry_lattices_H():
     L = heisenberg().lattices
     assert L.A.basis == ((1, 0), (0, 1))  # Z^2 from a1:(0,1), a2:(1,0)
     assert L.A1.rank == 1 and L.A2.rank == 1
-    assert L.D.rank == 1
+    assert commutator_rank(heisenberg()) == 1
 
 
 def test_entry_lattices_zxz():
@@ -86,7 +93,23 @@ def test_entry_lattices_trivial_extra_ring():
     rep = representation(ZTH)
     L = rep.lattices
     H = heisenberg().lattices
-    assert L.A1.rank == H.A1.rank and L.A2.rank == H.A2.rank and L.D.rank == H.D.rank
+    assert L.A1.rank == H.A1.rank and L.A2.rank == H.A2.rank
+    assert commutator_rank(rep) == commutator_rank(heisenberg())
+
+
+def test_entry_lattices_one_hnf(monkeypatch):
+    calls = []
+    original = zlattice.hnf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(zlattice, "hnf", counted)
+    for name in FIXTURES:
+        calls.clear()
+        entry_lattices(fixture(name))
+        assert len(calls) == 1, name
 
 
 def test_entry_pair_map_is_homomorphism():
@@ -400,6 +423,38 @@ def test_sigma_trivial_full_center():
     assert sigma_check(rep).status == "holds"
 
 
+def sigma_reps():
+    """The corpus, the fixtures and a few representations with 20 or more
+    generators."""
+    rng = random.Random(17)
+    wide = [wide_representation(rng, n) for n in (18, 20, 21, 22)]
+    return corpus(60, seed=16) + [fixture(name) for name in FIXTURES] + wide
+
+
+def test_sigma_matches_determinant_lattice_oracle():
+    statuses = set()
+    for rep in sigma_reps():
+        status = sigma_check(rep).status
+        assert status == sigma_check_dlattice(rep).status
+        statuses.add(status)
+    assert statuses == {"holds", "violated"}
+
+
+def test_sigma_witness_is_an_unsolvable_generator_commutator():
+    violated = 0
+    for rep in sigma_reps():
+        v = sigma_check(rep)
+        if v.status != "violated":
+            continue
+        value, system = v.witness.value, v.witness.system
+        assert value in rep.pair_dets
+        zero = RingElem.zero(rep.ring)
+        solver = solve_S if system == "S" else solve_T
+        assert solver(rep, UT3Elem(rep.ring, zero, value, zero)) is None
+        violated += 1
+    assert violated >= 10
+
+
 def test_sigma_holds_implies_solvable_commutators():
     rng = random.Random(11)
     checked = 0
@@ -614,6 +669,34 @@ def test_config_parse_errors():
         parse_config("ring: Z\ngenerators: { a1: {e12: 1} }")  # reserved
     with pytest.raises(reprs.ConfigError):
         parse_config("ring: Z\ngenerators: { b: {e99: 1} }")
+    for text in (
+        "ring: Z\ngenerators:",  # no '{'
+        "ring: Z\ngenerators: b",
+        "ring: Z\ngenerators: { b: 5 }",  # a generator without '{'
+    ):
+        with pytest.raises(reprs.ConfigError, match="expected '{'"):
+            parse_config(text)
+    with pytest.raises(reprs.ConfigError, match="unknown key 'full_centre'"):
+        parse_config("ring: Z\nfull_centre: true")
+    for text in (
+        "ring: Z\ngenerators: { b: {e12: 1} } b",  # text after the block
+        "ring: Z\ngenerators: {}\n}",
+        "ring: Z\ngenerators: {}\nc: {e12: 1}",
+        "ring: Z\nring: Z",
+        "ring: Z\nhello",
+    ):
+        with pytest.raises(reprs.ConfigError):
+            parse_config(text)
+    with pytest.raises(reprs.ConfigError, match="generator 'b': .*exponent"):
+        parse_config("ring: Z[t]\ngenerators: { b: {e12: t^a} }")
+
+
+def test_config_layout_is_free():
+    rep = parse_config(
+        "generators:\n{\n  b:\n {e23: t}, c: {e12: 1},\n}\nfull_center: true\nring: Z[t]\n"
+    )
+    assert [n for n, _ in rep.generators] == ["a1", "a2", "b", "c"]
+    assert rep.full_center and rep.ring == parse_ring("Z[t]")
 
 
 def test_config_comments_and_defaults():

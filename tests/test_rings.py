@@ -143,6 +143,12 @@ def test_parse_elem_literals():
         parse_elem(Z, "theta")
 
 
+@pytest.mark.parametrize("text", ["theta^a", "theta^-1", "theta^", "(theta+1)^theta", "2^x"])
+def test_parse_elem_bad_exponent(text):
+    with pytest.raises(RingParseError):
+        parse_elem(ZTH, text)
+
+
 def test_format_parse_roundtrip_random():
     rng = random.Random(0)
     from conftest import random_poly_elem
