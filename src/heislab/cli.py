@@ -374,7 +374,7 @@ def cmd_bigpowers(args) -> int:
     rep = _load_rep(args)
     lines = _read_targets(args.targets)
     env = rep.env()
-    targets = [formula.eval_term(parse_term(ln), env, {}) for ln in lines]
+    targets = [rep.law.to_ut3(formula.eval_term(parse_term(ln), env, {})) for ln in lines]
     i = 1 if args.at == "a1" else 2
     try:
         cert = reprs.big_powers_retraction(rep, targets, i, args.name)

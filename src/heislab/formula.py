@@ -251,10 +251,11 @@ class _Parser:
 
     def _integer(self) -> int:
         tok = self.next()
+        sign = 1
         if tok == "-":
-            return -int(self.next())
+            sign, tok = -1, self.next()
         if tok.isdigit():
-            return int(tok)
+            return sign * int(tok)
         raise FormulaParseError(f"expected integer exponent, got {tok!r}")
 
     def base(self):
@@ -503,8 +504,9 @@ class GroupEnv:
     """Element universe for evaluation and bounded quantifier search.
 
     Elements must support __mul__, inv(), pow_int(), comm() and hashable
-    equality (UT3Elem and NilForm both do).  a1 and a2 must be present in
-    the constant table.
+    equality: ``Representation.env`` uses ``ut3.Class2Elem``, ``discriminate``
+    uses ``nilform.NilForm``.  a1 and a2 must be present in the constant
+    table.
     """
 
     def __init__(self, identity, constants: dict, generators: list):

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import rings, zlattice
 from .rings import RingDesc, RingElem, is_domain
-from .ut3 import UT3Elem, a1 as _a1, a2 as _a2, identity as _ut3_identity
+from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2, identity as _ut3_identity
 from .zlattice import Lattice
 
 
@@ -110,13 +110,6 @@ class Solution:
         return {"element": str(self.element), "exponents": list(self.coefficients)}
 
 
-def _monomials(elems) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Sorted (component, monomial) coordinates occurring in the elements."""
-    return tuple(
-        sorted({(j, e) for x in elems for j, p in enumerate(x.parts) for e, _c in p})
-    )
-
-
 @dataclass(frozen=True)
 class Representation:
     """Finitely generated H-subgroup of UT3(R) given by named generators.
@@ -145,7 +138,7 @@ class Representation:
         """Sorted (component, monomial) coordinates spanning every generator
         entry and every pairwise entry determinant."""
         entries = [x for _, g in self.generators for x in (g.u12, g.u13, g.u23)]
-        return _monomials(entries + list(self.pair_dets))
+        return rings.frame_of(entries + list(self.pair_dets))
 
     @cached_property
     def _frame_index(self) -> dict:
@@ -157,23 +150,10 @@ class Representation:
 
     def coords(self, elem: RingElem) -> Optional[tuple[int, ...]]:
         """Frame coordinates of a ring element; None if outside the span."""
-        v = [0] * self.dim
-        for j, p in enumerate(elem.parts):
-            for e, c in p:
-                i = self._frame_index.get((j, e))
-                if i is None:
-                    return None
-                v[i] = c
-        return tuple(v)
+        return rings.frame_coords(self._frame_index, elem)
 
     def elem_from_coords(self, v) -> RingElem:
-        # the frame is sorted by (component, monomial), so each component's
-        # terms come out in canonical order
-        parts = [[] for _ in self.ring.components]
-        for x, (j, e) in zip(v, self.frame):
-            if x:
-                parts[j].append((e, x))
-        return RingElem(self.ring, tuple(map(tuple, parts)))
+        return rings.from_frame(self.ring, self.frame, v)
 
     def product_of_generators(self, exponents) -> UT3Elem:
         """prod_k g_k^{c_k} in generator order; its entry pair is the
@@ -184,12 +164,21 @@ class Representation:
                 out = out * g.pow_int(c)
         return out
 
+    @cached_property
+    def law(self) -> Class2Law:
+        """The group law on integer class-2 coordinates (see ``ut3``)."""
+        return Class2Law.of(self.ring, (g for _, g in self.generators))
+
     def env(self):
-        """Evaluation environment over this group for the formula module."""
+        """Evaluation environment over this group for the formula module.
+
+        Its elements are ``Class2Elem``s of ``law``, so the bounded search
+        runs on integer tuples; ``law.to_ut3`` gives the matrix back."""
         from .formula import GroupEnv
 
-        constants = {name: g for name, g in self.generators}
-        return GroupEnv(_ut3_identity(self.ring), constants, list(self.generators))
+        law = self.law
+        gens = [(name, law.element(g)) for name, g in self.generators]
+        return GroupEnv(law.identity, dict(gens), gens)
 
     # the EntryLattices, built once; entry_lattices is looked up at call
     # time, so wrappers installed on the module see the call
@@ -774,17 +763,11 @@ def appropriateness_check(rep: Representation, degree_bound: int) -> Appropriate
         layer = nxt
     targets = _ring_targets(rep.ring)
     # one shared frame for span and targets
-    frame = _monomials(products + targets)
+    frame = rings.frame_of(products + targets)
     index = {m: i for i, m in enumerate(frame)}
-
-    def vec(x):
-        v = [0] * len(frame)
-        for j, p in enumerate(x.parts):
-            for e, c in p:
-                v[index[(j, e)]] = c
-        return v
-
-    span = zlattice.hnf([vec(p) for p in products], ambient_dim=len(frame))
+    span = zlattice.hnf(
+        [rings.frame_coords(index, p) for p in products], ambient_dim=len(frame)
+    )
     entry_vars = {
         n
         for e in entries
@@ -793,7 +776,7 @@ def appropriateness_check(rep: Representation, degree_bound: int) -> Appropriate
         if e.uses_var(n)
     }
     for t in targets:
-        if not zlattice.member(span, vec(t)):
+        if not zlattice.member(span, rings.frame_coords(index, t)):
             target_vars = {
                 n
                 for j, names in enumerate(rep.ring.components)

@@ -141,7 +141,10 @@ def parse_ring(text: str) -> RingDesc:
             continue
         m = re.fullmatch(rf"Z\[({_IDENT}(\s*,\s*{_IDENT})*)\]", factor)
         if m:
-            comps.append(tuple(n.strip() for n in m.group(1).split(",")))
+            names = tuple(n.strip() for n in m.group(1).split(","))
+            if len(set(names)) != len(names):
+                raise RingParseError(f"duplicate indeterminate in {factor!r}")
+            comps.append(names)
             continue
         raise RingParseError(f"cannot parse ring factor {factor!r}")
     return RingDesc(tuple(comps))
@@ -242,6 +245,42 @@ class RingElem:
 
     def __str__(self) -> str:
         return format_elem(self)
+
+
+# A frame is a sorted tuple of (component, monomial) coordinates; the elements
+# in its Z-span are integer vectors over it.
+Frame = tuple[tuple[int, Monomial], ...]
+
+
+def frame_of(elems) -> Frame:
+    """Sorted (component, monomial) coordinates occurring in the elements."""
+    return tuple(
+        sorted({(j, e) for x in elems for j, p in enumerate(x.parts) for e, _c in p})
+    )
+
+
+def frame_coords(index: dict, elem: RingElem) -> tuple[int, ...] | None:
+    """Coordinates of elem over the frame whose positions ``index`` maps;
+    None if elem is outside the frame's span."""
+    v = [0] * len(index)
+    for j, p in enumerate(elem.parts):
+        for e, c in p:
+            i = index.get((j, e))
+            if i is None:
+                return None
+            v[i] = c
+    return tuple(v)
+
+
+def from_frame(ring: RingDesc, frame: Frame, v) -> RingElem:
+    """The element with coordinate vector v over the frame."""
+    # the frame is sorted by (component, monomial), so each component's terms
+    # come out in canonical order
+    parts = [[] for _ in ring.components]
+    for x, (j, e) in zip(v, frame):
+        if x:
+            parts[j].append((e, x))
+    return RingElem(ring, tuple(map(tuple, parts)))
 
 
 @dataclass(frozen=True)

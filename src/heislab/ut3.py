@@ -10,13 +10,21 @@ group-theoretic structure used downstream reads off these entries:
 
 The distinguished generators a1 (lower one in the (2,3) slot) and a2 (one in
 the (1,2) slot) generate the integer-entry copy of the Heisenberg group.
+
+A finitely generated G <= UT3(R) has class 2, and its elements have exact
+integer coordinates: the (1,2) and (2,3) entries over the monomial frames of
+the generators' (1,2) and (2,3) entries, the (1,3) entry over the frame of
+the generators' (1,3) monomials and of every product of a (1,2) with a (2,3)
+frame monomial in the same component.  With B(x, y) = x12*y23 read off an
+integer table, the closed forms above become integer arithmetic
+(``Class2Law``), which is what the bounded formula search runs on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .rings import RingDesc, RingElem, RingMismatchError
+from .rings import Frame, RingDesc, RingElem, RingMismatchError, frame_coords, frame_of, from_frame
 
 
 @dataclass(frozen=True)
@@ -122,3 +130,128 @@ def elem(ring: RingDesc, e12, e13, e23) -> UT3Elem:
         return parse_elem(ring, x)
 
     return UT3Elem(ring, coerce(e12), coerce(e13), coerce(e23))
+
+
+# ---------------------------------------------------------------------------
+# Integer class-2 coordinates
+
+
+@dataclass(frozen=True)
+class Class2Law:
+    """The group law of <generators> <= UT3(R) on integer coordinates.
+
+    An element is one flat tuple x = (x12, x23, z) over the frames ``f12``,
+    ``f23`` and ``f13``.  ``table`` holds one (i, j, k) per pair of a (1,2)
+    and a (2,3) frame monomial in the same component: the coordinate i of x,
+    the coordinate j of y and the z-coordinate k of their product, so
+    B(x, y) = x12*y23 adds x[i]*y[j] to z[k].  Frame coordinates are unique,
+    so two elements are equal iff their tuples are."""
+
+    ring: RingDesc
+    f12: Frame
+    f23: Frame
+    f13: Frame
+    table: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
+
+    @classmethod
+    def of(cls, ring: RingDesc, generators) -> "Class2Law":
+        gens = list(generators)
+        f12 = frame_of(g.u12 for g in gens)
+        f23 = frame_of(g.u23 for g in gens)
+        products = [
+            (i, j, (c, tuple(a + b for a, b in zip(e, e2))))
+            for i, (c, e) in enumerate(f12)
+            for j, (c2, e2) in enumerate(f23)
+            if c == c2
+        ]
+        f13 = tuple(sorted(set(frame_of(g.u13 for g in gens)) | {m for *_, m in products}))
+        n12, n23 = len(f12), len(f23)
+        index = {m: n12 + n23 + k for k, m in enumerate(f13)}
+        table = tuple((i, n12 + j, index[m]) for i, j, m in products)
+        return cls(ring, f12, f23, f13, table)
+
+    @property
+    def identity(self) -> "Class2Elem":
+        return Class2Elem(self, (0,) * (len(self.f12) + len(self.f23) + len(self.f13)))
+
+    def element(self, g: UT3Elem) -> "Class2Elem":
+        """The coordinates of g, which must lie in the frames (every element
+        of the group the law was made for does)."""
+        v = ()
+        for entry, frame in ((g.u12, self.f12), (g.u23, self.f23), (g.u13, self.f13)):
+            coords = frame_coords({m: k for k, m in enumerate(frame)}, entry)
+            if coords is None:
+                raise ValueError(f"{g} is outside the frames of the law")
+            v += coords
+        return Class2Elem(self, v)
+
+    def to_ut3(self, x: "Class2Elem") -> UT3Elem:
+        n12, n23 = len(self.f12), len(self.f23)
+        v = x.v
+        return UT3Elem(
+            self.ring,
+            from_frame(self.ring, self.f12, v[:n12]),
+            from_frame(self.ring, self.f13, v[n12 + n23 :]),
+            from_frame(self.ring, self.f23, v[n12 : n12 + n23]),
+        )
+
+
+class Class2Elem:
+    """An element of a group with a ``Class2Law``: the closed forms of the
+    module docstring on integer coordinates."""
+
+    __slots__ = ("law", "v", "_hash")
+
+    def __init__(self, law: Class2Law, v: tuple[int, ...]):
+        self.law = law
+        self.v = v
+        self._hash = None
+
+    def __mul__(self, other: "Class2Elem") -> "Class2Elem":
+        law = self.law
+        if other.law is not law and other.law != law:
+            raise RingMismatchError("elements of different groups")
+        x, y = self.v, other.v
+        out = [a + b for a, b in zip(x, y)]
+        for i, j, k in law.table:
+            out[k] += x[i] * y[j]
+        return Class2Elem(law, tuple(out))
+
+    def inv(self) -> "Class2Elem":
+        x = self.v
+        out = [-a for a in x]
+        for i, j, k in self.law.table:
+            out[k] += x[i] * x[j]
+        return Class2Elem(self.law, tuple(out))
+
+    def pow_int(self, n: int) -> "Class2Elem":
+        x = self.v
+        binom = n * (n - 1) // 2
+        out = [n * a for a in x]
+        for i, j, k in self.law.table:
+            out[k] += binom * x[i] * x[j]
+        return Class2Elem(self.law, tuple(out))
+
+    def comm(self, other: "Class2Elem") -> "Class2Elem":
+        """The commutator self^-1 other^-1 self other, in closed form."""
+        law = self.law
+        if other.law is not law and other.law != law:
+            raise RingMismatchError("elements of different groups")
+        x, y = self.v, other.v
+        out = [0] * len(x)
+        for i, j, k in law.table:
+            out[k] += x[i] * y[j] - y[i] * x[j]
+        return Class2Elem(law, tuple(out))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Class2Elem):
+            return NotImplemented
+        return self.v == other.v and (self.law is other.law or self.law == other.law)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.v)
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Class2Elem({self.v!r})"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from heislab import reprs, rings, ut3, zlattice
+from heislab import formula, reprs, rings, ut3, zlattice
 from heislab.reprs import LameWitness, NzctWitness, SigmaWitness, Verdict
 from heislab.rings import RingDesc, RingElem, is_domain, is_zero_divisor
 from heislab.ut3 import UT3Elem
@@ -45,6 +45,14 @@ def from_full_matrix(ring, m) -> UT3Elem:
 
 def oracle_mul(g: UT3Elem, h: UT3Elem) -> UT3Elem:
     return from_full_matrix(g.ring, matmul(to_full_matrix(g), to_full_matrix(h)))
+
+
+def ut3_env(rep: reprs.Representation) -> formula.GroupEnv:
+    """The group environment over the matrices themselves: UT3Elem and
+    RingElem arithmetic, which Representation.env's integer class-2
+    coordinates replace."""
+    gens = list(rep.generators)
+    return formula.GroupEnv(ut3.identity(rep.ring), dict(gens), gens)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_criterion_8_systems_and_sigma():
         checked = 0
         for rep in reps:
             env = rep.env()
-            ball = env.ball(3)
+            ball = [(rep.law.to_ut3(e), w) for e, w in env.ball(3)]
             g1, g2 = a1(rep.ring), a2(rep.ring)
             for _ in range(4):
                 g = rep.product_of_generators([rng.randint(-2, 2) for _ in rep.generators])

@@ -98,6 +98,16 @@ def test_parse_errors():
             parse(bad)
 
 
+@pytest.mark.parametrize(
+    "text, got", [("a1^-t", "'t'"), ("a1^--2", "'-'"), ("a1^-x2", "'x2'"), ("a1^t", "'t'")]
+)
+def test_parse_bad_exponent(text, got):
+    with pytest.raises(FormulaParseError, match=f"expected integer exponent, got {got}"):
+        parse_term(text)
+    with pytest.raises(FormulaParseError, match="expected integer exponent"):
+        parse(f"forall x ( x*{text} = 1 )")
+
+
 def test_print_parse_roundtrip_builtins():
     for name in ["NZCT", "CT(0)", "CT(2)", "tau", "sigma", "centralizer_qi",
                  "torsion_free_qi(2)", "zero_sq_qi"]:
@@ -246,7 +256,8 @@ def test_eval_term_in_H():
     c = eval_term(parse_term("[a2,a1]"), env, {})
     from heislab.rings import RingElem, Z
 
-    assert c.u13 == RingElem.one(Z) and c.is_central()
+    c13 = c.law.to_ut3(c)
+    assert c13.u13 == RingElem.one(Z) and c13.is_central()
     w = eval_term(parse_term("a1*a2^-1*[a2,a1]^3"), env, {})
     assert w == env.constants["a1"] * env.constants["a2"].pow_int(-1) * c.pow_int(3)
 

@@ -219,7 +219,7 @@ def test_tau_violations_match_search():
             violated += 1
             # the reconstructed witness falsifies tau's matrix directly
             _, matrix = formula._peel_quantifiers(builtin("tau"))
-            assignment = {"x2": v.witness.y, "x1": v.witness.x}
+            assignment = {"x2": rep.law.element(v.witness.y), "x1": rep.law.element(v.witness.x)}
             assert not formula.eval_qf(matrix, rep.env(), assignment)
         else:
             # search never contradicts exact holds (small bound spot check)

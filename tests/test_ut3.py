@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_mul, random_ut3
-from heislab import ut3
+from conftest import corpus, oracle_mul, random_ut3, ut3_env
+from heislab import cli, ut3
 from heislab.rings import RingElem, RingMismatchError, Z, parse_ring
 from heislab.ut3 import UT3Elem, a1, a2, elem, identity
 
@@ -114,3 +115,83 @@ def test_heisenberg_presentation_relations():
     assert c.comm(g1).is_identity()
     assert c.comm(g2).is_identity()
     assert not c.is_identity()
+
+
+# ---------------------------------------------------------------------------
+# The integer class-2 law against UT3Elem arithmetic
+
+LAW_REPS = [cli.fixture(name) for name in sorted(cli.FIXTURES)] + corpus(40, seed=71)
+
+
+def _word(env, word):
+    """prod g_k^e over (k, e) pairs, with g_k the k-th generator of env."""
+    out = env.identity
+    for k, e in word:
+        out = out * env.generators[k % len(env.generators)][1].pow_int(e)
+    return out
+
+
+_words = st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3)), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(0, len(LAW_REPS) - 1), u=_words, w=_words, n=st.integers(-4, 4)
+)
+def test_class2_law_matches_ut3(k, u, w, n):
+    rep = LAW_REPS[k]
+    law, env, oracle = rep.law, rep.env(), ut3_env(rep)
+    x, y = _word(env, u), _word(env, w)
+    gx, gy = _word(oracle, u), _word(oracle, w)
+    assert law.to_ut3(x) == gx and law.to_ut3(y) == gy
+    assert law.to_ut3(x * y) == gx * gy
+    assert law.to_ut3(x.inv()) == gx.inv()
+    assert law.to_ut3(x.pow_int(n)) == gx.pow_int(n)
+    assert law.to_ut3(x.comm(y)) == gx.comm(gy)
+    assert law.element(gx) == x
+    # x*y == y*x exactly when x and y commute
+    for a, b, ga, gb in ((x, y, gx, gy), (x * y, y * x, gx * gy, gy * gx)):
+        assert (a == b) == (ga == gb)
+        assert (a != b) == (ga != gb)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("k", range(len(LAW_REPS)))
+def test_class2_ball_matches_ut3(k):
+    rep = LAW_REPS[k]
+    env, oracle = rep.env(), ut3_env(rep)
+    for bound in range(4):
+        ball, expected = env.ball(bound), oracle.ball(bound)
+        assert [w for _, w in ball] == [w for _, w in expected]
+        assert [rep.law.to_ut3(e) for e, _ in ball] == [g for g, _ in expected]
+
+
+def test_class2_law_frames():
+    rep = cli.fixture("tau-fails-zxz")  # Y = (1,0) in e12, X = (0,1) in e23
+    law = rep.law
+    assert law.f12 == law.f23 == law.f13 == ((0, ()), (1, ()))
+    assert sorted(law.table) == [(0, 2, 4), (1, 3, 5)]
+    env = rep.env()
+    assert env.constants["Y"].v == (1, 0, 0, 0, 0, 0)
+    assert env.identity.v == (0,) * 6
+    # a1 = e23 one, a2 = e12 one: [a2, a1] is the central (1,1) in e13
+    assert env.constants["a2"].comm(env.constants["a1"]).v == (0, 0, 0, 0, 1, 1)
+
+
+def test_class2_law_rejects_mixed_groups():
+    x = cli.fixture("heisenberg").env().constants["a1"]
+    y = cli.fixture("tau-fails-zxz").env().constants["a1"]
+    with pytest.raises(RingMismatchError):
+        x * y
+    with pytest.raises(RingMismatchError):
+        x.comm(y)
+    assert x != y
+    # two parses of one config give equal laws
+    assert x == cli.fixture("heisenberg").env().constants["a1"]
+
+
+def test_class2_law_element_outside_frames():
+    rep = cli.fixture("heisenberg")
+    with pytest.raises(ValueError, match="outside the frames"):
+        rep.law.element(elem(ZTH, 0, 0, "theta"))
