@@ -568,10 +568,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, RingParseError, FormulaError, ValueError) as exc:
+    except (UsageError, ConfigError, RingParseError, FormulaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -3,11 +3,13 @@
 A representation is a finite list of named matrix generators over a product
 ring, always containing the distinguished integer generators a1 and a2.  The
 map g -> (g12, g23) is a homomorphism onto an additive subgroup of R^2, and
-every ring entry in sight lives in the Z-span of finitely many (component,
-monomial) coordinates -- the representation's monomial frame.  That turns
-each question below (zero divisors among centralizer entries, solvability of
-the centralizer systems, commutator surjectivity) into a Hermite-normal-form
-computation, which is how the checkers get to be exact over infinite groups.
+every entry of every group element has exact integer coordinates over the
+finitely many (component, monomial) frames of the class-2 law
+(``Representation.law``, see ``ut3.Class2Law``); these are the only
+coordinates a representation has.  That turns each question below (zero
+divisors among centralizer entries, solvability of the centralizer systems,
+commutator surjectivity) into a Hermite-normal-form computation, which is
+how the checkers get to be exact over infinite groups.
 
 Checkers return a Verdict; a "violated" verdict always carries a witness
 reconstructed as an explicit product of the generators, so it can be
@@ -24,8 +26,8 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 from . import rings, zlattice
-from .rings import RingDesc, RingElem, is_domain
-from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2, identity as _ut3_identity
+from .rings import Frame, RingDesc, RingElem, is_domain
+from .ut3 import Class2Elem, Class2Law, UT3Elem, a1 as _a1, a2 as _a2, identity as _ut3_identity
 from .zlattice import Lattice
 
 
@@ -125,35 +127,24 @@ class Representation:
     full_center: bool = False
 
     @cached_property
-    def pair_dets(self) -> tuple[RingElem, ...]:
-        """Entry determinants g12*h23 - h12*g23 of the generator pairs, in
-        itertools.combinations order: the (1,3) entries of commutators."""
-        return tuple(
-            g.u12 * h.u23 - h.u12 * g.u23
-            for (_, g), (_, h) in itertools.combinations(self.generators, 2)
+    def law(self) -> Class2Law:
+        """The group law on integer class-2 coordinates (see ``ut3``); its
+        frames are the only coordinates the representation has."""
+        return Class2Law.of(self.ring, (g for _, g in self.generators))
+
+    @cached_property
+    def frame(self) -> Frame:
+        """The ambient coordinates of the entry-pair lattice: the law's
+        (1,2) frame, then its (2,3) frame."""
+        return self.law.f12 + self.law.f23
+
+    def elem_from_coords(self, v) -> tuple[RingElem, RingElem]:
+        """The (1,2) and (2,3) entries of an entry-pair vector over ``frame``."""
+        n12 = len(self.law.f12)
+        return (
+            rings.from_frame(self.ring, self.law.f12, v[:n12]),
+            rings.from_frame(self.ring, self.law.f23, v[n12:]),
         )
-
-    @cached_property
-    def frame(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Sorted (component, monomial) coordinates spanning every generator
-        entry and every pairwise entry determinant."""
-        entries = [x for _, g in self.generators for x in (g.u12, g.u13, g.u23)]
-        return rings.frame_of(entries + list(self.pair_dets))
-
-    @cached_property
-    def _frame_index(self) -> dict:
-        return {m: i for i, m in enumerate(self.frame)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.frame)
-
-    def coords(self, elem: RingElem) -> Optional[tuple[int, ...]]:
-        """Frame coordinates of a ring element; None if outside the span."""
-        return rings.frame_coords(self._frame_index, elem)
-
-    def elem_from_coords(self, v) -> RingElem:
-        return rings.from_frame(self.ring, self.frame, v)
 
     def product_of_generators(self, exponents) -> UT3Elem:
         """prod_k g_k^{c_k} in generator order; its entry pair is the
@@ -163,11 +154,6 @@ class Representation:
             if c:
                 out = out * g.pow_int(c)
         return out
-
-    @cached_property
-    def law(self) -> Class2Law:
-        """The group law on integer class-2 coordinates (see ``ut3``)."""
-        return Class2Law.of(self.ring, (g for _, g in self.generators))
 
     def env(self):
         """Evaluation environment over this group for the formula module.
@@ -186,18 +172,14 @@ class Representation:
 
     @cached_property
     def det_form(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``det_form[i][j]`` is the frame vector of the entry determinant
-        det(b_i, b_j) on the basis of the entry-pair lattice (see
-        ``nzct_check``)."""
-        T = self.lattices.A.transform
-        dets = [self.coords(x) for x in self.pair_dets]
-        pairs = list(itertools.combinations(range(len(self.generators)), 2))
-
-        def det(s, t):
-            wedge = [s[k] * t[l] - s[l] * t[k] for k, l in pairs]
-            return tuple(zlattice.combine(wedge, dets, self.dim))
-
-        return tuple(tuple(det(s, t) for t in T) for s in T)
+        """``det_form[i][j]`` is det(b_i, b_j) over ``law.f13``: the (1,3)
+        coordinates of the law's commutator of the basis rows b_i and b_j
+        of the entry-pair lattice (see ``nzct_check``)."""
+        law = self.law
+        n = len(self.frame)
+        pad = (0,) * len(law.f13)
+        rows = [Class2Elem(law, b + pad) for b in self.lattices.A.basis]
+        return tuple(tuple(x.comm(y).v[n:] for y in rows) for x in rows)
 
 
 def representation(
@@ -222,9 +204,11 @@ def heisenberg() -> Representation:
 
 @dataclass(frozen=True)
 class EntryLattices:
-    """The derived lattices of a representation, all in frame coordinates.
+    """The derived lattices of a representation, all over ``frame``.
 
-    A lives in Z^(2d): 12-block then 23-block of generator entry pairs.
+    A is generated by the (x12, x23) parts of the generators' law
+    coordinates: a 12-block over ``law.f12``, then a 23-block over
+    ``law.f23``.
     A1 (resp. A2) is the sublattice with the 12-block (resp. 23-block) zero:
     entry pairs realized in the centralizer of a1 (resp. a2).  Only A
     takes an HNF of the generators; A1 and A2 are cut out of A's basis.
@@ -236,19 +220,30 @@ class EntryLattices:
 
 
 def entry_lattices(rep: Representation) -> EntryLattices:
-    d = rep.dim
-    rows = [rep.coords(g.u12) + rep.coords(g.u23) for _, g in rep.generators]
-    A = zlattice.hnf(rows, ambient_dim=2 * d)
-    A1 = zlattice.intersect_coordinate_zero(A, range(d))
-    A2 = zlattice.intersect_coordinate_zero(A, range(d, 2 * d))
+    n12, n = len(rep.law.f12), len(rep.frame)
+    A = zlattice.hnf([rep.law.element(g).v[:n] for _, g in rep.generators], ambient_dim=n)
+    A1 = zlattice.intersect_coordinate_zero(A, range(n12))
+    A2 = zlattice.intersect_coordinate_zero(A, range(n12, n))
     return EntryLattices(A, A1, A2)
 
 
 def _block_coords(rep: Representation, block: int, component: int) -> list[int]:
     """Coordinates of one ring component inside the 12-block (0) or the
-    23-block (1) of the Z^(2d) ambient."""
-    offset = 0 if block == 0 else rep.dim
-    return [offset + i for i, (j, _e) in enumerate(rep.frame) if j == component]
+    23-block (1) of ``frame``."""
+    n12 = len(rep.law.f12)
+    span = range(n12) if block == 0 else range(n12, len(rep.frame))
+    return [i for i in span if rep.frame[i][0] == component]
+
+
+def _realizing_exponents(rep: Representation, value: RingElem, block: int) -> Optional[tuple]:
+    """Generator exponents of a group element whose entry pair is ``value``
+    in the 12-block (0) or the 23-block (1) and zero in the other; None if
+    there is none."""
+    c = rep.law.coords(block, value)
+    if c is None:
+        return None  # a monomial outside the block's frame
+    zero = (0,) * (len(rep.frame) - len(c))
+    return zlattice.in_source_coordinates(rep.lattices.A, c + zero if block == 0 else zero + c)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +313,10 @@ def _commuting(rep: Representation, bound: int, d) -> bytes:
     of the entry-pair lattice, in itertools.product order: 1 if
     det(c, d) = 0, else 0.
 
-    c -> det(c, d) is an integer matrix with one row per frame coordinate;
-    only its distinct nonzero rows matter, and each row's values over the
-    box are built one coordinate at a time."""
-    cols = [zlattice.combine(d, row, rep.dim) for row in rep.det_form]
+    c -> det(c, d) is an integer matrix with one row per ``law.f13``
+    coordinate; only its distinct nonzero rows matter, and each row's values
+    over the box are built one coordinate at a time."""
+    cols = [zlattice.combine(d, row, len(rep.law.f13)) for row in rep.det_form]
     steps = range(-bound, bound + 1)
     flags = [True] * len(steps) ** len(cols)
     for row in {row for row in zip(*cols) if any(row)}:
@@ -341,12 +336,12 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     exact, exhaustion is not a proof.
 
     Every step runs on integer coefficient tuples over the basis b_i of the
-    entry-pair lattice A.  det(u, v) = u12*v23 - v12*u23 is Z-bilinear and
-    alternating, and b_i = sum_k t_ik g_k over the generator entry pairs g_k
-    (t is A's HNF transform), so det(b_i, b_j) = sum_{k<l} (t_ik t_jl -
-    t_il t_jk) det(g_k, g_l).  The det(g_k, g_l) are ``pair_dets``, whose
-    monomials are in the frame by its definition, so every determinant
-    value is an integer frame vector (``det_form``) and is zero iff its
+    entry-pair lattice A.  det(u, v) = u12*v23 - v12*u23 is the law's
+    commutator form on entry pairs: the (1,3) entry of [u, v], read off
+    ``law.table`` as integer coordinates over ``law.f13``, which holds the
+    product of every (1,2) and (2,3) frame monomial in the same component.  The form is Z-bilinear
+    and alternating, so det(c, d) for coefficient tuples c and d is
+    sum_ij c_i d_j det(b_i, b_j) (``det_form``), and it is zero iff its
     coordinates are.  Ring elements are built only for the witness."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -356,17 +351,16 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     if not any(any(v) for row in rep.det_form for v in row):
         return Verdict("holds", "exact_lattice")
 
-    def diagonal(v) -> bool:  # the same polynomial on every component
+    n12 = len(rep.law.f12)
+
+    def diagonal(v) -> bool:  # both entries the same polynomial on every component
         terms = [{} for _ in rep.ring.components]
-        for x, (j, e) in zip(v, rep.frame):
+        for k, (x, (j, e)) in enumerate(zip(v, rep.frame)):
             if x:
-                terms[j][e] = x
+                terms[j][k < n12, e] = x
         return all(t == terms[0] for t in terms)
 
-    d = rep.dim
-    if len(set(rep.ring.components)) == 1 and all(
-        diagonal(x) for v in L.A.basis for x in (v[:d], v[d:])
-    ):
+    if len(set(rep.ring.components)) == 1 and all(diagonal(v) for v in L.A.basis):
         # every realized entry is constant across the identical components, so
         # the group embeds in UT3 of one component -- a domain
         return Verdict("holds", "exact_lattice")
@@ -399,15 +393,8 @@ def _solve(rep: Representation, z: UT3Elem, block: int) -> Optional[Solution]:
     12-block, 1: the 23-block) and zero in the other; None if there is none."""
     if not z.is_central():
         raise ValueError("z must be central")
-    zc = rep.coords(z.u13)
-    if zc is None:
-        return None  # outside the span of realizable entries
-    zero = (0,) * rep.dim
-    vec = zc + zero if block == 0 else zero + zc
-    coeffs = zlattice.in_source_coordinates(rep.lattices.A, vec)
-    if coeffs is None:
-        return None
-    return Solution(rep.product_of_generators(coeffs), coeffs)
+    coeffs = _realizing_exponents(rep, z.u13, block)
+    return None if coeffs is None else Solution(rep.product_of_generators(coeffs), coeffs)
 
 
 def solve_S(rep: Representation, z: UT3Elem) -> Optional[Solution]:
@@ -425,18 +412,19 @@ def solve_T(rep: Representation, z: UT3Elem) -> Optional[Solution]:
 
 def sigma_check(rep: Representation) -> Verdict:
     """Exact: the group has class 2, so every commutator value [x2,x1] is an
-    integer combination of the generator commutator values ``pair_dets``;
+    integer combination of the generator commutator values [g_k, g_l];
     and the values z for which S (resp. T) is solvable form a group, namely
     those with (z, 0) (resp. (0, z)) in the entry-pair lattice.  So sigma
-    holds iff both pairs lie in A for every generator commutator value d.
-    A violation names the first such d, in ``pair_dets`` order, with S
-    tried before T: that d is itself a commutator value."""
-    A = rep.lattices.A
-    zero = (0,) * rep.dim
-    for value in rep.pair_dets:
-        d = rep.coords(value)
-        for system, vec in (("S", d + zero), ("T", zero + d)):
-            if not zlattice.member(A, vec):
+    holds iff both pairs lie in A for the (1,3) entry z of every generator
+    commutator.  A violation names the first such z, over the generator
+    pairs in itertools.combinations order, with S tried before T: that z
+    is itself a commutator value."""
+    law = rep.law
+    gens = [law.element(g) for _, g in rep.generators]
+    for g, h in itertools.combinations(gens, 2):
+        value = law.to_ut3(g.comm(h)).u13
+        for block, system in enumerate("ST"):
+            if _realizing_exponents(rep, value, block) is None:
                 return Verdict("violated", "exact_lattice", SigmaWitness(value, system))
     return Verdict("holds", "exact_lattice")
 

@@ -217,12 +217,13 @@ class RingElem:
         return RingElem(self.ring, tuple(_pmul(p, q) for p, q in zip(self.parts, other.parts)))
 
     def __pow__(self, n: int) -> "RingElem":
+        """self^n by repeated squaring, in at most 2*log2(n) + 2 products."""
         if n < 0:
             raise ValueError("negative power")
-        out = RingElem.one(self.ring)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return RingElem.one(self.ring)
+        half = self ** (n // 2)
+        return half * half * self if n % 2 else half * half
 
     def scale(self, k: int) -> "RingElem":
         return RingElem(self.ring, tuple(_pscale(p, k) for p in self.parts))

@@ -17,7 +17,9 @@ the generators' (1,2) and (2,3) entries, the (1,3) entry over the frame of
 the generators' (1,3) monomials and of every product of a (1,2) with a (2,3)
 frame monomial in the same component.  With B(x, y) = x12*y23 read off an
 integer table, the closed forms above become integer arithmetic
-(``Class2Law``), which is what the bounded formula search runs on.
+(``Class2Law``).  The bounded formula search runs on it, and the entry
+lattices, sigma, the systems S/T and NZCT in ``reprs`` use its frames as
+their only coordinates.
 """
 
 from __future__ import annotations
@@ -141,9 +143,11 @@ class Class2Law:
     """The group law of <generators> <= UT3(R) on integer coordinates.
 
     An element is one flat tuple x = (x12, x23, z) over the frames ``f12``,
-    ``f23`` and ``f13``.  ``table`` holds one (i, j, k) per pair of a (1,2)
-    and a (2,3) frame monomial in the same component: the coordinate i of x,
-    the coordinate j of y and the z-coordinate k of their product, so
+    ``f23`` and ``f13``; ``Class2Law.of`` is the one place that picks the
+    monomials of a representation, and ``coords`` the one coordinate
+    routine.  ``table`` holds one (i, j, k) per pair of a (1,2) and a (2,3)
+    frame monomial in the same component: the coordinate i of x, the
+    coordinate j of y and the z-coordinate k of their product, so
     B(x, y) = x12*y23 adds x[i]*y[j] to z[k].  Frame coordinates are unique,
     so two elements are equal iff their tuples are."""
 
@@ -152,6 +156,7 @@ class Class2Law:
     f23: Frame
     f13: Frame
     table: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
+    index: tuple[dict, dict, dict] = field(compare=False, repr=False)  # of f12, f23, f13
 
     @classmethod
     def of(cls, ring: RingDesc, generators) -> "Class2Law":
@@ -165,21 +170,26 @@ class Class2Law:
             if c == c2
         ]
         f13 = tuple(sorted(set(frame_of(g.u13 for g in gens)) | {m for *_, m in products}))
+        index = tuple({m: k for k, m in enumerate(f)} for f in (f12, f23, f13))
         n12, n23 = len(f12), len(f23)
-        index = {m: n12 + n23 + k for k, m in enumerate(f13)}
-        table = tuple((i, n12 + j, index[m]) for i, j, m in products)
-        return cls(ring, f12, f23, f13, table)
+        table = tuple((i, n12 + j, n12 + n23 + index[2][m]) for i, j, m in products)
+        return cls(ring, f12, f23, f13, table, index)
 
     @property
     def identity(self) -> "Class2Elem":
         return Class2Elem(self, (0,) * (len(self.f12) + len(self.f23) + len(self.f13)))
 
+    def coords(self, block: int, entry: RingElem) -> tuple[int, ...] | None:
+        """The coordinates of a ring element over one frame (block 0: f12,
+        1: f23, 2: f13); None if it has a monomial outside that frame."""
+        return frame_coords(self.index[block], entry)
+
     def element(self, g: UT3Elem) -> "Class2Elem":
         """The coordinates of g, which must lie in the frames (every element
         of the group the law was made for does)."""
         v = ()
-        for entry, frame in ((g.u12, self.f12), (g.u23, self.f23), (g.u13, self.f13)):
-            coords = frame_coords({m: k for k, m in enumerate(frame)}, entry)
+        for block, entry in enumerate((g.u12, g.u23, g.u13)):
+            coords = self.coords(block, entry)
             if coords is None:
                 raise ValueError(f"{g} is outside the frames of the law")
             v += coords

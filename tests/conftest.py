@@ -59,17 +59,45 @@ def ut3_env(rep: reprs.Representation) -> formula.GroupEnv:
 # Ring-element views of entry-pair vectors
 
 
-def split_pair(rep: reprs.Representation, vec) -> tuple[RingElem, RingElem]:
-    """The (1,2) and (2,3) entries of an entry-pair vector in Z^(2d)."""
-    d = rep.dim
-    return rep.elem_from_coords(vec[:d]), rep.elem_from_coords(vec[d:])
-
-
 def pair_det(rep: reprs.Representation, u, v) -> RingElem:
     """det(u, v) = u12*v23 - v12*u23, computed in the ring."""
-    u12, u23 = split_pair(rep, u)
-    v12, v23 = split_pair(rep, v)
+    u12, u23 = rep.elem_from_coords(u)
+    v12, v23 = rep.elem_from_coords(v)
     return u12 * v23 - v12 * u23
+
+
+def pair_dets(rep: reprs.Representation) -> list[RingElem]:
+    """Entry determinants g12*h23 - h12*g23 of the generator pairs, computed
+    in the ring, in itertools.combinations order: the (1,3) entries of the
+    generator commutators."""
+    return [
+        g.u12 * h.u23 - h.u12 * g.u23
+        for (_, g), (_, h) in itertools.combinations(rep.generators, 2)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Union-frame entry lattices (reprs.entry_lattices reads the law's frames)
+
+
+def union_frame_lattices(rep: reprs.Representation):
+    """A, A1 and A2 over one frame spanning every generator entry and every
+    ring-computed pair determinant, in Z^(2d): the coordinates the entry
+    lattices had before they moved to the law's frames.  Returns the frame,
+    labelled with its block (0: 12-block, 1: 23-block), and the lattices."""
+    entries = [x for _, g in rep.generators for x in (g.u12, g.u13, g.u23)]
+    frame = rings.frame_of(entries + pair_dets(rep))
+    index = {m: i for i, m in enumerate(frame)}
+    d = len(frame)
+    rows = [
+        rings.frame_coords(index, g.u12) + rings.frame_coords(index, g.u23)
+        for _, g in rep.generators
+    ]
+    A = zlattice.hnf(rows, ambient_dim=2 * d)
+    A1 = zlattice.intersect_coordinate_zero(A, range(d))
+    A2 = zlattice.intersect_coordinate_zero(A, range(d, 2 * d))
+    labels = [(0, m) for m in frame] + [(1, m) for m in frame]
+    return labels, reprs.EntryLattices(A, A1, A2)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +120,7 @@ def nzct_check_ringelem(rep: reprs.Representation, bound: int = 2) -> Verdict:
         return all(p == e.parts[0] for p in e.parts[1:])
 
     if len(set(rep.ring.components)) == 1 and all(
-        diagonal(x) for v in L.A.basis for x in split_pair(rep, v)
+        diagonal(x) for v in L.A.basis for x in rep.elem_from_coords(v)
     ):
         return Verdict("holds", "exact_lattice")
     vectors = [v for v in L.A.vectors_up_to(bound) if any(v)]
@@ -133,7 +161,7 @@ def lame_check_def1(rep: reprs.Representation, bound: int = 3) -> Verdict:
             )
             candidates.extend(sub.basis)
         for vec in candidates:
-            u12, u23 = split_pair(rep, vec)
+            u12, u23 = rep.elem_from_coords(vec)
             s = u12 * u12 + u23 * u23
             if not s.is_zero() and is_zero_divisor(s):
                 coeffs = zlattice.in_source_coordinates(lat, vec)
@@ -151,20 +179,29 @@ def lame_check_def1(rep: reprs.Representation, bound: int = 3) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Determinant-lattice sigma oracle (reprs.sigma_check reads pair_dets directly)
+# Determinant-lattice sigma oracle (reprs.sigma_check reads the generator
+# commutators directly)
 
 
 def sigma_check_dlattice(rep: reprs.Representation) -> Verdict:
     """sigma through the determinant lattice D: the HNF of the frame vectors
-    of the generator commutator values.  Both (d, 0) and (0, d) must lie in
-    the entry-pair lattice for every basis vector d of D; a violation names
-    that basis vector, which is only a combination of commutator values."""
-    d = rep.dim
-    D = zlattice.hnf([rep.coords(x) for x in rep.pair_dets], ambient_dim=d)
+    of the ring-computed generator commutator values.  Both (d, 0) and
+    (0, d) must lie in the entry-pair lattice for every basis vector d of D;
+    a violation names that basis vector, which is only a combination of
+    commutator values."""
+    dets = pair_dets(rep)
+    frame = rings.frame_of(dets)
+    index = {m: i for i, m in enumerate(frame)}
+    D = zlattice.hnf([rings.frame_coords(index, x) for x in dets], ambient_dim=len(frame))
     for dvec in D.basis:
-        for system, vec in (("S", dvec + (0,) * d), ("T", (0,) * d + dvec)):
-            if not zlattice.member(rep.lattices.A, vec):
-                witness = SigmaWitness(rep.elem_from_coords(dvec), system)
+        value = rings.from_frame(rep.ring, frame, dvec)
+        for system, block in (("S", 0), ("T", 1)):
+            c = rep.law.coords(block, value)
+            if c is not None:
+                pad = (0,) * (len(rep.frame) - len(c))
+                vec = c + pad if block == 0 else pad + c
+            if c is None or not zlattice.member(rep.lattices.A, vec):
+                witness = SigmaWitness(value, system)
                 return Verdict("violated", "exact_lattice", witness)
     return Verdict("holds", "exact_lattice")
 

@@ -1,5 +1,6 @@
 """Tests for representations and the exact lattice decision procedures."""
 
+import itertools
 import random
 import warnings
 
@@ -11,9 +12,11 @@ from conftest import (
     lame_check_def1,
     nzct_check_ringelem,
     pair_det,
+    pair_dets,
     random_representation,
     random_ut3,
     sigma_check_dlattice,
+    union_frame_lattices,
     wide_representation,
 )
 from heislab import formula, reprs, rings, zlattice
@@ -67,7 +70,10 @@ def central(ring, lit):
 
 def commutator_rank(rep):
     """Rank of the lattice spanned by the generator commutator values."""
-    return zlattice.hnf([rep.coords(x) for x in rep.pair_dets], ambient_dim=rep.dim).rank
+    law = rep.law
+    gens = [law.element(g) for _, g in rep.generators]
+    values = [g.comm(h).v for g, h in itertools.combinations(gens, 2)]
+    return zlattice.hnf(values, ambient_dim=len(law.identity.v)).rank
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +118,28 @@ def test_entry_lattices_one_hnf(monkeypatch):
         assert len(calls) == 1, name
 
 
+def _nonzero_columns(lat, labels):
+    """The labels of the columns where some basis row is nonzero, and the
+    basis restricted to those columns."""
+    cols = [k for k in range(lat.ambient_dim) if any(row[k] for row in lat.basis)]
+    return [labels[k] for k in cols], [tuple(row[k] for k in cols) for row in lat.basis]
+
+
+def test_entry_lattices_match_union_frame_oracle():
+    # the law's frames drop only columns that are zero in every generator
+    # row, and the HNF skips an all-zero column, so nothing else may move
+    rng = random.Random(5)
+    wide = [wide_representation(rng, n) for n in (6, 12, 20)]
+    reps = corpus(40, seed=3) + [fixture(name) for name in FIXTURES] + wide
+    for rep in reps:
+        labels, old = union_frame_lattices(rep)
+        new_labels = [(0, m) for m in rep.law.f12] + [(1, m) for m in rep.law.f23]
+        for name in ("A", "A1", "A2"):
+            new, ref = getattr(rep.lattices, name), getattr(old, name)
+            assert new.transform == ref.transform, name
+            assert _nonzero_columns(new, new_labels) == _nonzero_columns(ref, labels), name
+
+
 def test_entry_pair_map_is_homomorphism():
     rng = random.Random(0)
     for ring in [Z, ZZ, ZTH]:
@@ -124,14 +152,18 @@ def test_entry_pair_map_is_homomorphism():
 
 def test_coords_roundtrip():
     rep = full_zxz_rep()
+    law = rep.law
     for _, g in rep.generators:
-        for entry in (g.u12, g.u23, g.u13):
-            v = rep.coords(entry)
+        for block, (entry, frame) in enumerate(
+            ((g.u12, law.f12), (g.u23, law.f23), (g.u13, law.f13))
+        ):
+            v = law.coords(block, entry)
             assert v is not None
-            assert rep.elem_from_coords(v) == entry
-    assert rep.coords(parse_elem(ZZ, "(0, 999)")) is not None
+            assert rings.from_frame(rep.ring, frame, v) == entry
+        assert rep.elem_from_coords(law.element(g).v[: len(rep.frame)]) == (g.u12, g.u23)
+    assert law.coords(0, parse_elem(ZZ, "(0, 999)")) is not None
     # no theta-frame coordinate exists in this representation
-    assert representation(ZTH).coords(RingElem.var(ZTH, "theta")) is None
+    assert representation(ZTH).law.coords(0, RingElem.var(ZTH, "theta")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +324,7 @@ def test_nzct_diagonal_shortcut_with_one_sided_center_monomial():
 
 def _form_det(rep, c, d):
     """The integer determinant form at basis coefficients c and d."""
-    out = [0] * rep.dim
+    out = [0] * len(rep.law.f13)
     for i, ci in enumerate(c):
         for j, dj in enumerate(d):
             for m, x in enumerate(rep.det_form[i][j]):
@@ -307,9 +339,9 @@ def test_det_form_is_the_ring_determinant(seed, data):
     basis = rep.lattices.A.basis
     coeffs = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
     c, d = data.draw(coeffs), data.draw(coeffs)
-    u = zlattice.combine(c, basis, 2 * rep.dim)
-    v = zlattice.combine(d, basis, 2 * rep.dim)
-    assert _form_det(rep, c, d) == rep.coords(pair_det(rep, u, v))
+    u = zlattice.combine(c, basis, len(rep.frame))
+    v = zlattice.combine(d, basis, len(rep.frame))
+    assert _form_det(rep, c, d) == rep.law.coords(2, pair_det(rep, u, v))
     assert not any(_form_det(rep, c, c))
     assert _form_det(rep, c, d) == tuple(-x for x in _form_det(rep, d, c))
 
@@ -447,7 +479,7 @@ def test_sigma_witness_is_an_unsolvable_generator_commutator():
         if v.status != "violated":
             continue
         value, system = v.witness.value, v.witness.system
-        assert value in rep.pair_dets
+        assert value in pair_dets(rep)
         zero = RingElem.zero(rep.ring)
         solver = solve_S if system == "S" else solve_T
         assert solver(rep, UT3Elem(rep.ring, zero, value, zero)) is None

@@ -1,6 +1,7 @@
 """Tests for exact product-ring arithmetic, retractions, and discrimination."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +212,23 @@ def test_ring_axioms_product(a, b, c):
     assert a + RingElem.zero(ZZ) == a
     assert a * RingElem.one(ZZ) == a
     assert (a - a).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_elems(ZT2), st.integers(0, 20))
+def test_pow_is_repeated_product(a, n):
+    out = RingElem.one(ZT2)
+    for _ in range(n):
+        out = out * a
+    assert a**n == out
+
+
+def test_parse_huge_monomial_power_is_fast():
+    ring = parse_ring("Z[t]")
+    t0 = time.perf_counter()
+    x = parse_elem(ring, "t^999999999")
+    assert time.perf_counter() - t0 < 0.5
+    assert x.parts == ((((999999999,), 1),),)
 
 
 @settings(max_examples=60, deadline=None)
