@@ -17,8 +17,10 @@ exhausted bound never is.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional
 
 # ---------------------------------------------------------------------------
@@ -604,73 +606,175 @@ class NoneWithinBound:
     bound: int
 
 
-def _search_conjunction(literals, variables, env, ball):
-    """First assignment (canonical order) making every literal true.
+def _compile_term(t, env: GroupEnv, var_pos: dict, cur: list):
+    """(value, None) for a term without variables, else (None, fn) where
+    fn() evaluates t on the elements in ``cur`` (variable v is
+    ``cur[var_pos[v]]``).  Named constants are looked up here, so an
+    unknown one raises before any search starts."""
+    if isinstance(t, One):
+        return env.identity, None
+    if isinstance(t, Var):
+        if t.name not in var_pos:
+            raise UnresolvedNameError(f"unassigned variable {t.name!r}")
+        return None, partial(cur.__getitem__, var_pos[t.name])
+    if isinstance(t, Const):
+        if t.name not in env.constants:
+            raise UnresolvedNameError(f"unknown constant {t.name!r}")
+        return env.constants[t.name], None
+    if isinstance(t, TPow):
+        base, fn = _compile_term(t.base, env, var_pos, cur)
+        exp = t.exp
+        if fn is None:
+            return base.pow_int(exp), None
+        return None, lambda: fn().pow_int(exp)
+    if isinstance(t, TMul):
+        op = operator.mul
+    elif isinstance(t, TComm):
+        op = _comm
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return _combine(
+        op, _compile_term(t.left, env, var_pos, cur), _compile_term(t.right, env, var_pos, cur)
+    )
 
-    A literal is checked as soon as all its variables are bound, literal
-    evaluations are memoized per value tuple, and conflict-directed
-    backjumping skips a variable's remaining values when no failure below
-    involved it -- this keeps exhaustive refutation over sizeable balls
-    tractable for four-variable sentences."""
-    var_pos = {v: k for k, v in enumerate(variables)}
+
+def _comm(x, y):
+    return x.comm(y)
+
+
+def _combine(op, left, right):
+    """op on two compiled terms, evaluated now when neither has variables."""
+    (lv, lf), (rv, rf) = left, right
+    if lf is None and rf is None:
+        return op(lv, rv), None
+    if lf is None:
+        return None, lambda: op(lv, rf())
+    if rf is None:
+        return None, lambda: op(lf(), rv)
+    return None, lambda: op(lf(), rf())
+
+
+def _compile_conjunction(literals, variables, env: GroupEnv):
+    """Compile a conjunction of Eq/Ne literals over ``variables`` into
+    search(ball): the ball positions of the first assignment, in canonical
+    order, that makes every literal true, or None.
+
+    Each literal becomes a closure over the list of chosen elements and is
+    checked in the loop that chooses its last variable, so a candidate
+    that fails costs no recursive call; literals without variables are
+    decided here, once.  A literal's memo holds one row of truth values
+    per choice of its other variables' ball positions, indexed by its last
+    variable's position; a literal on every variable so far never repeats
+    and gets a fresh row.  Conflict-directed backjumping skips a variable's
+    remaining values when no failure below involved it -- this keeps
+    exhaustive refutation over sizeable balls tractable for four-variable
+    sentences."""
     nvars = len(variables)
-    checkpoints: list[list[int]] = [[] for _ in range(nvars + 1)]
-    lit_vars: list[list[str]] = []
-    lit_positions: list[frozenset[int]] = []
-    for idx, lit in enumerate(literals):
-        vs = sorted(v for v in free_vars(lit) if v in var_pos)
-        lit_vars.append(vs)
-        lit_positions.append(frozenset(var_pos[v] for v in vs))
-        level = max((var_pos[v] + 1 for v in vs), default=0)
-        checkpoints[level].append(idx)
+    var_pos = {v: k for k, v in enumerate(variables)}
+    cur: list = [None] * nvars  # the element chosen for each variable
+    holds = True  # every literal without variables is true
+    checks: list[list] = [[] for _ in range(nvars)]  # by last variable
+    for lit in literals:
+        op = operator.eq if isinstance(lit, Eq) else operator.ne
+        truth, test = _combine(
+            op,
+            _compile_term(lit.left, env, var_pos, cur),
+            _compile_term(lit.right, env, var_pos, cur),
+        )
+        if test is None:
+            holds = holds and truth
+            continue
+        levels = sorted({var_pos[v] for v in free_vars(lit)})
+        last = levels[-1]
+        prefix = None if levels == list(range(last + 1)) else levels[:-1]
+        checks[last].append((test, prefix, sum(1 << k for k in levels)))
 
-    assignment: dict = {}
-    cache: dict = {}
+    def search(ball):
+        if not holds:
+            return None
+        elems = [e for e, _word in ball]
+        size = len(elems)
+        values = [0] * nvars  # the ball position chosen for each variable
+        memos = [[None if prefix is None else {} for _, prefix, _ in level] for level in checks]
 
-    def eval_lit(idx: int) -> bool:
-        key = (idx,) + tuple(id(assignment[v]) for v in lit_vars[idx])
-        result = cache.get(key)
-        if result is None:
-            result = eval_qf(literals[idx], env, assignment)
-            cache[key] = result
-        return result
+        def descend(level: int):
+            """None once cur/values satisfy every literal, else the bit mask
+            of the variables that the failures below level depend on."""
+            tests = []
+            for (test, prefix, conflict), memo in zip(checks[level], memos[level]):
+                if prefix is None:
+                    row = [None] * size
+                else:
+                    key = tuple([values[k] for k in prefix])
+                    row = memo.get(key)
+                    if row is None:
+                        row = memo[key] = [None] * size
+                tests.append((test, row, conflict))
+            last = level + 1 == nvars
+            bit = 1 << level
+            union = 0
+            for pos, elem in enumerate(elems):
+                values[level] = pos
+                cur[level] = elem
+                for test, row, conflict in tests:
+                    ok = row[pos]
+                    if ok is None:
+                        ok = row[pos] = test()
+                    if not ok:
+                        union |= conflict  # it has this level's bit: go on
+                        break
+                else:
+                    if last:
+                        return None
+                    below = descend(level + 1)
+                    if below is None:
+                        return None
+                    union |= below
+                    if not below & bit:
+                        # every failure below is independent of this variable
+                        break
+            return union & ~bit
 
-    def descend(level: int):
-        """(solution, None) or (None, conflict var-position set)."""
-        for idx in checkpoints[level]:
-            if not eval_lit(idx):
-                return None, lit_positions[idx]
-        if level == nvars:
-            return dict(assignment), None
-        var = variables[level]
-        union: set[int] = set()
-        for elem, _word in ball:
-            assignment[var] = elem
-            sol, conflict = descend(level + 1)
-            if sol is not None:
-                return sol, None
-            union |= conflict
-            if level not in conflict:
-                # every failure below is independent of this variable
-                break
-        assignment.pop(var, None)
-        union.discard(level)
-        return None, union
+        if nvars and descend(0) is not None:
+            return None
+        return list(values)
 
-    return descend(0)[0]
+    return search
+
+
+def _search_conjunction(literals, variables, env: GroupEnv, ball):
+    """First assignment in canonical order (``itertools.product`` of the
+    ball over ``variables``) making every literal true, as a dict from
+    variable to element, or None.  The search runs on ball positions; see
+    ``_compile_conjunction``."""
+    positions = _compile_conjunction(literals, variables, env)(ball)
+    if positions is None:
+        return None
+    return {v: ball[p][0] for v, p in zip(variables, positions)}
 
 
 def _search_ball(f, env: GroupEnv, bound: int, negate: bool, found_type):
     """First assignment over the ball satisfying the (negated, if
-    ``negate``) matrix of f, wrapped in found_type; else NoneWithinBound."""
+    ``negate``) matrix of f, wrapped in found_type; else NoneWithinBound.
+    Every disjunct is compiled first, so an unknown constant anywhere in
+    the matrix raises UnresolvedNameError, also where no search would
+    evaluate it."""
     blocks, matrix = _peel_quantifiers(f)
     variables = [v for _, vs in blocks for v in vs]
     ball = env.ball(bound)
-    words = dict(ball)
-    for disjunct in dnf_disjuncts(matrix, negate=negate):
-        found = _search_conjunction(disjunct, variables, env, ball)
-        if found is not None:
-            return found_type(found, {v: words[e] for v, e in found.items()}, bound)
+    searches = [
+        _compile_conjunction(d, variables, env)
+        for d in dnf_disjuncts(matrix, negate=negate)
+    ]
+    for search in searches:
+        positions = search(ball)
+        if positions is not None:
+            picks = [ball[p] for p in positions]
+            return found_type(
+                {v: e for v, (e, _) in zip(variables, picks)},
+                {v: w for v, (_, w) in zip(variables, picks)},
+                bound,
+            )
     return NoneWithinBound(bound)
 
 

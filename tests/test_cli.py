@@ -97,6 +97,23 @@ def test_bad_formula_is_exit_3(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "command, sentence",
+    [
+        # the search fails on x!=x before it ever reads @foo
+        ("witness", "exists x,y ( x!=x & [y,@foo]=1 )"),
+        ("refute", "forall x ( x=x | [x,@foo]=1 )"),
+        # the first disjunct has a witness, so the second is never searched
+        ("witness", "exists x ( x=x | [x,@foo]=1 )"),
+    ],
+)
+def test_unknown_constant_is_exit_3_before_the_search(capsys, command, sentence):
+    code, out, err = run(capsys, command, sentence, "--bound", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: unknown constant 'foo'\n"
+
+
 # ---------------------------------------------------------------------------
 # Direct checkers
 

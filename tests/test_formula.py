@@ -357,7 +357,16 @@ def test_nzct_refuted_on_full_zxz():
 
 def test_ct_zero_and_torsion():
     env = H_env()
-    assert refute_universal(builtin("CT(0)"), H_env(), 2) != NoneWithinBound  # runs
+    ct0 = builtin("CT(0)")
+    for bound in (2, 3):
+        assert refute_universal(ct0, env, bound) == NoneWithinBound(bound)
+    # a central x2 that is not 1 first appears at bound 4: [a1,a2] commutes
+    # with both a1 and a2, which do not commute
+    out = refute_universal(ct0, env, 4)
+    assert isinstance(out, CounterExample)
+    assert out.words == {"x1": "a1", "x2": "a1*a2*a1^-1*a2^-1", "x3": "a2"}
+    _, matrix = formula._peel_quantifiers(ct0)
+    assert not eval_qf(matrix, env, out.assignment)
     assert isinstance(refute_universal(builtin("torsion_free_qi(2)"), env, 2), NoneWithinBound)
     assert isinstance(refute_universal(builtin("zero_sq_qi"), env, 2), NoneWithinBound)
 
@@ -367,6 +376,93 @@ def test_ct1_equals_nzct_semantics():
     env = full_zxz_env()
     out = refute_universal(builtin("CT(1)"), env, 2)
     assert isinstance(out, CounterExample)
+
+
+_SEARCH_ENVS = {"H": H_env, "zxz": full_zxz_env}
+
+
+@st.composite
+def _search_terms(draw, variables, depth=0):
+    leaves = [ONE, A1, A2] + [Var(v) for v in variables]
+    if depth == 2:
+        return draw(st.sampled_from(leaves))
+    kind = draw(st.sampled_from(["leaf", "mul", "pow", "comm"]))
+    if kind == "leaf":
+        return draw(st.sampled_from(leaves))
+    if kind == "pow":
+        base = draw(_search_terms(variables, depth + 1))
+        return TPow(base, draw(st.sampled_from([-2, -1, 1, 2])))
+    left = draw(_search_terms(variables, depth + 1))
+    right = draw(_search_terms(variables, depth + 1))
+    return TMul(left, right) if kind == "mul" else TComm(left, right)
+
+
+@st.composite
+def _conjunctions(draw):
+    """(literals, variables, env, ball).  Unless no assignment is planted,
+    each literal is made true at a drawn one (Eq or Ne as its sides compare
+    there), so most cases have a solution, often past the first values.
+    Three variables only where the brute force has at most 17^3 tuples to
+    scan."""
+    env = _SEARCH_ENVS[draw(st.sampled_from(sorted(_SEARCH_ENVS)))]()
+    ball = env.ball(draw(st.integers(1, 2)))
+    nvars = draw(st.integers(1, 3 if len(ball) <= 17 else 2))
+    variables = ["x", "y", "z"][:nvars]
+    planted = draw(st.tuples(*[st.sampled_from(ball) for _ in variables]) | st.none())
+    literals = []
+    for _ in range(draw(st.integers(1, 6))):
+        # each literal on its own variables, so some skip a level
+        used = draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
+        left = draw(_search_terms(used))
+        right = draw(st.one_of(st.just(ONE), _search_terms(used)))
+        if planted is None:
+            kind = draw(st.sampled_from([Eq, Ne]))
+        else:
+            at = {v: e for v, (e, _) in zip(variables, planted)}
+            kind = Eq if eval_term(left, env, at) == eval_term(right, env, at) else Ne
+        literals.append(kind(left, right))
+    return literals, variables, env, ball
+
+
+def _first_by_brute_force(literals, variables, env, ball):
+    for picks in itertools.product(ball, repeat=len(variables)):
+        assignment = {v: e for v, (e, _) in zip(variables, picks)}
+        if all(eval_qf(lit, env, assignment) for lit in literals):
+            return tuple(assignment[v] for v in variables)
+    return None
+
+
+def _assert_search_matches_brute_force(literals, variables, env, ball):
+    found = formula._search_conjunction(literals, variables, env, ball)
+    if found is not None:
+        found = tuple(found[v] for v in variables)
+    assert found == _first_by_brute_force(literals, variables, env, ball)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conjunctions())
+def test_search_conjunction_matches_brute_force(case):
+    _assert_search_matches_brute_force(*case)
+
+
+@pytest.mark.parametrize(
+    "env_name, bound, matrix",
+    [
+        # x=1 passes every check on x alone and fails only below, where
+        # the failure involves x: the search must try the next x
+        ("H", 1, "[x,y]!=1 & y=a1"),
+        # [y,z] is memoized per y: y=1 and y=a2 share no row
+        ("H", 1, "x=x & z=a1 & [y,z]!=1"),
+        # the negated matrices of CT(0) and NZCT
+        ("H", 2, "x2!=1 & [x1,x2]=1 & [x2,x3]=1 & [x1,x3]!=1"),
+        ("zxz", 1, "[x2,y]!=1 & [x1,x2]=1 & [x2,x3]=1 & [x1,x3]!=1"),
+    ],
+)
+def test_search_conjunction_matches_brute_force_on_fixed_cases(env_name, bound, matrix):
+    (literals,) = dnf_disjuncts(parse(matrix))
+    variables = sorted(free_vars(parse(matrix)))
+    env = _SEARCH_ENVS[env_name]()
+    _assert_search_matches_brute_force(literals, variables, env, env.ball(bound))
 
 
 def test_builtin_bad_names():
