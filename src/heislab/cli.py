@@ -22,6 +22,7 @@ from .formula import (
     CounterExample,
     FormulaError,
     NoneWithinBound,
+    UnresolvedNameError,
     builtin,
     classify,
     parse as parse_formula,
@@ -182,9 +183,8 @@ def _resolve_formula(spec: str):
     spec = _read_spec(spec)
     try:
         return builtin(spec)
-    except FormulaError:
-        pass
-    return parse_formula(spec)
+    except UnresolvedNameError:
+        return parse_formula(spec)
 
 
 class _AssignmentWitness:

@@ -7,7 +7,10 @@ Grammar (see README for the EBNF):
 Terms are group words over variables, the distinguished constants a1/a2,
 named constants ``@g``, with ``*``, integer powers ``^n``, and the bracket
 ``[t,s]`` as sugar for t^-1 s^-1 t s.  ``!=`` is a first-class literal (not
-sugar over negation) so DNF matrices stay lists of literals.
+sugar over negation) so DNF matrices stay lists of literals.  Input nested
+deeper than MAX_DEPTH levels is a parse error.  The builtin sentences (NZCT,
+CT(n), tau, sigma and the quasi-identities) are texts in this grammar, in
+one table at the end of the module, parsed on first use.
 
 Quantifier semantics over infinite groups are handled by bounded search:
 assignments range over the ball of words of length <= bound in a group
@@ -20,8 +23,10 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial, reduce
 from typing import Any, Optional
+
+from .rings import MAX_DEPTH
 
 # ---------------------------------------------------------------------------
 # AST
@@ -63,10 +68,6 @@ class TComm:
 ONE = One()
 A1 = Const("a1")
 A2 = Const("a2")
-
-
-def inv(t) -> TPow:
-    return TPow(t, -1)
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,13 @@ class FormulaParseError(FormulaError):
     pass
 
 
+class _TooDeep(FormulaParseError):
+    """Nesting past MAX_DEPTH, which no other reading of the text avoids."""
+
+    def __init__(self):
+        super().__init__(f"nested deeper than {MAX_DEPTH} levels")
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -142,10 +150,17 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Each rule returns (node, height),
+    the number of levels of the node's syntax tree.  A tree taller than
+    MAX_DEPTH is a parse error, and so are more than MAX_DEPTH groups open
+    at once, so neither this parser nor a later recursion over the tree
+    (printer, free_vars, the search) can overflow the stack."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # groups open around the current token
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -165,6 +180,24 @@ class _Parser:
             raise FormulaParseError(f"expected {tok!r} at offset {pos}, got {got!r}")
         self.i += 1
 
+    def node(self, node, *below: int):
+        """(node, height) for a node over parts of the given heights."""
+        height = 1 + max(below, default=0)
+        if height > MAX_DEPTH:
+            raise _TooDeep()
+        return node, height
+
+    def group(self, rule):
+        """rule() inside a group: a parenthesis, a bracket, ``~`` or the
+        right side of ``->``.  The parser recurses only here."""
+        if self.depth == MAX_DEPTH:
+            raise _TooDeep()
+        self.depth += 1
+        try:
+            return rule()
+        finally:
+            self.depth -= 1
+
     # -- sentences ---------------------------------------------------------
 
     def sentence(self):
@@ -176,10 +209,10 @@ class _Parser:
                 self.next()
                 vars_.append(self._varname())
             blocks.append((kind, tuple(vars_)))
-        body = self.matrix()
+        body, height = self.matrix()
         for kind, vars_ in reversed(blocks):
-            body = Quant(kind, vars_, body)
-        return body
+            body, height = self.node(Quant(kind, vars_, body), height)
+        return body, height
 
     def _varname(self) -> str:
         tok = self.next()
@@ -188,68 +221,74 @@ class _Parser:
         return tok
 
     def matrix(self):
-        left = self.disj()
+        left, lh = self.disj()
         if self.peek() == "->":
             self.next()
-            return Implies(left, self.matrix())  # right-associative
-        return left
+            right, rh = self.group(self.matrix)  # right-associative
+            return self.node(Implies(left, right), lh, rh)
+        return left, lh
+
+    def _joined(self, cls, rule, sep: str):
+        items = [rule()]
+        while self.peek() == sep:
+            self.next()
+            items.append(rule())
+        if len(items) == 1:
+            return items[0]
+        nodes, heights = zip(*items)
+        return self.node(cls(nodes), *heights)
 
     def disj(self):
-        items = [self.conj()]
-        while self.peek() == "|":
-            self.next()
-            items.append(self.conj())
-        return items[0] if len(items) == 1 else Or(tuple(items))
+        return self._joined(Or, self.conj, "|")
 
     def conj(self):
-        items = [self.lit()]
-        while self.peek() == "&":
-            self.next()
-            items.append(self.lit())
-        return items[0] if len(items) == 1 else And(tuple(items))
+        return self._joined(And, self.lit, "&")
 
     def lit(self):
         if self.peek() == "~":
             self.next()
-            return Not(self.lit())
+            arg, height = self.group(self.lit)
+            return self.node(Not(arg), height)
         if self.peek() == "(":
             # could be a parenthesized matrix or a parenthesized term in an atom
             save = self.i
             try:
                 self.next()
-                inner = self.matrix()
+                inner, height = self.group(self.matrix)
                 self.expect(")")
                 if self.peek() in ("=", "!=", "*", "^"):
                     raise FormulaParseError("term context")
-                return inner
+                return inner, height
+            except _TooDeep:
+                raise
             except FormulaParseError:
                 self.i = save
         return self.atom()
 
     def atom(self):
-        left = self.term()
+        left, lh = self.term()
         op = self.next()
-        if op == "=":
-            return Eq(left, self.term())
-        if op == "!=":
-            return Ne(left, self.term())
-        raise FormulaParseError(f"expected '=' or '!=', got {op!r}")
+        if op not in ("=", "!="):
+            raise FormulaParseError(f"expected '=' or '!=', got {op!r}")
+        right, rh = self.term()
+        return self.node((Eq if op == "=" else Ne)(left, right), lh, rh)
 
     # -- terms -------------------------------------------------------------
 
     def term(self):
-        out = self.factor()
+        out, height = self.factor()
         while self.peek() == "*":
             self.next()
-            out = TMul(out, self.factor())
-        return out
+            right, rh = self.factor()
+            out, height = self.node(TMul(out, right), height, rh)
+        return out, height
 
     def factor(self):
-        out = self.base()
+        out, height = self.base()
         while self.peek() == "^":
             self.next()
-            out = TPow(out, self._integer())
-        return out
+            out, height = self.node(TPow(out, self._integer()), height)
+        return out, height
 
     def _integer(self) -> int:
         tok = self.next()
@@ -263,26 +302,26 @@ class _Parser:
     def base(self):
         tok = self.next()
         if tok == "1":
-            return ONE
+            return self.node(ONE)
         if tok == "@":
             name = self.next()
             if not _IDENT_RE.fullmatch(name):
                 raise FormulaParseError(f"bad constant name {name!r}")
-            return Const(name)
+            return self.node(Const(name))
         if tok == "[":
-            left = self.term()
+            left, lh = self.group(self.term)
             self.expect(",")
-            right = self.term()
+            right, rh = self.group(self.term)
             self.expect("]")
-            return TComm(left, right)
+            return self.node(TComm(left, right), lh, rh)
         if tok == "(":
-            out = self.term()
+            out, height = self.group(self.term)
             self.expect(")")
-            return out
+            return out, height
         if tok in ("a1", "a2"):
-            return Const(tok)
+            return self.node(Const(tok))
         if _IDENT_RE.fullmatch(tok) and tok not in ("forall", "exists"):
-            return Var(tok)
+            return self.node(Var(tok))
         if tok.isdigit():
             raise FormulaParseError(f"integer {tok!r} is not a group term (only 1 is)")
         raise FormulaParseError(f"unexpected token {tok!r}")
@@ -290,7 +329,7 @@ class _Parser:
 
 def parse(text: str):
     p = _Parser(text)
-    out = p.sentence()
+    out, _ = p.sentence()
     if p.peek() is not None:
         raise FormulaParseError(f"trailing input at {p.tokens[p.i][1]}")
     return out
@@ -298,7 +337,7 @@ def parse(text: str):
 
 def parse_term(text: str):
     p = _Parser(text)
-    out = p.term()
+    out, _ = p.term()
     if p.peek() is not None:
         raise FormulaParseError(f"trailing input at {p.tokens[p.i][1]}")
     return out
@@ -483,15 +522,8 @@ def _distribute(f) -> list[list]:
 
 def dnf_disjuncts(matrix, negate: bool = False) -> list[list]:
     if not _is_qf(matrix):
-        raise FormulaError("to_dnf requires a quantifier-free matrix")
+        raise FormulaError("dnf_disjuncts requires a quantifier-free matrix")
     return _distribute(_nnf_literals(matrix, negate))
-
-
-def to_dnf(matrix):
-    """Logically equivalent disjunction of conjunctions of literals."""
-    disjuncts = dnf_disjuncts(matrix)
-    built = [d[0] if len(d) == 1 else And(tuple(d)) for d in disjuncts]
-    return built[0] if len(built) == 1 else Or(tuple(built))
 
 
 # ---------------------------------------------------------------------------
@@ -742,17 +774,6 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
     return search
 
 
-def _search_conjunction(literals, variables, env: GroupEnv, ball):
-    """First assignment in canonical order (``itertools.product`` of the
-    ball over ``variables``) making every literal true, as a dict from
-    variable to element, or None.  The search runs on ball positions; see
-    ``_compile_conjunction``."""
-    positions = _compile_conjunction(literals, variables, env)(ball)
-    if positions is None:
-        return None
-    return {v: ball[p][0] for v, p in zip(variables, positions)}
-
-
 def _search_ball(f, env: GroupEnv, bound: int, negate: bool, found_type):
     """First assignment over the ball satisfying the (negated, if
     ``negate``) matrix of f, wrapped in found_type; else NoneWithinBound.
@@ -799,125 +820,50 @@ def witness_existential(f, env: GroupEnv, bound: int):
 # Builtin sentences
 
 
-def _comm_chain(terms):
-    out = terms[0]
-    for t in terms[1:]:
-        out = TComm(out, t)
-    return out
-
-
-def nzct():
-    x1, x2, x3, y = Var("x1"), Var("x2"), Var("x3"), Var("y")
-    return Quant(
-        "forall",
-        ("x1", "x2", "x3", "y"),
-        Implies(
-            And((Ne(TComm(x2, y), ONE), Eq(TComm(x1, x2), ONE), Eq(TComm(x2, x3), ONE))),
-            Eq(TComm(x1, x3), ONE),
-        ),
-    )
-
-
-def ct(n: int):
-    """Commutativity transitive off the n-th upper central subgroup."""
+def _ct(n: int) -> str:
+    """CT(n): commutativity is transitive wherever the left-normed chain
+    [[w1,w2],...,x2] is nontrivial, i.e. off the n-th upper central subgroup."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        noncentral = Ne(Var("x2"), ONE)
-    else:
-        w = [Var(f"w{i}") for i in range(1, n + 1)]
-        noncentral = Ne(_comm_chain(w + [Var("x2")]), ONE)
-    vars_ = ("x1", "x2", "x3") + tuple(f"w{i}" for i in range(1, n + 1))
-    x1, x2, x3 = Var("x1"), Var("x2"), Var("x3")
-    return Quant(
-        "forall",
-        vars_,
-        Implies(
-            And((noncentral, Eq(TComm(x1, x2), ONE), Eq(TComm(x2, x3), ONE))),
-            Eq(TComm(x1, x3), ONE),
-        ),
-    )
+    if n > MAX_DEPTH:  # the chain alone nests too deep: spare writing it
+        raise _TooDeep()
+    ws = [f"w{i}" for i in range(1, n + 1)]
+    chain = reduce("[{},{}]".format, ws + ["x2"])
+    quantified = ",".join(["x1", "x2", "x3", *ws])
+    return f"forall {quantified} ( {chain}!=1 & [x1,x2]=1 & [x2,x3]=1 -> [x1,x3]=1 )"
 
 
-def tau():
-    x1, x2 = Var("x1"), Var("x2")
-    return Quant(
-        "forall",
-        ("x1", "x2"),
-        Implies(
-            And((Eq(TComm(x2, x1), ONE), Eq(TComm(A2, x2), ONE), Eq(TComm(x1, A1), ONE))),
-            Or((Eq(TComm(x2, A1), ONE), Eq(TComm(A2, x1), ONE))),
-        ),
-    )
-
-
-def sigma():
-    x1, x2, y1, y2 = Var("x1"), Var("x2"), Var("y1"), Var("y2")
-    return Quant(
-        "forall",
-        ("x1", "x2"),
-        Quant(
-            "exists",
-            ("y1", "y2"),
-            And(
-                (
-                    Eq(TComm(y1, A1), ONE),
-                    Eq(TComm(A2, y2), ONE),
-                    Eq(TComm(x2, x1), TComm(y2, A1)),
-                    Eq(TComm(x2, x1), TComm(A2, y1)),
-                )
-            ),
-        ),
-    )
-
-
-def centralizer_qi():
-    x, z = Var("x"), Var("z")
-    return Quant(
-        "forall",
-        ("x", "z"),
-        Implies(
-            And((Eq(TComm(z, A1), ONE), Eq(TComm(A2, z), ONE))),
-            Eq(TComm(z, x), ONE),
-        ),
-    )
-
-
-def torsion_free_qi(k: int):
+def _torsion_free_qi(k: int) -> str:
     if k == 0:
         raise ValueError("k must be nonzero")
-    x = Var("x")
-    return Quant("forall", ("x",), Implies(Eq(TPow(x, k), ONE), Eq(x, ONE)))
+    return f"forall x ( x^{k}=1 -> x=1 )"
 
 
-def zero_sq_qi():
+# Each builtin's text as print_formula writes it; a name that takes an
+# integer argument maps to the function that writes its text.
+_BUILTINS = {
+    "NZCT": "forall x1,x2,x3,y ( [x2,y]!=1 & [x1,x2]=1 & [x2,x3]=1 -> [x1,x3]=1 )",
+    "CT": _ct,
+    "tau": "forall x1,x2 ( [x2,x1]=1 & [a2,x2]=1 & [x1,a1]=1 -> [x2,a1]=1 | [a2,x1]=1 )",
+    "sigma": "forall x1,x2 exists y1,y2 "
+    "( [y1,a1]=1 & [a2,y2]=1 & [x2,x1]=[y2,a1] & [x2,x1]=[a2,y1] )",
+    "centralizer_qi": "forall x,z ( [z,a1]=1 & [a2,z]=1 -> [z,x]=1 )",
+    "torsion_free_qi": _torsion_free_qi,
     # group-side mirror of the ring sentence: no elements of order two
-    x = Var("x")
-    return Quant("forall", ("x",), Implies(Eq(TMul(x, x), ONE), Eq(x, ONE)))
-
-
+    "zero_sq_qi": "forall x ( x*x=1 -> x=1 )",
+}
 _BUILTIN_RE = re.compile(r"([A-Za-z_]+)(\((-?\d+)\))?")
 
 
+@cache
 def builtin(name: str):
-    """Named sentence by text, e.g. ``NZCT``, ``tau``, ``CT(2)``,
-    ``torsion_free_qi(3)``."""
+    """Named sentence, e.g. ``NZCT``, ``CT(2)`` or ``torsion_free_qi(3)``,
+    parsed from its text once per process (the trees are frozen)."""
     m = _BUILTIN_RE.fullmatch(name.strip())
-    if not m:
-        raise FormulaError(f"bad builtin name {name!r}")
-    base, _, arg = m.groups()
-    if base == "NZCT" and arg is None:
-        return nzct()
-    if base == "CT" and arg is not None:
-        return ct(int(arg))
-    if base == "tau" and arg is None:
-        return tau()
-    if base == "sigma" and arg is None:
-        return sigma()
-    if base == "centralizer_qi" and arg is None:
-        return centralizer_qi()
-    if base == "torsion_free_qi" and arg is not None:
-        return torsion_free_qi(int(arg))
-    if base == "zero_sq_qi" and arg is None:
-        return zero_sq_qi()
-    raise FormulaError(f"unknown builtin {name!r}")
+    base, arg = (m.group(1), m.group(3)) if m else (None, None)
+    text = _BUILTINS.get(base)
+    if isinstance(text, str) and arg is None:
+        return parse(text)
+    if callable(text) and arg is not None:
+        return parse(text(int(arg)))
+    raise UnresolvedNameError(f"unknown builtin {name!r}")

@@ -148,18 +148,6 @@ class Hom:
     __call__ = apply
 
 
-def hom_on_generators(images, target_identity=None) -> Hom:
-    if target_identity is None:
-        sample = images[0]
-        if isinstance(sample, NilForm):
-            target_identity = identity(sample.n)
-        elif isinstance(sample, UT3Elem):
-            target_identity = ut3.identity(sample.ring)
-        else:
-            raise ValueError("cannot infer target identity")
-    return Hom(images, target_identity)
-
-
 @dataclass(frozen=True)
 class DiscriminationCertificate:
     """A retraction F_n(N_2) -> H that kills none of the targets, with the

@@ -573,18 +573,12 @@ def _ring_targets(ring: RingDesc) -> list[RingElem]:
         for j in range(ring.ncomponents):
             targets.append(RingElem.idempotent(ring, j))
     for j, names in enumerate(ring.components):
-        ej = RingElem.idempotent(ring, j)
-        for n in names:
-            # the indeterminate n placed in component j only
-            diag = RingElem.var(ring, n) if all(n in c for c in ring.components) else None
-            if diag is not None:
-                targets.append(ej * diag)
-            else:
-                idx = names.index(n)
-                e = tuple(1 if t == idx else 0 for t in range(len(names)))
-                parts = [() for _ in ring.components]
-                parts[j] = ((e, 1),)
-                targets.append(RingElem(ring, tuple(parts)))
+        for idx in range(len(names)):
+            # the indeterminate names[idx] placed in component j only
+            e = tuple(1 if t == idx else 0 for t in range(len(names)))
+            parts = [() for _ in ring.components]
+            parts[j] = ((e, 1),)
+            targets.append(RingElem(ring, tuple(parts)))
     return targets
 
 
@@ -757,20 +751,11 @@ def appropriateness_check(rep: Representation, degree_bound: int) -> Appropriate
         [rings.frame_coords(index, p) for p in products], ambient_dim=len(frame)
     )
     entry_vars = {
-        n
-        for e in entries
-        for j, names in enumerate(rep.ring.components)
-        for n in names
-        if e.uses_var(n)
+        n for e in entries for names in rep.ring.components for n in names if e.uses_var(n)
     }
     for t in targets:
         if not zlattice.member(span, rings.frame_coords(index, t)):
-            target_vars = {
-                n
-                for j, names in enumerate(rep.ring.components)
-                for n in names
-                if t.uses_var(n)
-            }
+            target_vars = {n for names in rep.ring.components for n in names if t.uses_var(n)}
             if target_vars and not (target_vars & entry_vars):
                 # the indeterminate appears in no entry: unreachable at any degree
                 return Appropriateness("refuted", t, degree_bound)

@@ -38,6 +38,10 @@ class RingParseError(ValueError):
 # indeterminate names, as ring descriptors and element literals spell them
 _IDENT = r"[A-Za-z][A-Za-z0-9]*"
 
+# The deepest nesting an element literal or a formula may have (see README);
+# past it both parsers raise a parse error instead of overflowing the stack.
+MAX_DEPTH = 100
+
 
 def _canon(terms: dict[Monomial, int]) -> Poly:
     return tuple(sorted((e, c) for e, c in terms.items() if c != 0))
@@ -468,11 +472,13 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _ExprParser:
-    """Recursive-descent parser for polynomial expressions over one component."""
+    """Recursive-descent parser for polynomial expressions over one component;
+    parentheses nest at most MAX_DEPTH deep."""
 
     def __init__(self, tokens, ring, component):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # parentheses open around the current token
         self.ring = ring
         self.component = component
 
@@ -531,8 +537,12 @@ class _ExprParser:
     def atom(self) -> RingElem:
         tok = self.next()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise RingParseError(f"parentheses nested deeper than {MAX_DEPTH} levels")
             out = self.expr()
             self.expect(")")
+            self.depth -= 1
             return out
         if tok.isdigit():
             names = self.ring.components[self.component]

@@ -114,6 +114,58 @@ def test_unknown_constant_is_exit_3_before_the_search(capsys, command, sentence)
     assert err == "error: unknown constant 'foo'\n"
 
 
+_DEEP_CONFIG = """\
+ring: Z
+full_center: false
+generators: {
+  b: {e12: %s, e13: 0, e23: 0}
+}
+""" % ("(" * 400 + "1" + ")" * 400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-s", "--z", "(" * 300 + "1" + ")" * 300],
+        ["lame", "--rep", "DEEP_CONFIG"],
+        ["parse", "(" * 2000 + "x=1" + ")" * 2000],
+        ["parse", "forall x ( " + "*".join(["x"] * 3000) + "=1 )"],
+        ["parse", "forall x ( x" + "^2" * 3000 + "=1 )"],
+        ["parse", "forall x ( " + "~" * 3000 + "x=1 )"],
+        ["refute", "CT(1200)"],
+    ],
+    ids=["solve-s", "config", "parentheses", "products", "powers", "negations", "CT(1200)"],
+)
+def test_deep_nesting_is_exit_3(capsys, tmp_path, argv):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(_DEEP_CONFIG)
+    argv = [str(cfg) if a == "DEEP_CONFIG" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "nested deeper than 100 levels" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sentence, refuted",
+    [
+        # each syntax tree is exactly 100 levels deep
+        ("forall x ( " + "*".join(["x"] * 97) + "=1 )", 1),
+        ("forall x ( " + "~" * 96 + "x=1 )", 1),
+        ("forall x ( " + "[" * 96 + "x" + ",x]" * 96 + "=1 )", 2),
+        # and 100 parentheses are open around x=1
+        ("forall x " + "(" * 100 + "x=1" + ")" * 100, 1),
+    ],
+)
+def test_nesting_at_the_limit(capsys, sentence, refuted):
+    code, out, err = run(capsys, "parse", sentence)
+    assert (code, err) == (0, "")
+    assert run(capsys, "parse", out.splitlines()[0])[:2] == (0, out)
+    code, out, err = run(capsys, "refute", sentence, "--bound", "1")
+    assert (code, err) == (refuted, "")
+
+
 # ---------------------------------------------------------------------------
 # Direct checkers
 

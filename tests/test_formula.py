@@ -39,7 +39,6 @@ from heislab.formula import (
     print_formula,
     print_term,
     refute_universal,
-    to_dnf,
     witness_existential,
 )
 from heislab.rings import parse_ring
@@ -108,11 +107,64 @@ def test_parse_bad_exponent(text, got):
         parse(f"forall x ( x*{text} = 1 )")
 
 
+# Each text nests n constructs of one kind around an atom, so its syntax
+# tree is n + 2 levels deep; parentheses add no level to the tree, and only
+# MAX_DEPTH of them may be open at once.
+_NESTED = {
+    "parentheses": (lambda n: "(" * n + "x=1" + ")" * n, formula.MAX_DEPTH),
+    "negations": (lambda n: "~" * n + "x=1", formula.MAX_DEPTH - 2),
+    "powers": (lambda n: "x" + "^2" * n + "=1", formula.MAX_DEPTH - 2),
+    "products": (lambda n: "*".join(["x"] * (n + 1)) + "=1", formula.MAX_DEPTH - 2),
+    "commutators": (lambda n: "[" * n + "x" + ",x]" * n + "=1", formula.MAX_DEPTH - 2),
+    "implications": (lambda n: "x=1 -> " * n + "x=1", formula.MAX_DEPTH - 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_parse_nesting_limit(kind):
+    nested, limit = _NESTED[kind]
+    f = parse(nested(limit))
+    assert parse(print_formula(f)) == f
+    assert free_vars(f) == {"x"}
+    for n in (limit + 1, 3000):
+        with pytest.raises(FormulaParseError, match=f"nested deeper than {formula.MAX_DEPTH} levels"):
+            parse(nested(n))
+
+
+def test_parse_term_nesting_limit():
+    parse_term("x" + "^2" * (formula.MAX_DEPTH - 1))
+    with pytest.raises(FormulaParseError, match="nested deeper"):
+        parse_term("x" + "^2" * formula.MAX_DEPTH)
+
+
 def test_print_parse_roundtrip_builtins():
-    for name in ["NZCT", "CT(0)", "CT(2)", "tau", "sigma", "centralizer_qi",
-                 "torsion_free_qi(2)", "zero_sq_qi"]:
+    texts = {
+        "NZCT": "forall x1,x2,x3,y ( [x2,y]!=1 & [x1,x2]=1 & [x2,x3]=1 -> [x1,x3]=1 )",
+        "CT(0)": "forall x1,x2,x3 ( x2!=1 & [x1,x2]=1 & [x2,x3]=1 -> [x1,x3]=1 )",
+        "CT(1)": "forall x1,x2,x3,w1 ( [w1,x2]!=1 & [x1,x2]=1 & [x2,x3]=1 -> [x1,x3]=1 )",
+        "CT(2)": "forall x1,x2,x3,w1,w2 ( [[w1,w2],x2]!=1 & [x1,x2]=1 & [x2,x3]=1 "
+        "-> [x1,x3]=1 )",
+        "CT(3)": "forall x1,x2,x3,w1,w2,w3 ( [[[w1,w2],w3],x2]!=1 & [x1,x2]=1 & [x2,x3]=1 "
+        "-> [x1,x3]=1 )",
+        "tau": "forall x1,x2 ( [x2,x1]=1 & [a2,x2]=1 & [x1,a1]=1 -> [x2,a1]=1 | [a2,x1]=1 )",
+        "sigma": "forall x1,x2 exists y1,y2 ( [y1,a1]=1 & [a2,y2]=1 & [x2,x1]=[y2,a1] "
+        "& [x2,x1]=[a2,y1] )",
+        "centralizer_qi": "forall x,z ( [z,a1]=1 & [a2,z]=1 -> [z,x]=1 )",
+        "torsion_free_qi(2)": "forall x ( x^2=1 -> x=1 )",
+        "torsion_free_qi(-2)": "forall x ( x^-2=1 -> x=1 )",
+        "zero_sq_qi": "forall x ( x*x=1 -> x=1 )",
+    }
+    for name, text in texts.items():
         f = builtin(name)
+        assert print_formula(f) == text
         assert parse(print_formula(f)) == f
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        builtin("CT(-1)")
+    with pytest.raises(ValueError, match="k must be nonzero"):
+        builtin("torsion_free_qi(0)")
+    for name in ["frobnicate", "CT", "NZCT(1)", "tau(2)", "sigma x"]:
+        with pytest.raises(formula.FormulaError, match="builtin"):
+            builtin(name)
 
 
 def _random_term(rng, depth=0):
@@ -216,9 +268,8 @@ def _eval_bool(f, values):
 
 def test_dnf_shape():
     A, B, C = Eq(Var("a"), ONE), Eq(Var("b"), ONE), Eq(Var("c"), ONE)
-    out = to_dnf(And((Or((A, B)), C)))
-    assert out == Or((And((A, C)), And((B, C))))
-    assert to_dnf(A) == A
+    assert dnf_disjuncts(And((Or((A, B)), C))) == [[A, C], [B, C]]
+    assert dnf_disjuncts(A) == [[A]]
 
 
 def test_tau_matrix_dnf():
@@ -241,10 +292,12 @@ def test_dnf_equivalent_by_truth_table():
         )
         if len(eq_atoms) > 5:
             continue
-        g = to_dnf(f)
+        disjuncts = dnf_disjuncts(f)
         for bits in itertools.product([False, True], repeat=len(eq_atoms)):
             values = dict(zip(eq_atoms, bits))
-            assert _eval_bool(f, values) == _eval_bool(g, values)
+            assert _eval_bool(f, values) == any(
+                all(_eval_bool(x, values) for x in d) for d in disjuncts
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +486,8 @@ def _first_by_brute_force(literals, variables, env, ball):
 
 
 def _assert_search_matches_brute_force(literals, variables, env, ball):
-    found = formula._search_conjunction(literals, variables, env, ball)
-    if found is not None:
-        found = tuple(found[v] for v in variables)
+    positions = formula._compile_conjunction(literals, variables, env)(ball)
+    found = None if positions is None else tuple(ball[p][0] for p in positions)
     assert found == _first_by_brute_force(literals, variables, env, ball)
 
 

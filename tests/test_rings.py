@@ -150,6 +150,17 @@ def test_parse_elem_bad_exponent(text):
         parse_elem(ZTH, text)
 
 
+def test_parse_elem_nesting_limit():
+    def nested(n):
+        return "(" * n + "theta+1" + ")" * n
+
+    theta_plus_1 = RingElem.var(ZTH, "theta") + RingElem.one(ZTH)
+    assert parse_elem(ZTH, nested(rings.MAX_DEPTH)) == theta_plus_1
+    for n in (rings.MAX_DEPTH + 1, 3000):
+        with pytest.raises(RingParseError, match=f"nested deeper than {rings.MAX_DEPTH} levels"):
+            parse_elem(ZTH, nested(n))
+
+
 def test_format_parse_roundtrip_random():
     rng = random.Random(0)
     from conftest import random_poly_elem
