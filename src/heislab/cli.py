@@ -1,7 +1,9 @@
 """The ``heislab`` command-line front end.
 
 Exit codes: 0 = holds/success, 1 = violated/counterexample (witness printed),
-2 = inconclusive/bound exhausted, 3 = usage or config error.
+2 = inconclusive/bound exhausted, 3 = usage or config error, 4 = internal
+error (a ``RingMismatchError``: arithmetic mixed elements of different
+rings or groups, which no input should cause).
 
 The environment variable HEISLAB_MAX_BOUND caps every ``--bound``
 (default 6); ``discriminate`` and ``bigpowers`` take no bound and always
@@ -32,7 +34,7 @@ from .formula import (
     witness_existential,
 )
 from .reprs import ConfigError, Representation, Verdict
-from .rings import RingParseError, parse_elem
+from .rings import RingMismatchError, RingParseError, parse_elem
 from .ut3 import UT3Elem
 
 
@@ -568,6 +570,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
+    except RingMismatchError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (UsageError, ConfigError, RingParseError, FormulaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

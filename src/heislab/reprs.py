@@ -27,7 +27,7 @@ from typing import Optional
 
 from . import rings, zlattice
 from .rings import Frame, RingDesc, RingElem, is_domain
-from .ut3 import Class2Elem, Class2Law, UT3Elem, a1 as _a1, a2 as _a2, identity as _ut3_identity
+from .ut3 import Class2Elem, Class2Law, UT3Elem, a1 as _a1, a2 as _a2
 from .zlattice import Lattice
 
 
@@ -146,14 +146,22 @@ class Representation:
             rings.from_frame(self.ring, self.law.f23, v[n12:]),
         )
 
+    @cached_property
+    def law_generators(self) -> tuple[Class2Elem, ...]:
+        """The generators on the law's integer class-2 coordinates."""
+        return tuple(self.law.element(g) for _, g in self.generators)
+
     def product_of_generators(self, exponents) -> UT3Elem:
         """prod_k g_k^{c_k} in generator order; its entry pair is the
-        corresponding integer combination of generator entry pairs."""
-        out = _ut3_identity(self.ring)
-        for (_, g), c in zip(self.generators, exponents):
+        corresponding integer combination of generator entry pairs.  The
+        product is taken on class-2 coordinates (``law_generators``) and
+        turned into a matrix once."""
+        law = self.law
+        out = law.identity
+        for g, c in zip(self.law_generators, exponents):
             if c:
                 out = out * g.pow_int(c)
-        return out
+        return law.to_ut3(out)
 
     def env(self):
         """Evaluation environment over this group for the formula module.
@@ -162,9 +170,8 @@ class Representation:
         runs on integer tuples; ``law.to_ut3`` gives the matrix back."""
         from .formula import GroupEnv
 
-        law = self.law
-        gens = [(name, law.element(g)) for name, g in self.generators]
-        return GroupEnv(law.identity, dict(gens), gens)
+        gens = [(name, g) for (name, _), g in zip(self.generators, self.law_generators)]
+        return GroupEnv(self.law.identity, dict(gens), gens)
 
     # the EntryLattices, built once; entry_lattices is looked up at call
     # time, so wrappers installed on the module see the call
@@ -221,7 +228,7 @@ class EntryLattices:
 
 def entry_lattices(rep: Representation) -> EntryLattices:
     n12, n = len(rep.law.f12), len(rep.frame)
-    A = zlattice.hnf([rep.law.element(g).v[:n] for _, g in rep.generators], ambient_dim=n)
+    A = zlattice.hnf([g.v[:n] for g in rep.law_generators], ambient_dim=n)
     A1 = zlattice.intersect_coordinate_zero(A, range(n12))
     A2 = zlattice.intersect_coordinate_zero(A, range(n12, n))
     return EntryLattices(A, A1, A2)
@@ -258,28 +265,31 @@ def lame_check(rep: Representation) -> Verdict:
     if is_domain(rep.ring):
         return Verdict("holds", "exact_lattice")
     L = rep.lattices
-    candidates = []
-    for centralizer, lat, block in ((2, L.A2, 0), (1, L.A1, 1)):
-        for comp in range(rep.ring.ncomponents):
-            sub = zlattice.intersect_coordinate_zero(
-                lat, _block_coords(rep, block, comp)
-            )
-            for coeffs in sub.transform:
-                g = rep.product_of_generators(coeffs)
-                entry = g.u12 if centralizer == 2 else g.u23
-                candidates.append(
-                    (coeffs, LameWitness(centralizer, g, entry, comp))
-                )
-    if not candidates:
-        return Verdict("holds", "exact_lattice")
+    # (exponents, centralizer, dead component) of each transform row of
+    # every component-vanishing sublattice, made as they are read
+    rows = (
+        (coeffs, centralizer, comp)
+        for centralizer, lat, block in ((2, L.A2, 0), (1, L.A1, 1))
+        for comp in range(rep.ring.ncomponents)
+        for coeffs in zlattice.intersect_coordinate_zero(
+            lat, _block_coords(rep, block, comp)
+        ).transform
+    )
 
     def is_single_generator(coeffs):
         return sum(1 for c in coeffs if c) == 1 and all(c in (0, 1) for c in coeffs)
 
-    for coeffs, witness in candidates:
-        if is_single_generator(coeffs):
-            return Verdict("violated", "exact_lattice", witness)
-    return Verdict("violated", "exact_lattice", candidates[0][1])
+    # the first single-generator row, else the first row; only that
+    # witness is built
+    first = next(rows, None)
+    if first is None:
+        return Verdict("holds", "exact_lattice")
+    if not is_single_generator(first[0]):
+        first = next((row for row in rows if is_single_generator(row[0])), first)
+    coeffs, centralizer, comp = first
+    g = rep.product_of_generators(coeffs)
+    entry = g.u12 if centralizer == 2 else g.u23
+    return Verdict("violated", "exact_lattice", LameWitness(centralizer, g, entry, comp))
 
 
 def tau_check(rep: Representation) -> Verdict:
@@ -419,10 +429,8 @@ def sigma_check(rep: Representation) -> Verdict:
     commutator.  A violation names the first such z, over the generator
     pairs in itertools.combinations order, with S tried before T: that z
     is itself a commutator value."""
-    law = rep.law
-    gens = [law.element(g) for _, g in rep.generators]
-    for g, h in itertools.combinations(gens, 2):
-        value = law.to_ut3(g.comm(h)).u13
+    for g, h in itertools.combinations(rep.law_generators, 2):
+        value = rep.law.to_ut3(g.comm(h)).u13
         for block, system in enumerate("ST"):
             if _realizing_exponents(rep, value, block) is None:
                 return Verdict("violated", "exact_lattice", SigmaWitness(value, system))
@@ -582,25 +590,32 @@ def _ring_targets(ring: RingDesc) -> list[RingElem]:
     return targets
 
 
+_BRACKET_OR_COMMA = re.compile(r"[(\[{)\]},]")
+
+
 def _split_top_commas(text: str) -> list[str]:
-    parts = [[]]
-    depth = 0
-    for ch in text:
+    parts = []
+    depth = start = 0
+    for m in _BRACKET_OR_COMMA.finditer(text):
+        ch = m.group()
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
             if depth < 0:
                 raise ConfigError("unbalanced brackets")
-        if ch == "," and depth == 0:
-            parts.append([])
-        else:
-            parts[-1].append(ch)
-    return ["".join(p).strip() for p in parts]
+        elif depth == 0:  # a top-level comma
+            parts.append(text[start : m.start()].strip())
+            start = m.end()
+    parts.append(text[start:].strip())
+    return parts
 
 
 class ConfigError(ValueError):
     pass
+
+
+_BRACE = re.compile(r"[{}]")
 
 
 def _balanced_block(text: str, start: int) -> tuple[str, int]:
@@ -610,13 +625,10 @@ def _balanced_block(text: str, start: int) -> tuple[str, int]:
     if start >= len(text) or text[start] != "{":
         raise ConfigError("expected '{'")
     depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start + 1 : i], i + 1
+    for m in _BRACE.finditer(text, start):
+        depth += 1 if m.group() == "{" else -1
+        if depth == 0:
+            return text[start + 1 : m.start()], m.end()
     raise ConfigError("unterminated '{' block")
 
 

@@ -42,6 +42,10 @@ _IDENT = r"[A-Za-z][A-Za-z0-9]*"
 # past it both parsers raise a parse error instead of overflowing the stack.
 MAX_DEPTH = 100
 
+# The most components a ring descriptor may have; ``Z^N`` builds N of them,
+# so past it ``parse_ring`` raises a parse error instead.
+MAX_COMPONENTS = 1000
+
 
 def _canon(terms: dict[Monomial, int]) -> Poly:
     return tuple(sorted((e, c) for e, c in terms.items() if c != 0))
@@ -59,12 +63,30 @@ def _pneg(p: Poly) -> Poly:
 
 
 def _pmul(p: Poly, q: Poly) -> Poly:
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:
+        # adding one exponent vector keeps q's terms in lexicographic order
+        ((e1, c1),) = p
+        return tuple((tuple(a + b for a, b in zip(e1, e2)), c1 * c2) for e2, c2 in q)
     terms: dict[Monomial, int] = {}
     for e1, c1 in p:
         for e2, c2 in q:
             e = tuple(a + b for a, b in zip(e1, e2))
             terms[e] = terms.get(e, 0) + c1 * c2
     return _canon(terms)
+
+
+def _ppow(p: Poly, n: int, nvars: int) -> Poly:
+    """p^n by repeated squaring, in at most 2*log2(n) + 2 products."""
+    if n == 0:
+        return _pconst(1, nvars)
+    if len(p) == 1:
+        ((e, c),) = p
+        return ((tuple(n * a for a in e), c**n),)
+    half = _ppow(p, n // 2, nvars)
+    out = _pmul(half, half)
+    return _pmul(out, p) if n % 2 else out
 
 
 def _pscale(p: Poly, k: int) -> Poly:
@@ -132,25 +154,26 @@ Z = RingDesc(((),))
 
 def parse_ring(text: str) -> RingDesc:
     """Parse a ring descriptor: ``Z``, ``Z^k``, ``Z[theta]``, ``Z[t1,t2]``,
-    and products joined with ``x`` as in ``Z[theta] x Z``."""
+    and products joined with ``x`` as in ``Z[theta] x Z``, with at most
+    MAX_COMPONENTS components in all."""
     comps: list[tuple[str, ...]] = []
     for factor in re.split(r"\s+x\s+", text.strip()):
         factor = factor.strip()
         m = re.fullmatch(r"Z(\^(\d+))?", factor)
         if m:
-            k = int(m.group(2)) if m.group(2) else 1
+            names, k = (), int(m.group(2)) if m.group(2) else 1
             if k < 1:
                 raise RingParseError(f"bad power in {factor!r}")
-            comps.extend([()] * k)
-            continue
-        m = re.fullmatch(rf"Z\[({_IDENT}(\s*,\s*{_IDENT})*)\]", factor)
-        if m:
-            names = tuple(n.strip() for n in m.group(1).split(","))
+        else:
+            m = re.fullmatch(rf"Z\[({_IDENT}(\s*,\s*{_IDENT})*)\]", factor)
+            if not m:
+                raise RingParseError(f"cannot parse ring factor {factor!r}")
+            names, k = tuple(n.strip() for n in m.group(1).split(",")), 1
             if len(set(names)) != len(names):
                 raise RingParseError(f"duplicate indeterminate in {factor!r}")
-            comps.append(names)
-            continue
-        raise RingParseError(f"cannot parse ring factor {factor!r}")
+        if len(comps) + k > MAX_COMPONENTS:
+            raise RingParseError(f"ring has more than {MAX_COMPONENTS} components")
+        comps.extend([names] * k)
     return RingDesc(tuple(comps))
 
 
@@ -221,13 +244,13 @@ class RingElem:
         return RingElem(self.ring, tuple(_pmul(p, q) for p, q in zip(self.parts, other.parts)))
 
     def __pow__(self, n: int) -> "RingElem":
-        """self^n by repeated squaring, in at most 2*log2(n) + 2 products."""
+        """self^n by repeated squaring in each component."""
         if n < 0:
             raise ValueError("negative power")
-        if n == 0:
-            return RingElem.one(self.ring)
-        half = self ** (n // 2)
-        return half * half * self if n % 2 else half * half
+        return RingElem(
+            self.ring,
+            tuple(_ppow(p, n, len(names)) for p, names in zip(self.parts, self.ring.components)),
+        )
 
     def scale(self, k: int) -> "RingElem":
         return RingElem(self.ring, tuple(_pscale(p, k) for p in self.parts))
@@ -460,33 +483,36 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|[-+*^(),])")
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens = []
+    tokens = _TOKEN.findall(text)
+    # findall skips what no token matches, so the tokens cover the text iff
+    # they hold all of its non-blank characters and no blank trails them
+    if sum(map(len, tokens)) == len("".join(text.split())) and not text[-1:].isspace():
+        return tokens
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise RingParseError(f"bad character at {text[pos:]!r}")
-        tokens.append(m.group(1))
+    while m := _TOKEN.match(text, pos):
         pos = m.end()
-    return tokens
+    raise RingParseError(f"bad character at {text[pos:]!r}")
 
 
 class _ExprParser:
-    """Recursive-descent parser for polynomial expressions over one component;
-    parentheses nest at most MAX_DEPTH deep."""
+    """Recursive-descent parser for a polynomial expression over one
+    component: every rule returns that component's canonical ``Poly``, and
+    ``parse_elem`` assembles the ring element once.  ``component`` only
+    names the component in error messages.  Parentheses nest at most
+    MAX_DEPTH deep."""
 
-    def __init__(self, tokens, ring, component):
-        self.tokens = tokens
+    def __init__(self, tokens, names: tuple[str, ...], component: int):
+        self.tokens = [*tokens, None]  # None ends the input
         self.i = 0
         self.depth = 0  # parentheses open around the current token
-        self.ring = ring
+        self.names = names
         self.component = component
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def next(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok is None:
             raise RingParseError("unexpected end of expression")
         self.i += 1
@@ -497,44 +523,37 @@ class _ExprParser:
         if got != tok:
             raise RingParseError(f"expected {tok!r}, got {got!r}")
 
-    def _comp_elem(self, poly: Poly) -> RingElem:
-        parts = [
-            poly if j == self.component else ()
-            for j in range(self.ring.ncomponents)
-        ]
-        return RingElem(self.ring, tuple(parts))
-
-    def expr(self) -> RingElem:
+    def expr(self) -> Poly:
+        terms: dict[Monomial, int] = {}
+        sign = 1
         if self.peek() == "-":
             self.next()
-            out = -self.term()
-        else:
-            out = self.term()
-        while self.peek() in ("+", "-"):
-            if self.next() == "+":
-                out = out + self.term()
-            else:
-                out = out - self.term()
-        return out
+            sign = -1
+        while True:
+            for e, c in self.term():
+                terms[e] = terms.get(e, 0) + sign * c
+            if self.peek() not in ("+", "-"):
+                return _canon(terms)
+            sign = 1 if self.next() == "+" else -1
 
-    def term(self) -> RingElem:
+    def term(self) -> Poly:
         out = self.factor()
         while self.peek() == "*":
             self.next()
-            out = out * self.factor()
+            out = _pmul(out, self.factor())
         return out
 
-    def factor(self) -> RingElem:
+    def factor(self) -> Poly:
         out = self.atom()
         if self.peek() == "^":
             self.next()
             tok = self.next()
             if not tok.isdigit():
                 raise RingParseError(f"expected a non-negative integer exponent, got {tok!r}")
-            out = out ** int(tok)
+            out = _ppow(out, int(tok), len(self.names))
         return out
 
-    def atom(self) -> RingElem:
+    def atom(self) -> Poly:
         tok = self.next()
         if tok == "(":
             self.depth += 1
@@ -545,18 +564,23 @@ class _ExprParser:
             self.depth -= 1
             return out
         if tok.isdigit():
-            names = self.ring.components[self.component]
-            return self._comp_elem(_pconst(int(tok), len(names)))
-        if re.fullmatch(_IDENT, tok):
-            names = self.ring.components[self.component]
-            if tok not in names:
+            return _pconst(int(tok), len(self.names))
+        if tok[0].isalpha():  # the tokenizer's names start with a letter
+            if tok not in self.names:
                 raise RingParseError(
                     f"{tok!r} is not an indeterminate of component {self.component + 1}"
                 )
-            idx = names.index(tok)
-            e = tuple(1 if j == idx else 0 for j in range(len(names)))
-            return self._comp_elem(((e, 1),))
+            idx = self.names.index(tok)
+            return ((tuple(1 if j == idx else 0 for j in range(len(self.names))), 1),)
         raise RingParseError(f"unexpected token {tok!r}")
+
+
+def _parse_poly(tokens, names, component: int, trailing: str) -> Poly:
+    p = _ExprParser(tokens, names, component)
+    out = p.expr()
+    if p.peek() is not None:
+        raise RingParseError(trailing)
+    return out
 
 
 def _split_tuple(tokens: list[str]) -> list[list[str]] | None:
@@ -586,7 +610,9 @@ def parse_elem(ring: RingDesc, text: str) -> RingElem:
 
     A tuple literal like ``(theta, 2)`` gives one expression per component; a
     bare expression applies diagonally to every component (the canonical
-    embedding of Z or Z[theta] into the product).
+    embedding of Z or Z[theta] into the product).  A bare expression is
+    parsed once per distinct list of indeterminates, at its first component,
+    and components with the same list share the polynomial.
     """
     tokens = _tokenize(text)
     parts = _split_tuple(tokens)
@@ -595,20 +621,18 @@ def parse_elem(ring: RingDesc, text: str) -> RingElem:
             raise RingParseError(
                 f"tuple has {len(parts)} entries, ring has {ring.ncomponents} components"
             )
-        out = RingElem.zero(ring)
-        for j, part_tokens in enumerate(parts):
-            p = _ExprParser(part_tokens, ring, j)
-            out = out + p.expr()
-            if p.peek() is not None:
-                raise RingParseError(f"trailing tokens in component {j + 1}")
-        return out
-    out = RingElem.zero(ring)
-    for j in range(ring.ncomponents):
-        p = _ExprParser(tokens, ring, j)
-        out = out + p.expr()
-        if p.peek() is not None:
-            raise RingParseError("trailing tokens in expression")
-    return out
+        return RingElem(
+            ring,
+            tuple(
+                _parse_poly(part, names, j, f"trailing tokens in component {j + 1}")
+                for j, (part, names) in enumerate(zip(parts, ring.components))
+            ),
+        )
+    polys: dict[tuple[str, ...], Poly] = {}
+    for j, names in enumerate(ring.components):
+        if names not in polys:
+            polys[names] = _parse_poly(tokens, names, j, "trailing tokens in expression")
+    return RingElem(ring, tuple(polys[names] for names in ring.components))
 
 
 def _format_poly(p: Poly, names: tuple[str, ...]) -> str:

@@ -47,6 +47,17 @@ def oracle_mul(g: UT3Elem, h: UT3Elem) -> UT3Elem:
     return from_full_matrix(g.ring, matmul(to_full_matrix(g), to_full_matrix(h)))
 
 
+def product_oracle(rep: reprs.Representation, exponents) -> UT3Elem:
+    """prod_k g_k^{c_k} in generator order by matrix arithmetic (UT3Elem
+    products and powers), beside the class-2 coordinates that
+    Representation.product_of_generators multiplies."""
+    out = ut3.identity(rep.ring)
+    for (_, g), c in zip(rep.generators, exponents):
+        if c:
+            out = out * g.pow_int(c)
+    return out
+
+
 def ut3_env(rep: reprs.Representation) -> formula.GroupEnv:
     """The group environment over the matrices themselves: UT3Elem and
     RingElem arithmetic, which Representation.env's integer class-2
@@ -134,7 +145,7 @@ def nzct_check_ringelem(rep: reprs.Representation, bound: int = 2) -> Verdict:
                 continue
 
             def build(vec):
-                return rep.product_of_generators(zlattice.in_source_coordinates(L.A, vec))
+                return product_oracle(rep, zlattice.in_source_coordinates(L.A, vec))
 
             witness = NzctWitness(build(q), build(p), build(w), build(witness_y))
             return Verdict("violated", "exact_lattice", witness, bound=bound)
@@ -165,7 +176,7 @@ def lame_check_def1(rep: reprs.Representation, bound: int = 3) -> Verdict:
             s = u12 * u12 + u23 * u23
             if not s.is_zero() and is_zero_divisor(s):
                 coeffs = zlattice.in_source_coordinates(lat, vec)
-                g = rep.product_of_generators(coeffs)
+                g = product_oracle(rep, coeffs)
                 entry = u12 if block == 0 else u23
                 comp_dead = min(
                     set(range(rep.ring.ncomponents)) - set(s.support)

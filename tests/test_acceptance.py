@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import corpus, lame_check_def1, random_ut3
+from conftest import corpus, lame_check_def1, product_oracle, random_ut3
 from heislab import formula, nilform, reprs, rings, ut3, zlattice
 from heislab.formula import CounterExample, NoneWithinBound, builtin, refute_universal
 from heislab.nilform import collect, discriminate_to_H, to_matrix
@@ -146,8 +146,8 @@ def test_criterion_8_systems_and_sigma():
             ball = [(rep.law.to_ut3(e), w) for e, w in env.ball(3)]
             g1, g2 = a1(rep.ring), a2(rep.ring)
             for _ in range(4):
-                g = rep.product_of_generators([rng.randint(-2, 2) for _ in rep.generators])
-                h = rep.product_of_generators([rng.randint(-2, 2) for _ in rep.generators])
+                g = product_oracle(rep, [rng.randint(-2, 2) for _ in rep.generators])
+                h = product_oracle(rep, [rng.randint(-2, 2) for _ in rep.generators])
                 z = g.comm(h)
                 checked += 1
                 sol = solve_S(rep, z)

@@ -338,6 +338,30 @@ def test_unreadable_formula_file_is_exit_3(capsys, tmp_path, command):
     assert err == f"error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
+def test_ring_over_the_component_cap_is_exit_3(capsys, tmp_path):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("ring: Z^100000000\n")
+    code, out, err = run(capsys, "lame", "--rep", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err == "error: ring has more than 1000 components\n"
+
+
+def test_ring_mismatch_is_an_internal_error_exit_4(capsys, monkeypatch):
+    from heislab import reprs
+    from heislab.rings import RingMismatchError
+
+    def broken(rep):
+        raise RingMismatchError("Z vs Z x Z")
+
+    monkeypatch.setattr(reprs, "lame_check", broken)
+    for argv in (["lame", "--example", "zxz-lame"], ["check", "lame", "--example", "zxz-lame"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: Z vs Z x Z\n"
+
+
 def test_missing_rep_file_is_exit_3(capsys):
     code, _, err = run(capsys, "lame", "--rep", "/nonexistent/x.cfg")
     assert code == 3

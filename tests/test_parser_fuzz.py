@@ -92,8 +92,8 @@ def test_fuzz_formula_parse_term(text):
     assert formula.parse_term(formula.print_term(t)) == t
 
 
-# Digits are kept apart by spaces: parse_elem computes a power by repeated
-# multiplication, so digit runs would only make exponents large.
+# Digits are kept apart by spaces: digit runs would only make exponents
+# large, and a power of a dense polynomial costs as much as its output.
 ELEM_TOKENS = ["t", "s", "u", " 0 ", " 1 ", " 2 ", " 3 ", "-", "+", "*", "^", "(", ")", ","]
 ELEM_RINGS = ["Z", "Z x Z", "Z[t]", "Z[t,s] x Z", "Z[t] x Z[t] x Z"]
 
@@ -127,7 +127,7 @@ def test_fuzz_parse_elem(data):
 
 CONFIG_TOKENS = [
     "ring", "full_center", "generators", ":", "{", "}", ",", "\n", "#",
-    "Z", " x ", "^", " 2 ", "[", "]", "t", "true", "false",
+    "Z", " x ", "^", " 2 ", "1001", "[", "]", "t", "true", "false",
     "b", "a1", "e12", "e13", "e23", "(", ")", " 0 ", " 1 ", "-", "+", "*",
 ]
 CONFIG = """\
@@ -144,12 +144,20 @@ generators: {
 @given(_mutated(st.sampled_from([CONFIG] + sorted(cli.FIXTURES.values())), CONFIG_TOKENS))
 @example(CONFIG)
 @example("ring: Z[t,t]")
+@example("ring: Z^1001")
+@example("ring: Z^100000000 x Z")
 def test_fuzz_parse_config(text):
     try:
         rep = reprs.parse_config(text)
     except (reprs.ConfigError, RingParseError):
         return
     assert reprs.parse_config(reprs.serialize_config(rep)) == rep
+
+
+@pytest.mark.parametrize("text", ["Z^1001", "Z^100000000 x Z", "Z^1000 x Z[t]"])
+def test_parse_config_rejects_rings_over_the_component_cap(text):
+    with pytest.raises(reprs.ConfigError, match="more than 1000 components"):
+        reprs.parse_config(f"ring: {text}\n")
 
 
 @pytest.mark.parametrize("text", ["Z[t,t]", "Z[t, s, t] x Z"])

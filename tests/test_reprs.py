@@ -13,6 +13,7 @@ from conftest import (
     nzct_check_ringelem,
     pair_det,
     pair_dets,
+    product_oracle,
     random_representation,
     random_ut3,
     sigma_check_dlattice,
@@ -202,6 +203,49 @@ def test_lame_def1_witness_valid():
     w = v.witness
     s = w.element.u12 * w.element.u12 + w.element.u23 * w.element.u23
     assert not s.is_zero() and rings.is_zero_divisor(s)
+
+
+def test_lame_builds_only_the_chosen_witness(monkeypatch):
+    """The witness is the first transform row of a component-vanishing
+    sublattice that is a single generator, else the first row, and it is
+    the only product lame_check builds."""
+    built = []
+    product = reprs.Representation.product_of_generators
+
+    def counted(rep, exponents):
+        built.append(exponents)
+        return product(rep, exponents)
+
+    monkeypatch.setattr(reprs.Representation, "product_of_generators", counted)
+    rng = random.Random(7)
+    violated = 0
+    for rep in corpus(60, seed=4) + [wide_representation(rng, n) for n in (6, 12)]:
+        built.clear()
+        v = lame_check(rep)
+        if v.status == "holds":
+            assert built == []
+            continue
+        violated += 1
+        L = rep.lattices
+        rows = [
+            (coeffs, centralizer, comp)
+            for centralizer, lat, block in ((2, L.A2, 0), (1, L.A1, 1))
+            for comp in range(rep.ring.ncomponents)
+            for coeffs in zlattice.intersect_coordinate_zero(
+                lat, reprs._block_coords(rep, block, comp)
+            ).transform
+        ]
+        single = [
+            r for r in rows
+            if sum(1 for c in r[0] if c) == 1 and all(c in (0, 1) for c in r[0])
+        ]
+        coeffs, centralizer, comp = (single or rows)[0]
+        g = product_oracle(rep, coeffs)
+        assert built == [coeffs]
+        assert v.witness == reprs.LameWitness(
+            centralizer, g, g.u12 if centralizer == 2 else g.u23, comp
+        )
+    assert violated >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +531,14 @@ def test_sigma_witness_is_an_unsolvable_generator_commutator():
     assert violated >= 10
 
 
+def test_product_of_generators_matches_matrix_oracle():
+    rng = random.Random(60)
+    for rep in corpus(60) + [wide_representation(rng, 12)]:
+        for _ in range(4):
+            exponents = [rng.randint(-3, 3) for _ in rep.generators]
+            assert rep.product_of_generators(exponents) == product_oracle(rep, exponents)
+
+
 def test_sigma_holds_implies_solvable_commutators():
     rng = random.Random(11)
     checked = 0
@@ -495,12 +547,8 @@ def test_sigma_holds_implies_solvable_commutators():
             continue
         for _ in range(4):
             # random group elements: words in the generators
-            g = rep.product_of_generators(
-                [rng.randint(-3, 3) for _ in rep.generators]
-            )
-            h = rep.product_of_generators(
-                [rng.randint(-3, 3) for _ in rep.generators]
-            )
+            g = product_oracle(rep, [rng.randint(-3, 3) for _ in rep.generators])
+            h = product_oracle(rep, [rng.randint(-3, 3) for _ in rep.generators])
             z = g.comm(h)
             assert solve_S(rep, z) is not None
             assert solve_T(rep, z) is not None

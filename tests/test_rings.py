@@ -45,6 +45,17 @@ def test_parse_ring_forms():
         parse_ring("Z^0")
 
 
+def test_parse_ring_component_cap():
+    cap = rings.MAX_COMPONENTS
+    assert parse_ring(f"Z^{cap}").ncomponents == cap
+    assert parse_ring(f"Z[t] x Z^{cap - 1}").ncomponents == cap
+    for text in (f"Z^{cap + 1}", "Z^100000000", f"Z^{cap} x Z[t]", f"Z^600 x Z^{cap - 599}"):
+        t0 = time.perf_counter()
+        with pytest.raises(RingParseError, match=f"^ring has more than {cap} components$"):
+            parse_ring(text)
+        assert time.perf_counter() - t0 < 0.5
+
+
 def test_ring_str_roundtrip():
     for text in ["Z", "Z x Z", "Z[theta]", "Z[t1,t2] x Z x Z[u]"]:
         ring = parse_ring(text)
@@ -159,6 +170,61 @@ def test_parse_elem_nesting_limit():
     for n in (rings.MAX_DEPTH + 1, 3000):
         with pytest.raises(RingParseError, match=f"nested deeper than {rings.MAX_DEPTH} levels"):
             parse_elem(ZTH, nested(n))
+
+
+@pytest.mark.parametrize(
+    "ring, text, message",
+    [
+        ("Z[t] x Z[s]", "t+s", "'s' is not an indeterminate of component 1"),
+        ("Z[t] x Z[s]", "(t,t)", "'t' is not an indeterminate of component 2"),
+        ("Z[t] x Z[s]", "(t,s s)", "trailing tokens in component 2"),
+        ("Z[t] x Z[t]", "t t", "trailing tokens in expression"),
+        ("Z[t] x Z[t]", "t)", "trailing tokens in expression"),
+        ("Z[t] x Z", "(t,)", "unexpected end of expression"),
+        ("Z x Z", "(1,2,3)", "tuple has 3 entries, ring has 2 components"),
+        ("Z x Z", "1 $", "bad character at ' $'"),
+        ("Z x Z", "1 ", "bad character at ' '"),
+        ("Z x Z", "2^t", "expected a non-negative integer exponent, got 't'"),
+        ("Z x Z", "(" * 101 + "1" + ")" * 101, "parentheses nested deeper than 100 levels"),
+    ],
+)
+def test_parse_elem_error_messages(ring, text, message):
+    with pytest.raises(RingParseError) as err:
+        parse_elem(parse_ring(ring), text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("k", [1, 8, 32])
+def test_bare_literal_is_the_tuple_of_its_copies(k):
+    ring = parse_ring(" x ".join(["Z[t]"] * k))
+    expr = "-(t+1)^3*t+2*t^2-5"
+    assert parse_elem(ring, expr) == parse_elem(ring, "(" + ",".join([expr] * k) + ")")
+
+
+def test_bare_literal_parses_once_per_list_of_indeterminates(monkeypatch):
+    built = []
+
+    class Counting(rings._ExprParser):
+        def __init__(self, *args):
+            built.append(args[1:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(rings, "_ExprParser", Counting)
+    expr = "+".join(["t*t"] * 50)
+    parse_elem(parse_ring(" x ".join(["Z[t]"] * 32)), expr)
+    assert built == [(("t",), 0)]
+    built.clear()
+    parse_elem(parse_ring("Z x Z[t] x Z x Z[t] x Z[s,t]"), "2")
+    assert built == [((), 0), (("t",), 1), (("s", "t"), 4)]
+
+
+def test_zeroth_power_is_one_in_its_own_component():
+    # each component parses to its own polynomial: x^0 is 1 there and adds
+    # nothing to the other components
+    ring = parse_ring("Z[t] x Z")
+    assert parse_elem(ring, "(t^0,5)") == parse_elem(ring, "(1,5)")
+    assert parse_elem(ring, "(1,(2-2)^0)") == RingElem.one(ring)
+    assert parse_elem(ZZ3, "2^0") == RingElem.one(ZZ3)
 
 
 def test_format_parse_roundtrip_random():
