@@ -340,10 +340,17 @@ def _commuting(rep: Representation, bound: int, d) -> bytes:
 def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     """NZCT over UT3(R): noncentral elements commute iff their entry pairs
     have vanishing determinant.  Over a domain the determinant relation is
-    transitive through a noncentral element, so NZCT holds outright; the
-    same is true when all generator pairs commute.  Otherwise small lattice
-    vectors are searched for a violating triple; a verified witness is
-    exact, exhaustion is not a proof.
+    transitive through a noncentral element, so NZCT holds outright.  It
+    also holds whenever the entry-pair lattice A has rank r <= 3.  Write B
+    for the commutator form on A.  A noncentral q has B(q, .) != 0, so its
+    centralizer C_q = {v : B(q, v) = 0} has rank <= r - 1.  In a violation,
+    p and w lie in C_q and B(p, w) != 0.  Applying B(., w) and B(., p) to a
+    rational relation a*q + b*p + c*w = 0 gives b*B(p, w) = 0 and
+    c*B(w, p) = 0, so b = c = 0, and then a = 0 since q != 0.  So q, p and
+    w are independent in C_q, and r >= 4.  At rank 4 and up, a group that
+    embeds in UT3 of one component is a domain case too; otherwise small
+    lattice vectors are searched for a violating triple.  A verified
+    witness is exact, exhaustion is not a proof.
 
     Every step runs on integer coefficient tuples over the basis b_i of the
     entry-pair lattice A.  det(u, v) = u12*v23 - v12*u23 is the law's
@@ -358,7 +365,7 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     if is_domain(rep.ring):
         return Verdict("holds", "exact_lattice")
     L = rep.lattices
-    if not any(any(v) for row in rep.det_form for v in row):
+    if L.A.rank <= 3:
         return Verdict("holds", "exact_lattice")
 
     n12 = len(rep.law.f12)

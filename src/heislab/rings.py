@@ -152,6 +152,15 @@ class RingDesc:
 Z = RingDesc(((),))
 
 
+def _int(digits: str) -> int:
+    """int(digits); a literal past the interpreter's limit on integer string
+    conversion is a parse error, and the limit stays as it is."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise RingParseError(f"integer literal of {len(digits)} digits is too long") from None
+
+
 def parse_ring(text: str) -> RingDesc:
     """Parse a ring descriptor: ``Z``, ``Z^k``, ``Z[theta]``, ``Z[t1,t2]``,
     and products joined with ``x`` as in ``Z[theta] x Z``, with at most
@@ -161,7 +170,7 @@ def parse_ring(text: str) -> RingDesc:
         factor = factor.strip()
         m = re.fullmatch(r"Z(\^(\d+))?", factor)
         if m:
-            names, k = (), int(m.group(2)) if m.group(2) else 1
+            names, k = (), _int(m.group(2)) if m.group(2) else 1
             if k < 1:
                 raise RingParseError(f"bad power in {factor!r}")
         else:
@@ -484,9 +493,9 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|[-+*^(),])")
 
 def _tokenize(text: str) -> list[str]:
     tokens = _TOKEN.findall(text)
-    # findall skips what no token matches, so the tokens cover the text iff
-    # they hold all of its non-blank characters and no blank trails them
-    if sum(map(len, tokens)) == len("".join(text.split())) and not text[-1:].isspace():
+    # findall skips what no token matches, so the tokens cover the text up
+    # to blanks iff they hold all of its non-blank characters
+    if sum(map(len, tokens)) == len("".join(text.split())):
         return tokens
     pos = 0
     while m := _TOKEN.match(text, pos):
@@ -550,7 +559,7 @@ class _ExprParser:
             tok = self.next()
             if not tok.isdigit():
                 raise RingParseError(f"expected a non-negative integer exponent, got {tok!r}")
-            out = _ppow(out, int(tok), len(self.names))
+            out = _ppow(out, _int(tok), len(self.names))
         return out
 
     def atom(self) -> Poly:
@@ -564,7 +573,7 @@ class _ExprParser:
             self.depth -= 1
             return out
         if tok.isdigit():
-            return _pconst(int(tok), len(self.names))
+            return _pconst(_int(tok), len(self.names))
         if tok[0].isalpha():  # the tokenizer's names start with a letter
             if tok not in self.names:
                 raise RingParseError(

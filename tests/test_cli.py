@@ -147,6 +147,24 @@ def test_deep_nesting_is_exit_3(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+def test_long_literal_in_a_config_is_exit_3(capsys, tmp_path):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(
+        "ring: Z x Z\ngenerators: {\n  b: {e12: %s, e13: 0, e23: 0}\n}\n" % ("1" * 5000)
+    )
+    code, out, err = run(capsys, "lame", "--rep", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err == "error: generator 'b': integer literal of 5000 digits is too long\n"
+
+
+def test_blanks_around_a_z_literal(capsys):
+    expected = run(capsys, "solve-s", "--z", "1", "--example", "heisenberg")
+    assert expected[0] == 0
+    for z in ("1 ", " 1", " 1 "):
+        assert run(capsys, "solve-s", "--z", z, "--example", "heisenberg") == expected
+
+
 @pytest.mark.parametrize(
     "sentence, refuted",
     [

@@ -5,7 +5,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     corpus,
@@ -342,19 +342,64 @@ def _verdict_strings(v):
     return v.status, v.method, v.bound, v.witness and v.witness.to_dict()
 
 
+def _assert_nzct_matches_oracle(rep, bound):
+    """At rank <= 3 nzct_check answers an exact holds that the oracle (which
+    has no rank test) can only fail to contradict; elsewhere the two agree."""
+    v = nzct_check(rep, bound)
+    if rep.lattices.A.rank <= 3:
+        assert _verdict_strings(v) == ("holds", "exact_lattice", None, None)
+        for b in (1, 2):
+            assert nzct_check_ringelem(rep, b).status != "violated"
+    else:
+        assert _verdict_strings(v) == _verdict_strings(nzct_check_ringelem(rep, bound))
+
+
 def test_nzct_matches_ringelem_oracle_on_corpus():
     for rep in corpus(25, seed=14):
-        assert _verdict_strings(nzct_check(rep, 1)) == _verdict_strings(
-            nzct_check_ringelem(rep, 1)
-        )
+        _assert_nzct_matches_oracle(rep, 1)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_nzct_matches_ringelem_oracle_on_fixtures(name):
-    rep = fixture(name)
-    assert _verdict_strings(nzct_check(rep, 2)) == _verdict_strings(
-        nzct_check_ringelem(rep, 2)
-    )
+    _assert_nzct_matches_oracle(fixture(name), 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_nzct_exact_at_rank_at_most_3(seed):
+    rep = random_representation(random.Random(seed))
+    assume(rep.lattices.A.rank <= 3)
+    assert _verdict_strings(nzct_check(rep, 1)) == ("holds", "exact_lattice", None, None)
+    assert nzct_check_ringelem(rep, 1).status != "violated"
+
+
+def test_nzct_rank_3_runs_no_search(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(reprs, "_commuting", fail)
+    rep = zxz_lame_rep()
+    assert rep.lattices.A.rank == 3
+    for bound in (1, 5, 50):
+        assert _verdict_strings(nzct_check(rep, bound)) == ("holds", "exact_lattice", None, None)
+
+
+def test_tau_violation_is_an_nzct_witness():
+    # a tau witness (y, x) gives the NZCT assignment x2=y, x1=a2, x3=x, y=a1
+    violated = 0
+    for rep in corpus(100, seed=21) + [fixture(name) for name in sorted(FIXTURES)]:
+        v = tau_check(rep)
+        if v.status != "violated":
+            continue
+        violated += 1
+        g = dict(rep.generators)
+        x2, x1, x3, y = v.witness.y, g["a2"], v.witness.x, g["a1"]
+        assert not x2.comm(y).is_identity()
+        assert x1.comm(x2).is_identity()
+        assert x2.comm(x3).is_identity()
+        assert not x1.comm(x3).is_identity()
+        assert nzct_check(rep, 1).status != "holds"
+    assert violated >= 5
 
 
 def test_nzct_diagonal_shortcut_with_one_sided_center_monomial():
@@ -364,6 +409,21 @@ def test_nzct_diagonal_shortcut_with_one_sided_center_monomial():
     rep = representation(ring, {"b": elem(ring, "(2,2)", "(t,0)", 0)})
     assert _verdict_strings(nzct_check(rep, 1)) == ("holds", "exact_lattice", None, None)
     assert _verdict_strings(nzct_check_ringelem(rep, 1)) == _verdict_strings(nzct_check(rep, 1))
+
+
+def test_nzct_diagonal_shortcut_at_rank_4(monkeypatch):
+    # rank 4 passes the rank test, but every realized entry is diagonal, so
+    # the group embeds in UT3(Z[t]) and no search runs
+    ring = parse_ring("Z[t] x Z[t]")
+    rep = representation(ring, {"b": elem(ring, "t", "(t,0)", 0), "c": elem(ring, 0, 0, "t")})
+    assert rep.lattices.A.rank == 4
+    assert _verdict_strings(nzct_check_ringelem(rep, 1)) == ("holds", "exact_lattice", None, None)
+
+    def fail(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(reprs, "_commuting", fail)
+    assert _verdict_strings(nzct_check(rep, 1)) == ("holds", "exact_lattice", None, None)
 
 
 def _form_det(rep, c, d):

@@ -1,6 +1,7 @@
 """Tests for exact product-ring arithmetic, retractions, and discrimination."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -183,7 +184,6 @@ def test_parse_elem_nesting_limit():
         ("Z[t] x Z", "(t,)", "unexpected end of expression"),
         ("Z x Z", "(1,2,3)", "tuple has 3 entries, ring has 2 components"),
         ("Z x Z", "1 $", "bad character at ' $'"),
-        ("Z x Z", "1 ", "bad character at ' '"),
         ("Z x Z", "2^t", "expected a non-negative integer exponent, got 't'"),
         ("Z x Z", "(" * 101 + "1" + ")" * 101, "parentheses nested deeper than 100 levels"),
     ],
@@ -192,6 +192,29 @@ def test_parse_elem_error_messages(ring, text, message):
     with pytest.raises(RingParseError) as err:
         parse_elem(parse_ring(ring), text)
     assert str(err.value) == message
+
+
+def test_parse_elem_ignores_blanks_around_the_literal():
+    for text in ("1 ", " 1", " 1 ", "1\t\n"):
+        assert parse_elem(ZZ, text) == RingElem.one(ZZ)
+    assert parse_elem(ZZ, " (1, 2) ") == parse_elem(ZZ, "(1,2)")
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (lambda text: parse_elem(ZZ, text), "1" * 5000),
+        (lambda text: parse_elem(ZZ, text), "(1," + "2" * 5000 + ")"),
+        (lambda text: parse_elem(ZZ, text), "2^" + "3" * 5000),
+        (parse_ring, "Z^" + "1" * 5000),
+    ],
+    ids=["bare", "tuple", "exponent", "ring"],
+)
+def test_literal_past_the_digit_limit_is_a_parse_error(parse, text):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(RingParseError, match="integer literal of 5000 digits is too long"):
+        parse(text)
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("k", [1, 8, 32])
