@@ -373,11 +373,15 @@ def test_nzct_exact_at_rank_at_most_3(seed):
     assert nzct_check_ringelem(rep, 1).status != "violated"
 
 
-def test_nzct_rank_3_runs_no_search(monkeypatch):
+def _forbid_nzct_search(monkeypatch):
     def fail(*args):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(reprs, "_commuting", fail)
+
+
+def test_nzct_rank_3_runs_no_search(monkeypatch):
+    _forbid_nzct_search(monkeypatch)
     rep = zxz_lame_rep()
     assert rep.lattices.A.rank == 3
     for bound in (1, 5, 50):
@@ -418,11 +422,7 @@ def test_nzct_diagonal_shortcut_at_rank_4(monkeypatch):
     rep = representation(ring, {"b": elem(ring, "t", "(t,0)", 0), "c": elem(ring, 0, 0, "t")})
     assert rep.lattices.A.rank == 4
     assert _verdict_strings(nzct_check_ringelem(rep, 1)) == ("holds", "exact_lattice", None, None)
-
-    def fail(*args):
-        raise AssertionError("the search ran")
-
-    monkeypatch.setattr(reprs, "_commuting", fail)
+    _forbid_nzct_search(monkeypatch)
     assert _verdict_strings(nzct_check(rep, 1)) == ("holds", "exact_lattice", None, None)
 
 
