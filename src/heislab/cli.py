@@ -34,7 +34,7 @@ from .formula import (
     witness_existential,
 )
 from .reprs import ConfigError, Representation, Verdict
-from .rings import RingMismatchError, RingParseError, parse_elem
+from .rings import RingMismatchError, RingParseError, parse_elem, parse_int
 from .ut3 import UT3Elem
 
 
@@ -308,6 +308,7 @@ def cmd_appropriate(args) -> int:
 
 
 _GEN_NAME_RE = re.compile(r"a([1-9]\d*)")
+MAX_GENERATORS = 100  # discriminate's top index; a rank-n NilForm has n(n-1)/2 slots
 
 
 def _read_targets(path: str) -> list[str]:
@@ -338,7 +339,9 @@ def cmd_discriminate(args) -> int:
             m = _GEN_NAME_RE.fullmatch(v)
             if not m:
                 raise UsageError(f"unknown generator {v!r} (expect a1, a2, a3, ...)")
-            n = max(n, int(m.group(1)))
+            n = max(n, parse_int(m.group(1), UsageError))
+    if n > MAX_GENERATORS:
+        raise UsageError(f"generator index above {MAX_GENERATORS}")
     env = formula.GroupEnv(
         nilform.identity(n),
         {"a1": nilform.generator(n, 1), "a2": nilform.generator(n, 2)},

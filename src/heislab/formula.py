@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from typing import Any, Optional
 
-from .rings import MAX_DEPTH
+from .rings import MAX_DEPTH, parse_int
 
 # ---------------------------------------------------------------------------
 # AST
@@ -296,7 +296,7 @@ class _Parser:
         if tok == "-":
             sign, tok = -1, self.next()
         if tok.isdigit():
-            return sign * int(tok)
+            return sign * parse_int(tok, FormulaParseError)
         raise FormulaParseError(f"expected integer exponent, got {tok!r}")
 
     def base(self):
@@ -865,5 +865,5 @@ def builtin(name: str):
     if isinstance(text, str) and arg is None:
         return parse(text)
     if callable(text) and arg is not None:
-        return parse(text(int(arg)))
+        return parse(text(parse_int(arg, FormulaParseError)))
     raise UnresolvedNameError(f"unknown builtin {name!r}")

@@ -22,7 +22,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 from . import rings, zlattice
@@ -318,25 +318,6 @@ def tau_check(rep: Representation) -> Verdict:
     return Verdict("holds", "exact_lattice")
 
 
-def _commuting(rep: Representation, bound: int, d) -> bytes:
-    """One byte per coefficient tuple c in [-bound, bound]^r over the basis
-    of the entry-pair lattice, in itertools.product order: 1 if
-    det(c, d) = 0, else 0.
-
-    c -> det(c, d) is an integer matrix with one row per ``law.f13``
-    coordinate; only its distinct nonzero rows matter, and each row's values
-    over the box are built one coordinate at a time."""
-    cols = [zlattice.combine(d, row, len(rep.law.f13)) for row in rep.det_form]
-    steps = range(-bound, bound + 1)
-    flags = [True] * len(steps) ** len(cols)
-    for row in {row for row in zip(*cols) if any(row)}:
-        vals = [0]
-        for f in row:
-            vals = [v + f * t for v in vals for t in steps]
-        flags = [z and not v for z, v in zip(flags, vals)]
-    return bytes(flags)
-
-
 def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     """NZCT over UT3(R): noncentral elements commute iff their entry pairs
     have vanishing determinant.  Over a domain the determinant relation is
@@ -348,9 +329,9 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     rational relation a*q + b*p + c*w = 0 gives b*B(p, w) = 0 and
     c*B(w, p) = 0, so b = c = 0, and then a = 0 since q != 0.  So q, p and
     w are independent in C_q, and r >= 4.  At rank 4 and up, a group that
-    embeds in UT3 of one component is a domain case too; otherwise small
-    lattice vectors are searched for a violating triple.  A verified
-    witness is exact, exhaustion is not a proof.
+    embeds in UT3 of one component is a domain case too; otherwise each q
+    in the box [-bound, bound]^r is decided exactly by ``_nzct_at``.  A
+    witness is exact; a box without one is not a proof.
 
     Every step runs on integer coefficient tuples over the basis b_i of the
     entry-pair lattice A.  det(u, v) = u12*v23 - v12*u23 is the law's
@@ -381,28 +362,37 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
         # every realized entry is constant across the identical components, so
         # the group embeds in UT3 of one component -- a domain
         return Verdict("holds", "exact_lattice")
-    box = list(itertools.product(range(-bound, bound + 1), repeat=L.A.rank))
-    # the HNF basis is linearly independent: a combination is zero iff its
-    # coefficient tuple is
-    keep = [k for k, c in enumerate(box) if any(c)]
-    # the tables take len(keep) bytes each; keep about 32 MB of them at most
-    commuting = lru_cache(2**25 // len(keep) + 1)(lambda i: _commuting(rep, bound, box[i]))
-    for q in keep:
-        y = next((y for y in keep if not commuting(q)[y]), None)
-        if y is None:
-            continue  # q is central as far as the group is concerned
-        parallels = [p for p in keep if commuting(q)[p]]
-        for p, w in itertools.combinations(parallels, 2):
-            if commuting(p)[w]:
-                continue
-
-            def build(i):
-                source = zlattice.combine(box[i], L.A.transform, len(rep.generators))
-                return rep.product_of_generators(source)
-
-            witness = NzctWitness(build(q), build(p), build(w), build(y))
+    for q in itertools.product(range(-bound, bound + 1), repeat=L.A.rank):
+        witness = _nzct_at(rep, q)
+        if witness is not None:
             return Verdict("violated", "exact_lattice", witness, bound=bound)
     return Verdict("inconclusive", "bounded_search", bound=bound)
+
+
+def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
+    """A violation of NZCT with x2 = q (coefficients over the basis b_i of A),
+    or None if there is none.  One exists iff q is noncentral and B is
+    nonzero on C_q.  The r x m matrix L_q with rows B(b_i, q) has C_q as its
+    integer left kernel, and q is central iff L_q = 0.  B is bilinear, so it
+    is nonzero on C_q iff it is nonzero on a pair of the kernel basis; that
+    pair is x1 and x3 (they may lie outside the box), and y is the first b_i
+    with L_q[i] != 0."""
+    m, A = len(rep.law.f13), rep.lattices.A
+
+    def pairing(c):  # row i is B(b_i, c)
+        return [zlattice.combine(c, row, m) for row in rep.det_form]
+
+    def build(c):  # the group element at coefficients c over A's basis
+        return rep.product_of_generators(zlattice.combine(c, A.transform, len(rep.generators)))
+
+    Lq = pairing(q)
+    y = next((i for i, row in enumerate(Lq) if any(row)), None)
+    if y is None:
+        return None
+    for p, w in itertools.combinations(zlattice.left_kernel(Lq), 2):
+        if any(zlattice.combine(p, pairing(w), m)):
+            return NzctWitness(build(q), build(p), build(w), rep.product_of_generators(A.transform[y]))
+    return None
 
 
 def _solve(rep: Representation, z: UT3Elem, block: int) -> Optional[Solution]:

@@ -152,13 +152,13 @@ class RingDesc:
 Z = RingDesc(((),))
 
 
-def _int(digits: str) -> int:
+def parse_int(digits: str, error: type[Exception] = RingParseError) -> int:
     """int(digits); a literal past the interpreter's limit on integer string
-    conversion is a parse error, and the limit stays as it is."""
+    conversion raises ``error``, and the limit stays as it is."""
     try:
         return int(digits)
     except ValueError:
-        raise RingParseError(f"integer literal of {len(digits)} digits is too long") from None
+        raise error(f"integer literal of {len(digits)} digits is too long") from None
 
 
 def parse_ring(text: str) -> RingDesc:
@@ -170,7 +170,7 @@ def parse_ring(text: str) -> RingDesc:
         factor = factor.strip()
         m = re.fullmatch(r"Z(\^(\d+))?", factor)
         if m:
-            names, k = (), _int(m.group(2)) if m.group(2) else 1
+            names, k = (), parse_int(m.group(2)) if m.group(2) else 1
             if k < 1:
                 raise RingParseError(f"bad power in {factor!r}")
         else:
@@ -559,7 +559,7 @@ class _ExprParser:
             tok = self.next()
             if not tok.isdigit():
                 raise RingParseError(f"expected a non-negative integer exponent, got {tok!r}")
-            out = _ppow(out, _int(tok), len(self.names))
+            out = _ppow(out, parse_int(tok), len(self.names))
         return out
 
     def atom(self) -> Poly:
@@ -573,7 +573,7 @@ class _ExprParser:
             self.depth -= 1
             return out
         if tok.isdigit():
-            return _pconst(_int(tok), len(self.names))
+            return _pconst(parse_int(tok), len(self.names))
         if tok[0].isalpha():  # the tokenizer's names start with a letter
             if tok not in self.names:
                 raise RingParseError(

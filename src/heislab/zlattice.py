@@ -148,6 +148,14 @@ def in_source_coordinates(L: Lattice, v: Sequence[int]) -> Optional[Vector]:
     return tuple(combine(coeffs, L.transform, nsrc))
 
 
+def left_kernel(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """A basis of {c : sum_k c[k] * rows[k] = 0}: the rows of U opposite the
+    zero rows of one row reduction U @ rows (U is unimodular)."""
+    reduced, U = _row_reduce([list(row) for row in rows])
+    nonzero = sum(1 for row in reduced if any(row))
+    return U[nonzero:]
+
+
 def intersect_coordinate_zero(L: Lattice, coords: Iterable[int]) -> Lattice:
     """HNF basis of the sublattice of L vanishing on the given coordinates.
 
@@ -161,10 +169,7 @@ def intersect_coordinate_zero(L: Lattice, coords: Iterable[int]) -> Lattice:
             raise IndexError(f"coordinate {c} out of range")
     if not L.basis or not coords:
         return L
-    restricted = [[row[c] for c in coords] for row in L.basis]
-    reduced, U = _row_reduce(restricted)
-    nonzero = sum(1 for row in reduced if any(row))
-    kernel = U[nonzero:]  # combos of basis rows vanishing on coords
+    kernel = left_kernel([[row[c] for c in coords] for row in L.basis])
     if not kernel:
         return Lattice(L.ambient_dim, (), ())
     rows, U2 = _row_reduce([combine(k, L.basis, L.ambient_dim) for k in kernel])

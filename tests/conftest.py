@@ -112,13 +112,14 @@ def union_frame_lattices(rep: reprs.Representation):
 
 
 # ---------------------------------------------------------------------------
-# Ring-element NZCT oracle (the search reprs.nzct_check runs on integers)
+# Ring-element NZCT oracle (reprs.nzct_check decides each candidate on integers)
 
 
 def nzct_check_ringelem(rep: reprs.Representation, bound: int = 2) -> Verdict:
-    """The NZCT search with every determinant computed as a ring element
-    from the lattice vectors themselves: same shortcuts, same iteration
-    order, no integer determinant form."""
+    """The NZCT search that pairs the small lattice vectors themselves, with
+    every determinant computed as a ring element: the same shortcuts but
+    the rank test, and no integer determinant form.  Any violation it finds
+    in the box, reprs.nzct_check finds at the same x2 or earlier."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     L = rep.lattices

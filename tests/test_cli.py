@@ -158,6 +158,44 @@ def test_long_literal_in_a_config_is_exit_3(capsys, tmp_path):
     assert err == "error: generator 'b': integer literal of 5000 digits is too long\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "forall x ( x^%s=1 )" % ("1" * 5000)],
+        ["check", "CT(%s)" % ("1" * 5000)],
+        ["discriminate", "--targets", "{tmp}/long.txt"],
+    ],
+    ids=["exponent", "builtin", "discriminate"],
+)
+def test_long_literal_in_a_formula_is_exit_3(capsys, tmp_path, argv):
+    (tmp_path / "long.txt").write_text("a%s*a1\n" % ("1" * 5000))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: integer literal of 5000 digits is too long\n"
+
+
+def test_discriminate_generator_index_cap(capsys, tmp_path, monkeypatch):
+    from heislab import cli, nilform
+
+    cap = cli.MAX_GENERATORS
+    targets = tmp_path / "wide.txt"
+    targets.write_text(f"a{cap}*a1\n")
+    assert run(capsys, "discriminate", "--targets", str(targets))[0] == 0
+
+    def fail(n):
+        raise AssertionError("a NilForm was built")
+
+    monkeypatch.setattr(nilform, "identity", fail)
+    for index in (cap + 1, 3000, 10**4000):
+        targets.write_text(f"a3*a1\n[a{index},a2]\n")
+        code, out, err = run(capsys, "discriminate", "--targets", str(targets))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: generator index above {cap}\n"
+
+
 def test_blanks_around_a_z_literal(capsys):
     expected = run(capsys, "solve-s", "--z", "1", "--example", "heisenberg")
     assert expected[0] == 0

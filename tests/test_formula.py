@@ -107,6 +107,16 @@ def test_parse_bad_exponent(text, got):
         parse(f"forall x ( x*{text} = 1 )")
 
 
+def test_exponent_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(FormulaParseError, match="^integer literal of 5000 digits is too long$"):
+        parse("forall x ( x^%s=1 )" % ("1" * 5000))
+
+
+def test_builtin_argument_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(FormulaParseError, match="^integer literal of 5000 digits is too long$"):
+        builtin("CT(%s)" % ("1" * 5000))
+
+
 # Each text nests n constructs of one kind around an atom, so its syntax
 # tree is n + 2 levels deep; parentheses add no level to the tree, and only
 # MAX_DEPTH of them may be open at once.

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import warnings
 
 import pytest
@@ -317,20 +318,25 @@ def test_nzct_domain_exact():
     assert nzct_check(ztheta_rep(), 2).status == "holds"
 
 
-def test_nzct_abelian_exact():
+def test_nzct_rank_2_exact():
+    # a1 and a2 are prepended and do not commute, so the group is not abelian
     rep = representation(ZZ, {"b": elem(ZZ, 0, 5, 0)})
-    assert nzct_check(rep, 2).status == "holds"
+    assert rep.lattices.A.rank == 2
+    assert _verdict_strings(nzct_check(rep, 2)) == ("holds", "exact_lattice", None, None)
+
+
+def _assert_nzct_witness(w):
+    """Re-check a violation by direct matrix computation."""
+    assert not w.q.comm(w.y).is_identity()  # q noncentral (fails to commute with y)
+    assert w.p.comm(w.q).is_identity()
+    assert w.q.comm(w.w).is_identity()
+    assert not w.p.comm(w.w).is_identity()
 
 
 def test_nzct_full_zxz_violated():
     v = nzct_check(full_zxz_rep(), 2)
     assert v.status == "violated"
-    w = v.witness
-    # re-check the violation by direct matrix computation
-    assert not w.q.comm(w.y).is_identity()  # q noncentral (fails to commute with y)
-    assert w.p.comm(w.q).is_identity()
-    assert w.q.comm(w.w).is_identity()
-    assert not w.p.comm(w.w).is_identity()
+    _assert_nzct_witness(v.witness)
 
 
 def test_nzct_bound_validation():
@@ -344,14 +350,23 @@ def _verdict_strings(v):
 
 def _assert_nzct_matches_oracle(rep, bound):
     """At rank <= 3 nzct_check answers an exact holds that the oracle (which
-    has no rank test) can only fail to contradict; elsewhere the two agree."""
+    has no rank test) can only fail to contradict.  Elsewhere the oracle
+    pairs box vectors, while nzct_check decides every q of the box over all
+    of C_q: it is violated where the oracle is, it is inconclusive only
+    where the oracle is, holds agree, and every witness checks out."""
     v = nzct_check(rep, bound)
     if rep.lattices.A.rank <= 3:
         assert _verdict_strings(v) == ("holds", "exact_lattice", None, None)
         for b in (1, 2):
             assert nzct_check_ringelem(rep, b).status != "violated"
+        return
+    oracle = nzct_check_ringelem(rep, bound)
+    if v.status == "violated":
+        assert oracle.status != "holds"
+        assert (v.method, v.bound) == ("exact_lattice", bound)
+        _assert_nzct_witness(v.witness)
     else:
-        assert _verdict_strings(v) == _verdict_strings(nzct_check_ringelem(rep, bound))
+        assert _verdict_strings(v) == _verdict_strings(oracle)
 
 
 def test_nzct_matches_ringelem_oracle_on_corpus():
@@ -377,7 +392,7 @@ def _forbid_nzct_search(monkeypatch):
     def fail(*args):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr(reprs, "_commuting", fail)
+    monkeypatch.setattr(reprs, "_nzct_at", fail)
 
 
 def test_nzct_rank_3_runs_no_search(monkeypatch):
@@ -386,6 +401,31 @@ def test_nzct_rank_3_runs_no_search(monkeypatch):
     assert rep.lattices.A.rank == 3
     for bound in (1, 5, 50):
         assert _verdict_strings(nzct_check(rep, bound)) == ("holds", "exact_lattice", None, None)
+
+
+def test_nzct_decides_each_candidate_over_its_whole_centralizer():
+    # no pair of box vectors violates NZCT here, but the centralizer of a box
+    # vector q is not abelian, and a pair of its kernel basis is the witness
+    rep = corpus(30, seed=0)[29]
+    assert rep.lattices.A.rank == 4
+    assert nzct_check_ringelem(rep, 1).status == "inconclusive"
+    v = nzct_check(rep, 1)
+    assert (v.status, v.method, v.bound) == ("violated", "exact_lattice", 1)
+    _assert_nzct_witness(v.witness)
+
+
+@pytest.mark.parametrize(
+    "rep, bound",
+    [(corpus(5, seed=1)[4], 3), (fixture("tau-fails-zxz"), 6)],
+    ids=["rank-5-bound-3", "tau-fails-zxz-bound-6"],
+)
+def test_nzct_large_bounds_take_bounded_work(rep, bound):
+    # each q costs one row reduction, so the work is linear in the box size
+    started = time.perf_counter()
+    v = nzct_check(rep, bound)
+    assert time.perf_counter() - started < 20.0
+    assert (v.status, v.bound) == ("violated", bound)
+    _assert_nzct_witness(v.witness)
 
 
 def test_tau_violation_is_an_nzct_witness():

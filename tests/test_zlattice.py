@@ -183,3 +183,24 @@ def test_lattice_closed_under_combination(gens, coeffs):
         for j, x in enumerate(g):
             v[j] += c * x
     assert member(L, tuple(v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_left_kernel_is_the_whole_integer_kernel(rows):
+    n = len(rows)
+    kernel = zlattice.left_kernel(rows)
+    assert len(kernel) == n - hnf(rows, ambient_dim=2).rank
+    for k in kernel:
+        assert zlattice.combine(k, rows, 2) == [0, 0]
+    # every small integer relation is an integer combination of the basis
+    K = hnf(kernel, ambient_dim=n) if kernel else None
+    for c in itertools.product(range(-2, 3), repeat=n):
+        if any(c) and zlattice.combine(c, rows, 2) == [0, 0]:
+            assert K is not None and member(K, c)
