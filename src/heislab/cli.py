@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from typing import NamedTuple
 
 from . import formula, nilform, reprs
 from .formula import (
@@ -95,12 +96,18 @@ def fixture(name: str) -> Representation:
 # Helpers
 
 
+def _int(text: str, error: Exception) -> int:
+    """int(text), else ``error``; a run of digits too long to convert is a
+    UsageError that names its length."""
+    try:
+        return parse_int(text.strip(), UsageError) if text.strip().isdecimal() else int(text)
+    except ValueError:
+        raise error from None
+
+
 def _max_bound() -> int:
     raw = os.environ.get("HEISLAB_MAX_BOUND", "6")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"HEISLAB_MAX_BOUND must be an integer, got {raw!r}")
+    cap = _int(raw, UsageError(f"HEISLAB_MAX_BOUND must be an integer, got {raw!r}"))
     if cap < 1:
         raise UsageError("HEISLAB_MAX_BOUND must be >= 1")
     return cap
@@ -141,21 +148,27 @@ def _parse_z(rep: Representation, literal: str) -> UT3Elem:
 
 _STATUS_EXIT = {"holds": 0, "violated": 1, "inconclusive": 2}
 
-# The exact checkers, by the name ``check`` and the JSON "check" field use:
-# name -> (function in reprs, takes --bound).  The function is looked up on
-# reprs at each call, so wrappers installed there see every call.
+
+class Checker(NamedTuple):
+    function: str  # looked up on reprs at each call, so wrappers see every call
+    takes_bound: bool
+    label: str  # its name in ``example`` output
+    help: str  # the help of its subcommand, ``name.lower()``
+
+
+# The exact checkers, by the name ``check`` and the JSON "check" field use.
 CHECKERS = {
-    "lame": ("lame_check", False),
-    "tau": ("tau_check", False),
-    "sigma": ("sigma_check", False),
-    "NZCT": ("nzct_check", True),
+    "lame": Checker("lame_check", False, "Lame property", "exact centralizer-entry (Lame property) check"),
+    "tau": Checker("tau_check", False, "tau", "exact tau check"),
+    "sigma": Checker("sigma_check", False, "sigma", "exact sigma check"),
+    "NZCT": Checker("nzct_check", True, "NZCT", "NZCT check (exact shortcut, else bounded)"),
 }
 
 
 def _run_checker(name: str, rep: Representation, args) -> Verdict:
-    fn_name, takes_bound = CHECKERS[name]
-    fn = getattr(reprs, fn_name)
-    return fn(rep, _bound(args, 2)) if takes_bound else fn(rep)
+    checker = CHECKERS[name]
+    fn = getattr(reprs, checker.function)
+    return fn(rep, _bound(args, 2)) if checker.takes_bound else fn(rep)
 
 
 def _print_fields(fields: dict) -> None:
@@ -423,8 +436,7 @@ def cmd_example(args) -> int:
         )
     else:
         for check, v in results:
-            label = "Lame property" if check == "lame" else check
-            print(f"{check}: {label} {v.status} (method={v.method})")
+            print(f"{check}: {CHECKERS[check].label} {v.status} (method={v.method})")
             if v.witness is not None:
                 _print_fields(v.witness.to_dict())
     return max(_STATUS_EXIT[v.status] for _, v in results)
@@ -467,7 +479,10 @@ def _add_rep_opts(p, with_json=True):
 
 
 def _add_bound_opt(p):
-    p.add_argument("--bound", type=int, help="search bound (capped by HEISLAB_MAX_BOUND)")
+    def bound(text):  # with argparse's own message for a non-integer
+        return _int(text, argparse.ArgumentTypeError(f"invalid int value: {text!r}"))
+
+    p.add_argument("--bound", type=bound, help="search bound (capped by HEISLAB_MAX_BOUND)")
 
 
 @functools.cache
@@ -492,15 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_bound_opt(p)
         p.set_defaults(fn=cmd_search)
 
-    for name, hlp in (
-        ("lame", "exact centralizer-entry (Lame property) check"),
-        ("tau", "exact tau check"),
-        ("sigma", "exact sigma check"),
-        ("NZCT", "NZCT check (exact shortcut, else bounded)"),
-    ):
-        p = sub.add_parser(name.lower(), help=hlp)
+    for name, checker in CHECKERS.items():
+        p = sub.add_parser(name.lower(), help=checker.help)
         _add_rep_opts(p)
-        if CHECKERS[name][1]:
+        if checker.takes_bound:
             _add_bound_opt(p)
         p.set_defaults(fn=cmd_checker, check=name)
 

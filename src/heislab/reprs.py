@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import rings, zlattice
-from .rings import Frame, RingDesc, RingElem, is_domain
+from .rings import Frame, RingDesc, RingElem
 from .ut3 import Class2Elem, Class2Law, UT3Elem, a1 as _a1, a2 as _a2
 from .zlattice import Lattice
 
@@ -262,8 +262,6 @@ def lame_check(rep: Representation) -> Verdict:
     element of C(a2) has a zero-divisor (1,2) entry, and dually for C(a1)
     with (2,3) entries.  Over a product ring an entry is a zero divisor iff
     it vanishes on some component, which is a lattice condition."""
-    if is_domain(rep.ring):
-        return Verdict("holds", "exact_lattice")
     L = rep.lattices
     # (exponents, centralizer, dead component) of each transform row of
     # every component-vanishing sublattice, made as they are read
@@ -296,8 +294,6 @@ def tau_check(rep: Representation) -> Verdict:
     """Exact: tau fails iff some nonzero 12-entry u realized in C(a2) and
     nonzero 23-entry v realized in C(a1) have disjoint component supports
     (then u*v = 0).  Support patterns are enumerated over the components."""
-    if is_domain(rep.ring):
-        return Verdict("holds", "exact_lattice")
     L = rep.lattices
     k = rep.ring.ncomponents
     for mask in range(1, 2**k - 1):
@@ -319,64 +315,62 @@ def tau_check(rep: Representation) -> Verdict:
 
 
 def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
-    """NZCT over UT3(R): noncentral elements commute iff their entry pairs
-    have vanishing determinant.  Over a domain the determinant relation is
-    transitive through a noncentral element, so NZCT holds outright.  It
-    also holds whenever the entry-pair lattice A has rank r <= 3.  Write B
-    for the commutator form on A.  A noncentral q has B(q, .) != 0, so its
-    centralizer C_q = {v : B(q, v) = 0} has rank <= r - 1.  In a violation,
-    p and w lie in C_q and B(p, w) != 0.  Applying B(., w) and B(., p) to a
-    rational relation a*q + b*p + c*w = 0 gives b*B(p, w) = 0 and
-    c*B(w, p) = 0, so b = c = 0, and then a = 0 since q != 0.  So q, p and
-    w are independent in C_q, and r >= 4.  At rank 4 and up, a group that
-    embeds in UT3 of one component is a domain case too; otherwise each q
-    in the box [-bound, bound]^r is decided exactly by ``_nzct_at``.  A
-    witness is exact; a box without one is not a proof.
+    """NZCT over UT3(R): centralizers of noncentral elements are abelian.
 
-    Every step runs on integer coefficient tuples over the basis b_i of the
-    entry-pair lattice A.  det(u, v) = u12*v23 - v12*u23 is the law's
-    commutator form on entry pairs: the (1,3) entry of [u, v], read off
-    ``law.table`` as integer coordinates over ``law.f13``, which holds the
-    product of every (1,2) and (2,3) frame monomial in the same component.  The form is Z-bilinear
-    and alternating, so det(c, d) for coefficient tuples c and d is
-    sum_ij c_i d_j det(b_i, b_j) (``det_form``), and it is zero iff its
-    coordinates are.  Ring elements are built only for the witness."""
+    Write B for the commutator form on the entry-pair lattice A, of rank r,
+    and pi_j(g) for the entry pair (g12, g23) of g in ring component j.
+    B(u, v) = u12*v23 - v12*u23 is the (1,3) entry of [u, v], so u and v
+    commute iff pi_j(u) and pi_j(v) are parallel in every component j.  In
+    a violation, q = x2 is noncentral, p = x1 and w = x3 lie in its
+    centralizer C_q = {v : B(q, v) = 0}, and B(p, w) != 0.
+
+    Rank: NZCT holds if r <= 3.  Applying B(., w) and B(., p) to a rational
+    relation a*q + b*p + c*w = 0 gives b = c = 0, then a = 0 since q != 0.
+    So q, p and w are independent in C_q, which has rank <= r - 1 since
+    B(q, .) != 0; so r >= 4.
+
+    Projection: NZCT holds if every pi_j is injective on A, that is, if A's
+    basis rows restricted to component j's columns of ``frame`` have no
+    integer left kernel.  B(p, w) != 0 gives a component j0 where pi_j0(p)
+    and pi_j0(w) are independent.  Both are parallel to pi_j0(q), so
+    pi_j0(q) = 0, and then q = 0, which is central.  This covers every
+    domain and every group whose entries agree on identical components.
+
+    Otherwise each q in the box [-bound, bound]^r over A's basis b_i is
+    decided exactly by ``_nzct_at``; a box without a witness is not a
+    proof.  q and -q have the same centralizer, so only the q whose first
+    nonzero coefficient is negative are walked, in ``itertools.product``
+    order, where each comes before its negation: the witness is the first
+    of the whole box.  The law reads B off ``law.table`` as integer
+    coordinates over ``law.f13``.  B is Z-bilinear and alternating, so
+    B(c, d) for coefficient tuples c and d is sum_ij c_i d_j B(b_i, b_j)
+    (``det_form``), and ring elements are built only for the witness."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if is_domain(rep.ring):
+    A = rep.lattices.A
+    if A.rank <= 3:
         return Verdict("holds", "exact_lattice")
-    L = rep.lattices
-    if L.A.rank <= 3:
+    columns = [_block_coords(rep, 0, j) + _block_coords(rep, 1, j) for j in range(rep.ring.ncomponents)]
+    if not any(zlattice.left_kernel([[b[i] for i in c] for b in A.basis]) for c in columns):
         return Verdict("holds", "exact_lattice")
-
-    n12 = len(rep.law.f12)
-
-    def diagonal(v) -> bool:  # both entries the same polynomial on every component
-        terms = [{} for _ in rep.ring.components]
-        for k, (x, (j, e)) in enumerate(zip(v, rep.frame)):
-            if x:
-                terms[j][k < n12, e] = x
-        return all(t == terms[0] for t in terms)
-
-    if len(set(rep.ring.components)) == 1 and all(diagonal(v) for v in L.A.basis):
-        # every realized entry is constant across the identical components, so
-        # the group embeds in UT3 of one component -- a domain
-        return Verdict("holds", "exact_lattice")
-    for q in itertools.product(range(-bound, bound + 1), repeat=L.A.rank):
-        witness = _nzct_at(rep, q)
-        if witness is not None:
-            return Verdict("violated", "exact_lattice", witness, bound=bound)
+    span = range(-bound, bound + 1)
+    for k in range(A.rank):  # the q = (0,) * k + (c < 0, ...)
+        for tail in itertools.product(range(-bound, 0), *[span] * (A.rank - k - 1)):
+            witness = _nzct_at(rep, (0,) * k + tail)
+            if witness is not None:
+                return Verdict("violated", "exact_lattice", witness, bound=bound)
     return Verdict("inconclusive", "bounded_search", bound=bound)
 
 
 def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
-    """A violation of NZCT with x2 = q (coefficients over the basis b_i of A),
-    or None if there is none.  One exists iff q is noncentral and B is
-    nonzero on C_q.  The r x m matrix L_q with rows B(b_i, q) has C_q as its
-    integer left kernel, and q is central iff L_q = 0.  B is bilinear, so it
-    is nonzero on C_q iff it is nonzero on a pair of the kernel basis; that
-    pair is x1 and x3 (they may lie outside the box), and y is the first b_i
-    with L_q[i] != 0."""
+    """A violation of NZCT with x2 = q, a nonzero coefficient tuple over the
+    basis b_i of A, or None if there is none.  Such a q is noncentral:
+    B(q, a1) and B(a2, q) are its (2,3) and (1,2) entries up to sign, and
+    they are not both zero.  So a violation exists iff B is nonzero on C_q,
+    the integer left kernel of the r x m matrix L_q with rows B(b_i, q).  B
+    is bilinear, so it is nonzero on C_q iff it is nonzero on a pair of the
+    kernel basis; that pair is x1 and x3 (they may lie outside the box),
+    and y is the first b_i with L_q[i] != 0."""
     m, A = len(rep.law.f13), rep.lattices.A
 
     def pairing(c):  # row i is B(b_i, c)
@@ -386,11 +380,9 @@ def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
         return rep.product_of_generators(zlattice.combine(c, A.transform, len(rep.generators)))
 
     Lq = pairing(q)
-    y = next((i for i, row in enumerate(Lq) if any(row)), None)
-    if y is None:
-        return None
     for p, w in itertools.combinations(zlattice.left_kernel(Lq), 2):
         if any(zlattice.combine(p, pairing(w), m)):
+            y = next(i for i, row in enumerate(Lq) if any(row))
             return NzctWitness(build(q), build(p), build(w), rep.product_of_generators(A.transform[y]))
     return None
 

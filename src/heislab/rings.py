@@ -351,10 +351,6 @@ def retract(rho: Retraction, r: RingElem) -> int:
     return _peval(r.parts[rho.component], point)
 
 
-def is_domain(ring: RingDesc) -> bool:
-    return ring.ncomponents == 1
-
-
 def is_zero_divisor(r: RingElem) -> bool:
     """True iff r is nonzero and annihilated by some nonzero element.
 

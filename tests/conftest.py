@@ -1,13 +1,15 @@
 """Shared oracles and randomized-corpus helpers for the test suite."""
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
 
 from heislab import formula, reprs, rings, ut3, zlattice
 from heislab.reprs import LameWitness, NzctWitness, SigmaWitness, Verdict
-from heislab.rings import RingDesc, RingElem, is_domain, is_zero_divisor
+from heislab.rings import RingDesc, RingElem, is_zero_divisor
 from heislab.ut3 import UT3Elem
 
 # The ring family every randomized property in the suite ranges over.
@@ -115,38 +117,66 @@ def union_frame_lattices(rep: reprs.Representation):
 # Ring-element NZCT oracle (reprs.nzct_check decides each candidate on integers)
 
 
+def domain_or_diagonal(rep: reprs.Representation) -> bool:
+    """The ring has one component, or its components are identical and every
+    entry of A's basis is the same polynomial on each of them: then the
+    group embeds in UT3 of one component, a domain, and NZCT holds."""
+    if rep.ring.ncomponents == 1:
+        return True
+
+    def diagonal(e: RingElem) -> bool:
+        return all(p == e.parts[0] for p in e.parts[1:])
+
+    return len(set(rep.ring.components)) == 1 and all(
+        diagonal(x) for v in rep.lattices.A.basis for x in rep.elem_from_coords(v)
+    )
+
+
 def nzct_check_ringelem(rep: reprs.Representation, bound: int = 2) -> Verdict:
     """The NZCT search that pairs the small lattice vectors themselves, with
-    every determinant computed as a ring element: the same shortcuts but
-    the rank test, and no integer determinant form.  Any violation it finds
-    in the box, reprs.nzct_check finds at the same x2 or earlier."""
+    every determinant computed as a ring element: no rank test and no
+    projection layer, only the commuting and ``domain_or_diagonal``
+    shortcuts, and no integer determinant form.  Any violation it finds at
+    x2 = q in the box, reprs.nzct_check finds at q, at -q or earlier."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     L = rep.lattices
     if all(pair_det(rep, u, v).is_zero() for u, v in itertools.combinations(L.A.basis, 2)):
         return Verdict("holds", "exact_lattice")
-    if is_domain(rep.ring):
-        return Verdict("holds", "exact_lattice")
-
-    def diagonal(e: RingElem) -> bool:
-        return all(p == e.parts[0] for p in e.parts[1:])
-
-    if len(set(rep.ring.components)) == 1 and all(
-        diagonal(x) for v in L.A.basis for x in rep.elem_from_coords(v)
-    ):
+    if domain_or_diagonal(rep):
         return Verdict("holds", "exact_lattice")
     vectors = [v for v in L.A.vectors_up_to(bound) if any(v)]
-    for q in vectors:
-        parallels = [p for p in vectors if pair_det(rep, p, q).is_zero()]
+
+    def line(v):  # the primitive vector on v's line whose first nonzero entry is negative
+        g = math.gcd(*v) * (1 if next(x for x in v if x) < 0 else -1)
+        return tuple(x // g for x in v)
+
+    @functools.cache
+    def entries(u):
+        return rep.elem_from_coords(u)
+
+    @functools.cache
+    def det_zero(u, w):  # depends on the lines of u and w only, in either order
+        (u12, u23), (w12, w23) = entries(u), entries(w)
+        return (u12 * w23 - w12 * u23).is_zero()
+
+    lines = [line(v) for v in vectors]
+
+    def commute(i, j):
+        return det_zero(*sorted((lines[i], lines[j])))
+
+    indices = range(len(vectors))
+    for q in indices:
+        parallels = [p for p in indices if commute(p, q)]
         for p, w in itertools.combinations(parallels, 2):
-            if pair_det(rep, p, w).is_zero():
+            if commute(p, w):
                 continue
-            witness_y = next((y for y in vectors if not pair_det(rep, q, y).is_zero()), None)
+            witness_y = next((y for y in indices if not commute(q, y)), None)
             if witness_y is None:
                 continue
 
-            def build(vec):
-                return product_oracle(rep, zlattice.in_source_coordinates(L.A, vec))
+            def build(i):
+                return product_oracle(rep, zlattice.in_source_coordinates(L.A, vectors[i]))
 
             witness = NzctWitness(build(q), build(p), build(w), build(witness_y))
             return Verdict("violated", "exact_lattice", witness, bound=bound)

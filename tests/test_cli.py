@@ -434,6 +434,29 @@ def test_max_bound_env(capsys, monkeypatch):
     assert code == 3
 
 
+def test_over_long_bounds_are_usage_errors(capsys, monkeypatch):
+    digits = "9" * 5000
+    code, out, err = run(capsys, "nzct", "--bound", digits)
+    assert (code, out, err) == (3, "", "error: integer literal of 5000 digits is too long\n")
+    monkeypatch.setenv("HEISLAB_MAX_BOUND", digits)
+    code, out, err = run(capsys, "nzct")
+    assert (code, out, err) == (3, "", "error: integer literal of 5000 digits is too long\n")
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--bound", "abc"], "6", "argument --bound: invalid int value: 'abc'"),
+        (["--bound", "0"], "6", "--bound must be >= 1"),
+        ([], "abc", "HEISLAB_MAX_BOUND must be an integer, got 'abc'"),
+        ([], "0", "HEISLAB_MAX_BOUND must be >= 1"),
+    ],
+)
+def test_bad_bound_messages(capsys, monkeypatch, argv, env, message):
+    monkeypatch.setenv("HEISLAB_MAX_BOUND", env)
+    assert run(capsys, "nzct", *argv) == (3, "", f"error: {message}\n")
+
+
 def test_deterministic_output(capsys):
     code1, out1, _ = run(capsys, "example", "zxz-lame")
     code2, out2, _ = run(capsys, "example", "zxz-lame")

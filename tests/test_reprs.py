@@ -1,15 +1,18 @@
 """Tests for representations and the exact lattice decision procedures."""
 
 import itertools
+import pathlib
 import random
 import time
 import warnings
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
+    CORPUS_RINGS,
     corpus,
+    domain_or_diagonal,
     lame_check_def1,
     nzct_check_ringelem,
     pair_det,
@@ -348,18 +351,28 @@ def _verdict_strings(v):
     return v.status, v.method, v.bound, v.witness and v.witness.to_dict()
 
 
+_EXACT_HOLDS = ("holds", "exact_lattice", None, None)
+
+
 def _assert_nzct_matches_oracle(rep, bound):
-    """At rank <= 3 nzct_check answers an exact holds that the oracle (which
-    has no rank test) can only fail to contradict.  Elsewhere the oracle
-    pairs box vectors, while nzct_check decides every q of the box over all
-    of C_q: it is violated where the oracle is, it is inconclusive only
-    where the oracle is, holds agree, and every witness checks out."""
+    """Where ``domain_or_diagonal`` holds, nzct_check answers an exact holds
+    with no search.  Every exact holds (rank <= 3, or every projection
+    injective) is one that the oracle, which has neither layer, does not
+    contradict at bounds 1 and 2.  Elsewhere the oracle pairs box vectors,
+    while nzct_check decides every q of the box over all of C_q: it is
+    violated where the oracle is, it is inconclusive only where the oracle
+    is, and every witness checks out."""
+    if domain_or_diagonal(rep):
+        with pytest.MonkeyPatch.context() as mp:
+            _forbid_nzct_search(mp)
+            assert _verdict_strings(nzct_check(rep, bound)) == _EXACT_HOLDS
     v = nzct_check(rep, bound)
-    if rep.lattices.A.rank <= 3:
-        assert _verdict_strings(v) == ("holds", "exact_lattice", None, None)
+    if v.status == "holds":
+        assert _verdict_strings(v) == _EXACT_HOLDS
         for b in (1, 2):
             assert nzct_check_ringelem(rep, b).status != "violated"
         return
+    assert rep.lattices.A.rank >= 4
     oracle = nzct_check_ringelem(rep, bound)
     if v.status == "violated":
         assert oracle.status != "holds"
@@ -457,13 +470,88 @@ def test_nzct_diagonal_shortcut_with_one_sided_center_monomial():
 
 def test_nzct_diagonal_shortcut_at_rank_4(monkeypatch):
     # rank 4 passes the rank test, but every realized entry is diagonal, so
-    # the group embeds in UT3(Z[t]) and no search runs
+    # each component's projection is injective and no search runs
     ring = parse_ring("Z[t] x Z[t]")
     rep = representation(ring, {"b": elem(ring, "t", "(t,0)", 0), "c": elem(ring, 0, 0, "t")})
     assert rep.lattices.A.rank == 4
     assert _verdict_strings(nzct_check_ringelem(rep, 1)) == ("holds", "exact_lattice", None, None)
     _forbid_nzct_search(monkeypatch)
     assert _verdict_strings(nzct_check(rep, 1)) == ("holds", "exact_lattice", None, None)
+
+
+def test_nzct_projection_layer_without_domain_or_diagonal(monkeypatch):
+    # b's (1,2) entry differs between the identical components, yet both
+    # projections are injective on the rank-4 entry-pair lattice
+    text = (pathlib.Path(__file__).parent / "data" / "nzct_projections.cfg").read_text()
+    rep = parse_config(text)
+    assert rep.lattices.A.rank == 4 and not domain_or_diagonal(rep)
+    for b in (1, 2):
+        assert nzct_check_ringelem(rep, b).status != "violated"
+    _forbid_nzct_search(monkeypatch)
+    assert _verdict_strings(nzct_check(rep, 6)) == _EXACT_HOLDS
+
+
+def test_nzct_needs_every_projection_injective():
+    # pi_0 is injective on A and pi_1 is not: x2 = q vanishes on the second
+    # component, where a1 and w commute with it but not with each other
+    ring = parse_ring("Z[t] x Z")
+    rep = representation(ring, {"q": elem(ring, "(t,0)", 0, 0), "w": elem(ring, "(t^2,0)", 0, "(0,1)")})
+    assert rep.lattices.A.rank == 4
+    v = nzct_check(rep, 1)
+    assert (v.status, v.method) == ("violated", "exact_lattice")
+    _assert_nzct_witness(v.witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    ring=st.sampled_from(CORPUS_RINGS + ["Z[t] x Z[t]", "Z[t] x Z[t] x Z[t]"]),
+    shape=st.sampled_from(["random", "diagonal", "scaled"]),
+)
+@example(seed=7, ring="Z[t] x Z[t] x Z[t]", shape="scaled")  # rank 4, every projection injective
+def test_nzct_projection_layer_matches_oracle(seed, ring, shape):
+    # one or two generators beside a1 and a2, so A has rank at most 4 and
+    # the oracle's box at bound 2 stays small.  A diagonal generator has the
+    # same entries on every component, a scaled one an integer multiple of
+    # them on each component, which can leave every projection injective
+    rng, ring = random.Random(seed), parse_ring(ring)
+    extra = {}
+    for k in range(rng.randint(1, 2)):
+        g = random_ut3(rng, ring)
+        if shape != "random":
+            cs = [1 if shape == "diagonal" else rng.choice([-2, -1, 1, 2, 3]) for _ in ring.components]
+            scale = parse_elem(ring, "(" + ",".join(map(str, cs)) + ")")
+            entries = (RingElem(ring, (x.parts[0],) * ring.ncomponents) for x in (g.u12, g.u13, g.u23))
+            g = UT3Elem(ring, *(scale * x for x in entries))
+        extra[f"g{k + 1}"] = g
+    _assert_nzct_matches_oracle(representation(ring, extra), 1)
+
+
+def test_nzct_walks_one_of_each_q_and_its_negation(monkeypatch):
+    # q and -q have the same centralizer: only the q with a negative first
+    # nonzero coefficient are decided, and the witness is still the first
+    # one of the whole box in itertools.product order
+    reps = [rep for rep in corpus(40, seed=0) if rep.lattices.A.rank >= 4]
+    assert any(nzct_check(rep, 1).status == "inconclusive" for rep in reps)
+    decided = []
+    original = reprs._nzct_at
+
+    def counted(rep, q):
+        decided.append(q)
+        return original(rep, q)
+
+    for rep in reps:
+        r = rep.lattices.A.rank
+        box = (q for q in itertools.product(range(-1, 2), repeat=r) if any(q))
+        first = next(filter(None, (original(rep, q) for q in box)), None)
+        decided.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(reprs, "_nzct_at", counted)
+            v = nzct_check(rep, 1)
+        assert (v.witness and v.witness.to_dict()) == (first and first.to_dict())
+        assert all(next(x for x in q if x) < 0 for q in decided)
+        if v.status == "inconclusive":
+            assert len(decided) == (3**r - 1) // 2
 
 
 def _form_det(rep, c, d):

@@ -17,7 +17,6 @@ from heislab.rings import (
     Z,
     discriminate,
     format_elem,
-    is_domain,
     is_zero_divisor,
     nonvanishing_point,
     parse_elem,
@@ -92,8 +91,6 @@ def test_support_and_zero_divisor():
     assert not is_zero_divisor(RingElem.integer(ZZ, 7))
     assert not is_zero_divisor(RingElem.zero(ZZ))
     assert not is_zero_divisor(RingElem.var(ZTH, "theta"))
-    assert is_domain(Z) and is_domain(ZTH)
-    assert not is_domain(ZZ)
 
 
 def test_separate_nonzero():
