@@ -478,11 +478,13 @@ def _add_rep_opts(p, with_json=True):
         p.add_argument("--json", action="store_true", help="emit JSON")
 
 
-def _add_bound_opt(p):
-    def bound(text):  # with argparse's own message for a non-integer
-        return _int(text, argparse.ArgumentTypeError(f"invalid int value: {text!r}"))
+def _int_arg(text: str) -> int:
+    """An integer option, with argparse's own message for a non-integer."""
+    return _int(text, argparse.ArgumentTypeError(f"invalid int value: {text!r}"))
 
-    p.add_argument("--bound", type=bound, help="search bound (capped by HEISLAB_MAX_BOUND)")
+
+def _add_bound_opt(p):
+    p.add_argument("--bound", type=_int_arg, help="search bound (capped by HEISLAB_MAX_BOUND)")
 
 
 @functools.cache
@@ -540,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_adjoin_center)
 
     p = sub.add_parser("appropriate", help="bounded ring-appropriateness check")
-    p.add_argument("--degree", type=int, default=2)
+    p.add_argument("--degree", type=_int_arg, default=2)
     _add_rep_opts(p)
     p.set_defaults(fn=cmd_appropriate)
 

@@ -537,10 +537,13 @@ class UnresolvedNameError(FormulaError):
 class GroupEnv:
     """Element universe for evaluation and bounded quantifier search.
 
-    Elements must support __mul__, inv(), pow_int(), comm() and hashable
-    equality: ``Representation.env`` uses ``ut3.Class2Elem``, ``discriminate``
-    uses ``nilform.NilForm``.  a1 and a2 must be present in the constant
-    table.
+    The elements must form a group of nilpotency class 2, so that every
+    commutator is central, and support __mul__, inv(), pow_int(), comm(),
+    hashable equality and coset_key(), which may be equal for two elements
+    only when they differ by a central factor.  ``Representation.env`` uses
+    ``ut3.Class2Elem``, ``discriminate`` uses ``nilform.NilForm``, and the
+    tests also use ``ut3.UT3Elem``.  a1 and a2 must be present in the
+    constant table.
     """
 
     def __init__(self, identity, constants: dict, generators: list):
@@ -550,6 +553,7 @@ class GroupEnv:
         self.constants = dict(constants)
         self.generators = list(generators)  # (name, element) pairs
         self._balls: dict[int, list] = {}
+        self._representatives: dict[int, list[int]] = {}
 
     def ball(self, bound: int) -> list:
         """Distinct elements of word length <= bound over the generators,
@@ -575,6 +579,21 @@ class GroupEnv:
         out = list(seen.items())
         self._balls[bound] = out
         return out
+
+    def representatives(self, bound: int) -> list[int]:
+        """The ball position of the first element of each center class, in
+        ball order; a center class is the set of ball elements with one
+        coset_key."""
+        reps = self._representatives.get(bound)
+        if reps is None:
+            keys = set()
+            reps = self._representatives[bound] = []
+            for pos, (e, _word) in enumerate(self._balls.get(bound) or self.ball(bound)):
+                key = e.coset_key()
+                if key not in keys:
+                    keys.add(key)
+                    reps.append(pos)
+        return reps
 
 
 def eval_term(t, env: GroupEnv, assignment: dict):
@@ -638,11 +657,36 @@ class NoneWithinBound:
     bound: int
 
 
+def _is_central(t) -> bool:
+    """Central in every class-2 group by its syntax: 1, a commutator, or a
+    product or power of these."""
+    if isinstance(t, (One, TComm)):
+        return True
+    if isinstance(t, TMul):
+        return _is_central(t.left) and _is_central(t.right)
+    if isinstance(t, TPow):
+        return _is_central(t.base)
+    return False
+
+
+def _bare_vars(t) -> set[str]:
+    """The variables of a term with an occurrence outside every commutator."""
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, TMul):
+        return _bare_vars(t.left) | _bare_vars(t.right)
+    if isinstance(t, TPow):
+        return _bare_vars(t.base)
+    return set()
+
+
 def _compile_term(t, env: GroupEnv, var_pos: dict, cur: list):
     """(value, None) for a term without variables, else (None, fn) where
     fn() evaluates t on the elements in ``cur`` (variable v is
     ``cur[var_pos[v]]``).  Named constants are looked up here, so an
-    unknown one raises before any search starts."""
+    unknown one raises before any search starts.  A commutator with a
+    syntactically central side is 1 in a class-2 group, so it compiles to
+    ``env.identity`` (its sides are still compiled, for those errors)."""
     if isinstance(t, One):
         return env.identity, None
     if isinstance(t, Var):
@@ -665,9 +709,11 @@ def _compile_term(t, env: GroupEnv, var_pos: dict, cur: list):
         op = _comm
     else:
         raise TypeError(f"not a term: {t!r}")
-    return _combine(
-        op, _compile_term(t.left, env, var_pos, cur), _compile_term(t.right, env, var_pos, cur)
-    )
+    left = _compile_term(t.left, env, var_pos, cur)
+    right = _compile_term(t.right, env, var_pos, cur)
+    if op is _comm and (_is_central(t.left) or _is_central(t.right)):
+        return env.identity, None
+    return _combine(op, left, right)
 
 
 def _comm(x, y):
@@ -688,25 +734,42 @@ def _combine(op, left, right):
 
 def _compile_conjunction(literals, variables, env: GroupEnv):
     """Compile a conjunction of Eq/Ne literals over ``variables`` into
-    search(ball): the ball positions of the first assignment, in canonical
-    order, that makes every literal true, or None.
+    search(ball, reps): the ball positions of the first assignment, in
+    canonical (lexicographic) order, that makes every literal true, or
+    None.  ``reps`` is ``env.representatives`` of the ball.
 
     Each literal becomes a closure over the list of chosen elements and is
     checked in the loop that chooses its last variable, so a candidate
     that fails costs no recursive call; literals without variables are
-    decided here, once.  A literal's memo holds one row of truth values
-    per choice of its other variables' ball positions, indexed by its last
-    variable's position; a literal on every variable so far never repeats
-    and gets a fresh row.  Conflict-directed backjumping skips a variable's
-    remaining values when no failure below involved it -- this keeps
-    exhaustive refutation over sizeable balls tractable for four-variable
-    sentences."""
+    decided here, once -- with the commutator fold of ``_compile_term``
+    this decides CT(n >= 2), whose chain compiles to 1, before any search.
+    A literal's memo holds one row of truth values per choice of its other
+    variables' ball positions, indexed by its last variable's position; a
+    literal on every variable so far never repeats and gets a fresh row.
+    Conflict-directed backjumping skips a variable's remaining values when
+    no failure below involved it -- this keeps exhaustive refutation over
+    sizeable balls tractable for four-variable sentences.
+
+    A variable is *blind* when every occurrence of it, on both sides of
+    every literal, lies inside a commutator; it ranges over ``reps`` only.
+    This loses no first assignment.  Multiplying a variable by a central
+    z multiplies each term around it by a power of z, and a commutator
+    ignores central factors of its sides, so each literal is unchanged when
+    a blind variable is multiplied by a central element.  Two elements of
+    one center class differ by a central factor, so replacing each blind
+    variable's position in a satisfying assignment by the first position
+    of its class gives a satisfying assignment that is componentwise no
+    larger, hence lexicographically no later: the first satisfying
+    assignment is already made of representatives at its blind
+    variables."""
     nvars = len(variables)
     var_pos = {v: k for k, v in enumerate(variables)}
     cur: list = [None] * nvars  # the element chosen for each variable
     holds = True  # every literal without variables is true
     checks: list[list] = [[] for _ in range(nvars)]  # by last variable
+    bare: set[str] = set()  # variables with an occurrence outside commutators
     for lit in literals:
+        bare |= _bare_vars(lit.left) | _bare_vars(lit.right)
         op = operator.eq if isinstance(lit, Eq) else operator.ne
         truth, test = _combine(
             op,
@@ -721,11 +784,14 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
         prefix = None if levels == list(range(last + 1)) else levels[:-1]
         checks[last].append((test, prefix, sum(1 << k for k in levels)))
 
-    def search(ball):
+    blind = [v not in bare for v in variables]
+
+    def search(ball, reps):
         if not holds:
             return None
         elems = [e for e, _word in ball]
         size = len(elems)
+        domains = [reps if b else range(size) for b in blind]
         values = [0] * nvars  # the ball position chosen for each variable
         memos = [[None if prefix is None else {} for _, prefix, _ in level] for level in checks]
 
@@ -745,9 +811,9 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
             last = level + 1 == nvars
             bit = 1 << level
             union = 0
-            for pos, elem in enumerate(elems):
+            for pos in domains[level]:
                 values[level] = pos
-                cur[level] = elem
+                cur[level] = elems[pos]
                 for test, row, conflict in tests:
                     ok = row[pos]
                     if ok is None:
@@ -787,8 +853,9 @@ def _search_ball(f, env: GroupEnv, bound: int, negate: bool, found_type):
         _compile_conjunction(d, variables, env)
         for d in dnf_disjuncts(matrix, negate=negate)
     ]
+    reps = env.representatives(bound)
     for search in searches:
-        positions = search(ball)
+        positions = search(ball, reps)
         if positions is not None:
             picks = [ball[p] for p in positions]
             return found_type(

@@ -76,6 +76,11 @@ class NilForm:
     def comm(self, other: "NilForm") -> "NilForm":
         return self.inv() * other.inv() * self * other
 
+    def coset_key(self) -> tuple[int, ...]:
+        """The generator exponents: equal for two elements exactly when
+        they differ by a central product of basic commutators."""
+        return self.e
+
     def __str__(self) -> str:
         pieces = [f"a{i+1}^{x}" for i, x in enumerate(self.e) if x]
         pieces += [

@@ -723,7 +723,9 @@ def serialize_config(rep: Representation) -> str:
 def appropriateness_check(rep: Representation, degree_bound: int) -> Appropriateness:
     """Bounded test of whether the ring is generated by the entries of the
     group: enumerate monomials in the entries up to the degree bound and
-    decide membership of each designated ring generator in their Z-span."""
+    decide membership of each designated ring generator in their Z-span.
+    Each layer multiplies the previous one by the entries, so once a layer
+    adds no new product no later one does, and the enumeration stops."""
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
     entries = [RingElem.one(rep.ring)]
@@ -742,6 +744,8 @@ def appropriateness_check(rep: Representation, degree_bound: int) -> Appropriate
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
+        if not nxt:
+            break
         products.extend(nxt)
         layer = nxt
     targets = _ring_targets(rep.ring)

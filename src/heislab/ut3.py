@@ -92,6 +92,11 @@ class UT3Elem:
         a1 and a2, hence with everything)."""
         return self.u12.is_zero() and self.u23.is_zero()
 
+    def coset_key(self):
+        """Equal for two elements exactly when they differ by a central
+        factor of the (1,3) block."""
+        return self.u12, self.u23
+
     def in_centralizer_a(self, i: int) -> bool:
         """Membership in the centralizer of the distinguished generator a_i."""
         if i == 1:
@@ -252,6 +257,11 @@ class Class2Elem:
         for i, j, k in law.table:
             out[k] += x[i] * y[j] - y[i] * x[j]
         return Class2Elem(law, tuple(out))
+
+    def coset_key(self) -> tuple[int, ...]:
+        """The 12/23 coordinates: equal for two elements exactly when they
+        differ by a central factor of the (1,3) block."""
+        return self.v[: len(self.law.f12) + len(self.law.f23)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Class2Elem):

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import random
+import signal
 
 import pytest
 from test_cli_golden import DATA, _key, _run, _write_files
@@ -455,6 +456,35 @@ def test_over_long_bounds_are_usage_errors(capsys, monkeypatch):
 def test_bad_bound_messages(capsys, monkeypatch, argv, env, message):
     monkeypatch.setenv("HEISLAB_MAX_BOUND", env)
     assert run(capsys, "nzct", *argv) == (3, "", f"error: {message}\n")
+
+
+def test_over_long_degree_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "appropriate", "--degree", "9" * 5000)
+    assert (code, out, err) == (3, "", "error: integer literal of 5000 digits is too long\n")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "argument --degree: invalid int value: 'abc'"), ("0", "--degree must be >= 1")],
+)
+def test_bad_degree_messages(capsys, value, message):
+    assert run(capsys, "appropriate", "--degree", value) == (3, "", f"error: {message}\n")
+
+
+def test_appropriate_stops_at_the_first_empty_layer(capsys):
+    # every entry of H is 1, so the first layer adds no product; walking
+    # the other 10^18 - 1 empty layers would outlast the alarm
+    def too_slow(*_args):
+        raise TimeoutError("appropriate kept walking empty layers")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        result = run(capsys, "appropriate", "--example", "heisenberg", "--degree", "1" + "0" * 18)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert result == (0, "confirmed degree_bound=1000000000000000000\n", "")
 
 
 def test_deterministic_output(capsys):

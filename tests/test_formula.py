@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heislab import formula, reprs
+from heislab import cli, formula, reprs, ut3
 from heislab.formula import (
     A1,
     A2,
@@ -50,9 +50,7 @@ def H_env():
 
 
 def full_zxz_env():
-    from heislab.cli import fixture
-
-    return fixture("tau-fails-zxz").env()
+    return cli.fixture("tau-fails-zxz").env()
 
 
 # ---------------------------------------------------------------------------
@@ -461,42 +459,79 @@ def _search_terms(draw, variables, depth=0):
 
 
 @st.composite
+def _commutator_terms(draw, variables):
+    """A commutator of search terms, or a product or power of such."""
+    kind = draw(st.sampled_from(["comm", "comm", "mul", "pow"]))
+    if kind == "mul":
+        return TMul(draw(_commutator_terms(variables)), draw(_commutator_terms(variables)))
+    comm = TComm(draw(_search_terms(variables, 1)), draw(_search_terms(variables, 1)))
+    return TPow(comm, draw(st.sampled_from([-1, 2]))) if kind == "pow" else comm
+
+
+@st.composite
 def _conjunctions(draw):
-    """(literals, variables, env, ball).  Unless no assignment is planted,
+    """(literals, variables, env, bound).  Unless no assignment is planted,
     each literal is made true at a drawn one (Eq or Ne as its sides compare
     there), so most cases have a solution, often past the first values.
-    Three variables only where the brute force has at most 17^3 tuples to
-    scan."""
+    In about half the cases every literal compares commutators, so every
+    variable is blind.  Three variables only where the brute force has at
+    most 17^3 tuples to scan."""
     env = _SEARCH_ENVS[draw(st.sampled_from(sorted(_SEARCH_ENVS)))]()
-    ball = env.ball(draw(st.integers(1, 2)))
+    bound = draw(st.integers(1, 2))
+    ball = env.ball(bound)
     nvars = draw(st.integers(1, 3 if len(ball) <= 17 else 2))
     variables = ["x", "y", "z"][:nvars]
     planted = draw(st.tuples(*[st.sampled_from(ball) for _ in variables]) | st.none())
+    terms = _commutator_terms if draw(st.booleans()) else _search_terms
     literals = []
     for _ in range(draw(st.integers(1, 6))):
         # each literal on its own variables, so some skip a level
         used = draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
-        left = draw(_search_terms(used))
-        right = draw(st.one_of(st.just(ONE), _search_terms(used)))
+        left = draw(terms(used))
+        right = draw(st.one_of(st.just(ONE), terms(used)))
         if planted is None:
             kind = draw(st.sampled_from([Eq, Ne]))
         else:
             at = {v: e for v, (e, _) in zip(variables, planted)}
             kind = Eq if eval_term(left, env, at) == eval_term(right, env, at) else Ne
         literals.append(kind(left, right))
-    return literals, variables, env, ball
+    return literals, variables, env, bound
 
 
 def _first_by_brute_force(literals, variables, env, ball):
-    for picks in itertools.product(ball, repeat=len(variables)):
-        assignment = {v: e for v, (e, _) in zip(variables, picks)}
-        if all(eval_qf(lit, env, assignment) for lit in literals):
+    """The first tuple of ball elements, in lexicographic order, that
+    satisfies every literal under eval_qf.  A prefix is dropped as soon as
+    a literal on its variables alone is false, since every extension of it
+    fails that literal too."""
+    by_level = [[] for _ in variables]  # each literal at its last variable
+    for lit in literals:
+        names = free_vars(lit)
+        if not names:
+            if not eval_qf(lit, env, {}):
+                return None
+            continue
+        by_level[max(variables.index(v) for v in names)].append(lit)
+    assignment = {}
+
+    def scan(level):
+        if level == len(variables):
             return tuple(assignment[v] for v in variables)
-    return None
+        for e, _ in ball:
+            assignment[variables[level]] = e
+            if all(eval_qf(lit, env, assignment) for lit in by_level[level]):
+                found = scan(level + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return scan(0)
 
 
-def _assert_search_matches_brute_force(literals, variables, env, ball):
-    positions = formula._compile_conjunction(literals, variables, env)(ball)
+def _assert_search_matches_brute_force(literals, variables, env, bound):
+    ball = env.ball(bound)
+    positions = formula._compile_conjunction(literals, variables, env)(
+        ball, env.representatives(bound)
+    )
     found = None if positions is None else tuple(ball[p][0] for p in positions)
     assert found == _first_by_brute_force(literals, variables, env, ball)
 
@@ -518,13 +553,90 @@ def test_search_conjunction_matches_brute_force(case):
         # the negated matrices of CT(0) and NZCT
         ("H", 2, "x2!=1 & [x1,x2]=1 & [x2,x3]=1 & [x1,x3]!=1"),
         ("zxz", 1, "[x2,y]!=1 & [x1,x2]=1 & [x2,x3]=1 & [x1,x3]!=1"),
+        # x and y also occur outside a commutator, so neither is blind
+        ("H", 2, "[x,y]!=1 & x*x=y"),
+        ("zxz", 2, "[x,y]!=1 & x*x=y"),
+        # only y is blind; x is a2*a1, which is not the first of its
+        # center class (a1*a2 comes before it)
+        ("H", 2, "[x,y]!=1 & x=a2*a1"),
     ],
 )
 def test_search_conjunction_matches_brute_force_on_fixed_cases(env_name, bound, matrix):
     (literals,) = dnf_disjuncts(parse(matrix))
     variables = sorted(free_vars(parse(matrix)))
     env = _SEARCH_ENVS[env_name]()
-    _assert_search_matches_brute_force(literals, variables, env, env.ball(bound))
+    _assert_search_matches_brute_force(literals, variables, env, bound)
+
+
+@pytest.mark.parametrize("env_name", sorted(_SEARCH_ENVS))
+@pytest.mark.parametrize(
+    "name, variables",
+    [
+        ("tau", None),
+        ("centralizer_qi", None),
+        ("CT(1)", None),
+        # the chain's variables first, so the brute force drops every
+        # prefix at x2 instead of scanning 53^5 tuples on zxz
+        ("CT(2)", ["w1", "w2", "x2", "x1", "x3"]),
+    ],
+)
+def test_negated_builtins_match_brute_force(env_name, name, variables):
+    blocks, matrix = formula._peel_quantifiers(builtin(name))
+    (literals,) = dnf_disjuncts(matrix, negate=True)
+    variables = variables or [v for _, vs in blocks for v in vs]
+    _assert_search_matches_brute_force(literals, variables, _SEARCH_ENVS[env_name](), 2)
+
+
+def test_commutator_with_a_central_side_compiles_to_one():
+    env = H_env()
+    var_pos = {"x": 0, "y": 1, "z": 2}
+    cur = [env.constants["a1"], env.constants["a2"], env.constants["a1"]]
+    for text in ("[[x,y],z]", "[z,[x,y]^2*1]", "[[x,y]*[y,z]^-1,[x,[y,z]]]"):
+        assert formula._compile_term(parse_term(text), env, var_pos, cur) == (env.identity, None)
+    # x*[x,y] is not central, so its commutator with y is computed
+    value, fn = formula._compile_term(parse_term("[x*[x,y],y]"), env, var_pos, cur)
+    assert value is None and fn() == eval_term(parse_term("[a1,a2]"), env, {})
+    # a folded commutator still names its unknown constants
+    with pytest.raises(formula.UnresolvedNameError, match="unknown constant 'foo'"):
+        formula._compile_term(parse_term("[[x,@foo],y]"), env, var_pos, cur)
+
+
+def test_representatives_are_the_first_of_each_center_class():
+    env = full_zxz_env()
+    ball = env.ball(2)
+    reps = env.representatives(2)
+    keys = [e.coset_key() for e, _ in ball]
+    assert reps == sorted(keys.index(k) for k in set(keys))
+    assert reps[0] == 0 and len(reps) < len(ball)
+    assert env.representatives(2) is reps  # computed once per ball
+
+
+def test_blind_variables_range_over_representatives(monkeypatch):
+    # every variable of NZCT is blind: each element compared by a
+    # commutator is the first of its center class
+    env = H_env()
+    ball, reps = env.ball(2), env.representatives(2)
+    assert (len(ball), len(reps)) == (17, 13)
+    tried = set()
+    comm = ut3.Class2Elem.comm
+
+    def spy(x, y):
+        tried.update((x, y))
+        return comm(x, y)
+
+    monkeypatch.setattr(ut3.Class2Elem, "comm", spy)
+    assert refute_universal(builtin("NZCT"), env, 2) == NoneWithinBound(2)
+    assert tried == {ball[p][0] for p in reps}
+
+
+def test_ct_chain_past_one_commutator_is_decided_before_search(monkeypatch, capsys):
+    # [[w1,w2],x2] is 1 in class 2, so no assignment can falsify CT(20)
+    def no_literal(*_args):
+        raise AssertionError("a literal was evaluated")
+
+    monkeypatch.setattr(ut3.Class2Elem, "comm", no_literal)
+    assert cli.main(["refute", "CT(20)", "--bound", "2"]) == 2
+    assert capsys.readouterr().out == "inconclusive method=bounded_search bound=2\n"
 
 
 def test_builtin_bad_names():

@@ -83,6 +83,21 @@ def test_to_matrix_is_isomorphism():
         to_matrix(identity(3))
 
 
+def test_coset_key_classes_match_the_heisenberg_ball():
+    # the rank-2 group is H, and to_matrix sends coset_key to (e23, e12)
+    from heislab import formula, reprs
+
+    gens = [("a1", generator(2, 1)), ("a2", generator(2, 2))]
+    env = formula.GroupEnv(identity(2), dict(gens), gens)
+    rep = reprs.heisenberg()
+    H = rep.env()
+    for bound in range(4):
+        assert [to_matrix(x) for x, _ in env.ball(bound)] == [
+            rep.law.to_ut3(g) for g, _ in H.ball(bound)
+        ]
+        assert env.representatives(bound) == H.representatives(bound)
+
+
 def test_to_matrix_injective_on_samples():
     rng = random.Random(4)
     seen = {}

@@ -165,6 +165,8 @@ def test_class2_ball_matches_ut3(k):
         ball, expected = env.ball(bound), oracle.ball(bound)
         assert [w for _, w in ball] == [w for _, w in expected]
         assert [rep.law.to_ut3(e) for e, _ in ball] == [g for g, _ in expected]
+        # coset_key gives both element types the same center classes
+        assert env.representatives(bound) == oracle.representatives(bound)
 
 
 def test_class2_law_frames():
