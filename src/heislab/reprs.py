@@ -293,24 +293,44 @@ def lame_check(rep: Representation) -> Verdict:
 def tau_check(rep: Representation) -> Verdict:
     """Exact: tau fails iff some nonzero 12-entry u realized in C(a2) and
     nonzero 23-entry v realized in C(a1) have disjoint component supports
-    (then u*v = 0).  Support patterns are enumerated over the components."""
+    (then u*v = 0).
+
+    Support patterns are masks over the components: U(mask) is A2 with its
+    12-block zeroed outside the mask, V(mask) is A1 with its 23-block
+    zeroed inside it, and the witness comes from the first mask, in
+    increasing order, with both nonzero.  The masks are walked depth-first
+    from the top component down, each component outside before inside,
+    which visits them in increasing order.  Below a node, U and V can only
+    shrink: every mask there zeroes the node's outside components in U and
+    its inside components in V.  So a node whose U or V is already 0 is
+    skipped with its subtree, and the masks with no component inside or
+    none outside, whose U or V is 0, are never reached."""
     L = rep.lattices
     k = rep.ring.ncomponents
-    for mask in range(1, 2**k - 1):
-        inside = [j for j in range(k) if mask >> j & 1]
-        outside = [j for j in range(k) if not mask >> j & 1]
-        # u in A2's 12-block supported inside the mask
-        u_coords = [c for j in outside for c in _block_coords(rep, 0, j)]
-        latU = zlattice.intersect_coordinate_zero(L.A2, u_coords)
-        if latU.rank == 0:
+
+    def zeroed(lat, block, comps):
+        coords = [c for j in comps for c in _block_coords(rep, block, j)]
+        return zlattice.intersect_coordinate_zero(lat, coords)
+
+    # (components left to decide, outside, inside, U, V); None stands for
+    # the lattice that the node's last decision changed, made when it is
+    # reached
+    stack = [(k, (), (), L.A2, L.A1)]
+    while stack:
+        j, outside, inside, U, V = stack.pop()
+        U = zeroed(L.A2, 0, outside) if U is None else U
+        V = zeroed(L.A1, 1, inside) if V is None else V
+        if U.rank == 0 or V.rank == 0:
             continue
-        v_coords = [c for j in inside for c in _block_coords(rep, 1, j)]
-        latV = zlattice.intersect_coordinate_zero(L.A1, v_coords)
-        if latV.rank == 0:
-            continue
-        y = rep.product_of_generators(latU.transform[0])
-        x = rep.product_of_generators(latV.transform[0])
-        return Verdict("violated", "exact_lattice", TauWitness(y, x))
+        if j == 0:
+            y = rep.product_of_generators(U.transform[0])
+            x = rep.product_of_generators(V.transform[0])
+            return Verdict("violated", "exact_lattice", TauWitness(y, x))
+        j -= 1
+        if outside or j:  # pushed first, so walked after the outside branch
+            stack.append((j, outside, inside + (j,), U, None))
+        if inside or j:
+            stack.append((j, outside + (j,), inside, None, V))
     return Verdict("holds", "exact_lattice")
 
 

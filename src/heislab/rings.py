@@ -351,17 +351,6 @@ def retract(rho: Retraction, r: RingElem) -> int:
     return _peval(r.parts[rho.component], point)
 
 
-def is_zero_divisor(r: RingElem) -> bool:
-    """True iff r is nonzero and annihilated by some nonzero element.
-
-    Each component is an integral domain, so this happens exactly when r is
-    nonzero but vanishes on some component.
-    """
-    if r.is_zero():
-        return False
-    return len(r.support) < r.ring.ncomponents
-
-
 def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
     """Integer values for ``names`` under which every group keeps a nonzero
     element.
@@ -399,13 +388,6 @@ def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
         groups = images
         point[name] = value
     return point
-
-
-def separate(r: RingElem) -> Retraction:
-    """A retraction that does not annihilate the nonzero element r."""
-    if r.is_zero():
-        raise ValueError("zero has no separating retraction")
-    return discriminate([r])
 
 
 @dataclass(frozen=True)
@@ -610,6 +592,66 @@ def _split_tuple(tokens: list[str]) -> list[list[str]] | None:
     return parts
 
 
+# A flat literal: a tuple of two or more flat expressions, or one bare flat
+# expression.  A flat expression is an optionally negated sum of products of
+# integers and powers name^k, with no blanks, no parentheses and no power of
+# an integer.  Digit runs are capped at 640, the least limit on integer
+# string conversion that Python lets a program set, so a longer run takes
+# the recursive descent and ``parse_int``'s error.
+_FLAT_NUM = r"[0-9]{1,640}"
+_FLAT_FACTOR = rf"(?:{_FLAT_NUM}|{_IDENT}(?:\^{_FLAT_NUM})?)"
+_FLAT_EXPR = rf"-?{_FLAT_FACTOR}(?:[-+*]{_FLAT_FACTOR})*"
+_FLAT = re.compile(rf"\(({_FLAT_EXPR}(?:,{_FLAT_EXPR})+)\)|({_FLAT_EXPR})")
+# one signed product of a flat expression (the "+" between terms is skipped)
+_FLAT_TERM = re.compile(r"(-?)([^-+]+)")
+
+
+def _flat_poly(text: str, names: tuple[str, ...]) -> Poly | None:
+    """The canonical polynomial of a flat expression over the
+    indeterminates ``names``; None if it names another indeterminate."""
+    if text.lstrip("-").isdigit():  # an integer
+        return _pconst(int(text), len(names))
+    terms: dict[Monomial, int] = {}
+    for sign, product in _FLAT_TERM.findall(text):
+        c = -1 if sign else 1
+        e = [0] * len(names)
+        for factor in product.split("*"):
+            if factor[0].isdigit():
+                c *= int(factor)
+            else:
+                name, _, k = factor.partition("^")
+                if name not in names:
+                    return None
+                e[names.index(name)] += int(k) if k else 1
+        e = tuple(e)
+        terms[e] = terms.get(e, 0) + c
+    return _canon(terms)
+
+
+def _parse_flat(ring: RingDesc, text: str) -> RingElem | None:
+    """``parse_elem`` of a flat literal that names only indeterminates of
+    its components and, as a tuple, has one entry per component; None for
+    any other text."""
+    m = _FLAT.fullmatch(text)
+    if m is None:
+        return None
+    entries, bare = m.groups()
+    if bare is None:
+        entries = entries.split(",")
+        if len(entries) != ring.ncomponents:
+            return None
+        parts = [_flat_poly(entry, names) for entry, names in zip(entries, ring.components)]
+    else:
+        polys: dict[tuple[str, ...], Poly | None] = {}
+        for names in ring.components:
+            if names not in polys:
+                polys[names] = _flat_poly(bare, names)
+        parts = [polys[names] for names in ring.components]
+    if None in parts:
+        return None
+    return RingElem(ring, tuple(parts))
+
+
 def parse_elem(ring: RingDesc, text: str) -> RingElem:
     """Parse an element literal.
 
@@ -618,7 +660,22 @@ def parse_elem(ring: RingDesc, text: str) -> RingElem:
     embedding of Z or Z[theta] into the product).  A bare expression is
     parsed once per distinct list of indeterminates, at its first component,
     and components with the same list share the polynomial.
+
+    A flat literal (see ``_FLAT``) such as ``(2*t^2-t,-3)`` or ``s*t+1``,
+    with at most 640 digits in a row, that names only indeterminates of its
+    components and, as a tuple, has one entry per component, is matched by
+    one regular expression and read straight into its polynomials.  Any
+    other text, valid or not, goes to the recursive descent of
+    ``_parse_tokens``, so the result and every error message are the same
+    on both paths.
     """
+    elem = _parse_flat(ring, text)
+    return elem if elem is not None else _parse_tokens(ring, text)
+
+
+def _parse_tokens(ring: RingDesc, text: str) -> RingElem:
+    """``parse_elem`` by recursive descent over the tokens: any literal,
+    and the error message of any text that is not one."""
     tokens = _tokenize(text)
     parts = _split_tuple(tokens)
     if parts is not None:

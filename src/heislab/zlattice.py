@@ -32,7 +32,10 @@ def _row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
 
     Returns (rows, U) with U unimodular and U @ input = rows; the nonzero
     rows (on top) are in HNF: positive pivots left to right, entries above
-    each pivot reduced into [0, pivot).
+    each pivot reduced into [0, pivot).  When column ``col`` is reached,
+    every row from position r on, the pivot row among them, is 0 left of
+    ``col``; each row update subtracts a multiple of the pivot row, so it
+    starts at ``col``.
     """
     n = len(rows)
     dim = len(rows[0]) if rows else 0
@@ -41,36 +44,48 @@ def _row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
     for col in range(dim):
         # clear column below position r via gcd row operations
         while True:
-            pivots = [i for i in range(r, n) if rows[i][col] != 0]
-            if not pivots:
+            # the pivot: the least nonzero |entry| at or below r, first on ties
+            i0, least = -1, 0
+            for i in range(r, n):
+                x = rows[i][col]
+                if x and (not least or abs(x) < least):
+                    i0, least = i, abs(x)
+            if i0 < 0:
                 break
-            i0 = min(pivots, key=lambda i: (abs(rows[i][col]), i))
             if i0 != r:
                 rows[r], rows[i0] = rows[i0], rows[r]
                 U[r], U[i0] = U[i0], U[r]
+            prow, pu = rows[r], U[r]
+            p = prow[col]
             done = True
             for i in range(r + 1, n):
-                if rows[i][col] != 0:
-                    q = rows[i][col] // rows[r][col]
-                    for j in range(dim):
-                        rows[i][j] -= q * rows[r][j]
+                row = rows[i]
+                if row[col]:
+                    q = row[col] // p
+                    for j in range(col, dim):
+                        row[j] -= q * prow[j]
+                    u = U[i]
                     for j in range(n):
-                        U[i][j] -= q * U[r][j]
-                    if rows[i][col] != 0:
+                        u[j] -= q * pu[j]
+                    if row[col]:
                         done = False
             if done:
                 break
-        if r < n and rows[r][col] != 0:
+        if r < n and rows[r][col]:
             if rows[r][col] < 0:
                 rows[r] = [-x for x in rows[r]]
                 U[r] = [-x for x in U[r]]
+            prow, pu = rows[r], U[r]
+            p = prow[col]
             for i in range(r):
-                q = rows[i][col] // rows[r][col]
+                row = rows[i]
+                q = row[col] // p
                 if q:
-                    for j in range(dim):
-                        rows[i][j] -= q * rows[r][j]
+                    for j in range(col, dim):
+                        row[j] -= q * prow[j]
+                    u = U[i]
                     for j in range(n):
-                        U[i][j] -= q * U[r][j]
+                        u[j] -= q * pu[j]
             r += 1
     return rows, U
 
@@ -162,6 +177,18 @@ def intersect_coordinate_zero(L: Lattice, coords: Iterable[int]) -> Lattice:
     Computed via the integer left-kernel of the basis restricted to those
     coordinates; the transform is composed so the result's basis rows are
     still expressed over L's original source vectors.
+
+    On the first m coordinates, range(m), the answer is the tail of L's
+    basis whose rows are 0 there, with their transform rows.  The pivots of
+    an HNF basis increase, so a row that is nonzero on range(m) has its
+    pivot there, and every later row is 0 at that pivot.  In a combination
+    that vanishes on range(m), the first such row with a nonzero
+    coefficient would leave a nonzero entry at its pivot; so only the tail
+    takes part.  The general path computes the same basis and transform:
+    the basis restricted to range(m) is already in HNF, with the tail's
+    zero rows at the bottom, so its row reduction is the identity and the
+    kernel is the tail's unit vectors; the tail is in HNF, so the second
+    row reduction is the identity too.
     """
     coords = sorted(set(coords))
     for c in coords:
@@ -169,6 +196,10 @@ def intersect_coordinate_zero(L: Lattice, coords: Iterable[int]) -> Lattice:
             raise IndexError(f"coordinate {c} out of range")
     if not L.basis or not coords:
         return L
+    m = len(coords)
+    if coords[-1] == m - 1:  # coords is range(m)
+        tail = next((i for i, row in enumerate(L.basis) if not any(row[:m])), L.rank)
+        return Lattice(L.ambient_dim, L.basis[tail:], L.transform[tail:])
     kernel = left_kernel([[row[c] for c in coords] for row in L.basis])
     if not kernel:
         return Lattice(L.ambient_dim, (), ())

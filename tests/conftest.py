@@ -9,11 +9,33 @@ import pytest
 
 from heislab import formula, reprs, rings, ut3, zlattice
 from heislab.reprs import LameWitness, NzctWitness, SigmaWitness, Verdict
-from heislab.rings import RingDesc, RingElem, is_zero_divisor
+from heislab.rings import RingDesc, RingElem, Retraction, discriminate
 from heislab.ut3 import UT3Elem
 
 # The ring family every randomized property in the suite ranges over.
 CORPUS_RINGS = ["Z", "Z^2", "Z^3", "Z[theta]"]
+
+
+# ---------------------------------------------------------------------------
+# Ring helpers that only tests use
+
+
+def is_zero_divisor(r: RingElem) -> bool:
+    """True iff r is nonzero and annihilated by some nonzero element.
+
+    Each component is an integral domain, so this happens exactly when r is
+    nonzero but vanishes on some component.
+    """
+    if r.is_zero():
+        return False
+    return len(r.support) < r.ring.ncomponents
+
+
+def separate(r: RingElem) -> Retraction:
+    """A retraction that does not annihilate the nonzero element r."""
+    if r.is_zero():
+        raise ValueError("zero has no separating retraction")
+    return discriminate([r])
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +88,99 @@ def ut3_env(rep: reprs.Representation) -> formula.GroupEnv:
     coordinates replace."""
     gens = list(rep.generators)
     return formula.GroupEnv(ut3.identity(rep.ring), dict(gens), gens)
+
+
+# ---------------------------------------------------------------------------
+# Row-reduction oracles (zlattice's kernel starts each row update at the
+# pivot column and has a shortcut for the first coordinates)
+
+
+def row_reduce_oracle(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """zlattice._row_reduce as first written: the same row operations in
+    the same order, each row update over the whole row."""
+    n = len(rows)
+    dim = len(rows[0]) if rows else 0
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    r = 0
+    for col in range(dim):
+        while True:
+            pivots = [i for i in range(r, n) if rows[i][col] != 0]
+            if not pivots:
+                break
+            i0 = min(pivots, key=lambda i: (abs(rows[i][col]), i))
+            if i0 != r:
+                rows[r], rows[i0] = rows[i0], rows[r]
+                U[r], U[i0] = U[i0], U[r]
+            done = True
+            for i in range(r + 1, n):
+                if rows[i][col] != 0:
+                    q = rows[i][col] // rows[r][col]
+                    for j in range(dim):
+                        rows[i][j] -= q * rows[r][j]
+                    for j in range(n):
+                        U[i][j] -= q * U[r][j]
+                    if rows[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if r < n and rows[r][col] != 0:
+            if rows[r][col] < 0:
+                rows[r] = [-x for x in rows[r]]
+                U[r] = [-x for x in U[r]]
+            for i in range(r):
+                q = rows[i][col] // rows[r][col]
+                if q:
+                    for j in range(dim):
+                        rows[i][j] -= q * rows[r][j]
+                    for j in range(n):
+                        U[i][j] -= q * U[r][j]
+            r += 1
+    return rows, U
+
+
+def intersect_coordinate_zero_general(L: zlattice.Lattice, coords) -> zlattice.Lattice:
+    """zlattice.intersect_coordinate_zero without its shortcut for the first
+    coordinates: the left kernel of the basis restricted to ``coords``,
+    brought to HNF, with the transform composed over L's source vectors."""
+    coords = sorted(set(coords))
+    if not L.basis or not coords:
+        return L
+    kernel = zlattice.left_kernel([[row[c] for c in coords] for row in L.basis])
+    if not kernel:
+        return zlattice.Lattice(L.ambient_dim, (), ())
+    rows, U2 = row_reduce_oracle([zlattice.combine(k, L.basis, L.ambient_dim) for k in kernel])
+    basis = [tuple(row) for row in rows if any(row)]
+    nsrc = len(L.transform[0])
+    srcs = [zlattice.combine(k, L.transform, nsrc) for k in kernel]
+    transform = tuple(tuple(zlattice.combine(u, srcs, nsrc)) for u in U2[: len(basis)])
+    return zlattice.Lattice(L.ambient_dim, tuple(basis), transform)
+
+
+# ---------------------------------------------------------------------------
+# The tau mask loop (reprs.tau_check walks the masks as a pruned tree)
+
+
+def tau_check_masks(rep: reprs.Representation) -> Verdict:
+    """tau over all 2^k - 2 component masks in increasing order, with no
+    pruning and no shortcut in the intersections: the first mask whose U
+    and V are both nonzero gives the witness."""
+    L = rep.lattices
+    k = rep.ring.ncomponents
+    for mask in range(1, 2**k - 1):
+        inside = [j for j in range(k) if mask >> j & 1]
+        outside = [j for j in range(k) if not mask >> j & 1]
+        u_coords = [c for j in outside for c in reprs._block_coords(rep, 0, j)]
+        latU = intersect_coordinate_zero_general(L.A2, u_coords)
+        if latU.rank == 0:
+            continue
+        v_coords = [c for j in inside for c in reprs._block_coords(rep, 1, j)]
+        latV = intersect_coordinate_zero_general(L.A1, v_coords)
+        if latV.rank == 0:
+            continue
+        y = rep.product_of_generators(latU.transform[0])
+        x = rep.product_of_generators(latV.transform[0])
+        return Verdict("violated", "exact_lattice", reprs.TauWitness(y, x))
+    return Verdict("holds", "exact_lattice")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from conftest import (
     CORPUS_RINGS,
     corpus,
     domain_or_diagonal,
+    is_zero_divisor,
     lame_check_def1,
     nzct_check_ringelem,
     pair_det,
@@ -21,6 +22,7 @@ from conftest import (
     random_representation,
     random_ut3,
     sigma_check_dlattice,
+    tau_check_masks,
     union_frame_lattices,
     wide_representation,
 )
@@ -185,7 +187,7 @@ def test_lame_zxz_violated_with_witness_b():
     # re-check independently: noncentral, in C(a1), entry a zero divisor
     assert w.element.in_centralizer_a(1)
     assert not w.element.is_central()
-    assert rings.is_zero_divisor(w.entry)
+    assert is_zero_divisor(w.entry)
 
 
 def test_lame_ztheta_holds():
@@ -206,7 +208,7 @@ def test_lame_def1_witness_valid():
     assert v.status == "violated"
     w = v.witness
     s = w.element.u12 * w.element.u12 + w.element.u23 * w.element.u23
-    assert not s.is_zero() and rings.is_zero_divisor(s)
+    assert not s.is_zero() and is_zero_divisor(s)
 
 
 def test_lame_builds_only_the_chosen_witness(monkeypatch):
@@ -306,6 +308,53 @@ def test_tau_violations_match_search():
             out = refute_universal(builtin("tau"), rep.env(), 1)
             assert isinstance(out, NoneWithinBound)
     assert violated >= 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tau_walk_matches_the_mask_loop_on_corpus(seed):
+    # the pruned depth-first walk gives the first mask's verdict and witness
+    for rep in corpus(60, seed=seed):
+        assert tau_check(rep) == tau_check_masks(rep)
+
+
+def test_tau_walk_matches_the_mask_loop_on_more_components():
+    # generators with one zero off-diagonal entry lie in C(a1) or C(a2),
+    # and random components of their entries are zero
+    rng = random.Random(16)
+    statuses = set()
+    for k in range(4, 8):
+        ring = parse_ring(f"Z^{k}")
+        zero = RingElem.zero(ring)
+        for _ in range(8):
+            gens = {}
+            for i in range(rng.randint(0, 4)):
+                g = random_ut3(rng, ring)
+                shape = rng.randrange(3)
+                gens[f"g{i}"] = UT3Elem(ring, zero if shape == 1 else g.u12, g.u13, zero if shape == 2 else g.u23)
+            rep = reprs.representation(ring, gens)
+            v = tau_check(rep)
+            assert v == tau_check_masks(rep)
+            statuses.add(v.status)
+    assert statuses == {"holds", "violated"}
+
+
+def test_tau_walk_prunes_at_the_root_on_many_components(monkeypatch):
+    # a1 and a2 alone: every mask has U = 0 or V = 0, and the walk sees it
+    # at the two children of the root instead of walking 2^20 - 2 masks
+    calls = []
+    intersect = zlattice.intersect_coordinate_zero
+
+    def counting(L, coords):
+        calls.append(coords)
+        return intersect(L, coords)
+
+    text = (pathlib.Path(__file__).parent / "data" / "tau_z20.cfg").read_text()
+    rep = reprs.parse_config(text)
+    assert rep.ring.ncomponents == 20
+    rep.lattices  # built before counting
+    monkeypatch.setattr(zlattice, "intersect_coordinate_zero", counting)
+    assert tau_check(rep).status == "holds"
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import is_zero_divisor, separate
 from heislab import rings
 from heislab.rings import (
     DomainFailure,
@@ -17,12 +18,10 @@ from heislab.rings import (
     Z,
     discriminate,
     format_elem,
-    is_zero_divisor,
     nonvanishing_point,
     parse_elem,
     parse_ring,
     retract,
-    separate,
     substitute,
 )
 
@@ -222,20 +221,126 @@ def test_bare_literal_is_the_tuple_of_its_copies(k):
 
 
 def test_bare_literal_parses_once_per_list_of_indeterminates(monkeypatch):
+    # a flat literal is read by _flat_poly, any other by _ExprParser; on
+    # either path a bare literal is parsed once per distinct list of
+    # indeterminates
     built = []
 
     class Counting(rings._ExprParser):
         def __init__(self, *args):
-            built.append(args[1:])
+            built.append(("descent", *args[1:]))
             super().__init__(*args)
 
+    flat_poly = rings._flat_poly
+
+    def counting_flat_poly(text, names):
+        built.append(("flat", names))
+        return flat_poly(text, names)
+
     monkeypatch.setattr(rings, "_ExprParser", Counting)
-    expr = "+".join(["t*t"] * 50)
-    parse_elem(parse_ring(" x ".join(["Z[t]"] * 32)), expr)
-    assert built == [(("t",), 0)]
+    monkeypatch.setattr(rings, "_flat_poly", counting_flat_poly)
+    ring32 = parse_ring(" x ".join(["Z[t]"] * 32))
+    parse_elem(ring32, "+".join(["t*t"] * 50))
+    assert built == [("flat", ("t",))]
     built.clear()
-    parse_elem(parse_ring("Z x Z[t] x Z x Z[t] x Z[s,t]"), "2")
-    assert built == [((), 0), (("t",), 1), (("s", "t"), 4)]
+    parse_elem(ring32, "+".join(["t*(t)"] * 50))
+    assert built == [("descent", ("t",), 0)]
+    built.clear()
+    ring = parse_ring("Z x Z[t] x Z x Z[t] x Z[s,t]")
+    parse_elem(ring, "2")
+    assert built == [("flat", ()), ("flat", ("t",)), ("flat", ("s", "t"))]
+    built.clear()
+    parse_elem(ring, "(2)")
+    assert built == [("descent", (), 0), ("descent", ("t",), 1), ("descent", ("s", "t"), 4)]
+
+
+def _parse_outcome(parse, ring, text):
+    try:
+        return parse(ring, text)
+    except RingParseError as exc:
+        return f"RingParseError: {exc}"
+
+
+# Rings whose components share, miss and repeat indeterminates.
+LITERAL_RINGS = ["Z", "Z^2", "Z[t]", "Z[t] x Z", "Z[s,t] x Z[t]", "Z[s] x Z[t] x Z"]
+
+
+@st.composite
+def element_literals(draw):
+    """A ring of LITERAL_RINGS and an element literal, mostly valid for it.
+    Half are flat (see rings._FLAT), with integers of up to 4301 digits and
+    leading zeros; the others add parentheses, powers of groups and of
+    integers, and blanks between tokens.  Some name a foreign indeterminate
+    or have the wrong number of entries."""
+    ring = parse_ring(draw(st.sampled_from(LITERAL_RINGS)))
+    flat = draw(st.booleans())
+    # one literal in ten may name x1, an indeterminate of no ring above
+    foreign = ("x1",) if draw(st.integers(0, 9)) == 0 else ()
+
+    def integer():
+        first = draw(st.sampled_from("0123456789"))
+        return first + "7" * (draw(st.sampled_from([1] * 12 + [2, 640, 641, 4301])) - 1)
+
+    def factor(names, depth):
+        kinds = ["int"] + ["name", "power"] * bool(names) + ["group", "intpower"] * (not flat)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            return [integer()]
+        if kind == "name":
+            return [draw(st.sampled_from(names))]
+        if kind == "power":  # a monomial power, cheap at any exponent
+            return [draw(st.sampled_from(names)), "^", integer()]
+        group = kind == "group" and depth < 2
+        base = ["(", *expression(names, depth + 1), ")"] if group else [integer()]
+        return [*base, "^", str(draw(st.integers(0, 3)))]
+
+    def expression(names, depth=0):
+        names = sorted({*names, *foreign})
+        tokens = ["-"] if draw(st.booleans()) else []
+        tokens += factor(names, depth)
+        for _ in range(draw(st.integers(0, 3))):
+            tokens += [draw(st.sampled_from("+-*")), *factor(names, depth)]
+        return tokens
+
+    entries = draw(st.sampled_from([0] * 3 + [ring.ncomponents] * 6 + [1, 2, 3]))
+    if entries == 0:  # a bare literal, in the names every component has
+        tokens = expression(set.intersection(*map(set, ring.components)))
+    else:
+        tokens = ["("]
+        for k in range(entries):
+            names = ring.components[k] if k < ring.ncomponents else ()
+            tokens += ([","] if k else []) + expression(names)
+        tokens.append(")")
+    if not flat:
+        blanks = draw(st.lists(st.sampled_from(["", "", " "]), min_size=len(tokens), max_size=len(tokens)))
+        tokens = [b + t for b, t in zip(blanks, tokens)]
+    return ring, "".join(tokens)
+
+
+@settings(max_examples=400, deadline=None)
+@given(element_literals())
+@example((parse_ring("Z[t] x Z"), "(2*t^2-t,-3)"))
+@example((parse_ring("Z[s,t] x Z[t]"), "s*t+1"))
+@example((Z, "1" * 4301))
+@example((ZZ, "(0" + "1" * 640 + ",1)"))
+@example((ZTH, "theta^0-007*theta*theta"))
+def test_flat_literals_parse_as_the_recursive_descent_does(case):
+    ring, text = case
+    descent = _parse_outcome(rings._parse_tokens, ring, text)
+    flat = rings._parse_flat(ring, text)
+    if flat is not None:
+        assert flat == descent
+    assert _parse_outcome(parse_elem, ring, text) == descent
+
+
+def test_flat_literals_take_the_one_pass_path():
+    ring = parse_ring("Z[s,t] x Z[t] x Z")
+    for text in ["(s*t^2-3*t+1,t-t,7)", "1", "-2*3+4", "(0,0,0)", "(1" + "0" * 639 + ",t^9,-1)"]:
+        assert rings._parse_flat(ring, text) == rings._parse_tokens(ring, text)
+    # blanks, parentheses, foreign names, a wrong entry count and a
+    # 641-digit run all take the recursive descent
+    for text in ["1 ", "(t)", "s", "(1,2)", "(t+1)^2", "2^2", "1" * 641]:
+        assert rings._parse_flat(ring, text) is None
 
 
 def test_zeroth_power_is_one_in_its_own_component():

@@ -4,8 +4,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import corpus, intersect_coordinate_zero_general, row_reduce_oracle
 from heislab import zlattice
 from heislab.zlattice import hnf, in_source_coordinates, intersect_coordinate_zero, member, solve
 
@@ -204,3 +205,46 @@ def test_left_kernel_is_the_whole_integer_kernel(rows):
     for c in itertools.product(range(-2, 3), repeat=n):
         if any(c) and zlattice.combine(c, rows, 2) == [0, 0]:
             assert K is not None and member(K, c)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide and square integer matrices (zero rows or zero columns
+    allowed), with negative entries and some rows zeroed."""
+    n = draw(st.integers(0, 7))
+    dim = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim), min_size=n, max_size=n))
+    return [[0] * dim if draw(st.integers(0, 4)) == 0 else row for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+@example([[0, 0], [0, 0], [3, -6]])
+@example([[-4, 6, 2], [6, -9, 3]])
+@example([[0, 5, 7, 1, -2]])
+@example([])
+def test_row_reduce_matches_the_oracle(rows):
+    # same row operations in the same order, so (rows, U) is identical
+    assert zlattice._row_reduce([list(r) for r in rows]) == row_reduce_oracle([list(r) for r in rows])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prefix_intersection_matches_the_general_path(seed):
+    # the rows of A's HNF that are 0 on range(m), with their transform rows,
+    # are what the left-kernel path computes: basis and transform
+    for rep in corpus(60, seed=seed):
+        A = rep.lattices.A
+        for m in range(1, A.ambient_dim + 1):
+            assert intersect_coordinate_zero(A, range(m)) == intersect_coordinate_zero_general(A, range(m))
+        n12 = len(rep.law.f12)
+        assert rep.lattices.A1 == intersect_coordinate_zero_general(A, range(n12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_prefix_intersection_matches_the_general_path_on_random_lattices(rows):
+    if not rows or not rows[0]:
+        return
+    L = hnf(rows)
+    for m in range(1, L.ambient_dim + 1):
+        assert intersect_coordinate_zero(L, range(m)) == intersect_coordinate_zero_general(L, range(m))
