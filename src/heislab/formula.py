@@ -347,7 +347,7 @@ def parse_term(text: str):
 # Printer (parse(print(f)) == f)
 
 
-def _print_term(t, level: int = 0) -> str:
+def print_term(t, *, level: int = 0) -> str:
     # levels: 0 = term (mul chain), 1 = factor, 2 = base
     if isinstance(t, One):
         return "1"
@@ -356,32 +356,32 @@ def _print_term(t, level: int = 0) -> str:
     if isinstance(t, Const):
         return t.name if t.name in ("a1", "a2") else "@" + t.name
     if isinstance(t, TComm):
-        return f"[{_print_term(t.left)},{_print_term(t.right)}]"
+        return f"[{print_term(t.left)},{print_term(t.right)}]"
     if isinstance(t, TMul):
-        s = f"{_print_term(t.left, 0)}*{_print_term(t.right, 1)}"
+        s = f"{print_term(t.left)}*{print_term(t.right, level=1)}"
         return f"({s})" if level >= 1 else s
     if isinstance(t, TPow):
-        s = f"{_print_term(t.base, 2)}^{t.exp}"
+        s = f"{print_term(t.base, level=2)}^{t.exp}"
         return f"({s})" if level >= 2 else s
     raise TypeError(f"not a term: {t!r}")
 
 
-def _print_formula(f, level: int = 0) -> str:
+def print_formula(f, *, level: int = 0) -> str:
     # levels: 0 = matrix (implies), 1 = disj, 2 = conj, 3 = lit
     if isinstance(f, Eq):
-        return f"{_print_term(f.left)}={_print_term(f.right)}"
+        return f"{print_term(f.left)}={print_term(f.right)}"
     if isinstance(f, Ne):
-        return f"{_print_term(f.left)}!={_print_term(f.right)}"
+        return f"{print_term(f.left)}!={print_term(f.right)}"
     if isinstance(f, Not):
-        return "~" + _print_formula(f.arg, 3)
+        return "~" + print_formula(f.arg, level=3)
     if isinstance(f, And):
-        s = " & ".join(_print_formula(x, 3) for x in f.items)
+        s = " & ".join(print_formula(x, level=3) for x in f.items)
         return f"({s})" if level >= 3 else s
     if isinstance(f, Or):
-        s = " | ".join(_print_formula(x, 2) for x in f.items)
+        s = " | ".join(print_formula(x, level=2) for x in f.items)
         return f"({s})" if level >= 2 else s
     if isinstance(f, Implies):
-        s = f"{_print_formula(f.left, 1)} -> {_print_formula(f.right, 0)}"
+        s = f"{print_formula(f.left, level=1)} -> {print_formula(f.right)}"
         return f"({s})" if level >= 1 else s
     if isinstance(f, Quant):
         blocks = []
@@ -389,16 +389,8 @@ def _print_formula(f, level: int = 0) -> str:
         while isinstance(body, Quant):
             blocks.append(f"{body.kind} {','.join(body.vars)}")
             body = body.body
-        return " ".join(blocks) + " ( " + _print_formula(body, 0) + " )"
+        return " ".join(blocks) + " ( " + print_formula(body) + " )"
     raise TypeError(f"not a formula: {f!r}")
-
-
-def print_formula(f) -> str:
-    return _print_formula(f)
-
-
-def print_term(t) -> str:
-    return _print_term(t)
 
 
 # ---------------------------------------------------------------------------

@@ -599,72 +599,45 @@ def _ring_targets(ring: RingDesc) -> list[RingElem]:
     return targets
 
 
-_BRACKET_OR_COMMA = re.compile(r"[(\[{)\]},]")
-
-
-def _split_top_commas(text: str) -> list[str]:
-    parts = []
-    depth = start = 0
-    for m in _BRACKET_OR_COMMA.finditer(text):
-        ch = m.group()
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-            if depth < 0:
-                raise ConfigError("unbalanced brackets")
-        elif depth == 0:  # a top-level comma
-            parts.append(text[start : m.start()].strip())
-            start = m.end()
-    parts.append(text[start:].strip())
-    return parts
-
-
 class ConfigError(ValueError):
     pass
 
 
-_BRACE = re.compile(r"[{}]")
+# A literal holds no ':' (see rings._TOKEN), so each ':' in a generator's
+# block ends a key, which runs back to the ',' or ':' before it.
+_ENTRY_KEY = re.compile(r"(?<![^,:])([^,:]*):")
+# a piece between keys, and the commas and blanks that end it
+_ENTRY_VALUE = re.compile(r"(.*[^\s,])?[\s,]*", re.S)
 
 
-def _balanced_block(text: str, start: int) -> tuple[str, int]:
-    """The contents of the brace block opening at the first non-space
-    character from text[start] on, and the index after its closing brace."""
-    start = re.compile(r"\s*").match(text, start).end()
-    if start >= len(text) or text[start] != "{":
-        raise ConfigError("expected '{'")
-    depth = 0
-    for m in _BRACE.finditer(text, start):
-        depth += 1 if m.group() == "{" else -1
-        if depth == 0:
-            return text[start + 1 : m.start()], m.end()
-    raise ConfigError("unterminated '{' block")
+def _entry_value(piece: str) -> str:
+    return (_ENTRY_VALUE.fullmatch(piece).group(1) or "").strip()
 
 
 def parse_elem_block(ring: RingDesc, body: str) -> UT3Elem:
-    """Parse ``e12: <lit>, e13: <lit>, e23: <lit>`` into a matrix element."""
-    entries = {}
-    for item in _split_top_commas(body):
-        if not item:
-            continue
-        key, sep, value = item.partition(":")
+    """Parse ``e12: <lit>, e13: <lit>, e23: <lit>`` into a matrix element.
+    A literal runs up to the commas and blanks before the next key, so blank
+    items are skipped, and entries with no comma between them are an error."""
+    head, *pieces = _ENTRY_KEY.split(body)
+    if junk := _entry_value(head):
+        raise ConfigError(f"bad entry {junk!r} (want e12/e13/e23)")
+    keys = ("e12", "e13", "e23")
+    values = {}
+    for key, value in zip(pieces[::2], pieces[1::2]):
         key = key.strip()
-        if not sep or key not in ("e12", "e13", "e23"):
-            raise ConfigError(f"bad entry {item!r} (want e12/e13/e23)")
-        if key in entries:
+        if key not in keys:
+            raise ConfigError(f"bad entry key {key!r} (want e12/e13/e23, after a comma)")
+        if key in values:
             raise ConfigError(f"duplicate entry {key}")
-        entries[key] = rings.parse_elem(ring, value.strip())
+        values[key] = _entry_value(value)
     zero = RingElem.zero(ring)
-    return UT3Elem(
-        ring,
-        entries.get("e12", zero),
-        entries.get("e13", zero),
-        entries.get("e23", zero),
-    )
+    return UT3Elem(ring, *(rings.parse_elem(ring, values[k]) if k in values else zero for k in keys))
 
 
 _CONFIG_KEY = re.compile(r"\s*(\w+)\s*:[ \t]*([^\n]*)")
-_GENERATOR = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*:")
+# the generators block: braces nest one level deep, since a literal holds none
+_GENERATORS = re.compile(r"\s*\{([^{}]*(?:\{[^{}]*\}[^{}]*)*)\}")
+_GENERATOR = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*:\s*(?:\{([^}]*)\}\s*,?)?")
 
 
 def parse_config(text: str) -> Representation:
@@ -678,7 +651,13 @@ def parse_config(text: str) -> Representation:
 
     a1 and a2 are implied; ``full_center`` and ``generators`` are optional;
     ``#`` starts a comment.  Any other key, a repeated key and any other
-    text are errors."""
+    text are errors.
+
+    The reader relies on three facts of the format.  An element literal
+    holds only digits, names, blanks and ``-+*^(),``, so it holds no ``:``,
+    ``{`` or ``}``.  An expression holds no comma, so in a literal a comma
+    only separates tuple entries.  So the generators block nests braces one
+    level deep, and each ``:`` inside a generator's block ends a key."""
     text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     fields: dict[str, str] = {}
     pos = 0
@@ -692,7 +671,10 @@ def parse_config(text: str) -> Representation:
         if key in fields:
             raise ConfigError(f"duplicate key {key!r}")
         if key == "generators":
-            fields[key], pos = _balanced_block(text, m.start(2))
+            block = _GENERATORS.match(text, m.start(2))
+            if block is None:
+                raise ConfigError("expected '{', then one '{...}' per generator, then '}'")
+            fields[key], pos = block.group(1), block.end()
         else:
             fields[key], pos = m.group(2).strip(), m.end()
     if "ring" not in fields:
@@ -708,18 +690,19 @@ def parse_config(text: str) -> Representation:
     body = fields.get("generators", "")
     pos = 0
     while body[pos:].strip(" \t\n,"):
-        nm = _GENERATOR.match(body, pos)
-        if not nm:
+        g = _GENERATOR.match(body, pos)
+        if not g:
             raise ConfigError(f"bad generator syntax near {body[pos:pos+30]!r}")
-        name = nm.group(1)
+        name, block = g.groups()
         if name in extra or name in ("a1", "a2"):
             raise ConfigError(f"duplicate or reserved generator name {name!r}")
-        block, pos = _balanced_block(body, nm.end())
+        if block is None:
+            raise ConfigError(f"generator {name!r}: expected '{{'")
         try:
             extra[name] = parse_elem_block(ring, block)
         except rings.RingParseError as exc:
             raise ConfigError(f"generator {name!r}: {exc}") from exc
-        pos = re.compile(r"\s*,?").match(body, pos).end()
+        pos = g.end()
     return representation(ring, extra, full_center == "true")
 
 
@@ -744,42 +727,50 @@ def appropriateness_check(rep: Representation, degree_bound: int) -> Appropriate
     """Bounded test of whether the ring is generated by the entries of the
     group: enumerate monomials in the entries up to the degree bound and
     decide membership of each designated ring generator in their Z-span.
-    Each layer multiplies the previous one by the entries, so once a layer
-    adds no new product no later one does, and the enumeration stops."""
+
+    With 1 among the entries E, the span S_d of the products of degree at
+    most d satisfies S_{d+1} = Z + E*S_d.  So once a layer adds no new frame
+    coordinate and each of its products lies in the span, no later layer
+    adds anything, and the enumeration stops.  The last layer skips that
+    test, so degree 1 takes one HNF."""
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
-    entries = [RingElem.one(rep.ring)]
+    one = RingElem.one(rep.ring)
+    entries = [one]
     for _, g in rep.generators:
         for entry in (g.u12, g.u13, g.u23):
             if not entry.is_zero() and entry not in entries:
                 entries.append(entry)
-    products = [RingElem.one(rep.ring)]
-    seen = set(products)
-    layer = [RingElem.one(rep.ring)]
-    for _ in range(degree_bound):
-        nxt = []
-        for p in layer:
-            for e in entries:
-                q = p * e
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        if not nxt:
-            break
-        products.extend(nxt)
-        layer = nxt
-    targets = _ring_targets(rep.ring)
-    # one shared frame for span and targets
-    frame = rings.frame_of(products + targets)
-    index = {m: i for i, m in enumerate(frame)}
-    span = zlattice.hnf(
-        [rings.frame_coords(index, p) for p in products], ambient_dim=len(frame)
-    )
+    index: dict = {}  # frame coordinate -> position, in order of first use
+    span = Lattice(0, (), ())  # the span of the products before `pending`
+
+    def spanned(lattice: Lattice, elems) -> Lattice:
+        rows = [b + (0,) * (len(index) - lattice.ambient_dim) for b in lattice.basis]
+        rows += [rings.frame_coords(index, x) for x in elems]
+        return zlattice.hnf(rows, ambient_dim=len(index))
+
+    pending, layer, seen = [], [one], set()
+    for degree in range(degree_bound + 1):
+        if degree:
+            products = dict.fromkeys(p * e for p in layer for e in entries)
+            layer = [q for q in products if q not in seen]
+        seen.update(layer)
+        width = len(index)
+        for j, e in [(j, e) for q in layer for j, p in enumerate(q.parts) for e, _c in p]:
+            index.setdefault((j, e), len(index))
+        if len(index) == width and degree < degree_bound:
+            span, pending = spanned(span, pending), []
+            if all(zlattice.member(span, rings.frame_coords(index, q)) for q in layer):
+                break
+        pending += layer
+    if pending:
+        span = spanned(span, pending)
     entry_vars = {
         n for e in entries for names in rep.ring.components for n in names if e.uses_var(n)
     }
-    for t in targets:
-        if not zlattice.member(span, rings.frame_coords(index, t)):
+    for t in _ring_targets(rep.ring):
+        v = rings.frame_coords(index, t)
+        if v is None or not zlattice.member(span, v):
             target_vars = {n for names in rep.ring.components for n in names if t.uses_var(n)}
             if target_vars and not (target_vars & entry_vars):
                 # the indeterminate appears in no entry: unreachable at any degree

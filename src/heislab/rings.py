@@ -570,28 +570,6 @@ def _parse_poly(tokens, names, component: int, trailing: str) -> Poly:
     return out
 
 
-def _split_tuple(tokens: list[str]) -> list[list[str]] | None:
-    """Split ``( ... , ... )`` at top-level commas; None if not a tuple."""
-    if not tokens or tokens[0] != "(" or tokens[-1] != ")":
-        return None
-    depth = 0
-    parts: list[list[str]] = [[]]
-    for tok in tokens[1:-1]:
-        if tok == "(":
-            depth += 1
-        elif tok == ")":
-            depth -= 1
-            if depth < 0:
-                return None
-        if tok == "," and depth == 0:
-            parts.append([])
-        else:
-            parts[-1].append(tok)
-    if depth != 0 or len(parts) < 2:
-        return None
-    return parts
-
-
 # A flat literal: a tuple of two or more flat expressions, or one bare flat
 # expression.  A flat expression is an optionally negated sum of products of
 # integers and powers name^k, with no blanks, no parentheses and no power of
@@ -675,10 +653,13 @@ def parse_elem(ring: RingDesc, text: str) -> RingElem:
 
 def _parse_tokens(ring: RingDesc, text: str) -> RingElem:
     """``parse_elem`` by recursive descent over the tokens: any literal,
-    and the error message of any text that is not one."""
+    and the error message of any text that is not one.  An expression holds
+    no comma, so a literal in parentheses that holds one is a tuple, whose
+    entries lie between its commas."""
     tokens = _tokenize(text)
-    parts = _split_tuple(tokens)
-    if parts is not None:
+    if tokens[:1] == ["("] and tokens[-1:] == [")"] and "," in tokens:
+        cuts = [i for i, tok in enumerate(tokens) if tok == ","]
+        parts = [tokens[i + 1 : j] for i, j in zip([0, *cuts], [*cuts, len(tokens) - 1])]
         if len(parts) != ring.ncomponents:
             raise RingParseError(
                 f"tuple has {len(parts)} entries, ring has {ring.ncomponents} components"

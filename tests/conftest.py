@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -36,6 +37,153 @@ def separate(r: RingElem) -> Retraction:
     if r.is_zero():
         raise ValueError("zero has no separating retraction")
     return discriminate([r])
+
+
+# ---------------------------------------------------------------------------
+# Bracket-depth readers (reprs and rings now read configs and tuple literals
+# from the formats' own facts, without tracking bracket depth)
+
+
+def split_tuple_oracle(tokens: list[str]) -> list[list[str]] | None:
+    """Split ``( ... , ... )`` at top-level commas; None if not a tuple."""
+    if not tokens or tokens[0] != "(" or tokens[-1] != ")":
+        return None
+    depth = 0
+    parts: list[list[str]] = [[]]
+    for tok in tokens[1:-1]:
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+            if depth < 0:
+                return None
+        if tok == "," and depth == 0:
+            parts.append([])
+        else:
+            parts[-1].append(tok)
+    if depth != 0 or len(parts) < 2:
+        return None
+    return parts
+
+
+def parse_elem_oracle(ring: RingDesc, text: str) -> RingElem:
+    """rings.parse_elem with tuples found by bracket depth."""
+    elem = rings._parse_flat(ring, text)
+    if elem is not None:
+        return elem
+    tokens = rings._tokenize(text)
+    parts = split_tuple_oracle(tokens)
+    if parts is not None:
+        if len(parts) != ring.ncomponents:
+            raise rings.RingParseError(
+                f"tuple has {len(parts)} entries, ring has {ring.ncomponents} components"
+            )
+        return RingElem(
+            ring,
+            tuple(
+                rings._parse_poly(part, names, j, f"trailing tokens in component {j + 1}")
+                for j, (part, names) in enumerate(zip(parts, ring.components))
+            ),
+        )
+    polys = {}
+    for j, names in enumerate(ring.components):
+        if names not in polys:
+            polys[names] = rings._parse_poly(tokens, names, j, "trailing tokens in expression")
+    return RingElem(ring, tuple(polys[names] for names in ring.components))
+
+
+def _split_top_commas(text: str) -> list[str]:
+    parts = []
+    depth = start = 0
+    for m in re.finditer(r"[(\[{)\]},]", text):
+        ch = m.group()
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth < 0:
+                raise reprs.ConfigError("unbalanced brackets")
+        elif depth == 0:  # a top-level comma
+            parts.append(text[start : m.start()].strip())
+            start = m.end()
+    parts.append(text[start:].strip())
+    return parts
+
+
+def _balanced_block(text: str, start: int) -> tuple[str, int]:
+    """The contents of the brace block opening at the first non-space
+    character from text[start] on, and the index after its closing brace."""
+    start = re.compile(r"\s*").match(text, start).end()
+    if start >= len(text) or text[start] != "{":
+        raise reprs.ConfigError("expected '{'")
+    depth = 0
+    for m in re.compile(r"[{}]").finditer(text, start):
+        depth += 1 if m.group() == "{" else -1
+        if depth == 0:
+            return text[start + 1 : m.start()], m.end()
+    raise reprs.ConfigError("unterminated '{' block")
+
+
+def parse_elem_block_oracle(ring: RingDesc, body: str) -> UT3Elem:
+    entries = {}
+    for item in _split_top_commas(body):
+        if not item:
+            continue
+        key, sep, value = item.partition(":")
+        key = key.strip()
+        if not sep or key not in ("e12", "e13", "e23"):
+            raise reprs.ConfigError(f"bad entry {item!r} (want e12/e13/e23)")
+        if key in entries:
+            raise reprs.ConfigError(f"duplicate entry {key}")
+        entries[key] = parse_elem_oracle(ring, value.strip())
+    zero = RingElem.zero(ring)
+    return UT3Elem(ring, entries.get("e12", zero), entries.get("e13", zero), entries.get("e23", zero))
+
+
+def parse_config_oracle(text: str) -> reprs.Representation:
+    """reprs.parse_config with blocks and entries found by bracket depth."""
+    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    fields: dict[str, str] = {}
+    pos = 0
+    while text[pos:].strip():
+        m = re.compile(r"\s*(\w+)\s*:[ \t]*([^\n]*)").match(text, pos)
+        if not m:
+            raise reprs.ConfigError(f"unexpected text {text[pos:].strip()[:30]!r}")
+        key = m.group(1)
+        if key not in ("ring", "full_center", "generators"):
+            raise reprs.ConfigError(f"unknown key {key!r}")
+        if key in fields:
+            raise reprs.ConfigError(f"duplicate key {key!r}")
+        if key == "generators":
+            fields[key], pos = _balanced_block(text, m.start(2))
+        else:
+            fields[key], pos = m.group(2).strip(), m.end()
+    if "ring" not in fields:
+        raise reprs.ConfigError("missing 'ring:' line")
+    try:
+        ring = rings.parse_ring(fields["ring"])
+    except rings.RingParseError as exc:
+        raise reprs.ConfigError(str(exc)) from exc
+    full_center = fields.get("full_center", "false")
+    if full_center not in ("true", "false"):
+        raise reprs.ConfigError("full_center must be true or false")
+    extra: dict[str, UT3Elem] = {}
+    body = fields.get("generators", "")
+    pos = 0
+    while body[pos:].strip(" \t\n,"):
+        nm = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*:").match(body, pos)
+        if not nm:
+            raise reprs.ConfigError(f"bad generator syntax near {body[pos:pos+30]!r}")
+        name = nm.group(1)
+        if name in extra or name in ("a1", "a2"):
+            raise reprs.ConfigError(f"duplicate or reserved generator name {name!r}")
+        block, pos = _balanced_block(body, nm.end())
+        try:
+            extra[name] = parse_elem_block_oracle(ring, block)
+        except rings.RingParseError as exc:
+            raise reprs.ConfigError(f"generator {name!r}: {exc}") from exc
+        pos = re.compile(r"\s*,?").match(body, pos).end()
+    return reprs.representation(ring, extra, full_center == "true")
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +509,41 @@ def sigma_check_dlattice(rep: reprs.Representation) -> Verdict:
                 witness = SigmaWitness(value, system)
                 return Verdict("violated", "exact_lattice", witness)
     return Verdict("holds", "exact_lattice")
+
+
+# ---------------------------------------------------------------------------
+# Appropriateness over every product (reprs.appropriateness_check stops once
+# the span stops growing)
+
+
+def appropriateness_check_products(rep: reprs.Representation, degree_bound: int):
+    """The span of every product of at most degree_bound entries, stopping
+    only at a layer that adds no product, and the first designated ring
+    generator outside it."""
+    entries = [RingElem.one(rep.ring)]
+    for _, g in rep.generators:
+        for entry in (g.u12, g.u13, g.u23):
+            if not entry.is_zero() and entry not in entries:
+                entries.append(entry)
+    products = {RingElem.one(rep.ring): None}  # a set in order of insertion
+    layer = list(products)
+    for _ in range(degree_bound):
+        layer = [q for q in dict.fromkeys(p * e for p in layer for e in entries) if q not in products]
+        if not layer:
+            break
+        products.update(dict.fromkeys(layer))
+    products = list(products)
+    targets = reprs._ring_targets(rep.ring)
+    frame = rings.frame_of(products + targets)
+    index = {m: i for i, m in enumerate(frame)}
+    span = zlattice.hnf([rings.frame_coords(index, p) for p in products], ambient_dim=len(frame))
+    entry_vars = {n for e in entries for names in rep.ring.components for n in names if e.uses_var(n)}
+    for t in targets:
+        if not zlattice.member(span, rings.frame_coords(index, t)):
+            target_vars = {n for names in rep.ring.components for n in names if t.uses_var(n)}
+            status = "refuted" if target_vars and not (target_vars & entry_vars) else "inconclusive"
+            return reprs.Appropriateness(status, t, degree_bound)
+    return reprs.Appropriateness("confirmed", None, degree_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import pathlib
 import random
 import signal
 
@@ -485,6 +486,24 @@ def test_appropriate_stops_at_the_first_empty_layer(capsys):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert result == (0, "confirmed degree_bound=1000000000000000000\n", "")
+
+
+def test_appropriate_stops_once_the_span_stops_growing(capsys):
+    # each layer adds a new power (2^k, 0), but none after (2,0) grows the span
+    def too_slow(*_args):
+        raise TimeoutError("appropriate kept walking layers inside the span")
+
+    cfg = str(pathlib.Path(__file__).parent / "data" / "appropriate_z2.cfg")
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "appropriate", "--rep", cfg, "--degree", "100000", *flags)
+            assert code == 2 and err == ""
+            assert out.replace("100000", "2") == run(capsys, "appropriate", "--rep", cfg, "--degree", "2", *flags)[1]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_deterministic_output(capsys):

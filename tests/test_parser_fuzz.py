@@ -5,6 +5,7 @@ documented error."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import parse_config_oracle, parse_elem_oracle
 from heislab import cli, formula, reprs, rings
 from heislab.formula import FormulaParseError
 from heislab.rings import RingParseError
@@ -99,9 +100,11 @@ ELEM_RINGS = ["Z", "Z x Z", "Z[t]", "Z[t,s] x Z", "Z[t] x Z[t] x Z"]
 
 
 @st.composite
-def _ring_and_elem(draw):
-    """A ring from ELEM_RINGS and the text of one of its elements."""
-    ring = rings.parse_ring(draw(st.sampled_from(ELEM_RINGS)))
+def _ring_and_elem(draw, ring=None):
+    """A ring from ELEM_RINGS, unless one is given, and the text of one of
+    its elements."""
+    if ring is None:
+        ring = rings.parse_ring(draw(st.sampled_from(ELEM_RINGS)))
     frame = sorted(
         {
             (j, tuple(draw(st.integers(0, 3)) for _ in names))
@@ -123,6 +126,35 @@ def test_fuzz_parse_elem(data):
     except RingParseError:
         return
     assert rings.parse_elem(ring, str(x)) == x
+
+
+def _read(parse, *args):
+    """What parse returns, or None where it raises its documented error."""
+    try:
+        return parse(*args)
+    except (reprs.ConfigError, RingParseError):
+        return None
+
+
+@st.composite
+def _mutated_elem(draw):
+    """A ring and a mutated text of one of its elements."""
+    ring, valid = draw(_ring_and_elem())
+    return ring, draw(_mutated(st.just(valid), ELEM_TOKENS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_elem())
+@example((rings.parse_ring("Z x Z"), "(1)"))
+@example((rings.parse_ring("Z x Z"), "(1),(2)"))
+@example((rings.parse_ring("Z x Z"), "((1,2))"))
+@example((rings.parse_ring("Z x Z"), "((1),(2))"))
+@example((rings.parse_ring("Z x Z"), "(1,2),"))
+@example((rings.parse_ring("Z[t] x Z"), "((t+1)^2,-3)"))
+def test_elem_reader_matches_the_bracket_depth_reader(ring_and_text):
+    """Wherever either reader accepts a literal, both accept it and agree."""
+    ring, text = ring_and_text
+    assert _read(rings.parse_elem, ring, text) == _read(parse_elem_oracle, ring, text)
 
 
 CONFIG_TOKENS = [
@@ -152,6 +184,47 @@ def test_fuzz_parse_config(text):
     except (reprs.ConfigError, RingParseError):
         return
     assert reprs.parse_config(reprs.serialize_config(rep)) == rep
+
+
+@st.composite
+def _config_with_blocks(draw):
+    """A config whose generator blocks mix entries, blank items and runs of
+    separators, with element texts that are valid or mutated."""
+    ring_text = draw(st.sampled_from(ELEM_RINGS))
+    ring = rings.parse_ring(ring_text)
+    blocks = []
+    for name in ("b", "c")[: draw(st.integers(0, 2))]:
+        items = []
+        for key in draw(st.lists(st.sampled_from(["e12", "e13", "e23", ""]), max_size=4)):
+            _, value = draw(_ring_and_elem(ring))
+            if draw(st.booleans()):
+                value = draw(_mutated(st.just(value), ELEM_TOKENS))
+            items.append(f"{key}: {value}" if key else "")
+            items.append(draw(st.sampled_from(["", ",", ",,", " , ", ",\n", "\n"])))
+        blocks.append(f"  {name}: {{{''.join(items)}}}")
+    body = ",\n".join(blocks)
+    return f"ring: {ring_text}\ngenerators: {{\n{body}\n}}\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _mutated(st.sampled_from([CONFIG] + sorted(cli.FIXTURES.values())), CONFIG_TOKENS)
+    | _mutated(_config_with_blocks(), CONFIG_TOKENS)
+)
+@example(CONFIG)
+@example("ring: Z x Z\ngenerators: { b: {e12: 1 e13: 2} }")
+@example("ring: Z x Z\ngenerators: { b: {e12: 1,, e13: 2,} }")
+@example("ring: Z x Z\ngenerators: { b: {e12: (1,2), e13: 2, e23: ((1),(2))} }")
+@example("ring: Z x Z\ngenerators: { b: {e12: {1}} }")
+@example("ring: Z x Z\ngenerators: { b: {e12: 1} {} }")
+@example("ring: Z\ngenerators: { b: {e12: 1)} }")
+@example("ring: Z\ngenerators: {\xa0}")
+@example("ring: Z\ngenerators: { , b: {, e12: 1 ,} ,, }")
+@example("ring: Z\ngenerators: { b: {1, e12: 1} }")
+@example("ring: Z\ngenerators: { b: {e12: 1},, c: {e13: 1} }")
+def test_config_reader_matches_the_bracket_depth_reader(text):
+    """Wherever either reader accepts a config, both accept it and agree."""
+    assert _read(reprs.parse_config, text) == _read(parse_config_oracle, text)
 
 
 @pytest.mark.parametrize("text", ["Z^1001", "Z^100000000 x Z", "Z^1000 x Z[t]"])

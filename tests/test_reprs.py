@@ -11,11 +11,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     CORPUS_RINGS,
+    appropriateness_check_products,
     corpus,
     domain_or_diagonal,
     is_zero_divisor,
     lame_check_def1,
     nzct_check_ringelem,
+    parse_config_oracle,
     pair_det,
     pair_dets,
     product_oracle,
@@ -964,6 +966,37 @@ def test_appropriateness_H():
         appropriateness_check(heisenberg(), 0)
 
 
+def test_appropriateness_matches_every_product():
+    rng = random.Random(11)
+    reps = corpus(60, seed=0) + corpus(60, seed=1)
+    for ring in map(parse_ring, ["Z[t]", "Z[t] x Z[t]", "Z^4", "Z[t,s]"]):
+        for _ in range(8):
+            gens = {f"b{k}": random_ut3(rng, ring, coeff_bound=3) for k in range(rng.randint(1, 2))}
+            reps.append(representation(ring, gens))
+    for rep in reps:
+        for degree in (1, 2, 3, 5):
+            assert appropriateness_check(rep, degree) == appropriateness_check_products(rep, degree)
+
+
+def test_appropriateness_walks_layers_that_grow_the_span_in_place():
+    # over Z^3, x = (0,1,-1) and x^2 = (0,1,1) add no frame coordinate, but
+    # x^2 adds 1 - x^2 = (1,0,0) to the span; x^3 = x adds nothing
+    rep = parse_config("ring: Z^3\ngenerators: { b: {e23: (0,1,-1)} }")
+    assert appropriateness_check(rep, 1).witness == parse_elem(rep.ring, "(1,0,0)")
+    assert appropriateness_check(rep, 2).witness == parse_elem(rep.ring, "(0,1,0)")
+    assert appropriateness_check(rep, 10**6) == appropriateness_check_products(rep, 10**6)
+
+
+def test_appropriateness_takes_one_hnf_at_degree_1(monkeypatch):
+    calls = []
+    hnf = zlattice.hnf
+    monkeypatch.setattr(zlattice, "hnf", lambda *args, **kw: calls.append(1) or hnf(*args, **kw))
+    for rep in corpus(20, seed=0):
+        calls.clear()
+        appropriateness_check(rep, 1)
+        assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Config round-trip
 
@@ -1006,6 +1039,31 @@ def test_config_parse_errors():
             parse_config(text)
     with pytest.raises(reprs.ConfigError, match="generator 'b': .*exponent"):
         parse_config("ring: Z[t]\ngenerators: { b: {e12: t^a} }")
+
+
+def test_entries_need_commas_and_blank_items_are_skipped():
+    with pytest.raises(reprs.ConfigError, match="bad entry key '1 e13'"):
+        parse_config("ring: Z x Z\ngenerators: { b: {e12: 1 e13: 2} }")
+    assert parse_config("ring: Z x Z\ngenerators: { b: {e12: 1,, e13: 2,} }") == parse_config(
+        "ring: Z x Z\ngenerators: { b: {e12: 1, e13: 2} }"
+    )
+
+
+def test_config_layout_file_reads_as_the_bracket_depth_reader_does():
+    text = (pathlib.Path(__file__).parent / "data" / "config_layout.cfg").read_text()
+    rep = parse_config(text)
+    assert rep == parse_config_oracle(text)
+    b, c = (g for name, g in rep.generators if name not in ("a1", "a2"))
+    assert b.u23 == parse_elem(rep.ring, "(t^2+2*t+1,-3)")
+    assert c.u13 == parse_elem(rep.ring, "(1,2)")
+
+
+def test_braces_inside_a_generator_block_are_config_errors():
+    text = (pathlib.Path(__file__).parent / "data" / "config_nested.cfg").read_text()
+    with pytest.raises(reprs.ConfigError, match=r"one '\{...\}' per generator"):
+        parse_config(text)
+    with pytest.raises(reprs.ConfigError):
+        parse_config_oracle(text)
 
 
 def test_config_layout_is_free():
