@@ -7,7 +7,9 @@ rings or groups, which no input should cause).
 
 The environment variable HEISLAB_MAX_BOUND caps every ``--bound``
 (default 6); ``discriminate`` and ``bigpowers`` take no bound and always
-decide.  All output is deterministic for identical inputs.
+decide.  All output is deterministic for identical inputs.  A report is one
+result document, which one emitter prints as indented, key-sorted JSON under
+``--json`` or as text lines rendered from it; ``crank --json`` alone is compact.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .formula import (
     witness_existential,
 )
 from .reprs import ConfigError, Representation, Verdict
-from .rings import RingMismatchError, RingParseError, parse_elem, parse_int
+from .rings import RingElem, RingMismatchError, RingParseError, parse_elem, parse_int
 from .ut3 import UT3Elem
 
 
@@ -139,14 +141,36 @@ def _load_rep(args) -> Representation:
 
 def _parse_z(rep: Representation, literal: str) -> UT3Elem:
     """A central element given by its (1,3) entry literal."""
-    from .rings import RingElem
-
     z13 = parse_elem(rep.ring, literal)
     zero = RingElem.zero(rep.ring)
     return UT3Elem(rep.ring, zero, z13, zero)
 
 
-_STATUS_EXIT = {"holds": 0, "violated": 1, "inconclusive": 2}
+_STATUS_EXIT = {"holds": 0, "confirmed": 0, "violated": 1, "refuted": 1, "inconclusive": 2}
+
+
+def _emit(args, doc: dict, text, code: int) -> int:
+    """Print a subcommand's result document and return ``code``.  --json
+    prints the document itself; text mode prints the lines ``text(doc)``
+    renders from it, so each string is formatted once, into the document,
+    and text is built only when it is printed."""
+    if args.json:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        print(*text(doc), sep="\n")
+    return code
+
+
+def _field_lines(fields: dict) -> list[str]:
+    return [f"  {key}: {value}" for key, value in fields.items()]
+
+
+def _verdict_text(doc: dict):
+    bound = "none" if doc["bound"] is None else doc["bound"]
+    yield f"{doc['status']} method={doc['method']} bound={bound}"
+    if doc["witness"] is not None:
+        yield "witness:"
+        yield from _field_lines(doc["witness"])
 
 
 class Checker(NamedTuple):
@@ -171,21 +195,8 @@ def _run_checker(name: str, rep: Representation, args) -> Verdict:
     return fn(rep, _bound(args, 2)) if checker.takes_bound else fn(rep)
 
 
-def _print_fields(fields: dict) -> None:
-    for key, value in fields.items():
-        print(f"  {key}: {value}")
-
-
-def _emit_verdict(name: str, v: Verdict, json_mode: bool) -> int:
-    if json_mode:
-        print(json.dumps({"check": name, **v.to_dict()}, indent=2, sort_keys=True))
-    else:
-        bound = "none" if v.bound is None else str(v.bound)
-        print(f"{v.status} method={v.method} bound={bound}")
-        if v.witness is not None:
-            print("witness:")
-            _print_fields(v.witness.to_dict())
-    return _STATUS_EXIT[v.status]
+def _emit_verdict(args, name: str, v: Verdict) -> int:
+    return _emit(args, {"check": name, **v.to_dict()}, _verdict_text, _STATUS_EXIT[v.status])
 
 
 def _read_spec(spec: str) -> str:
@@ -202,22 +213,16 @@ def _resolve_formula(spec: str):
         return parse_formula(spec)
 
 
-class _AssignmentWitness:
-    def __init__(self, words: dict):
-        self.words = dict(sorted(words.items()))
-
-    def to_dict(self):
-        return self.words
-
-
-def _search_verdict(kind: str, result, json_mode: bool) -> int:
-    """Report a bounded-search outcome (refutation or witness search)."""
-    if isinstance(result, NoneWithinBound):
-        v = Verdict("inconclusive", "bounded_search", bound=result.bound)
-    else:
+def _search_verdict(args, kind: str, result) -> int:
+    """Report a bounded-search outcome (refutation or witness search) as a
+    verdict document whose witness is the assignment found."""
+    status, witness = "inconclusive", None
+    if not isinstance(result, NoneWithinBound):
         status = "violated" if isinstance(result, CounterExample) else "holds"
-        v = Verdict(status, "bounded_search", _AssignmentWitness(result.words), result.bound)
-    return _emit_verdict(kind, v, json_mode)
+        witness = dict(sorted(result.words.items()))
+    doc = {"check": kind, "status": status, "method": "bounded_search"}
+    doc.update(bound=result.bound, witness=witness)
+    return _emit(args, doc, _verdict_text, _STATUS_EXIT[status])
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +233,15 @@ def cmd_check(args) -> int:
     rep = _load_rep(args)
     name = args.formula.strip()
     if name in CHECKERS:
-        return _emit_verdict(name, _run_checker(name, rep, args), args.json)
+        return _emit_verdict(args, name, _run_checker(name, rep, args))
     f = _resolve_formula(args.formula)
     cls = classify(f)
     env = rep.env()
     bound = _bound(args, 2)
     if cls in ("universal", "quasi_identity", "identity"):
-        return _search_verdict(cls, refute_universal(f, env, bound), args.json)
+        return _search_verdict(args, cls, refute_universal(f, env, bound))
     if cls in ("existential", "primitive"):
-        return _search_verdict(cls, witness_existential(f, env, bound), args.json)
+        return _search_verdict(args, cls, witness_existential(f, env, bound))
     raise UsageError(f"no checker for sentences of class {cls!r}")
 
 
@@ -245,11 +250,11 @@ def cmd_search(args) -> int:
     rep = _load_rep(args)
     f = _resolve_formula(args.formula)
     search = refute_universal if args.command == "refute" else witness_existential
-    return _search_verdict(args.command, search(f, rep.env(), _bound(args, 2)), args.json)
+    return _search_verdict(args, args.command, search(f, rep.env(), _bound(args, 2)))
 
 
 def cmd_checker(args) -> int:
-    return _emit_verdict(args.check, _run_checker(args.check, _load_rep(args), args), args.json)
+    return _emit_verdict(args, args.check, _run_checker(args.check, _load_rep(args), args))
 
 
 def cmd_solve(args) -> int:
@@ -258,38 +263,29 @@ def cmd_solve(args) -> int:
     z = _parse_z(rep, args.z)
     system = args.command[-1].upper()
     sol = (reprs.solve_S if system == "S" else reprs.solve_T)(rep, z)
-    if args.json:
-        out = {"system": system, "z13": str(z.u13)}
-        out["solvable"] = sol is not None
-        if sol is not None:
-            out["solution"] = sol.to_dict()
-        print(json.dumps(out, indent=2, sort_keys=True))
-    else:
-        if sol is None:
-            print(f"unsolvable system={system} z13={z.u13}")
-        else:
-            print(f"solvable system={system} z13={z.u13}")
-            print(f"  element: {sol.element}")
-            names = [n for n, _ in rep.generators]
-            word = "*".join(
-                f"{n}^{c}" for n, c in zip(names, sol.coefficients) if c
-            )
-            print(f"  word: {word or '1'}")
-    return 0 if sol is not None else 1
+    doc = {"system": system, "z13": str(z.u13), "solvable": sol is not None}
+    if sol is not None:
+        doc["solution"] = sol.to_dict()
+
+    def text(doc):
+        head = f"system={doc['system']} z13={doc['z13']}"
+        if not doc["solvable"]:
+            return [f"unsolvable {head}"]
+        sol = doc["solution"]
+        word = "*".join(f"{n}^{c}" for (n, _), c in zip(rep.generators, sol["exponents"]) if c)
+        return [f"solvable {head}", f"  element: {sol['element']}", f"  word: {word or '1'}"]
+
+    return _emit(args, doc, text, 0 if sol is not None else 1)
 
 
 def cmd_crank(args) -> int:
     rank = reprs.c_rank(_load_rep(args))
-    if args.json:
-        print(json.dumps({"c_rank": rank}))
-    else:
-        print(rank)
+    print(json.dumps({"c_rank": rank}) if args.json else rank)  # the one compact JSON output
     return 0
 
 
 def cmd_extend(args) -> int:
-    i = 1 if args.at == "a1" else 2
-    new = reprs.extend_centralizer(_load_rep(args), i, args.name)
+    new = reprs.extend_centralizer(_load_rep(args), int(args.at[1]), args.name)
     sys.stdout.write(reprs.serialize_config(new))
     return 0
 
@@ -310,14 +306,14 @@ def cmd_appropriate(args) -> int:
     rep = _load_rep(args)
     if args.degree < 1:
         raise UsageError("--degree must be >= 1")
-    result = reprs.appropriateness_check(rep, args.degree)
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"{result.status} degree_bound={result.degree_bound}")
-        if result.witness is not None:
-            print(f"  unreached: {result.witness}")
-    return {"confirmed": 0, "refuted": 1, "inconclusive": 2}[result.status]
+    doc = reprs.appropriateness_check(rep, args.degree).to_dict()
+
+    def text(doc):
+        yield f"{doc['status']} degree_bound={doc['degree_bound']}"
+        if doc["witness"] is not None:
+            yield f"  unreached: {doc['witness']}"
+
+    return _emit(args, doc, text, _STATUS_EXIT[doc["status"]])
 
 
 _GEN_NAME_RE = re.compile(r"a([1-9]\d*)")
@@ -330,6 +326,10 @@ def _read_targets(path: str) -> list[str]:
     if not out:
         raise UsageError("targets file is empty")
     return out
+
+
+def _arrow_lines(sources: list[str], images: list[str]) -> list[str]:
+    return [f"  {s} -> {img}" for s, img in zip(sources, images)]
 
 
 def _term_names(t) -> set[str]:
@@ -366,26 +366,19 @@ def cmd_discriminate(args) -> int:
         if t.is_identity():
             raise UsageError(f"target {ln!r} is the identity")
     cert = nilform.discriminate_to_H(targets)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "status": "holds",
-                    "extra_images": [list(e) for e in cert.extra_images],
-                    "target_images": [str(g) for g in cert.target_images],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print("holds method=bounded_search")
-        c = "[a2,a1]"
-        for k, (p, q, r) in enumerate(cert.extra_images, start=3):
-            print(f"  a{k} -> a1^{p}*a2^{q}*{c}^{r}")
-        for ln, img in zip(lines, cert.target_images):
-            print(f"  {ln} -> {img}")
-    return 0
+    doc = {
+        "status": "holds",
+        "extra_images": [list(e) for e in cert.extra_images],
+        "target_images": [str(g) for g in cert.target_images],
+    }
+
+    def text(doc):
+        yield f"{doc['status']} method=bounded_search"
+        for k, (p, q, r) in enumerate(doc["extra_images"], start=3):
+            yield f"  a{k} -> a1^{p}*a2^{q}*[a2,a1]^{r}"
+        yield from _arrow_lines(lines, doc["target_images"])
+
+    return _emit(args, doc, text, 0)
 
 
 def cmd_bigpowers(args) -> int:
@@ -393,18 +386,16 @@ def cmd_bigpowers(args) -> int:
     lines = _read_targets(args.targets)
     env = rep.env()
     targets = [rep.law.to_ut3(formula.eval_term(parse_term(ln), env, {})) for ln in lines]
-    i = 1 if args.at == "a1" else 2
     try:
-        cert = reprs.big_powers_retraction(rep, targets, i, args.name)
+        cert = reprs.big_powers_retraction(rep, targets, int(args.at[1]), args.name)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if args.json:
-        print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"n={cert.n} indeterminate={cert.indeterminate}")
-        for ln, img in zip(lines, cert.retracted_targets):
-            print(f"  {ln} -> {img}")
-    return 0
+
+    def text(doc):
+        yield f"n={doc['n']} indeterminate={doc['indeterminate']}"
+        yield from _arrow_lines(lines, doc["retracted_targets"])
+
+    return _emit(args, cert.to_dict(), text, 0)
 
 
 _EXAMPLE_CHECKS = {
@@ -418,28 +409,17 @@ _EXAMPLE_CHECKS = {
 def cmd_example(args) -> int:
     name = args.name
     rep = fixture(name)
-    if not args.json:
-        sys.stdout.write(FIXTURES[name])
-        print()
-    results = [(check, _run_checker(check, rep, args)) for check in _EXAMPLE_CHECKS[name]]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "example": name,
-                    "config": FIXTURES[name],
-                    "checks": {c: v.to_dict() for c, v in results},
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for check, v in results:
-            print(f"{check}: {CHECKERS[check].label} {v.status} (method={v.method})")
-            if v.witness is not None:
-                _print_fields(v.witness.to_dict())
-    return max(_STATUS_EXIT[v.status] for _, v in results)
+    if not args.json:  # the fixture goes out before any checker can fail
+        print(FIXTURES[name])
+    checks = {c: _run_checker(c, rep, args).to_dict() for c in _EXAMPLE_CHECKS[name]}
+
+    def text(doc):
+        for check, v in doc["checks"].items():
+            yield f"{check}: {CHECKERS[check].label} {v['status']} (method={v['method']})"
+            yield from _field_lines(v["witness"] or {})
+
+    doc = {"example": name, "config": FIXTURES[name], "checks": checks}
+    return _emit(args, doc, text, max(_STATUS_EXIT[v["status"]] for v in checks.values()))
 
 
 def cmd_parse(args) -> int:
@@ -447,20 +427,14 @@ def cmd_parse(args) -> int:
     canonical = print_formula(f)
     fv = sorted(formula.free_vars(f))
     cls = classify(f) if not fv else "open"
-    if args.json:
-        print(
-            json.dumps(
-                {"canonical": canonical, "class": cls, "free_variables": fv},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(canonical)
-        print(f"class: {cls}")
-        if fv:
-            print(f"free variables: {', '.join(fv)}")
-    return 0
+
+    def text(doc):
+        yield doc["canonical"]
+        yield f"class: {doc['class']}"
+        if doc["free_variables"]:
+            yield f"free variables: {', '.join(doc['free_variables'])}"
+
+    return _emit(args, {"canonical": canonical, "class": cls, "free_variables": fv}, text, 0)
 
 
 # ---------------------------------------------------------------------------

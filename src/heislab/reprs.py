@@ -689,7 +689,7 @@ def parse_config(text: str) -> Representation:
     extra: dict[str, UT3Elem] = {}
     body = fields.get("generators", "")
     pos = 0
-    while body[pos:].strip(" \t\n,"):
+    while body[pos:].replace(",", " ").strip():  # until only \s blanks and commas remain
         g = _GENERATOR.match(body, pos)
         if not g:
             raise ConfigError(f"bad generator syntax near {body[pos:pos+30]!r}")

@@ -170,7 +170,7 @@ def parse_config_oracle(text: str) -> reprs.Representation:
     extra: dict[str, UT3Elem] = {}
     body = fields.get("generators", "")
     pos = 0
-    while body[pos:].strip(" \t\n,"):
+    while body[pos:].replace(",", " ").strip():  # until only \s blanks and commas remain
         nm = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*:").match(body, pos)
         if not nm:
             raise reprs.ConfigError(f"bad generator syntax near {body[pos:pos+30]!r}")

@@ -57,6 +57,8 @@ FILES = {
     "formula.fol": "exists y ( [a2,y]=1 )\n",
     "universal.fol": "forall x,z ( [z,a1]=1 & [a2,z]=1 -> [z,x]=1 )\n",
     "bad.cfg": "ring: Q\n",
+    "theta.cfg": "ring: Z[theta]\ngenerators: {}\n",
+    "z2.cfg": "ring: Z x Z\ngenerators: {\n  b: {e23: (2,0)}\n}\n",
 }
 
 
@@ -153,6 +155,13 @@ def _cases() -> list[dict]:
         {"argv": ["refute", "forall x ( x=x )"], "env": {"HEISLAB_MAX_BOUND": "junk"}},
         {"argv": ["nzct"], "env": {"HEISLAB_MAX_BOUND": "0"}},
     ]
+    # appropriate refuted (theta is in no entry) and inconclusive (the
+    # idempotent (1,0) is out of reach of 2*Z), and an unsolvable solve-t
+    for mode in ([], ["--json"]):
+        for cfg in ("theta.cfg", "z2.cfg"):
+            cases.append({"argv": ["appropriate", "--rep", "{tmp}/" + cfg, *mode]})
+        cases.append({"argv": ["solve-t", "--z", "(1,0)", "--rep", "{tmp}/z2.cfg", *mode]})
+    cases.append({"argv": ["example", "heisenberg", "--bound", "0", "--json"]})
     return cases
 
 
@@ -215,6 +224,15 @@ def test_cli_golden(command, golden, files):
         if got != (expected["exit"], expected["stdout"]):
             mismatches.append((_key(case), (expected["exit"], expected["stdout"]), got))
     assert not mismatches, mismatches[0]
+
+
+def test_json_stdout_is_the_emitters(golden):
+    """Every --json stdout but crank's compact one is the emitter's indented,
+    key-sorted dump of one document."""
+    for case in golden.values():
+        out = case["stdout"]
+        if "--json" in case["argv"] and case["argv"][0] != "crank" and out:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", case["argv"]
 
 
 def _regenerate() -> None:

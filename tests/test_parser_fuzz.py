@@ -219,6 +219,7 @@ def _config_with_blocks(draw):
 @example("ring: Z x Z\ngenerators: { b: {e12: 1} {} }")
 @example("ring: Z\ngenerators: { b: {e12: 1)} }")
 @example("ring: Z\ngenerators: {\xa0}")
+@example("ring: Z\ngenerators: {b: {e12: 1},\u2003}")
 @example("ring: Z\ngenerators: { , b: {, e12: 1 ,} ,, }")
 @example("ring: Z\ngenerators: { b: {1, e12: 1} }")
 @example("ring: Z\ngenerators: { b: {e12: 1},, c: {e13: 1} }")

@@ -1010,6 +1010,17 @@ def test_config_roundtrip():
         assert [(n, g) for n, g in back.generators] == list(rep.generators)
 
 
+@pytest.mark.parametrize(
+    "text, ascii_text",
+    [
+        ("ring: Z\ngenerators: {\xa0}", "ring: Z\ngenerators: { }"),
+        ("ring: Z\ngenerators: {b: {e12: 1},\u2003}", "ring: Z\ngenerators: {b: {e12: 1}, }"),
+    ],
+)
+def test_config_unicode_blanks_read_as_ascii_blanks(text, ascii_text):
+    assert parse_config(text) == parse_config(ascii_text)
+
+
 def test_config_parse_errors():
     with pytest.raises(reprs.ConfigError):
         parse_config("generators: {}")  # missing ring
