@@ -14,8 +14,9 @@ one table at the end of the module, parsed on first use.
 
 Quantifier semantics over infinite groups are handled by bounded search:
 assignments range over the ball of words of length <= bound in a group
-environment's generators.  A counterexample is a proof of refutation; an
-exhausted bound never is.
+environment's generators.  Both searches answer with the ``Verdict`` the
+exact checkers of ``reprs`` return.  A counterexample is a proof of
+refutation; an exhausted bound never is.
 """
 
 from __future__ import annotations
@@ -631,22 +632,33 @@ def eval_qf(f, env: GroupEnv, assignment: dict) -> bool:
 
 
 @dataclass(frozen=True)
-class CounterExample:
-    assignment: dict = field(hash=False)
-    words: dict = field(hash=False)
-    bound: int = 0
+class Verdict:
+    """The answer to whether a group satisfies a sentence, from an exact
+    checker (``reprs``) or a bounded search (below)."""
+
+    status: str  # holds | violated | inconclusive
+    method: str  # exact_lattice | bounded_search
+    witness: object = None
+    bound: Optional[int] = None
+
+    def to_dict(self) -> dict:
+        return {
+            "status": self.status,
+            "method": self.method,
+            "bound": self.bound,
+            "witness": None if self.witness is None else self.witness.to_dict(),
+        }
 
 
 @dataclass(frozen=True)
-class Witness:
+class SearchWitness:
+    """The assignment a bounded search found: elements and their words."""
+
     assignment: dict = field(hash=False)
     words: dict = field(hash=False)
-    bound: int = 0
 
-
-@dataclass(frozen=True)
-class NoneWithinBound:
-    bound: int
+    def to_dict(self) -> dict:
+        return dict(sorted(self.words.items()))
 
 
 def _is_central(t) -> bool:
@@ -737,7 +749,7 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
     this decides CT(n >= 2), whose chain compiles to 1, before any search.
     A literal's memo holds one row of truth values per choice of its other
     variables' ball positions, indexed by its last variable's position; a
-    literal on every variable so far never repeats and gets a fresh row.
+    literal on every variable so far never repeats, so it has no memo.
     Conflict-directed backjumping skips a variable's remaining values when
     no failure below involved it -- this keeps exhaustive refutation over
     sizeable balls tractable for four-variable sentences.
@@ -792,9 +804,8 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
             of the variables that the failures below level depend on."""
             tests = []
             for (test, prefix, conflict), memo in zip(checks[level], memos[level]):
-                if prefix is None:
-                    row = [None] * size
-                else:
+                row = None
+                if prefix is not None:
                     key = tuple([values[k] for k in prefix])
                     row = memo.get(key)
                     if row is None:
@@ -807,9 +818,12 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
                 values[level] = pos
                 cur[level] = elems[pos]
                 for test, row, conflict in tests:
-                    ok = row[pos]
-                    if ok is None:
-                        ok = row[pos] = test()
+                    if row is None:
+                        ok = test()
+                    else:
+                        ok = row[pos]
+                        if ok is None:
+                            ok = row[pos] = test()
                     if not ok:
                         union |= conflict  # it has this level's bit: go on
                         break
@@ -832,12 +846,12 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
     return search
 
 
-def _search_ball(f, env: GroupEnv, bound: int, negate: bool, found_type):
-    """First assignment over the ball satisfying the (negated, if
-    ``negate``) matrix of f, wrapped in found_type; else NoneWithinBound.
-    Every disjunct is compiled first, so an unknown constant anywhere in
-    the matrix raises UnresolvedNameError, also where no search would
-    evaluate it."""
+def _search_ball(f, env: GroupEnv, bound: int, negate: bool) -> Verdict:
+    """The first assignment over the ball satisfying the (negated, if
+    ``negate``) matrix of f, as a violated (holds) Verdict; else an
+    inconclusive one.  Every disjunct is compiled first, so an unknown
+    constant anywhere in the matrix raises UnresolvedNameError, also where
+    no search would evaluate it."""
     blocks, matrix = _peel_quantifiers(f)
     variables = [v for _, vs in blocks for v in vs]
     ball = env.ball(bound)
@@ -850,29 +864,29 @@ def _search_ball(f, env: GroupEnv, bound: int, negate: bool, found_type):
         positions = search(ball, reps)
         if positions is not None:
             picks = [ball[p] for p in positions]
-            return found_type(
+            witness = SearchWitness(
                 {v: e for v, (e, _) in zip(variables, picks)},
                 {v: w for v, (_, w) in zip(variables, picks)},
-                bound,
             )
-    return NoneWithinBound(bound)
+            return Verdict("violated" if negate else "holds", "bounded_search", witness, bound)
+    return Verdict("inconclusive", "bounded_search", bound=bound)
 
 
-def refute_universal(f, env: GroupEnv, bound: int):
+def refute_universal(f, env: GroupEnv, bound: int) -> Verdict:
     """Search the ball for a falsifying assignment of a universal sentence.
 
-    Sound for refutation; NoneWithinBound is not a proof of validity.
+    Sound for refutation; an inconclusive Verdict is not a proof of validity.
     """
     if classify(f) not in ("universal", "quasi_identity", "identity"):
         raise FormulaError("refute_universal requires a universal sentence")
-    return _search_ball(f, env, bound, True, CounterExample)
+    return _search_ball(f, env, bound, True)
 
 
-def witness_existential(f, env: GroupEnv, bound: int):
+def witness_existential(f, env: GroupEnv, bound: int) -> Verdict:
     """Dual of refute_universal for existential sentences."""
     if classify(f) not in ("existential", "primitive"):
         raise FormulaError("witness_existential requires an existential sentence")
-    return _search_ball(f, env, bound, False, Witness)
+    return _search_ball(f, env, bound, False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ divisors among centralizer entries, solvability of the centralizer systems,
 commutator surjectivity) into a Hermite-normal-form computation, which is
 how the checkers get to be exact over infinite groups.
 
-Checkers return a Verdict; a "violated" verdict always carries a witness
-reconstructed as an explicit product of the generators, so it can be
-re-checked by direct matrix arithmetic.
+Checkers return a ``formula.Verdict``; a "violated" verdict always
+carries a witness reconstructed as an explicit product of the generators,
+so it can be re-checked by direct matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -26,25 +26,10 @@ from functools import cached_property
 from typing import Optional
 
 from . import rings, zlattice
+from .formula import GroupEnv, Verdict
 from .rings import Frame, RingDesc, RingElem
 from .ut3 import Class2Elem, Class2Law, UT3Elem, a1 as _a1, a2 as _a2
 from .zlattice import Lattice
-
-
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # holds | violated | inconclusive
-    method: str  # exact_lattice | bounded_search
-    witness: object = None
-    bound: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "method": self.method,
-            "bound": self.bound,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -168,8 +153,6 @@ class Representation:
 
         Its elements are ``Class2Elem``s of ``law``, so the bounded search
         runs on integer tuples; ``law.to_ut3`` gives the matrix back."""
-        from .formula import GroupEnv
-
         gens = [(name, g) for (name, _), g in zip(self.generators, self.law_generators)]
         return GroupEnv(self.law.identity, dict(gens), gens)
 

@@ -405,15 +405,22 @@ def test_ring_over_the_component_cap_is_exit_3(capsys, tmp_path):
     assert err == "error: ring has more than 1000 components\n"
 
 
-def test_ring_mismatch_is_an_internal_error_exit_4(capsys, monkeypatch):
+def test_ring_mismatch_is_an_internal_error_exit_4(capsys, monkeypatch, tmp_path):
     from heislab import reprs
     from heislab.rings import RingMismatchError
 
-    def broken(rep):
+    def broken(*args):
         raise RingMismatchError("Z vs Z x Z")
 
     monkeypatch.setattr(reprs, "lame_check", broken)
-    for argv in (["lame", "--example", "zxz-lame"], ["check", "lame", "--example", "zxz-lame"]):
+    monkeypatch.setattr(reprs, "big_powers_retraction", broken)
+    targets = tmp_path / "targets.txt"
+    targets.write_text("a1\n")
+    for argv in (
+        ["lame", "--example", "zxz-lame"],
+        ["check", "lame", "--example", "zxz-lame"],
+        ["bigpowers", "--targets", str(targets), "--at", "a1"],
+    ):
         code, out, err = run(capsys, *argv)
         assert code == 4
         assert out == ""

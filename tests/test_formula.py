@@ -13,12 +13,10 @@ from heislab.formula import (
     A2,
     And,
     Const,
-    CounterExample,
     Eq,
     FormulaParseError,
     Implies,
     Ne,
-    NoneWithinBound,
     Not,
     ONE,
     Or,
@@ -27,7 +25,7 @@ from heislab.formula import (
     TMul,
     TPow,
     Var,
-    Witness,
+    Verdict,
     builtin,
     classify,
     dnf_disjuncts,
@@ -356,22 +354,22 @@ def test_ball_properties():
 
 def test_refute_tautology():
     out = refute_universal(parse("forall x ( x=x )"), H_env(), 3)
-    assert out == NoneWithinBound(3)
+    assert out == Verdict("inconclusive", "bounded_search", bound=3)
 
 
 def test_refute_finds_counterexample():
     out = refute_universal(parse("forall x ( [x,a1]=1 )"), H_env(), 1)
-    assert isinstance(out, CounterExample)
-    assert out.words["x"] in ("a2", "a2^-1")
+    assert out.status == "violated"
+    assert out.witness.words["x"] in ("a2", "a2^-1")
 
 
 def test_refute_counterexample_is_rechecked():
     env = full_zxz_env()
     f = builtin("tau")
     out = refute_universal(f, env, 2)
-    assert isinstance(out, CounterExample)
+    assert out.status == "violated"
     _, matrix = formula._peel_quantifiers(f)
-    assert not eval_qf(matrix, env, out.assignment)
+    assert not eval_qf(matrix, env, out.witness.assignment)
 
 
 def test_refute_wrong_class():
@@ -384,59 +382,61 @@ def test_witness_system_S_and_T():
     env.constants["z"] = eval_term(parse_term("[a2,a1]"), env, {})
     s = parse("exists y ( [a2,y]=1 & [y,a1]=@z )")
     out = witness_existential(s, env, 2)
-    assert isinstance(out, Witness)
-    assert out.words["y"] == "a2"
+    assert out.status == "holds"
+    assert out.witness.words["y"] == "a2"
     t = parse("exists x ( [x,a1]=1 & [a2,x]=@z )")
     out = witness_existential(t, env, 2)
-    assert isinstance(out, Witness)
-    assert out.words["x"] == "a1"
+    assert out.status == "holds"
+    assert out.witness.words["x"] == "a1"
 
 
 def test_witness_trivial():
     out = witness_existential(parse("exists x ( x=1 )"), H_env(), 1)
-    assert isinstance(out, Witness)
-    assert out.words["x"] == "1"
+    assert out.status == "holds"
+    assert out.witness.words["x"] == "1"
 
 
 def test_witness_exhaustion():
     out = witness_existential(parse("exists x ( x!=x )"), H_env(), 2)
-    assert out == NoneWithinBound(2)
+    assert out == Verdict("inconclusive", "bounded_search", bound=2)
 
 
 def test_nzct_holds_in_H_small_bounds():
     for bound in (1, 2, 3):
-        assert refute_universal(builtin("NZCT"), H_env(), bound) == NoneWithinBound(bound)
+        out = refute_universal(builtin("NZCT"), H_env(), bound)
+        assert out == Verdict("inconclusive", "bounded_search", bound=bound)
 
 
 def test_nzct_refuted_on_full_zxz():
     env = full_zxz_env()
     out = refute_universal(builtin("NZCT"), env, 3)
-    assert isinstance(out, CounterExample)
+    assert out.status == "violated"
     _, matrix = formula._peel_quantifiers(builtin("NZCT"))
-    assert not eval_qf(matrix, env, out.assignment)
+    assert not eval_qf(matrix, env, out.witness.assignment)
 
 
 def test_ct_zero_and_torsion():
     env = H_env()
     ct0 = builtin("CT(0)")
     for bound in (2, 3):
-        assert refute_universal(ct0, env, bound) == NoneWithinBound(bound)
+        out = refute_universal(ct0, env, bound)
+        assert out == Verdict("inconclusive", "bounded_search", bound=bound)
     # a central x2 that is not 1 first appears at bound 4: [a1,a2] commutes
     # with both a1 and a2, which do not commute
     out = refute_universal(ct0, env, 4)
-    assert isinstance(out, CounterExample)
-    assert out.words == {"x1": "a1", "x2": "a1*a2*a1^-1*a2^-1", "x3": "a2"}
+    assert out.status == "violated"
+    assert out.witness.words == {"x1": "a1", "x2": "a1*a2*a1^-1*a2^-1", "x3": "a2"}
     _, matrix = formula._peel_quantifiers(ct0)
-    assert not eval_qf(matrix, env, out.assignment)
-    assert isinstance(refute_universal(builtin("torsion_free_qi(2)"), env, 2), NoneWithinBound)
-    assert isinstance(refute_universal(builtin("zero_sq_qi"), env, 2), NoneWithinBound)
+    assert not eval_qf(matrix, env, out.witness.assignment)
+    assert refute_universal(builtin("torsion_free_qi(2)"), env, 2).status == "inconclusive"
+    assert refute_universal(builtin("zero_sq_qi"), env, 2).status == "inconclusive"
 
 
 def test_ct1_equals_nzct_semantics():
     # CT(1) is NZCT with the noncentrality hypothesis spelled via a commutator
     env = full_zxz_env()
     out = refute_universal(builtin("CT(1)"), env, 2)
-    assert isinstance(out, CounterExample)
+    assert out.status == "violated"
 
 
 _SEARCH_ENVS = {"H": H_env, "zxz": full_zxz_env}
@@ -625,7 +625,8 @@ def test_blind_variables_range_over_representatives(monkeypatch):
         return comm(x, y)
 
     monkeypatch.setattr(ut3.Class2Elem, "comm", spy)
-    assert refute_universal(builtin("NZCT"), env, 2) == NoneWithinBound(2)
+    out = refute_universal(builtin("NZCT"), env, 2)
+    assert out == Verdict("inconclusive", "bounded_search", bound=2)
     assert tried == {ball[p][0] for p in reps}
 
 

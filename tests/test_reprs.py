@@ -30,7 +30,7 @@ from conftest import (
 )
 from heislab import formula, reprs, rings, zlattice
 from heislab.cli import FIXTURES, fixture
-from heislab.formula import CounterExample, NoneWithinBound, builtin, refute_universal
+from heislab.formula import builtin, refute_universal
 from heislab.reprs import (
     Representation,
     adjoin_Y,
@@ -308,7 +308,7 @@ def test_tau_violations_match_search():
         else:
             # search never contradicts exact holds (small bound spot check)
             out = refute_universal(builtin("tau"), rep.env(), 1)
-            assert isinstance(out, NoneWithinBound)
+            assert out.status == "inconclusive"
     assert violated >= 1
 
 
@@ -1099,9 +1099,9 @@ def test_exact_never_contradicted_by_search():
     for rep in corpus(25, seed=14):
         tv = tau_check(rep)
         out = refute_universal(builtin("tau"), rep.env(), 1)
-        if isinstance(out, CounterExample):
+        if out.status == "violated":
             assert tv.status == "violated"
         nv = nzct_check(rep, 1)
         out = refute_universal(builtin("NZCT"), rep.env(), 1)
-        if isinstance(out, CounterExample):
+        if out.status == "violated":
             assert nv.status == "violated"
