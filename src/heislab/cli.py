@@ -3,7 +3,8 @@
 Exit codes: 0 = holds/success, 1 = violated/counterexample (witness printed),
 2 = inconclusive/bound exhausted, 3 = usage or config error, 4 = internal
 error (a ``RingMismatchError``: arithmetic mixed elements of different
-rings or groups, which no input should cause).
+rings or groups, which no input should cause).  A closed standard output
+(``heislab ... | head -1``) is also 3, whatever the verdict.
 
 The environment variable HEISLAB_MAX_BOUND caps every ``--bound``
 (default 6); ``discriminate`` and ``bigpowers`` take no bound and always
@@ -343,7 +344,7 @@ def cmd_discriminate(args) -> int:
     if n > MAX_GENERATORS:
         raise UsageError(f"generator index above {MAX_GENERATORS}")
     env = formula.GroupEnv(
-        nilform.identity(n),
+        formula.ElementLaw(nilform.identity(n)),
         {"a1": nilform.generator(n, 1), "a2": nilform.generator(n, 2)},
         [(f"a{k}", nilform.generator(n, k)) for k in range(1, n + 1)],
     )
@@ -551,9 +552,18 @@ def main(argv=None) -> int:
         return 3
 
 
-def entry():  # console_scripts hook
-    raise SystemExit(main())
+def entry():  # console_scripts hook, and python -m heislab.cli
+    """Exit with main's code; a closed stdout (``heislab ... | head``) is
+    exit 3, without a traceback, not the verdict that was being printed."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at interpreter exit must not hit the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 3
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

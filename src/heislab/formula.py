@@ -527,22 +527,42 @@ class UnresolvedNameError(FormulaError):
     pass
 
 
+class ElementLaw:
+    """The law of a GroupEnv whose elements carry their own group methods:
+    __mul__, inv(), pow_int(), comm() and coset_key() (``nilform.NilForm``
+    in ``discriminate``, ``ut3.UT3Elem`` in the tests)."""
+
+    def __init__(self, identity):
+        self.identity = identity
+
+    mul = operator.mul
+    inv = operator.methodcaller("inv")
+    pow_int = staticmethod(lambda x, n: x.pow_int(n))
+    comm = staticmethod(lambda x, y: x.comm(y))
+    coset_key = operator.methodcaller("coset_key")
+
+    def right_mul(self, g):
+        return lambda x: x * g
+
+
 class GroupEnv:
     """Element universe for evaluation and bounded quantifier search.
 
-    The elements must form a group of nilpotency class 2, so that every
-    commutator is central, and support __mul__, inv(), pow_int(), comm(),
-    hashable equality and coset_key(), which may be equal for two elements
-    only when they differ by a central factor.  ``Representation.env`` uses
-    ``ut3.Class2Elem``, ``discriminate`` uses ``nilform.NilForm``, and the
-    tests also use ``ut3.UT3Elem``.  a1 and a2 must be present in the
-    constant table.
+    ``law`` does the arithmetic: it has an ``identity`` element and
+    mul(x, y), right_mul(g) (a function x -> x*g), inv(x), pow_int(x, n),
+    comm(x, y) and coset_key(x), which may be equal for two elements only
+    when they differ by a central factor.  The elements must form a group
+    of nilpotency class 2, so that every commutator is central, and be
+    hashable, with == as group equality.  ``Representation.env`` uses a
+    ``ut3.Class2Law`` on integer tuples; elements with their own methods
+    use ``ElementLaw``.  a1 and a2 must be present in the constant table.
     """
 
-    def __init__(self, identity, constants: dict, generators: list):
+    def __init__(self, law, constants: dict, generators: list):
         if "a1" not in constants or "a2" not in constants:
             raise ValueError("constant table must contain a1 and a2")
-        self.identity = identity
+        self.law = law
+        self.identity = law.identity
         self.constants = dict(constants)
         self.generators = list(generators)  # (name, element) pairs
         self._balls: dict[int, list] = {}
@@ -553,18 +573,19 @@ class GroupEnv:
         as (element, word) pairs in canonical BFS order."""
         if bound in self._balls:
             return self._balls[bound]
+        law = self.law
         letters = []
         for name, g in self.generators:
-            letters.append((g, name))
-            letters.append((g.inv(), name + "^-1"))
+            letters.append((law.right_mul(g), name))
+            letters.append((law.right_mul(law.inv(g)), name + "^-1"))
         seen = {self.identity: "1"}
         frontier = [self.identity]
         for _ in range(bound):
             nxt = []
             for e in frontier:
                 word = seen[e]
-                for g, name in letters:
-                    e2 = e * g
+                for step, name in letters:
+                    e2 = step(e)
                     if e2 not in seen:
                         seen[e2] = name if word == "1" else word + "*" + name
                         nxt.append(e2)
@@ -579,10 +600,11 @@ class GroupEnv:
         coset_key."""
         reps = self._representatives.get(bound)
         if reps is None:
+            coset_key = self.law.coset_key
             keys = set()
             reps = self._representatives[bound] = []
             for pos, (e, _word) in enumerate(self._balls.get(bound) or self.ball(bound)):
-                key = e.coset_key()
+                key = coset_key(e)
                 if key not in keys:
                     keys.add(key)
                     reps.append(pos)
@@ -601,12 +623,12 @@ def eval_term(t, env: GroupEnv, assignment: dict):
             raise UnresolvedNameError(f"unknown constant {t.name!r}")
         return env.constants[t.name]
     if isinstance(t, TMul):
-        return eval_term(t.left, env, assignment) * eval_term(t.right, env, assignment)
+        return env.law.mul(eval_term(t.left, env, assignment), eval_term(t.right, env, assignment))
     if isinstance(t, TPow):
-        return eval_term(t.base, env, assignment).pow_int(t.exp)
+        return env.law.pow_int(eval_term(t.base, env, assignment), t.exp)
     if isinstance(t, TComm):
-        return eval_term(t.left, env, assignment).comm(
-            eval_term(t.right, env, assignment)
+        return env.law.comm(
+            eval_term(t.left, env, assignment), eval_term(t.right, env, assignment)
         )
     raise TypeError(f"not a term: {t!r}")
 
@@ -701,27 +723,22 @@ def _compile_term(t, env: GroupEnv, var_pos: dict, cur: list):
         if t.name not in env.constants:
             raise UnresolvedNameError(f"unknown constant {t.name!r}")
         return env.constants[t.name], None
+    law = env.law
     if isinstance(t, TPow):
         base, fn = _compile_term(t.base, env, var_pos, cur)
-        exp = t.exp
+        exp, pow_int = t.exp, law.pow_int
         if fn is None:
-            return base.pow_int(exp), None
-        return None, lambda: fn().pow_int(exp)
-    if isinstance(t, TMul):
-        op = operator.mul
-    elif isinstance(t, TComm):
-        op = _comm
-    else:
+            return pow_int(base, exp), None
+        return None, lambda: pow_int(fn(), exp)
+    if not isinstance(t, (TMul, TComm)):
         raise TypeError(f"not a term: {t!r}")
     left = _compile_term(t.left, env, var_pos, cur)
     right = _compile_term(t.right, env, var_pos, cur)
-    if op is _comm and (_is_central(t.left) or _is_central(t.right)):
+    if isinstance(t, TMul):
+        return _combine(law.mul, left, right)
+    if _is_central(t.left) or _is_central(t.right):
         return env.identity, None
-    return _combine(op, left, right)
-
-
-def _comm(x, y):
-    return x.comm(y)
+    return _combine(law.comm, left, right)
 
 
 def _combine(op, left, right):

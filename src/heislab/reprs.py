@@ -28,7 +28,7 @@ from typing import Optional
 from . import rings, zlattice
 from .formula import GroupEnv, Verdict
 from .rings import Frame, RingDesc, RingElem
-from .ut3 import Class2Elem, Class2Law, UT3Elem, a1 as _a1, a2 as _a2
+from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2
 from .zlattice import Lattice
 
 
@@ -132,8 +132,8 @@ class Representation:
         )
 
     @cached_property
-    def law_generators(self) -> tuple[Class2Elem, ...]:
-        """The generators on the law's integer class-2 coordinates."""
+    def law_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The generators as the law's integer class-2 coordinate tuples."""
         return tuple(self.law.element(g) for _, g in self.generators)
 
     def product_of_generators(self, exponents) -> UT3Elem:
@@ -145,16 +145,17 @@ class Representation:
         out = law.identity
         for g, c in zip(self.law_generators, exponents):
             if c:
-                out = out * g.pow_int(c)
+                out = law.mul(out, law.pow_int(g, c))
         return law.to_ut3(out)
 
     def env(self):
         """Evaluation environment over this group for the formula module.
 
-        Its elements are ``Class2Elem``s of ``law``, so the bounded search
-        runs on integer tuples; ``law.to_ut3`` gives the matrix back."""
+        Its elements are the integer coordinate tuples of ``law``, which
+        does the arithmetic, so the bounded search hashes and compares
+        plain tuples; ``law.to_ut3`` gives the matrix back."""
         gens = [(name, g) for (name, _), g in zip(self.generators, self.law_generators)]
-        return GroupEnv(self.law.identity, dict(gens), gens)
+        return GroupEnv(self.law, dict(gens), gens)
 
     # the EntryLattices, built once; entry_lattices is looked up at call
     # time, so wrappers installed on the module see the call
@@ -168,8 +169,8 @@ class Representation:
         law = self.law
         n = len(self.frame)
         pad = (0,) * len(law.f13)
-        rows = [Class2Elem(law, b + pad) for b in self.lattices.A.basis]
-        return tuple(tuple(x.comm(y).v[n:] for y in rows) for x in rows)
+        rows = [b + pad for b in self.lattices.A.basis]
+        return tuple(tuple(law.comm(x, y)[n:] for y in rows) for x in rows)
 
 
 def representation(
@@ -211,7 +212,7 @@ class EntryLattices:
 
 def entry_lattices(rep: Representation) -> EntryLattices:
     n12, n = len(rep.law.f12), len(rep.frame)
-    A = zlattice.hnf([g.v[:n] for g in rep.law_generators], ambient_dim=n)
+    A = zlattice.hnf([g[:n] for g in rep.law_generators], ambient_dim=n)
     A1 = zlattice.intersect_coordinate_zero(A, range(n12))
     A2 = zlattice.intersect_coordinate_zero(A, range(n12, n))
     return EntryLattices(A, A1, A2)
@@ -422,7 +423,7 @@ def sigma_check(rep: Representation) -> Verdict:
     pairs in itertools.combinations order, with S tried before T: that z
     is itself a commutator value."""
     for g, h in itertools.combinations(rep.law_generators, 2):
-        value = rep.law.to_ut3(g.comm(h)).u13
+        value = rep.law.to_ut3(rep.law.comm(g, h)).u13
         for block, system in enumerate("ST"):
             if _realizing_exponents(rep, value, block) is None:
                 return Verdict("violated", "exact_lattice", SigmaWitness(value, system))

@@ -17,14 +17,17 @@ the generators' (1,2) and (2,3) entries, the (1,3) entry over the frame of
 the generators' (1,3) monomials and of every product of a (1,2) with a (2,3)
 frame monomial in the same component.  With B(x, y) = x12*y23 read off an
 integer table, the closed forms above become integer arithmetic
-(``Class2Law``).  The bounded formula search runs on it, and the entry
-lattices, sigma, the systems S/T and NZCT in ``reprs`` use its frames as
-their only coordinates.
+(``Class2Law``) on plain tuples of ints: the law multiplies, and the tuples
+hash and compare by themselves.  The bounded formula search runs on it, and
+the entry lattices, sigma, the systems S/T and NZCT in ``reprs`` use its
+frames as their only coordinates.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .rings import Frame, RingDesc, RingElem, RingMismatchError, frame_coords, frame_of, from_frame
 
@@ -147,14 +150,15 @@ def elem(ring: RingDesc, e12, e13, e23) -> UT3Elem:
 class Class2Law:
     """The group law of <generators> <= UT3(R) on integer coordinates.
 
-    An element is one flat tuple x = (x12, x23, z) over the frames ``f12``,
-    ``f23`` and ``f13``; ``Class2Law.of`` is the one place that picks the
-    monomials of a representation, and ``coords`` the one coordinate
-    routine.  ``table`` holds one (i, j, k) per pair of a (1,2) and a (2,3)
-    frame monomial in the same component: the coordinate i of x, the
-    coordinate j of y and the z-coordinate k of their product, so
+    An element is one flat tuple x = (x12, x23, z) of ints over the frames
+    ``f12``, ``f23`` and ``f13``; ``Class2Law.of`` is the one place that
+    picks the monomials of a representation, and ``coords`` the one
+    coordinate routine.  ``table`` holds one (i, j, k) per pair of a (1,2)
+    and a (2,3) frame monomial in the same component: the coordinate i of
+    x, the coordinate j of y and the z-coordinate k of their product, so
     B(x, y) = x12*y23 adds x[i]*y[j] to z[k].  Frame coordinates are unique,
-    so two elements are equal iff their tuples are."""
+    so two elements are equal iff their tuples are; the tuples carry no law,
+    so ``mul`` and ``comm`` reject only a tuple of another length."""
 
     ring: RingDesc
     f12: Frame
@@ -180,16 +184,76 @@ class Class2Law:
         table = tuple((i, n12 + j, n12 + n23 + index[2][m]) for i, j, m in products)
         return cls(ring, f12, f23, f13, table, index)
 
-    @property
-    def identity(self) -> "Class2Elem":
-        return Class2Elem(self, (0,) * (len(self.f12) + len(self.f23) + len(self.f13)))
+    @cached_property
+    def identity(self) -> tuple[int, ...]:
+        return (0,) * self.dim
+
+    @cached_property
+    def dim(self) -> int:
+        """The length of every element's tuple."""
+        return len(self.f12) + len(self.f23) + len(self.f13)
+
+    def mul(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        if not len(x) == len(y) == self.dim:
+            raise RingMismatchError("elements of different groups")
+        out = list(map(operator.add, x, y))
+        for i, j, k in self.table:
+            out[k] += x[i] * y[j]
+        return tuple(out)
+
+    def right_mul(self, g: tuple[int, ...]):
+        """x -> x*g for one fixed g, touching only g's nonzero coordinates
+        and the ``table`` rows where g is nonzero (the ball multiplies by
+        each letter many times)."""
+        if len(g) != self.dim:
+            raise RingMismatchError("elements of different groups")
+        adds = tuple((p, c) for p, c in enumerate(g) if c)
+        rows = tuple((i, g[j], k) for i, j, k in self.table if g[j])
+
+        def step(x):
+            out = list(x)
+            for p, c in adds:
+                out[p] += c
+            for i, c, k in rows:
+                out[k] += x[i] * c
+            return tuple(out)
+
+        return step
+
+    def inv(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        out = list(map(operator.neg, x))
+        for i, j, k in self.table:
+            out[k] += x[i] * x[j]
+        return tuple(out)
+
+    def pow_int(self, x: tuple[int, ...], n: int) -> tuple[int, ...]:
+        binom = n * (n - 1) // 2
+        out = [n * a for a in x]
+        for i, j, k in self.table:
+            out[k] += binom * x[i] * x[j]
+        return tuple(out)
+
+    def comm(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        """The commutator x^-1 y^-1 x y, in closed form."""
+        n = self.dim
+        if not len(x) == len(y) == n:
+            raise RingMismatchError("elements of different groups")
+        out = [0] * n
+        for i, j, k in self.table:
+            out[k] += x[i] * y[j] - y[i] * x[j]
+        return tuple(out)
+
+    def coset_key(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        """The 12/23 coordinates: equal for two elements exactly when they
+        differ by a central factor of the (1,3) block."""
+        return x[: self.dim - len(self.f13)]
 
     def coords(self, block: int, entry: RingElem) -> tuple[int, ...] | None:
         """The coordinates of a ring element over one frame (block 0: f12,
         1: f23, 2: f13); None if it has a monomial outside that frame."""
         return frame_coords(self.index[block], entry)
 
-    def element(self, g: UT3Elem) -> "Class2Elem":
+    def element(self, g: UT3Elem) -> tuple[int, ...]:
         """The coordinates of g, which must lie in the frames (every element
         of the group the law was made for does)."""
         v = ()
@@ -198,80 +262,13 @@ class Class2Law:
             if coords is None:
                 raise ValueError(f"{g} is outside the frames of the law")
             v += coords
-        return Class2Elem(self, v)
+        return v
 
-    def to_ut3(self, x: "Class2Elem") -> UT3Elem:
+    def to_ut3(self, v: tuple[int, ...]) -> UT3Elem:
         n12, n23 = len(self.f12), len(self.f23)
-        v = x.v
         return UT3Elem(
             self.ring,
             from_frame(self.ring, self.f12, v[:n12]),
             from_frame(self.ring, self.f13, v[n12 + n23 :]),
             from_frame(self.ring, self.f23, v[n12 : n12 + n23]),
         )
-
-
-class Class2Elem:
-    """An element of a group with a ``Class2Law``: the closed forms of the
-    module docstring on integer coordinates."""
-
-    __slots__ = ("law", "v", "_hash")
-
-    def __init__(self, law: Class2Law, v: tuple[int, ...]):
-        self.law = law
-        self.v = v
-        self._hash = None
-
-    def __mul__(self, other: "Class2Elem") -> "Class2Elem":
-        law = self.law
-        if other.law is not law and other.law != law:
-            raise RingMismatchError("elements of different groups")
-        x, y = self.v, other.v
-        out = [a + b for a, b in zip(x, y)]
-        for i, j, k in law.table:
-            out[k] += x[i] * y[j]
-        return Class2Elem(law, tuple(out))
-
-    def inv(self) -> "Class2Elem":
-        x = self.v
-        out = [-a for a in x]
-        for i, j, k in self.law.table:
-            out[k] += x[i] * x[j]
-        return Class2Elem(self.law, tuple(out))
-
-    def pow_int(self, n: int) -> "Class2Elem":
-        x = self.v
-        binom = n * (n - 1) // 2
-        out = [n * a for a in x]
-        for i, j, k in self.law.table:
-            out[k] += binom * x[i] * x[j]
-        return Class2Elem(self.law, tuple(out))
-
-    def comm(self, other: "Class2Elem") -> "Class2Elem":
-        """The commutator self^-1 other^-1 self other, in closed form."""
-        law = self.law
-        if other.law is not law and other.law != law:
-            raise RingMismatchError("elements of different groups")
-        x, y = self.v, other.v
-        out = [0] * len(x)
-        for i, j, k in law.table:
-            out[k] += x[i] * y[j] - y[i] * x[j]
-        return Class2Elem(law, tuple(out))
-
-    def coset_key(self) -> tuple[int, ...]:
-        """The 12/23 coordinates: equal for two elements exactly when they
-        differ by a central factor of the (1,3) block."""
-        return self.v[: len(self.law.f12) + len(self.law.f23)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Class2Elem):
-            return NotImplemented
-        return self.v == other.v and (self.law is other.law or self.law == other.law)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.v)
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Class2Elem({self.v!r})"

@@ -235,7 +235,7 @@ def ut3_env(rep: reprs.Representation) -> formula.GroupEnv:
     RingElem arithmetic, which Representation.env's integer class-2
     coordinates replace."""
     gens = list(rep.generators)
-    return formula.GroupEnv(ut3.identity(rep.ring), dict(gens), gens)
+    return formula.GroupEnv(formula.ElementLaw(ut3.identity(rep.ring)), dict(gens), gens)
 
 
 # ---------------------------------------------------------------------------

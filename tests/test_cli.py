@@ -4,13 +4,17 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
 import signal
+import subprocess
+import sys
 
 import pytest
 from test_cli_golden import DATA, _key, _run, _write_files
 
+import heislab
 from heislab.cli import FIXTURES, build_parser, main
 
 
@@ -653,3 +657,32 @@ def test_help_matches_a_fresh_parser():
         main(["lame"])  # a query between help requests changes nothing
         assert _help(main, argv) == _help(fresh.parse_args, argv), argv
     assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "NZCT", "--example", "heisenberg"],
+        ["refute", "NZCT", "--example", "tau-fails-zxz", "--bound", "2", "--json"],
+    ],
+)
+def test_closed_stdout_is_exit_3(argv):
+    # as in `heislab check NZCT --example heisenberg | true`: the reader is
+    # gone before anything is printed, so no verdict's exit code may leak
+    src = str(pathlib.Path(heislab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "heislab.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 3
+    assert b"Traceback" not in proc.stderr

@@ -88,7 +88,7 @@ def test_coset_key_classes_match_the_heisenberg_ball():
     from heislab import formula, reprs
 
     gens = [("a1", generator(2, 1)), ("a2", generator(2, 2))]
-    env = formula.GroupEnv(identity(2), dict(gens), gens)
+    env = formula.GroupEnv(formula.ElementLaw(identity(2)), dict(gens), gens)
     rep = reprs.heisenberg()
     H = rep.env()
     for bound in range(4):

@@ -81,8 +81,8 @@ def commutator_rank(rep):
     """Rank of the lattice spanned by the generator commutator values."""
     law = rep.law
     gens = [law.element(g) for _, g in rep.generators]
-    values = [g.comm(h).v for g, h in itertools.combinations(gens, 2)]
-    return zlattice.hnf(values, ambient_dim=len(law.identity.v)).rank
+    values = [law.comm(g, h) for g, h in itertools.combinations(gens, 2)]
+    return zlattice.hnf(values, ambient_dim=len(law.identity)).rank
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def test_coords_roundtrip():
             v = law.coords(block, entry)
             assert v is not None
             assert rings.from_frame(rep.ring, frame, v) == entry
-        assert rep.elem_from_coords(law.element(g).v[: len(rep.frame)]) == (g.u12, g.u23)
+        assert rep.elem_from_coords(law.element(g)[: len(rep.frame)]) == (g.u12, g.u23)
     assert law.coords(0, parse_elem(ZZ, "(0, 999)")) is not None
     # no theta-frame coordinate exists in this representation
     assert representation(ZTH).law.coords(0, RingElem.var(ZTH, "theta")) is None

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import corpus, oracle_mul, random_ut3, ut3_env
 from heislab import cli, ut3
+from heislab.formula import builtin, refute_universal
 from heislab.rings import RingElem, RingMismatchError, Z, parse_ring
 from heislab.ut3 import UT3Elem, a1, a2, elem, identity
 
@@ -125,9 +126,10 @@ LAW_REPS = [cli.fixture(name) for name in sorted(cli.FIXTURES)] + corpus(40, see
 
 def _word(env, word):
     """prod g_k^e over (k, e) pairs, with g_k the k-th generator of env."""
-    out = env.identity
+    law = env.law
+    out = law.identity
     for k, e in word:
-        out = out * env.generators[k % len(env.generators)][1].pow_int(e)
+        out = law.mul(out, law.pow_int(env.generators[k % len(env.generators)][1], e))
     return out
 
 
@@ -144,13 +146,14 @@ def test_class2_law_matches_ut3(k, u, w, n):
     x, y = _word(env, u), _word(env, w)
     gx, gy = _word(oracle, u), _word(oracle, w)
     assert law.to_ut3(x) == gx and law.to_ut3(y) == gy
-    assert law.to_ut3(x * y) == gx * gy
-    assert law.to_ut3(x.inv()) == gx.inv()
-    assert law.to_ut3(x.pow_int(n)) == gx.pow_int(n)
-    assert law.to_ut3(x.comm(y)) == gx.comm(gy)
+    assert law.to_ut3(law.mul(x, y)) == gx * gy
+    assert law.to_ut3(law.inv(x)) == gx.inv()
+    assert law.to_ut3(law.pow_int(x, n)) == gx.pow_int(n)
+    assert law.to_ut3(law.comm(x, y)) == gx.comm(gy)
     assert law.element(gx) == x
     # x*y == y*x exactly when x and y commute
-    for a, b, ga, gb in ((x, y, gx, gy), (x * y, y * x, gx * gy, gy * gx)):
+    xy, yx = law.mul(x, y), law.mul(y, x)
+    for a, b, ga, gb in ((x, y, gx, gy), (xy, yx, gx * gy, gy * gx)):
         assert (a == b) == (ga == gb)
         assert (a != b) == (ga != gb)
         if a == b:
@@ -169,25 +172,56 @@ def test_class2_ball_matches_ut3(k):
         assert env.representatives(bound) == oracle.representatives(bound)
 
 
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0, len(LAW_REPS) - 1), u=_words, w=_words)
+def test_right_mul_matches_mul(k, u, w):
+    # the ball's per-letter step keeps only the table rows where g is nonzero
+    env = LAW_REPS[k].env()
+    law = env.law
+    x, g = _word(env, u), _word(env, w)
+    assert law.right_mul(g)(x) == law.mul(x, g)
+
+
+SEARCH_REPS = [cli.fixture(name) for name in sorted(cli.FIXTURES)] + corpus(20, seed=0)
+SEARCH_SENTENCES = (
+    "NZCT", "tau", "CT(0)", "CT(1)", "centralizer_qi", "torsion_free_qi(2)", "zero_sq_qi"
+)
+
+
+@pytest.mark.parametrize("k", range(len(SEARCH_REPS)))
+def test_search_on_the_law_matches_ut3(k):
+    # the whole bounded search, on integer tuples and on the matrices
+    rep = SEARCH_REPS[k]
+    env, oracle = rep.env(), ut3_env(rep)
+    for name in SEARCH_SENTENCES:
+        for bound in (1, 2, 3):
+            got = refute_universal(builtin(name), env, bound)
+            want = refute_universal(builtin(name), oracle, bound)
+            assert got.status == want.status, (name, bound)
+            words = [v.witness and v.witness.words for v in (got, want)]
+            assert words[0] == words[1], (name, bound)
+
+
 def test_class2_law_frames():
     rep = cli.fixture("tau-fails-zxz")  # Y = (1,0) in e12, X = (0,1) in e23
     law = rep.law
     assert law.f12 == law.f23 == law.f13 == ((0, ()), (1, ()))
     assert sorted(law.table) == [(0, 2, 4), (1, 3, 5)]
     env = rep.env()
-    assert env.constants["Y"].v == (1, 0, 0, 0, 0, 0)
-    assert env.identity.v == (0,) * 6
+    assert env.constants["Y"] == (1, 0, 0, 0, 0, 0)
+    assert env.identity == (0,) * 6
     # a1 = e23 one, a2 = e12 one: [a2, a1] is the central (1,1) in e13
-    assert env.constants["a2"].comm(env.constants["a1"]).v == (0, 0, 0, 0, 1, 1)
+    assert law.comm(env.constants["a2"], env.constants["a1"]) == (0, 0, 0, 0, 1, 1)
 
 
 def test_class2_law_rejects_mixed_groups():
+    law = cli.fixture("heisenberg").law
     x = cli.fixture("heisenberg").env().constants["a1"]
     y = cli.fixture("tau-fails-zxz").env().constants["a1"]
     with pytest.raises(RingMismatchError):
-        x * y
+        law.mul(x, y)
     with pytest.raises(RingMismatchError):
-        x.comm(y)
+        law.comm(x, y)
     assert x != y
     # two parses of one config give equal laws
     assert x == cli.fixture("heisenberg").env().constants["a1"]
