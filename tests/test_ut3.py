@@ -182,7 +182,8 @@ def test_right_mul_matches_mul(k, u, w):
     assert law.right_mul(g)(x) == law.mul(x, g)
 
 
-SEARCH_REPS = [cli.fixture(name) for name in sorted(cli.FIXTURES)] + corpus(20, seed=0)
+SEARCH_FIXTURES = [cli.fixture(name) for name in sorted(cli.FIXTURES)]
+SEARCH_REPS = SEARCH_FIXTURES + corpus(20, seed=0)
 SEARCH_SENTENCES = (
     "NZCT", "tau", "CT(0)", "CT(1)", "centralizer_qi", "torsion_free_qi(2)", "zero_sq_qi"
 )
@@ -190,11 +191,13 @@ SEARCH_SENTENCES = (
 
 @pytest.mark.parametrize("k", range(len(SEARCH_REPS)))
 def test_search_on_the_law_matches_ut3(k):
-    # the whole bounded search, on integer tuples and on the matrices
+    # the whole bounded search, on integer tuples and on the matrices; bound
+    # 3 only on the fixtures, where the matrix oracle stays cheap
     rep = SEARCH_REPS[k]
     env, oracle = rep.env(), ut3_env(rep)
+    bounds = (1, 2, 3) if k < len(SEARCH_FIXTURES) else (1, 2)
     for name in SEARCH_SENTENCES:
-        for bound in (1, 2, 3):
+        for bound in bounds:
             got = refute_universal(builtin(name), env, bound)
             want = refute_universal(builtin(name), oracle, bound)
             assert got.status == want.status, (name, bound)
