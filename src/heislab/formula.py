@@ -21,6 +21,7 @@ refutation; an exhausted bound never is.
 
 from __future__ import annotations
 
+import heapq
 import operator
 import re
 from dataclasses import dataclass, field
@@ -550,12 +551,19 @@ class GroupEnv:
 
     ``law`` does the arithmetic: it has an ``identity`` element and
     mul(x, y), right_mul(g) (a function x -> x*g), inv(x), pow_int(x, n),
-    comm(x, y) and coset_key(x), which may be equal for two elements only
-    when they differ by a central factor.  The elements must form a group
-    of nilpotency class 2, so that every commutator is central, and be
-    hashable, with == as group equality.  ``Representation.env`` uses a
-    ``ut3.Class2Law`` on integer tuples; elements with their own methods
-    use ``ElementLaw``.  a1 and a2 must be present in the constant table.
+    comm(x, y) and coset_key(x).  The elements must form a group of
+    nilpotency class 2, so that every commutator is central, and be
+    hashable, with == as group equality.  Two elements have one coset_key
+    exactly when they differ by a factor in N, a central subgroup that
+    holds every commutator (the (1,3) block of UT3), so G/N is abelian.
+    ``Representation.env`` uses a ``ut3.Class2Law`` on integer tuples;
+    elements with their own methods use ``ElementLaw``.  a1 and a2 must be
+    present in the constant table.
+
+    A *center class* is the set of ball elements with one coset_key.
+    ``classes`` maps each class's coset_key to its ball positions and
+    ``representatives`` lists the first of each; both are computed once
+    per ball.
     """
 
     def __init__(self, law, constants: dict, generators: list):
@@ -566,6 +574,7 @@ class GroupEnv:
         self.constants = dict(constants)
         self.generators = list(generators)  # (name, element) pairs
         self._balls: dict[int, list] = {}
+        self._classes: dict[int, dict] = {}
         self._representatives: dict[int, list[int]] = {}
 
     def ball(self, bound: int) -> list:
@@ -594,20 +603,28 @@ class GroupEnv:
         self._balls[bound] = out
         return out
 
-    def representatives(self, bound: int) -> list[int]:
-        """The ball position of the first element of each center class, in
-        ball order; a center class is the set of ball elements with one
-        coset_key."""
-        reps = self._representatives.get(bound)
-        if reps is None:
+    def classes(self, bound: int) -> dict:
+        """The center classes of the ball: each coset_key maps to its ball
+        positions in ascending order, in the order of first positions."""
+        classes = self._classes.get(bound)
+        if classes is None:
             coset_key = self.law.coset_key
-            keys = set()
-            reps = self._representatives[bound] = []
+            classes = self._classes[bound] = {}
             for pos, (e, _word) in enumerate(self._balls.get(bound) or self.ball(bound)):
                 key = coset_key(e)
-                if key not in keys:
-                    keys.add(key)
-                    reps.append(pos)
+                positions = classes.get(key)
+                if positions is None:
+                    classes[key] = [pos]
+                else:
+                    positions.append(pos)
+        return classes
+
+    def representatives(self, bound: int) -> list[int]:
+        """The ball position of the first element of each center class, in
+        ball order."""
+        reps = self._representatives.get(bound)
+        if reps is None:
+            reps = self._representatives[bound] = [p[0] for p in self.classes(bound).values()]
         return reps
 
 
@@ -695,15 +712,39 @@ def _is_central(t) -> bool:
     return False
 
 
-def _bare_vars(t) -> set[str]:
-    """The variables of a term with an occurrence outside every commutator."""
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, TMul):
-        return _bare_vars(t.left) | _bare_vars(t.right)
-    if isinstance(t, TPow):
-        return _bare_vars(t.base)
-    return set()
+def _exponents(t, sign: int, out: dict) -> dict:
+    """Add sign times t's exponent sum of each variable and constant outside
+    every commutator to ``out``, keyed by its Var or Const node: t's image
+    in the abelian G/N, where every commutator is 1.  A node that occurs
+    outside commutators has a key even when its sum is 0."""
+    if isinstance(t, (Var, Const)):
+        out[t] = out.get(t, 0) + sign
+    elif isinstance(t, TMul):
+        _exponents(t.left, sign, out)
+        _exponents(t.right, sign, out)
+    elif isinstance(t, TPow):
+        _exponents(t.base, sign * t.exp, out)
+    return out
+
+
+def _commutator_sides(lit):
+    """(u, v) when lit is [u,v]=1 or [u,v]!=1, either way round, with u and
+    v each a variable or a constant and not one variable twice; else None."""
+    for side, other in ((lit.left, lit.right), (lit.right, lit.left)):
+        if isinstance(other, One) and isinstance(side, TComm):
+            u, v = side.left, side.right
+            if isinstance(u, (Var, Const)) and isinstance(v, (Var, Const)) and u != v:
+                return u, v
+    return None
+
+
+def _set_bits(mask: int):
+    """The positions of mask's set bits, in increasing order."""
+    bits = bin(mask)[:1:-1]  # bit i at index i
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 def _compile_term(t, env: GroupEnv, var_pos: dict, cur: list):
@@ -755,42 +796,86 @@ def _combine(op, left, right):
 
 def _compile_conjunction(literals, variables, env: GroupEnv):
     """Compile a conjunction of Eq/Ne literals over ``variables`` into
-    search(ball, reps): the ball positions of the first assignment, in
+    search(ball, classes): the ball positions of the first assignment, in
     canonical (lexicographic) order, that makes every literal true, or
-    None.  ``reps`` is ``env.representatives`` of the ball.
+    None.  ``classes`` is ``env.classes`` of the ball; the search numbers
+    the center classes 0, 1, ... in its order.
 
-    Each literal becomes a closure over the list of chosen elements and is
-    checked in the loop that chooses its last variable, so a candidate
-    that fails costs no recursive call; literals without variables are
-    decided here, once -- with the commutator fold of ``_compile_term``
-    this decides CT(n >= 2), whose chain compiles to 1, before any search.
-    A literal's memo holds one row of truth values per choice of its other
-    variables' ball positions, indexed by its last variable's position; a
-    literal on every variable so far never repeats, so it has no memo.
-    Conflict-directed backjumping skips a variable's remaining values when
-    no failure below involved it -- this keeps exhaustive refutation over
-    sizeable balls tractable for four-variable sentences.
+    Literals without variables are decided here, once -- with the
+    commutator fold of ``_compile_term`` this decides CT(n >= 2), whose
+    chain compiles to 1, before any search.  Every other literal is
+    checked at the level of its last variable, in one of three ways.
+
+    - A *row literal* [u,v]=1 or [u,v]!=1, whose sides u and v are each a
+      variable or a constant, is decided per center class (lemma 1
+      below).  Its *commuting row*, kept per class of the other side and
+      shared by all row literals, records the classes known to commute
+      with that side, as a dict and as int bitmasks over class indices.
+      On entering a level, the classes known to fail its row literals are
+      masked out, in the order of the other side's level, constants first.
+      A candidate whose class is not yet known fills that class's entry
+      with one ``law.comm``, so a row is filled one class at a time, and
+      only for the candidates the walk reaches.  A pair evaluated for a
+      variable's row also fills the mirror entry, in the row of the
+      candidate's class, since x and y commute exactly when y and x do.
+      Class 0 holds the identity and is central, so every row starts
+      with it known.
+    - A *pin* masks the candidates of an Eq literal t=s in which the last
+      variable x has a net exponent d != 0 outside commutators down to
+      the classes whose d-th power lies in the class of the other factors'
+      inverse (lemma 2).  The literal is then also checked as below, for
+      its central part.
+    - Every other literal becomes a closure over the list of chosen
+      elements and is called on each candidate that the masks keep.  Its
+      memo holds one row of truth values per choice of its other
+      variables' ball positions, indexed by its last variable's position;
+      a literal on every variable so far never repeats, so it has no memo.
+
+    Candidates are walked in increasing position and a mask removes only
+    candidates that fail a literal, so the masks change no first
+    assignment.  Conflict-directed backjumping skips a variable's
+    remaining values when no failure below involved it -- this keeps
+    exhaustive refutation over sizeable balls tractable for four-variable
+    sentences.  A mask charges its literal's variables to the failures
+    only when it removes a candidate, and a level whose mask empties
+    returns at once, charged with the masks applied so far.
+
+    Both lemmas hold in a class-2 group G with N as in ``GroupEnv``.
+    *Lemma 1 (class invariance):* for central z, [xz,y] =
+    z^-1 x^-1 y^-1 x z y = [x,y], and likewise on the right, so whether x
+    and y commute depends only on their center classes.  *Lemma 2
+    (pins):* N holds every commutator, so G/N is abelian, and t=s implies
+    that the product of f^e over the variables and constants f outside
+    the commutators of t*s^-1, with e the net exponent of f, lies in N;
+    that is, x^d lies in the class of the other factors' inverse.  As
+    (xz)^d = x^d z^d, the class of x^d depends only on the class of x,
+    and a pin removes only positions where the literal is false.
 
     A variable is *blind* when every occurrence of it, on both sides of
-    every literal, lies inside a commutator; it ranges over ``reps`` only.
-    This loses no first assignment.  Multiplying a variable by a central
-    z multiplies each term around it by a power of z, and a commutator
-    ignores central factors of its sides, so each literal is unchanged when
-    a blind variable is multiplied by a central element.  Two elements of
-    one center class differ by a central factor, so replacing each blind
-    variable's position in a satisfying assignment by the first position
-    of its class gives a satisfying assignment that is componentwise no
-    larger, hence lexicographically no later: the first satisfying
-    assignment is already made of representatives at its blind
-    variables."""
+    every literal, lies inside a commutator; it ranges over the first
+    position of each class only.  This loses no first assignment.
+    Multiplying a variable by a central z multiplies each term around it
+    by a power of z, and a commutator ignores central factors of its
+    sides, so each literal is unchanged when a blind variable is
+    multiplied by a central element.  Two elements of one center class
+    differ by a central factor, so replacing each blind variable's
+    position in a satisfying assignment by the first position of its
+    class gives a satisfying assignment that is componentwise no larger,
+    hence lexicographically no later: the first satisfying assignment is
+    already made of representatives at its blind variables."""
     nvars = len(variables)
     var_pos = {v: k for k, v in enumerate(variables)}
     cur: list = [None] * nvars  # the element chosen for each variable
     holds = True  # every literal without variables is true
-    checks: list[list] = [[] for _ in range(nvars)]  # by last variable
+    law = env.law
+    # by last variable: closures, commuting rows and pins
+    checks: list[list] = [[] for _ in range(nvars)]
+    rows: list[list] = [[] for _ in range(nvars)]
+    pins: list[list] = [[] for _ in range(nvars)]
     bare: set[str] = set()  # variables with an occurrence outside commutators
     for lit in literals:
-        bare |= _bare_vars(lit.left) | _bare_vars(lit.right)
+        exponents = _exponents(lit.right, -1, _exponents(lit.left, 1, {}))
+        bare.update(node.name for node in exponents if isinstance(node, Var))
         op = operator.eq if isinstance(lit, Eq) else operator.ne
         truth, test = _combine(
             op,
@@ -802,63 +887,197 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
             continue
         levels = sorted({var_pos[v] for v in free_vars(lit)})
         last = levels[-1]
+        conflict = sum(1 << k for k in levels)
+        x = Var(variables[last])
+        sides = _commutator_sides(lit)
+        if sides is not None:
+            other = sides[0] if sides[1] == x else sides[1]
+            if isinstance(other, Var):
+                rows[last].append((var_pos[other.name], None, isinstance(lit, Ne), conflict))
+            else:
+                rows[last].append((-1, env.constants[other.name], isinstance(lit, Ne), conflict))
+            continue
         prefix = None if levels == list(range(last + 1)) else levels[:-1]
-        checks[last].append((test, prefix, sum(1 << k for k in levels)))
+        checks[last].append((test, prefix, conflict))
+        d = exponents.get(x, 0)
+        if isinstance(lit, Eq) and d:
+            fixed = law.identity  # the constant factors, f^e each
+            free = []  # (level, e) for the other variables
+            for node, e in exponents.items():
+                if isinstance(node, Const):
+                    fixed = law.mul(fixed, law.pow_int(env.constants[node.name], e))
+                elif node != x and e:
+                    free.append((var_pos[node.name], e))
+            pins[last].append((d, fixed, free, conflict))
+    for level_rows in rows:
+        level_rows.sort(key=lambda row: row[0])
 
     blind = [v not in bare for v in variables]
+    masked = [bool(r or p) for r, p in zip(rows, pins)]
+    mul, inv, pow_int, comm = law.mul, law.inv, law.pow_int, law.comm
+    coset_key, identity = law.coset_key, law.identity
 
-    def search(ball, reps):
+    def search(ball, classes):
         if not holds:
             return None
         elems = [e for e, _word in ball]
         size = len(elems)
+        members = list(classes.values())
+        reps = [positions[0] for positions in members]
         domains = [reps if b else range(size) for b in blind]
         values = [0] * nvars  # the ball position chosen for each variable
         memos = [[None if prefix is None else {} for _, prefix, _ in level] for level in checks]
+        if any(masked):
+            class_of = [0] * size  # the class of each position, by index
+            for c, positions in enumerate(members):
+                for p in positions:
+                    class_of[p] = c
+            every = (1 << len(members)) - 1  # a mask of class indices
+            off: dict = {}  # a negative row key per class off the ball
+
+            def class_key(value) -> int:
+                positions = classes.get(coset_key(value))
+                if positions is None:
+                    return off.setdefault(coset_key(value), -1 - len(off))
+                return class_of[positions[0]]
+
+            # (level of the other side, or -1; its key for a constant; its
+            # value for a constant; ne; conflict) for each row literal
+            level_rows = [
+                [(j, j < 0 and class_key(value), value, *rest) for j, value, *rest in level]
+                for level in rows
+            ]
+        # key -> (class -> whether it commutes with key's elements,
+        #         [classes known to commute, classes known not to])
+        commuting: dict = {}
+        powers: dict = {}  # d -> {coset_key(x^d): the classes of such x}
+
+        def row(key):
+            """The commuting row of key.  Class 0 holds the identity, so its
+            elements are central: each row starts with it known."""
+            known = commuting.get(key)
+            if known is None:
+                if key == 0:
+                    known = (dict.fromkeys(range(len(members)), True), [every, 0])
+                elif key > 0:
+                    known = ({0: True, key: True}, [1 | 1 << key, 0])
+                else:
+                    known = ({0: True}, [1, 0])
+                commuting[key] = known
+            return known
+
+        def fill(key, value, c: int, truth: dict, known: list, mirror: bool) -> bool:
+            """Whether class c commutes with value, of class key, recorded
+            in key's row (truth, known) and, if mirror, in c's."""
+            commutes = comm(elems[reps[c]], value) == identity
+            truth[c] = commutes
+            known[not commutes] |= 1 << c
+            if mirror:
+                truth, known = commuting.get(c) or row(c)
+                truth[key] = commutes
+                known[not commutes] |= 1 << key
+            return commutes
+
+        def pinned(d: int, fixed) -> int:
+            """The classes of the x with x^d * fixed in N."""
+            if d in (1, -1):
+                positions = classes.get(coset_key(inv(fixed) if d == 1 else fixed))
+                return 0 if positions is None else 1 << class_of[positions[0]]
+            table = powers.get(d)
+            if table is None:
+                table = powers[d] = {}
+                for c, p in enumerate(reps):
+                    key = coset_key(pow_int(elems[p], d))
+                    table[key] = table.get(key, 0) | 1 << c
+            return table.get(coset_key(inv(fixed)), 0)
 
         def descend(level: int):
             """None once cur/values satisfy every literal, else the bit mask
             of the variables that the failures below level depend on."""
-            tests = []
-            for (test, prefix, conflict), memo in zip(checks[level], memos[level]):
-                row = None
-                if prefix is not None:
-                    key = tuple([values[k] for k in prefix])
-                    row = memo.get(key)
-                    if row is None:
-                        row = memo[key] = [None] * size
-                tests.append((test, row, conflict))
-            last = level + 1 == nvars
             bit = 1 << level
             union = 0
-            for pos in domains[level]:
+            candidates = domains[level]
+            active = []  # the rows of this level's row literals
+            if masked[level]:
+                open_ = every  # the classes still open
+                for d, fixed, free, conflict in pins[level]:
+                    for j, e in free:
+                        fixed = mul(fixed, pow_int(cur[j], e))
+                    kept = open_ & pinned(d, fixed)
+                    if kept != open_:
+                        union |= conflict
+                        if not kept:
+                            return union & ~bit
+                        open_ = kept
+                for j, key, value, ne, conflict in level_rows[level]:
+                    if j >= 0:
+                        key, value = class_of[values[j]], cur[j]
+                    truth, known = row(key)
+                    kept = open_ & ~known[not ne]  # drop the known failures
+                    if kept != open_:
+                        union |= conflict
+                        if not kept:
+                            return union & ~bit
+                        open_ = kept
+                    active.append((truth, known, key, value, ne, conflict, j >= 0))
+                if open_ != every:
+                    if blind[level]:
+                        candidates = map(reps.__getitem__, _set_bits(open_))
+                    else:
+                        candidates = heapq.merge(*[members[c] for c in _set_bits(open_)])
+            tests = []
+            for (test, prefix, conflict), memo in zip(checks[level], memos[level]):
+                known = None
+                if prefix is not None:
+                    key = tuple([values[k] for k in prefix])
+                    known = memo.get(key)
+                    if known is None:
+                        known = memo[key] = [None] * size
+                tests.append((test, known, conflict))
+            last = level + 1 == nvars
+            for pos in candidates:
                 values[level] = pos
                 cur[level] = elems[pos]
-                for test, row, conflict in tests:
-                    if row is None:
-                        ok = test()
-                    else:
-                        ok = row[pos]
-                        if ok is None:
-                            ok = row[pos] = test()
-                    if not ok:
-                        union |= conflict  # it has this level's bit: go on
-                        break
-                else:
-                    if last:
-                        return None
-                    below = descend(level + 1)
-                    if below is None:
-                        return None
-                    union |= below
-                    if not below & bit:
-                        # every failure below is independent of this variable
-                        break
+                failed = 0
+                if active:
+                    c = class_of[pos]
+                    for truth, known, key, value, ne, conflict, mirror in active:
+                        commutes = truth.get(c)
+                        if commutes is None:
+                            commutes = fill(key, value, c, truth, known, mirror)
+                        if commutes == ne:
+                            failed = conflict
+                            break
+                if not failed:
+                    for test, known, conflict in tests:
+                        if known is None:
+                            ok = test()
+                        else:
+                            ok = known[pos]
+                            if ok is None:
+                                ok = known[pos] = test()
+                        if not ok:
+                            failed = conflict
+                            break
+                if failed:
+                    union |= failed  # it has this level's bit: go on
+                    continue
+                if last:
+                    return None
+                below = descend(level + 1)
+                if below is None:
+                    return None
+                union |= below
+                if not below & bit:
+                    # every failure below is independent of this variable
+                    break
             return union & ~bit
 
-        if nvars and descend(0) is not None:
-            return None
-        return list(values)
+        found = not nvars or descend(0) is None
+        # descend refers to itself: drop that cycle so that the rows and
+        # memos go now, not at the next cyclic garbage collection
+        del descend
+        return list(values) if found else None
 
     return search
 
@@ -876,9 +1095,9 @@ def _search_ball(f, env: GroupEnv, bound: int, negate: bool) -> Verdict:
         _compile_conjunction(d, variables, env)
         for d in dnf_disjuncts(matrix, negate=negate)
     ]
-    reps = env.representatives(bound)
+    classes = env.classes(bound)
     for search in searches:
-        positions = search(ball, reps)
+        positions = search(ball, classes)
         if positions is not None:
             picks = [ball[p] for p in positions]
             witness = SearchWitness(

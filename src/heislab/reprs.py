@@ -421,13 +421,38 @@ def sigma_check(rep: Representation) -> Verdict:
     holds iff both pairs lie in A for the (1,3) entry z of every generator
     commutator.  A violation names the first such z, over the generator
     pairs in itertools.combinations order, with S tried before T: that z
-    is itself a commutator value."""
+    is itself a commutator value.
+
+    z is read as the (1,3) coordinates of the law's commutator and moved
+    into the 12- or 23-block by a map from ``f13`` to ``f12`` or ``f23``;
+    a nonzero coordinate whose monomial is outside that frame makes the
+    system unsolvable.  The ring element is built only for the witness."""
+    law = rep.law
+    n12, n = len(law.f12), len(rep.frame)
+    # each f13 coordinate's place in the 12-block and in the 23-block
+    places = [
+        [None if i is None else offset + i for i in map(law.index[block].get, law.f13)]
+        for block, offset in ((0, 0), (1, n12))
+    ]
     for g, h in itertools.combinations(rep.law_generators, 2):
-        value = rep.law.to_ut3(rep.law.comm(g, h)).u13
-        for block, system in enumerate("ST"):
-            if _realizing_exponents(rep, value, block) is None:
+        z = law.comm(g, h)[n:]
+        for place, system in zip(places, "ST"):
+            if not _pair_in(rep.lattices.A, z, place):
+                value = rings.from_frame(rep.ring, law.f13, z)
                 return Verdict("violated", "exact_lattice", SigmaWitness(value, system))
     return Verdict("holds", "exact_lattice")
+
+
+def _pair_in(A: Lattice, z, place) -> bool:
+    """Whether A holds the entry pair whose coordinate place[k] is z[k] (a
+    place None is outside the frame) and whose others are 0."""
+    v = [0] * A.ambient_dim
+    for k, c in enumerate(z):
+        if c:
+            if place[k] is None:
+                return False
+            v[place[k]] = c
+    return zlattice.solve(A, v) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,16 @@ def ut3_env(rep: reprs.Representation) -> formula.GroupEnv:
     return formula.GroupEnv(formula.ElementLaw(ut3.identity(rep.ring)), dict(gens), gens)
 
 
+def classes_two_pass(env: formula.GroupEnv, bound: int) -> list:
+    """GroupEnv.classes as a list of (coset_key, positions) pairs, in two
+    passes over the ball: the distinct keys in the order they first
+    appear, then the positions of each key."""
+    keys = [env.law.coset_key(e) for e, _ in env.ball(bound)]
+    return [
+        (key, [p for p, k in enumerate(keys) if k == key]) for key in dict.fromkeys(keys)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Row-reduction oracles (zlattice's kernel starts each row update at the
 # pivot column and has a shortcut for the first coordinates)

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import classes_two_pass, corpus
 from heislab import cli, formula, reprs, ut3
 from heislab.formula import (
     A1,
@@ -470,27 +471,73 @@ def _commutator_terms(draw, variables):
     return TPow(comm, draw(st.sampled_from([-1, 2]))) if kind == "pow" else comm
 
 
+def _substitute(t, words):
+    """t with each variable replaced by the term of its ball word; with
+    words None, each variable is a generator's name and becomes that
+    constant."""
+    if isinstance(t, Var):
+        return Const(t.name) if words is None else _substitute(parse_term(words[t.name]), None)
+    if isinstance(t, TMul):
+        return TMul(_substitute(t.left, words), _substitute(t.right, words))
+    if isinstance(t, TPow):
+        return TPow(_substitute(t.base, words), t.exp)
+    if isinstance(t, TComm):
+        return TComm(_substitute(t.left, words), _substitute(t.right, words))
+    return t
+
+
+@st.composite
+def _masked_sides(draw, variables, words):
+    """The sides of a literal that the search masks or special-cases: a
+    commutator of two variables or constants against 1 (a commuting row,
+    also with a constant side), [x,x], or x^d times a variable or constant
+    against a product of constants or the left side at the planted words
+    (a pin on x when x is its last variable, with d in 1, -1, 2, -3)."""
+    atoms = [A1, A2] + [Var(v) for v in variables]
+    kind = draw(st.sampled_from(["row", "row", "self", "pin", "pin"]))
+    if kind == "row":
+        comm = TComm(draw(st.sampled_from(atoms)), draw(st.sampled_from(atoms)))
+        return (comm, ONE) if draw(st.booleans()) else (ONE, comm)
+    x = Var(draw(st.sampled_from(variables)))
+    if kind == "self":
+        return TComm(x, x), ONE
+    left = TMul(TPow(x, draw(st.sampled_from([1, -1, 2, -3]))), draw(st.sampled_from(atoms)))
+    if words is None or draw(st.booleans()):
+        tail = draw(st.sampled_from([ONE, A2, TComm(A1, A2)]))
+        right = TMul(draw(st.sampled_from([A1, A2])), tail)
+    else:
+        right = _substitute(left, words)
+    return left, right
+
+
 @st.composite
 def _conjunctions(draw):
     """(literals, variables, env, bound).  Unless no assignment is planted,
     each literal is made true at a drawn one (Eq or Ne as its sides compare
     there), so most cases have a solution, often past the first values.
-    In about half the cases every literal compares commutators, so every
-    variable is blind.  Three variables only where the brute force has at
-    most 17^3 tuples to scan."""
+    In about a third of the cases every literal compares commutators, so
+    every variable is blind, and in another third every literal has one of
+    the shapes of ``_masked_sides``, so that rows and pins are met again
+    on later visits of their level; elsewhere a third of the literals have
+    those shapes.  Three variables only where the brute force has at most
+    17^3 tuples to scan."""
     env = _SEARCH_ENVS[draw(st.sampled_from(sorted(_SEARCH_ENVS)))]()
     bound = draw(st.integers(1, 2))
     ball = env.ball(bound)
     nvars = draw(st.integers(1, 3 if len(ball) <= 17 else 2))
     variables = ["x", "y", "z"][:nvars]
     planted = draw(st.tuples(*[st.sampled_from(ball) for _ in variables]) | st.none())
-    terms = _commutator_terms if draw(st.booleans()) else _search_terms
+    words = None if planted is None else {v: w for v, (_, w) in zip(variables, planted)}
+    terms = draw(st.sampled_from([_commutator_terms, _search_terms, _masked_sides]))
     literals = []
     for _ in range(draw(st.integers(1, 6))):
         # each literal on its own variables, so some skip a level
         used = draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
-        left = draw(terms(used))
-        right = draw(st.one_of(st.just(ONE), terms(used)))
+        if terms is _masked_sides or draw(st.integers(0, 2)) == 0:
+            left, right = draw(_masked_sides(used, words))
+        else:
+            left = draw(terms(used))
+            right = draw(st.one_of(st.just(ONE), terms(used)))
         if planted is None:
             kind = draw(st.sampled_from([Eq, Ne]))
         else:
@@ -531,9 +578,7 @@ def _first_by_brute_force(literals, variables, env, ball):
 
 def _assert_search_matches_brute_force(literals, variables, env, bound):
     ball = env.ball(bound)
-    positions = formula._compile_conjunction(literals, variables, env)(
-        ball, env.representatives(bound)
-    )
+    positions = formula._compile_conjunction(literals, variables, env)(ball, env.classes(bound))
     found = None if positions is None else tuple(ball[p][0] for p in positions)
     assert found == _first_by_brute_force(literals, variables, env, ball)
 
@@ -561,6 +606,25 @@ def test_search_conjunction_matches_brute_force(case):
         # only y is blind; x is a2*a1, which is not the first of its
         # center class (a1*a2 comes before it)
         ("H", 2, "[x,y]!=1 & x=a2*a1"),
+        # [x,x] is 1 for every x
+        ("H", 2, "[x,x]=1 & [x,a2]!=1"),
+        ("H", 1, "[y,y]!=1 & x=x"),
+        # a pin and a commuting row on one variable, constants on both
+        # sides, net exponents 2 and -3
+        ("zxz", 2, "[x,a1]=1 & x^2*a2=@X^2*a2"),
+        ("H", 2, "[a2,x]!=1 & [y,x]=1 & x^-3*a1=a1*y^-3"),
+        # pins with net exponents 1 and -1 on y, the last variable
+        ("zxz", 2, "[x,y]!=1 & [y,a2]=1 & y*a1=a2*x"),
+        ("H", 2, "[x,a1]=1 & y^-1*a2=x*a1 & [x,y]!=1"),
+        # a pin that no class meets: the search stops at once
+        ("H", 2, "x^2=a1"),
+        # the row of a1, filled while x walks, masks y's candidates; the
+        # row of x's class, partly filled as a mirror, masks z's
+        ("H", 1, "[a1,x]!=1 & [a1,y]!=1"),
+        ("H", 2, "[x,y]=1 & [z,x]!=1 & [y,z]!=1"),
+        # at bound 0 the ball is {1}: the rows of a1 and a2 are off it
+        ("H", 0, "[x,a1]=1 & [a2,y]=1 & [x,y]=1"),
+        ("H", 0, "[x,a1]=1 & [a2,y]!=1"),
     ],
 )
 def test_search_conjunction_matches_brute_force_on_fixed_cases(env_name, bound, matrix):
@@ -613,6 +677,16 @@ def test_representatives_are_the_first_of_each_center_class():
     assert env.representatives(2) is reps  # computed once per ball
 
 
+@pytest.mark.parametrize("rep", [cli.fixture(n) for n in sorted(cli.FIXTURES)] + corpus(40, seed=71))
+def test_classes_match_two_pass_oracle(rep):
+    env = rep.env()
+    for bound in range(4):
+        classes = env.classes(bound)
+        assert list(classes.items()) == classes_two_pass(env, bound)
+        assert env.representatives(bound) == [p[0] for p in classes.values()]
+        assert env.classes(bound) is classes  # computed once per ball
+
+
 def test_blind_variables_range_over_representatives(monkeypatch):
     # every variable of NZCT is blind: each element compared by a
     # commutator is the first of its center class
@@ -629,7 +703,43 @@ def test_blind_variables_range_over_representatives(monkeypatch):
     monkeypatch.setattr(ut3.Class2Law, "comm", spy)
     out = refute_universal(builtin("NZCT"), env, 2)
     assert out == Verdict("inconclusive", "bounded_search", bound=2)
-    assert tried == {ball[p][0] for p in reps}
+    # the identity's class is central, so no commuting row asks about it
+    assert tried == {ball[p][0] for p in reps[1:]}
+
+
+def _count_calls(monkeypatch, name):
+    """The arguments of every call of Class2Law.<name>, as a list."""
+    calls = []
+    method = getattr(ut3.Class2Law, name)
+
+    def spy(law, *args):
+        calls.append(args)
+        return method(law, *args)
+
+    monkeypatch.setattr(ut3.Class2Law, name, spy)
+    return calls
+
+
+def test_nzct_evaluates_each_pair_of_classes_at_most_once(monkeypatch, capsys):
+    # zxz-lame has 63 center classes at bound 3; commuting rows and their
+    # mirror entries ask law.comm about each unordered pair at most once
+    assert len(cli.fixture("zxz-lame").env().representatives(3)) == 63
+    calls = _count_calls(monkeypatch, "comm")
+    assert cli.main(["refute", "NZCT", "--example", "zxz-lame", "--bound", "3"]) == 2
+    assert capsys.readouterr().out == "inconclusive method=bounded_search bound=3\n"
+    assert 0 < len(calls) <= 63 * 64 // 2
+
+
+def test_pin_tests_the_literal_on_the_identity_class_only(monkeypatch, capsys):
+    # x*x=1 pins x to the classes whose square is central: on a
+    # torsion-free group, the identity's class alone
+    env = full_zxz_env()
+    identity_class = env.law.coset_key(env.identity)
+    calls = _count_calls(monkeypatch, "mul")
+    assert cli.main(["refute", "zero_sq_qi", "--example", "tau-fails-zxz", "--bound", "4"]) == 2
+    assert capsys.readouterr().out == "inconclusive method=bounded_search bound=4\n"
+    assert calls and all(x == y for x, y in calls)
+    assert {env.law.coset_key(x) for x, _ in calls} == {identity_class}
 
 
 def test_ct_chain_past_one_commutator_is_decided_before_search(monkeypatch, capsys):

@@ -755,6 +755,22 @@ def test_sigma_matches_determinant_lattice_oracle():
     assert statuses == {"holds", "violated"}
 
 
+def test_sigma_matches_the_ring_element_route():
+    # each generator commutator's (1,3) entry as a ring element, solved
+    # over the generators as S and then T: the same verdict and witness
+    for rep in sigma_reps():
+        want = formula.Verdict("holds", "exact_lattice")
+        for g, h in itertools.combinations(rep.law_generators, 2):
+            value = rep.law.to_ut3(rep.law.comm(g, h)).u13
+            zero = RingElem.zero(rep.ring)
+            z = UT3Elem(rep.ring, zero, value, zero)
+            unsolved = [system for system, solver in zip("ST", (solve_S, solve_T)) if solver(rep, z) is None]
+            if unsolved:
+                want = formula.Verdict("violated", "exact_lattice", reprs.SigmaWitness(value, unsolved[0]))
+                break
+        assert sigma_check(rep) == want
+
+
 def test_sigma_witness_is_an_unsolvable_generator_commutator():
     violated = 0
     for rep in sigma_reps():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import corpus, oracle_mul, random_ut3, ut3_env
 from heislab import cli, ut3
-from heislab.formula import builtin, refute_universal
+from heislab.formula import builtin, parse, refute_universal
 from heislab.rings import RingElem, RingMismatchError, Z, parse_ring
 from heislab.ut3 import UT3Elem, a1, a2, elem, identity
 
@@ -185,21 +185,26 @@ def test_right_mul_matches_mul(k, u, w):
 SEARCH_FIXTURES = [cli.fixture(name) for name in sorted(cli.FIXTURES)]
 SEARCH_REPS = SEARCH_FIXTURES + corpus(20, seed=0)
 SEARCH_SENTENCES = (
-    "NZCT", "tau", "CT(0)", "CT(1)", "centralizer_qi", "torsion_free_qi(2)", "zero_sq_qi"
+    "NZCT", "tau", "CT(0)", "CT(1)", "centralizer_qi", "torsion_free_qi(2)", "zero_sq_qi",
+    # a pin with net exponent -1 and constants on both sides, and rows
+    # with constant sides
+    "forall x,y ( y^-1*a1=a2*x & [x,a1]=1 -> [y,a2]=1 )",
 )
 
 
 @pytest.mark.parametrize("k", range(len(SEARCH_REPS)))
 def test_search_on_the_law_matches_ut3(k):
-    # the whole bounded search, on integer tuples and on the matrices; bound
-    # 3 only on the fixtures, where the matrix oracle stays cheap
+    # the whole bounded search, on integer tuples and on the matrices
+    # through ElementLaw, whose coset keys are pairs of ring elements;
+    # bound 3 only on the fixtures, where the matrix oracle stays cheap
     rep = SEARCH_REPS[k]
     env, oracle = rep.env(), ut3_env(rep)
     bounds = (1, 2, 3) if k < len(SEARCH_FIXTURES) else (1, 2)
     for name in SEARCH_SENTENCES:
+        sentence = parse(name) if name.startswith("forall") else builtin(name)
         for bound in bounds:
-            got = refute_universal(builtin(name), env, bound)
-            want = refute_universal(builtin(name), oracle, bound)
+            got = refute_universal(sentence, env, bound)
+            want = refute_universal(sentence, oracle, bound)
             assert got.status == want.status, (name, bound)
             words = [v.witness and v.witness.words for v in (got, want)]
             assert words[0] == words[1], (name, bound)
