@@ -587,7 +587,9 @@ class GroupEnv:
         for name, g in self.generators:
             letters.append((law.right_mul(g), name))
             letters.append((law.right_mul(law.inv(g)), name + "^-1"))
+        coset_key = law.coset_key
         seen = {self.identity: "1"}
+        classes = {coset_key(self.identity): [0]}
         frontier = [self.identity]
         for _ in range(bound):
             nxt = []
@@ -596,28 +598,26 @@ class GroupEnv:
                 for step, name in letters:
                     e2 = step(e)
                     if e2 not in seen:
+                        positions = classes.get(key := coset_key(e2))
+                        if positions is None:
+                            classes[key] = [len(seen)]
+                        else:
+                            positions.append(len(seen))
                         seen[e2] = name if word == "1" else word + "*" + name
                         nxt.append(e2)
             frontier = nxt
         out = list(seen.items())
         self._balls[bound] = out
+        self._classes[bound] = classes
         return out
 
     def classes(self, bound: int) -> dict:
         """The center classes of the ball: each coset_key maps to its ball
-        positions in ascending order, in the order of first positions."""
-        classes = self._classes.get(bound)
-        if classes is None:
-            coset_key = self.law.coset_key
-            classes = self._classes[bound] = {}
-            for pos, (e, _word) in enumerate(self._balls.get(bound) or self.ball(bound)):
-                key = coset_key(e)
-                positions = classes.get(key)
-                if positions is None:
-                    classes[key] = [pos]
-                else:
-                    positions.append(pos)
-        return classes
+        positions in ascending order, in the order of first positions.
+        ``ball`` records them as it adds each element."""
+        if bound not in self._classes:
+            self.ball(bound)
+        return self._classes[bound]
 
     def representatives(self, bound: int) -> list[int]:
         """The ball position of the first element of each center class, in

@@ -541,17 +541,27 @@ def big_powers_retraction(
     """Smallest n >= 1 such that the retraction sending the extension
     indeterminate to n (i.e. t to a_i^n) kills no target.
 
-    Each target keeps a nonzero entry, a polynomial in the indeterminate over
-    a product of domains, so ``rings.nonvanishing_point`` finds n with
+    The indeterminate is ``name``, by default the last one of component 1
+    (an extension appends its indeterminate to every component).  Each
+    target keeps a nonzero entry, a polynomial in the indeterminate over a
+    product of domains, so ``rings.nonvanishing_point`` finds n with
     n <= 1 + D, where D is the sum over the targets of the largest degree of
-    an entry in the indeterminate."""
+    an entry in the indeterminate.  It tries each value by integer
+    evaluation, so the only substitutions are the three per target that
+    make the certificate's retracted targets."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     if name is None:
-        comp0 = rep_ext.ring.components[0]
-        if not comp0:
-            raise ValueError("representation ring has no indeterminates to retract")
-        name = comp0[-1]
+        ring = rep_ext.ring
+        if not ring.components[0]:
+            names = list(dict.fromkeys(n for names in ring.components for n in names))
+            if not names:
+                raise ValueError("representation ring has no indeterminates to retract")
+            raise ValueError(
+                f"component 1 of {ring} has no indeterminates, so none is known to come "
+                f"from an extension; pass --name with one of: {', '.join(names)}"
+            )
+        name = ring.components[0][-1]
     elif not any(name in names for names in rep_ext.ring.components):
         raise ValueError(f"{name!r} is not an indeterminate of {rep_ext.ring}")
     targets = list(targets)

@@ -351,6 +351,32 @@ def retract(rho: Retraction, r: RingElem) -> int:
     return _peval(r.parts[rho.component], point)
 
 
+def _slices(terms: dict, index: list[int]) -> dict:
+    """The slices of an element in one indeterminate x, given as its terms
+    {(component, monomial): coefficient} and x's position in each
+    component's names (-1 where the component lacks x): one coefficient
+    list, indexed by the degree in x, per (component, monomial with x's
+    exponent set to 0)."""
+    out = {}
+    for (j, e), c in terms.items():
+        i = index[j]
+        key, d = ((j, e), 0) if i < 0 else ((j, e[:i] + (0,) + e[i + 1 :]), e[i])
+        coeffs = out.get(key)
+        if coeffs is None:
+            out[key] = coeffs = [0] * (d + 1)
+        elif len(coeffs) <= d:
+            coeffs.extend([0] * (d + 1 - len(coeffs)))
+        coeffs[d] = c
+    return out
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v
+
+
 def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
     """Integer values for ``names`` under which every group keeps a nonzero
     element.
@@ -361,31 +387,60 @@ def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
     nonzero element.  With a single name the value is therefore the least
     valid one.
 
+    Values are tried on the elements' slices in the name (``_slices``): an
+    element vanishes at a value exactly when each of its slices, a list of
+    integer coefficients, vanishes there, which Horner's rule decides on
+    plain ints.  Where a later name follows, the substituted elements are
+    read off the same evaluations at the chosen value.
+
     Termination (the one-variable case of Alon's Combinatorial
     Nullstellensatz): fix a name x and in each group a nonzero element g,
     nonzero on some component.  There g is a polynomial in x over a domain
     (the integer polynomials in the other indeterminates) of degree at most
     the group's maximal x-degree, so at most that many values of x kill it.
     At most D = sum over groups of max deg_x values are therefore bad, and
-    one of start, ..., start + D is taken.
+    one of start, ..., start + D is taken.  Evaluating slices instead of
+    substituting changes no value tried or taken, so the bound stands.
     """
     groups = [[r for r in group if not r.is_zero()] for group in groups]
     if not all(groups):
         raise ValueError("every group needs a nonzero element")
+    if not groups:
+        return dict.fromkeys(names, start)
+    components = groups[0][0].ring.components
+    # each element as its terms {(component, monomial): coefficient}
+    groups = [
+        [{(j, e): c for j, p in enumerate(r.parts) for e, c in p} for r in group]
+        for group in groups
+    ]
     point = {}
-    for name in names:
+    for k, name in enumerate(names):
+        index = [comp.index(name) if name in comp else -1 for comp in components]
+        sliced = [[_slices(terms, index) for terms in group] for group in groups]
         value = start
-        while True:
-            images = []
-            for group in groups:
-                image = [s for r in group if not (s := substitute(r, name, value)).is_zero()]
-                if not image:
+        if k == len(names) - 1:
+            # the last name: a group lives once one slice of one element
+            # is nonzero, and nothing is substituted
+            sliced = [[c for s in group for c in s.values()] for group in sliced]
+            while not all(any(_horner(c, value) for c in group) for group in sliced):
+                value += 1
+        else:
+            # every slice is evaluated: the values are the substituted terms
+            while True:
+                images = []
+                for group in sliced:
+                    image = []
+                    for s in group:
+                        terms = {key: v for key, c in s.items() if (v := _horner(c, value))}
+                        if terms:
+                            image.append(terms)
+                    if not image:
+                        break
+                    images.append(image)
+                else:
                     break
-                images.append(image)
-            else:
-                break
-            value += 1
-        groups = images
+                value += 1
+            groups = images
         point[name] = value
     return point
 

@@ -39,6 +39,32 @@ def separate(r: RingElem) -> Retraction:
     return discriminate([r])
 
 
+def nonvanishing_point_oracle(groups, names, start: int = 0) -> dict[str, int]:
+    """rings.nonvanishing_point by trial substitution: each value from
+    ``start`` up is substituted into every element of every group until
+    every group keeps a nonzero element, and the next name works on the
+    substituted elements."""
+    groups = [[r for r in group if not r.is_zero()] for group in groups]
+    if not all(groups):
+        raise ValueError("every group needs a nonzero element")
+    point = {}
+    for name in names:
+        value = start
+        while True:
+            images = []
+            for group in groups:
+                image = [s for r in group if not (s := rings.substitute(r, name, value)).is_zero()]
+                if not image:
+                    break
+                images.append(image)
+            else:
+                break
+            value += 1
+        groups = images
+        point[name] = value
+    return point
+
+
 # ---------------------------------------------------------------------------
 # Bracket-depth readers (reprs and rings now read configs and tuple literals
 # from the formats' own facts, without tracking bracket depth)
@@ -246,6 +272,66 @@ def classes_two_pass(env: formula.GroupEnv, bound: int) -> list:
     return [
         (key, [p for p, k in enumerate(keys) if k == key]) for key in dict.fromkeys(keys)
     ]
+
+
+def first_by_brute_force(literals, variables, env: formula.GroupEnv, ball):
+    """The ball positions of the first tuple of ball elements, in
+    lexicographic order, that satisfies every literal under eval_qf: the
+    bounded search with no commuting rows, pins or blind variables.  A
+    prefix is dropped as soon as a literal on its variables alone is false,
+    since every extension of it fails that literal too.  The first
+    completion of a prefix depends only on the prefix's values of the
+    variables that the later literals read, so it is found once for each
+    such tuple of values."""
+    by_level = [[] for _ in variables]  # each literal at its last variable
+    for lit in literals:
+        names = formula.free_vars(lit)
+        if not names:
+            if not formula.eval_qf(lit, env, {}):
+                return None
+            continue
+        by_level[max(variables.index(v) for v in names)].append(lit)
+    # reads[level]: the earlier variables read by the literals at level on
+    reads = [()] * (len(variables) + 1)
+    for level in reversed(range(len(variables))):
+        names = set(reads[level + 1]).union(*map(formula.free_vars, by_level[level]))
+        reads[level] = tuple(v for v in variables[:level] if v in names)
+    assignment, completions = {}, {}
+
+    def scan(level):
+        if level == len(variables):
+            return ()
+        key = (level,) + tuple(assignment[v] for v in reads[level])
+        if key not in completions:
+            completions[key] = None
+            for p, (e, _) in enumerate(ball):
+                assignment[variables[level]] = e
+                if all(formula.eval_qf(lit, env, assignment) for lit in by_level[level]):
+                    found = scan(level + 1)
+                    if found is not None:
+                        completions[key] = (p,) + found
+                        break
+        return completions[key]
+
+    return scan(0)
+
+
+def refute_by_brute_force(f, env: formula.GroupEnv, bound: int) -> Verdict:
+    """formula.refute_universal with first_by_brute_force as the search of
+    each disjunct of the negated matrix."""
+    blocks, matrix = formula._peel_quantifiers(f)
+    variables = [v for _, vs in blocks for v in vs]
+    ball = env.ball(bound)
+    for literals in formula.dnf_disjuncts(matrix, negate=True):
+        positions = first_by_brute_force(literals, variables, env, ball)
+        if positions is not None:
+            picks = [ball[p] for p in positions]
+            witness = formula.SearchWitness(
+                {v: e for v, (e, _) in zip(variables, picks)},
+                {v: w for v, (_, w) in zip(variables, picks)},
+            )
+            return Verdict("violated", "bounded_search", witness, bound)
+    return Verdict("inconclusive", "bounded_search", bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -575,6 +575,26 @@ def test_bigpowers_unknown_name_is_exit_3(capsys, tmp_path):
     assert "'zzz' is not an indeterminate" in err
 
 
+def test_bigpowers_without_name_names_the_indeterminates(capsys, tmp_path):
+    # the default indeterminate is the last of component 1, which has
+    # none here although t exists: the message says so and names t
+    cfg = tmp_path / "zxzt.cfg"
+    cfg.write_text("ring: Z x Z[t]\ngenerators: {\n  b: {e12: (0,t)}\n}\n")
+    targets = tmp_path / "targets.txt"
+    targets.write_text("@b\n")
+    argv = ["bigpowers", "--targets", str(targets), "--rep", str(cfg), "--at", "a1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: component 1 of Z x Z[t] has no indeterminates, so none is known to "
+        "come from an extension; pass --name with one of: t\n"
+    )
+    code, out, _ = run(capsys, *argv, "--name", "t")
+    assert code == 0
+    assert out.startswith("n=1 indeterminate=t\n")
+
+
 def test_extend_bad_name_is_exit_3(capsys):
     code, out, err = run(capsys, "extend", "--at", "a1", "--name", "1x")
     assert code == 3

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import classes_two_pass, corpus
+from conftest import classes_two_pass, corpus, first_by_brute_force
 from heislab import cli, formula, reprs, ut3
 from heislab.formula import (
     A1,
@@ -547,40 +547,11 @@ def _conjunctions(draw):
     return literals, variables, env, bound
 
 
-def _first_by_brute_force(literals, variables, env, ball):
-    """The first tuple of ball elements, in lexicographic order, that
-    satisfies every literal under eval_qf.  A prefix is dropped as soon as
-    a literal on its variables alone is false, since every extension of it
-    fails that literal too."""
-    by_level = [[] for _ in variables]  # each literal at its last variable
-    for lit in literals:
-        names = free_vars(lit)
-        if not names:
-            if not eval_qf(lit, env, {}):
-                return None
-            continue
-        by_level[max(variables.index(v) for v in names)].append(lit)
-    assignment = {}
-
-    def scan(level):
-        if level == len(variables):
-            return tuple(assignment[v] for v in variables)
-        for e, _ in ball:
-            assignment[variables[level]] = e
-            if all(eval_qf(lit, env, assignment) for lit in by_level[level]):
-                found = scan(level + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return scan(0)
-
-
 def _assert_search_matches_brute_force(literals, variables, env, bound):
     ball = env.ball(bound)
     positions = formula._compile_conjunction(literals, variables, env)(ball, env.classes(bound))
-    found = None if positions is None else tuple(ball[p][0] for p in positions)
-    assert found == _first_by_brute_force(literals, variables, env, ball)
+    found = None if positions is None else tuple(positions)
+    assert found == first_by_brute_force(literals, variables, env, ball)
 
 
 @settings(max_examples=200, deadline=None)

@@ -913,6 +913,26 @@ def test_big_powers_root_avoidance():
         assert killed
 
 
+@pytest.mark.parametrize("k, first", [(1, 1), (5, 1), (40, 1), (40, 3), (40, 100)])
+def test_big_powers_substitutes_only_for_the_certificate(monkeypatch, k, first):
+    # the targets t*a1^-j, j = first, ..., first+k-1, die at theta = j, so
+    # n is first+k when first is 1 and 1 otherwise; the exponent is chosen
+    # by evaluation, and substitution makes only the three entries of each
+    # retracted target
+    rep2 = extend_centralizer(heisenberg(), 1, "theta")
+    _, t = rep2.generators[-1]
+    targets = [t * a1(rep2.ring).pow_int(-j) for j in range(first, first + k)]
+    calls = []
+    substitute = rings.substitute
+    monkeypatch.setattr(
+        rings, "substitute", lambda *args: calls.append(args) or substitute(*args)
+    )
+    cert = big_powers_retraction(rep2, targets, 1)
+    assert cert.n == (first + k if first == 1 else 1)
+    assert len(calls) == 3 * k
+    assert all(not g.is_identity() for g in cert.retracted_targets)
+
+
 def test_big_powers_identity_target_rejected():
     rep2 = extend_centralizer(heisenberg(), 1, "theta")
     from heislab.ut3 import identity

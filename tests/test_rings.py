@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import is_zero_divisor, separate
+from conftest import is_zero_divisor, nonvanishing_point_oracle, separate
 from heislab import rings
 from heislab.rings import (
     DomainFailure,
@@ -495,3 +495,94 @@ def test_nonvanishing_point_properties(ring, data):
 def test_nonvanishing_point_rejects_dead_group():
     with pytest.raises(ValueError):
         nonvanishing_point([[RingElem.zero(ZTH)]], ["theta"])
+
+
+# Ring shapes for the kernel's differential test: no indeterminate, one
+# component without the name, names spread over components, one name in
+# two components.
+SLICE_RINGS = [parse_ring(t) for t in ("Z x Z", "Z[t] x Z", "Z[t,s] x Z[u]", "Z[t] x Z[t]")]
+
+
+def _shaped_elems(ring):
+    """Elements with up to three terms per component, each component in
+    its own indeterminates."""
+
+    def poly(names):
+        monomial = st.tuples(*[st.integers(0, 3) for _ in names])
+        return st.dictionaries(monomial, st.integers(-4, 4), max_size=3).map(
+            lambda d: tuple(sorted((e, c) for e, c in d.items() if c))
+        )
+
+    return st.tuples(*[poly(names) for names in ring.components]).map(
+        lambda parts: RingElem(ring, parts)
+    )
+
+
+def _vanishing_factor(ring, name, roots):
+    """The product of (name - a) over the roots in each component that
+    carries name, and 0 in every other component: it dies at each root."""
+    out = RingElem.one(ring)
+    for a in roots:
+        parts = []
+        for names in ring.components:
+            zero = (0,) * len(names)
+            if name not in names:
+                parts.append(())
+                continue
+            x = tuple(int(n == name) for n in names)
+            parts.append(((zero, -a), (x, 1)) if a else ((x, 1),))
+        out = out * RingElem(ring, tuple(parts))
+    return out
+
+
+@st.composite
+def _killable_groups(draw, ring, names, start):
+    """Groups of one to three elements, at least one nonzero; an element
+    is often a random one times a factor that dies at several values of
+    one of the names from ``start`` on."""
+
+    def element():
+        r = draw(_shaped_elems(ring))
+        carried = [n for n in names if any(n in c for c in ring.components)]
+        if carried and draw(st.booleans()):
+            name = draw(st.sampled_from(carried))
+            roots = draw(st.lists(st.integers(start, start + 3), min_size=1, max_size=3))
+            factor = _vanishing_factor(ring, name, roots)
+            r = factor if r.is_zero() else r * factor
+        return r
+
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        group = [element() for _ in range(draw(st.integers(1, 3)))]
+        if all(r.is_zero() for r in group):
+            group.append(RingElem.one(ring))
+        groups.append(group)
+    return groups
+
+
+@pytest.mark.parametrize("ring", SLICE_RINGS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_nonvanishing_point_matches_trial_substitution(ring, data):
+    # several names in any order, sometimes one that no component carries
+    names = [n for c in ring.components for n in c]
+    names = data.draw(st.permutations(list(dict.fromkeys(names)) + ["v"]))
+    names = names[: data.draw(st.integers(1, len(names)))]
+    start = data.draw(st.sampled_from([0, 1]))
+    groups = data.draw(_killable_groups(ring, names, start))
+    assert nonvanishing_point(groups, names, start) == nonvanishing_point_oracle(
+        groups, names, start
+    )
+
+
+def test_nonvanishing_point_skips_several_dead_values():
+    # each name has values that kill a group, the second only after the
+    # first is substituted: t=0,1 kill t*(t-1), then s=0,2 kill s*(s-2)+t-2
+    ring = parse_ring("Z[t,s] x Z[u]")
+    t, s = (parse_elem(ring, f"({x}, 0)") for x in "ts")
+    two = RingElem.integer(ring, 2) * RingElem.idempotent(ring, 0)
+    groups = [[t * (t - RingElem.idempotent(ring, 0))], [s * (s - two) + t - two]]
+    for start in (0, 1):
+        want = nonvanishing_point_oracle(groups, ["t", "s"], start)
+        assert nonvanishing_point(groups, ["t", "s"], start) == want
+    assert want == {"t": 2, "s": 1}
