@@ -561,9 +561,9 @@ class GroupEnv:
     present in the constant table.
 
     A *center class* is the set of ball elements with one coset_key.
-    ``classes`` maps each class's coset_key to its ball positions and
-    ``representatives`` lists the first of each; both are computed once
-    per ball.
+    ``classes`` maps each class's coset_key to its ball positions, and
+    ``class_ball`` walks the first element of each class alone; each is
+    computed once per bound.
     """
 
     def __init__(self, law, constants: dict, generators: list):
@@ -575,19 +575,24 @@ class GroupEnv:
         self.generators = list(generators)  # (name, element) pairs
         self._balls: dict[int, list] = {}
         self._classes: dict[int, dict] = {}
-        self._representatives: dict[int, list[int]] = {}
+        self._class_balls: dict[int, tuple] = {}
+
+    def _letters(self) -> list:
+        """(x -> x*g, name) for each generator g and then its inverse."""
+        law = self.law
+        letters = []
+        for name, g in self.generators:
+            letters.append((law.right_mul(g), name))
+            letters.append((law.right_mul(law.inv(g)), name + "^-1"))
+        return letters
 
     def ball(self, bound: int) -> list:
         """Distinct elements of word length <= bound over the generators,
         as (element, word) pairs in canonical BFS order."""
         if bound in self._balls:
             return self._balls[bound]
-        law = self.law
-        letters = []
-        for name, g in self.generators:
-            letters.append((law.right_mul(g), name))
-            letters.append((law.right_mul(law.inv(g)), name + "^-1"))
-        coset_key = law.coset_key
+        letters = self._letters()
+        coset_key = self.law.coset_key
         seen = {self.identity: "1"}
         classes = {coset_key(self.identity): [0]}
         frontier = [self.identity]
@@ -619,13 +624,32 @@ class GroupEnv:
             self.ball(bound)
         return self._classes[bound]
 
-    def representatives(self, bound: int) -> list[int]:
-        """The ball position of the first element of each center class, in
-        ball order."""
-        reps = self._representatives.get(bound)
-        if reps is None:
-            reps = self._representatives[bound] = [p[0] for p in self.classes(bound).values()]
-        return reps
+    def class_ball(self, bound: int) -> tuple[list, dict]:
+        """(pairs, classes): the (element, word) pair of the first element
+        of each center class of ``ball(bound)``, in class order, and the
+        map from each class's coset_key to [its index in pairs].  The walk
+        is ``ball``'s, but its frontier keeps only the first element of
+        each new class, so it never builds the whole ball (lemma 3 of
+        ``_compile_conjunction``)."""
+        if bound in self._class_balls:
+            return self._class_balls[bound]
+        letters = self._letters()
+        coset_key = self.law.coset_key
+        pairs = [(self.identity, "1")]
+        classes = {coset_key(self.identity): [0]}
+        frontier = pairs[:]
+        for _ in range(bound):
+            nxt = []
+            for e, word in frontier:
+                for step, name in letters:
+                    e2 = step(e)
+                    if (key := coset_key(e2)) not in classes:
+                        classes[key] = [len(pairs)]
+                        pairs.append((e2, name if word == "1" else word + "*" + name))
+                        nxt.append(pairs[-1])
+            frontier = nxt
+        self._class_balls[bound] = pairs, classes
+        return pairs, classes
 
 
 def eval_term(t, env: GroupEnv, assignment: dict):
@@ -796,15 +820,19 @@ def _combine(op, left, right):
 
 def _compile_conjunction(literals, variables, env: GroupEnv):
     """Compile a conjunction of Eq/Ne literals over ``variables`` into
-    search(ball, classes): the ball positions of the first assignment, in
-    canonical (lexicographic) order, that makes every literal true, or
-    None.  ``classes`` is ``env.classes`` of the ball; the search numbers
-    the center classes 0, 1, ... in its order.
+    (search, blind).  search(ball, classes) gives the ball positions of the
+    first assignment, in canonical (lexicographic) order, that makes every
+    literal true, or None.  ``classes`` is ``env.classes`` of the ball; the
+    search numbers the center classes 0, 1, ... in its order.  ``blind``
+    tells whether every variable is blind (below): then the search may be
+    given ``env.class_ball`` instead, and finds the same elements and
+    words (lemma 3).
 
     Literals without variables are decided here, once -- with the
     commutator fold of ``_compile_term`` this decides CT(n >= 2), whose
-    chain compiles to 1, before any search.  Every other literal is
-    checked at the level of its last variable, in one of three ways.
+    chain compiles to 1, before any ball is built: search is None when
+    one of them is false.  Every other literal is checked at the level of
+    its last variable, in one of three ways.
 
     - A *row literal* [u,v]=1 or [u,v]!=1, whose sides u and v are each a
       variable or a constant, is decided per center class (lemma 1
@@ -862,7 +890,25 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
     position in a satisfying assignment by the first position of its
     class gives a satisfying assignment that is componentwise no larger,
     hence lexicographically no later: the first satisfying assignment is
-    already made of representatives at its blind variables."""
+    already made of representatives at its blind variables.
+
+    *Lemma 3 (the class ball):* ``class_ball`` lists the first element of
+    each class of the ball, in class order, with its ball word.  So when
+    every variable is blind, the search over the class ball, where each
+    class holds one position, finds the same elements and words.  Proof,
+    by induction on shells: call a class's *abelian length* the least word
+    length of its image in G/N, which is the least word length of its
+    elements, so a class first reached by ``ball`` at shell s has abelian
+    length s.  Each of its elements at shell s is e*l for an e at shell
+    s-1 whose class has abelian length s-1, and as (ez)l = (el)z, the
+    class of e*l depends only on those of e and l.  Within one class, its
+    first element r precedes its other members in the frontier, so the
+    first element of the class is r*l for the least (frontier index of r,
+    letter l) over the first elements r of the classes of abelian length
+    s-1.  By induction the class walk's frontier holds exactly those r,
+    with the same words and in the same order, so it reaches the same
+    classes at shell s, in the same order, with the same first elements
+    and words."""
     nvars = len(variables)
     var_pos = {v: k for k, v in enumerate(variables)}
     cur: list = [None] * nvars  # the element chosen for each variable
@@ -918,8 +964,6 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
     coset_key, identity = law.coset_key, law.identity
 
     def search(ball, classes):
-        if not holds:
-            return None
         elems = [e for e, _word in ball]
         size = len(elems)
         members = list(classes.values())
@@ -1079,7 +1123,7 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
         del descend
         return list(values) if found else None
 
-    return search
+    return (search if holds else None), all(blind)
 
 
 def _search_ball(f, env: GroupEnv, bound: int, negate: bool) -> Verdict:
@@ -1087,16 +1131,19 @@ def _search_ball(f, env: GroupEnv, bound: int, negate: bool) -> Verdict:
     ``negate``) matrix of f, as a violated (holds) Verdict; else an
     inconclusive one.  Every disjunct is compiled first, so an unknown
     constant anywhere in the matrix raises UnresolvedNameError, also where
-    no search would evaluate it."""
+    no search would evaluate it.  A disjunct whose variables are all blind
+    searches ``env.class_ball``, any other the whole ball; a disjunct
+    that a literal without variables decides false builds neither."""
     blocks, matrix = _peel_quantifiers(f)
     variables = [v for _, vs in blocks for v in vs]
-    ball = env.ball(bound)
     searches = [
         _compile_conjunction(d, variables, env)
         for d in dnf_disjuncts(matrix, negate=negate)
     ]
-    classes = env.classes(bound)
-    for search in searches:
+    for search, blind in searches:
+        if search is None:
+            continue
+        ball, classes = env.class_ball(bound) if blind else (env.ball(bound), env.classes(bound))
         positions = search(ball, classes)
         if positions is not None:
             picks = [ball[p] for p in positions]

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import classes_two_pass, corpus, first_by_brute_force
+from conftest import classes_two_pass, corpus, first_by_brute_force, refute_by_brute_force
 from heislab import cli, formula, reprs, ut3
 from heislab.formula import (
     A1,
@@ -549,9 +549,15 @@ def _conjunctions(draw):
 
 def _assert_search_matches_brute_force(literals, variables, env, bound):
     ball = env.ball(bound)
-    positions = formula._compile_conjunction(literals, variables, env)(ball, env.classes(bound))
+    search, blind = formula._compile_conjunction(literals, variables, env)
+    positions = search and search(ball, env.classes(bound))
     found = None if positions is None else tuple(positions)
     assert found == first_by_brute_force(literals, variables, env, ball)
+    if blind and search:
+        # lemma 3: the class ball gives the same elements and words
+        pairs, classes = env.class_ball(bound)
+        on_classes = search(pairs, classes)
+        assert (on_classes and [pairs[p] for p in on_classes]) == (found and [ball[p] for p in found])
 
 
 @settings(max_examples=200, deadline=None)
@@ -641,11 +647,13 @@ def test_commutator_with_a_central_side_compiles_to_one():
 def test_representatives_are_the_first_of_each_center_class():
     env = full_zxz_env()
     ball = env.ball(2)
-    reps = env.representatives(2)
+    pairs, classes = env.class_ball(2)
     keys = [env.law.coset_key(e) for e, _ in ball]
-    assert reps == sorted(keys.index(k) for k in set(keys))
-    assert reps[0] == 0 and len(reps) < len(ball)
-    assert env.representatives(2) is reps  # computed once per ball
+    reps = sorted(keys.index(k) for k in set(keys))
+    assert pairs == [ball[p] for p in reps]
+    assert classes == {keys[p]: [i] for i, p in enumerate(reps)}
+    assert reps[0] == 0 and len(pairs) < len(ball)
+    assert env.class_ball(2)[0] is pairs  # computed once per bound
 
 
 @pytest.mark.parametrize("rep", [cli.fixture(n) for n in sorted(cli.FIXTURES)] + corpus(40, seed=71))
@@ -654,16 +662,29 @@ def test_classes_match_two_pass_oracle(rep):
     for bound in range(4):
         classes = env.classes(bound)
         assert list(classes.items()) == classes_two_pass(env, bound)
-        assert env.representatives(bound) == [p[0] for p in classes.values()]
         assert env.classes(bound) is classes  # computed once per ball
+
+
+@pytest.mark.parametrize("rep", [cli.fixture(n) for n in sorted(cli.FIXTURES)] + corpus(40, seed=71))
+def test_class_ball_is_the_first_of_each_class(rep):
+    # lemma 3: the class walk, made before the ball, reaches the classes
+    # of the ball in its order, each with the first of its elements
+    env, oracle = rep.env(), rep.env()
+    for bound in range(5):
+        pairs, classes = env.class_ball(bound)
+        ball = oracle.ball(bound)
+        firsts = [positions[0] for positions in oracle.classes(bound).values()]
+        assert pairs == [ball[p] for p in firsts]
+        assert list(classes) == list(oracle.classes(bound))
+        assert list(classes.values()) == [[i] for i in range(len(pairs))]
 
 
 def test_blind_variables_range_over_representatives(monkeypatch):
     # every variable of NZCT is blind: each element compared by a
     # commutator is the first of its center class
     env = H_env()
-    ball, reps = env.ball(2), env.representatives(2)
-    assert (len(ball), len(reps)) == (17, 13)
+    pairs, _ = env.class_ball(2)
+    assert (len(env.ball(2)), len(pairs)) == (17, 13)
     tried = set()
     comm = ut3.Class2Law.comm
 
@@ -675,7 +696,7 @@ def test_blind_variables_range_over_representatives(monkeypatch):
     out = refute_universal(builtin("NZCT"), env, 2)
     assert out == Verdict("inconclusive", "bounded_search", bound=2)
     # the identity's class is central, so no commuting row asks about it
-    assert tried == {ball[p][0] for p in reps[1:]}
+    assert tried == {e for e, _ in pairs[1:]}
 
 
 def _count_calls(monkeypatch, name):
@@ -694,7 +715,7 @@ def _count_calls(monkeypatch, name):
 def test_nzct_evaluates_each_pair_of_classes_at_most_once(monkeypatch, capsys):
     # zxz-lame has 63 center classes at bound 3; commuting rows and their
     # mirror entries ask law.comm about each unordered pair at most once
-    assert len(cli.fixture("zxz-lame").env().representatives(3)) == 63
+    assert len(cli.fixture("zxz-lame").env().class_ball(3)[0]) == 63
     calls = _count_calls(monkeypatch, "comm")
     assert cli.main(["refute", "NZCT", "--example", "zxz-lame", "--bound", "3"]) == 2
     assert capsys.readouterr().out == "inconclusive method=bounded_search bound=3\n"
@@ -721,6 +742,61 @@ def test_ct_chain_past_one_commutator_is_decided_before_search(monkeypatch, caps
     monkeypatch.setattr(ut3.Class2Law, "comm", no_literal)
     assert cli.main(["refute", "CT(20)", "--bound", "2"]) == 2
     assert capsys.readouterr().out == "inconclusive method=bounded_search bound=2\n"
+
+
+def _count_balls(monkeypatch):
+    """The bound of every call of GroupEnv.ball and GroupEnv.class_ball,
+    as a list for each name."""
+    calls = {"ball": [], "class_ball": []}
+    for name, bounds in calls.items():
+        method = getattr(formula.GroupEnv, name)
+
+        def spy(env, bound, method=method, bounds=bounds):
+            bounds.append(bound)
+            return method(env, bound)
+
+        monkeypatch.setattr(formula.GroupEnv, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+def test_ct_past_one_commutator_builds_no_ball(monkeypatch, name):
+    # CT(n >= 2) compiles to a false literal without variables
+    env = cli.fixture(name).env()
+    calls = _count_balls(monkeypatch)
+    for sentence in ("CT(2)", "CT(5)"):
+        out = refute_universal(builtin(sentence), env, 6)
+        assert out == Verdict("inconclusive", "bounded_search", bound=6)
+    assert calls == {"ball": [], "class_ball": []}
+
+
+@pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+def test_commutator_only_sentences_walk_the_class_ball(monkeypatch, name):
+    # every variable of these is blind; x in zero_sq_qi is not
+    env = cli.fixture(name).env()
+    calls = _count_balls(monkeypatch)
+    for sentence in ("NZCT", "CT(1)", "tau", "centralizer_qi"):
+        refute_universal(builtin(sentence), env, 3)
+    assert calls == {"ball": [], "class_ball": [3] * 4}
+    refute_universal(builtin("zero_sq_qi"), env, 3)
+    assert calls == {"ball": [3], "class_ball": [3] * 4}
+
+
+@pytest.mark.parametrize("rep", [cli.fixture(n) for n in sorted(cli.FIXTURES)] + corpus(6, seed=71))
+def test_blind_and_bare_disjuncts_match_brute_force(monkeypatch, rep):
+    # the negated matrix has one disjunct whose variables are all blind,
+    # searched on the class ball, and one with bare variables, searched
+    # on the ball; in the second sentence the first never holds
+    env = rep.env()
+    calls = _count_balls(monkeypatch)
+    for text in (
+        "forall x,y ( [x,a1]=1 | x*x=y -> [x,y]=1 )",
+        "forall x,y ( [x,a1]=1 & [x,a2]=1 | x*a1=y -> [x,y]=1 )",
+    ):
+        for bound in (1, 2):
+            sentence = parse(text)
+            assert refute_universal(sentence, env, bound) == refute_by_brute_force(sentence, env, bound)
+    assert calls["class_ball"] and calls["ball"]
 
 
 def test_builtin_bad_names():

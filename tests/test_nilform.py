@@ -95,7 +95,9 @@ def test_coset_key_classes_match_the_heisenberg_ball():
         assert [to_matrix(x) for x, _ in env.ball(bound)] == [
             rep.law.to_ut3(g) for g, _ in H.ball(bound)
         ]
-        assert env.representatives(bound) == H.representatives(bound)
+        assert [(to_matrix(x), w) for x, w in env.class_ball(bound)[0]] == [
+            (rep.law.to_ut3(g), w) for g, w in H.class_ball(bound)[0]
+        ]
 
 
 def test_to_matrix_injective_on_samples():
