@@ -13,11 +13,16 @@ a1^p a2^q c^r  ->  matrix entries (e12, e13, e23) = (q, r, p).  Higher-rank
 groups are discriminated into it by sending each a_k (k > 2) to the generic
 element with entries (q_k, r_k, p_k) over Z[p3, q3, r3, ...], which is
 injective, and then choosing integer exponents one at a time with
-``rings.nonvanishing_point``.
+``rings.nonvanishing_point``.  The generic image of a normal form is read
+off its exponents by the class-2 product rule: its 12- and 23-entries are
+linear forms in the q_k and p_k and its 13-entry is a quadratic form
+(``generic_forms``), summed as integer dictionaries over sparse monomials,
+so no ring element is multiplied.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import rings, ut3
@@ -163,23 +168,107 @@ class DiscriminationCertificate:
     target_images: tuple[UT3Elem, ...]
 
     def verify(self, targets) -> bool:
-        return all(
-            not self.hom(t).is_identity() and self.hom(t) == img
-            for t, img in zip(targets, self.target_images)
-        )
+        for t, img in zip(targets, self.target_images):
+            got = self.hom(t)
+            if got.is_identity() or got != img:
+                return False
+        return True
+
+
+# A form is a polynomial in the names p3, q3, r3, p4, ... of
+# ``generic_ring``, as {monomial: coefficient}; a monomial is the sorted
+# tuple of its names' positions, so () is the constant monomial.
+
+
+def generic_ring(n: int) -> RingDesc:
+    """Z[p3, q3, r3, ..., pn, qn, rn], the ring of the generic retraction of
+    the rank-n group."""
+    return RingDesc((tuple(f"{v}{k}" for k in range(3, n + 1) for v in "pqr"),))
+
+
+def generic_forms(t: NilForm) -> tuple[dict, dict, dict]:
+    """The (12, 13, 23)-entries of t's image under the generic retraction,
+    as forms.
+
+    a_k goes to the element with entries (Q_k, R_k, P_k): (0, 0, 1) for a1,
+    (1, 0, 0) for a2 and (q_k, r_k, p_k) for k > 2.  The class-2 product
+    rule (g*h)13 = g13 + h13 + g12*h23, its powers
+    g^e = (e*g12, e*g13 + C(e,2)*g12*g23, e*g23) and the central commutators
+    [g,h] = (0, g12*h23 - h12*g23, 0) give t = a1^e1...an^en prod [a_j,a_i]^f_ij
+    the entries
+
+        12:  sum_k e_k Q_k                23:  sum_k e_k P_k
+        13:  sum_k (e_k R_k + C(e_k,2) Q_k P_k) + sum_{j<k} e_j e_k Q_j P_k
+             + sum_{i<j} f_ij (Q_j P_i - Q_i P_j)
+
+    so the 12- and 23-entries are linear forms and the 13-entry a
+    quadratic form.
+    """
+    n = t.n
+    Q = [None, ()] + [(3 * k + 1,) for k in range(n - 2)]
+    R = [None, None] + [(3 * k + 2,) for k in range(n - 2)]
+    P = [(), None] + [(3 * k,) for k in range(n - 2)]
+    f12, f13, f23 = {}, {}, {}
+
+    def add(form, a, b, c):
+        # c * a * b, where None is the form 0
+        if a is not None and b is not None:
+            m = tuple(sorted(a + b))
+            form[m] = form.get(m, 0) + c
+
+    left = []  # (Q_j, e_j) for the letters before a_k
+    for k, e in enumerate(t.e):
+        if e:
+            add(f12, Q[k], (), e)
+            add(f23, P[k], (), e)
+            add(f13, R[k], (), e)
+            add(f13, Q[k], P[k], e * (e - 1) // 2)
+            for q, d in left:
+                add(f13, q, P[k], d * e)
+            if Q[k] is not None:
+                left.append((Q[k], e))
+    for (i, j), f in zip(_pairs(n), t.f):
+        if f:
+            add(f13, Q[j - 1], P[i - 1], f)
+            add(f13, Q[i - 1], P[j - 1], -f)
+    return f12, f13, f23
+
+
+def form_elem(form: dict, ring: RingDesc) -> RingElem:
+    """The form as a canonical element of ``generic_ring``."""
+    m = len(ring.components[0])
+    terms = []
+    for mono, c in form.items():
+        if c:
+            e = [0] * m
+            for i in mono:
+                e[i] += 1
+            terms.append((tuple(e), c))
+    return RingElem(ring, (tuple(sorted(terms)),))
+
+
+def _evaluate(form: dict, values: list[int]) -> int:
+    return sum(c * math.prod(values[i] for i in mono) for mono, c in form.items())
 
 
 def discriminate_to_H(targets) -> DiscriminationCertificate:
     """Retraction to the rank-2 (Heisenberg) copy mapping no target to 1.
 
     a1 and a2 are fixed; each a_k (k > 2) is sent to a1^p a2^q c^r.  The
-    targets are first mapped under the generic retraction with
-    indeterminate exponents p_k, q_k, r_k.  It is injective (the images of
-    a1, ..., an and of the basic commutators have independent entries), so
-    every image has a nonzero entry, and ``rings.nonvanishing_point`` picks
-    nonnegative exponents p3, q3, r3, p4, ... in that order, each the least
-    one keeping every image nonidentity.  When the retraction a_k -> 1 kills
-    no target, all exponents are 0.
+    targets' images under the generic retraction with indeterminate
+    exponents p_k, q_k, r_k are read off their normal forms as integer
+    forms (``generic_forms``), with no group or ring multiplication.  The
+    generic retraction is injective (the images of a1, ..., an and of the
+    basic commutators have independent entries), so every image has a
+    nonzero entry, and ``rings.nonvanishing_point`` picks nonnegative
+    exponents p3, q3, r3, p4, ... in that order, each the least one keeping
+    every image nonidentity.  When the retraction a_k -> 1 kills no target,
+    all exponents are 0.
+
+    Each form is canonicalised once into the element of ``generic_ring``
+    that multiplying out the generic images gives (canonical forms are
+    unique), so every value tried and taken is the one that product would
+    give.  The target images are the forms evaluated at the chosen point.
     """
     targets = list(targets)
     if not targets:
@@ -192,17 +281,12 @@ def discriminate_to_H(targets) -> DiscriminationCertificate:
             raise ValueError("mixed ranks")
         if t.is_identity():
             raise ValueError("identity is annihilated by every retraction")
-    extras = range(3, n + 1)
-    names = [f"{v}{k}" for k in extras for v in "pqr"]
-    ring = RingDesc((tuple(names),))
-    x = {v: RingElem.var(ring, v) for v in names}
-    generic = Hom(
-        [ut3.a1(ring), ut3.a2(ring)]
-        + [UT3Elem(ring, x[f"q{k}"], x[f"r{k}"], x[f"p{k}"]) for k in extras],
-        ut3.identity(ring),
-    )
-    images = [generic(t) for t in targets]
-    point = rings.nonvanishing_point([[g.u12, g.u13, g.u23] for g in images], names)
-    exps = tuple((point[f"p{k}"], point[f"q{k}"], point[f"r{k}"]) for k in extras)
+    ring = generic_ring(n)
+    names = ring.components[0]
+    forms = [generic_forms(t) for t in targets]
+    point = rings.nonvanishing_point([[form_elem(f, ring) for f in fs] for fs in forms], names)
+    values = [point[v] for v in names]
+    exps = tuple(tuple(values[i : i + 3]) for i in range(0, len(values), 3))
     hom = Hom([ut3.a1(Z), ut3.a2(Z)] + [ut3.elem(Z, q, r, p) for p, q, r in exps], ut3.identity(Z))
-    return DiscriminationCertificate(hom, exps, tuple(hom(t) for t in targets))
+    images = tuple(ut3.elem(Z, *(_evaluate(f, values) for f in fs)) for fs in forms)
+    return DiscriminationCertificate(hom, exps, images)

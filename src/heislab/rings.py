@@ -356,11 +356,14 @@ def _slices(terms: dict, index: list[int]) -> dict:
     {(component, monomial): coefficient} and x's position in each
     component's names (-1 where the component lacks x): one coefficient
     list, indexed by the degree in x, per (component, monomial with x's
-    exponent set to 0)."""
+    exponent set to 0).  A term without x keeps its own key."""
     out = {}
-    for (j, e), c in terms.items():
+    for key, c in terms.items():
+        j, e = key
         i = index[j]
-        key, d = ((j, e), 0) if i < 0 else ((j, e[:i] + (0,) + e[i + 1 :]), e[i])
+        d = e[i] if i >= 0 else 0
+        if d:
+            key = (j, e[:i] + (0,) + e[i + 1 :])
         coeffs = out.get(key)
         if coeffs is None:
             out[key] = coeffs = [0] * (d + 1)

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from heislab import formula, reprs, rings, ut3, zlattice
+from heislab import formula, nilform, reprs, rings, ut3, zlattice
 from heislab.reprs import LameWitness, NzctWitness, SigmaWitness, Verdict
 from heislab.rings import RingDesc, RingElem, Retraction, discriminate
 from heislab.ut3 import UT3Elem
@@ -63,6 +63,33 @@ def nonvanishing_point_oracle(groups, names, start: int = 0) -> dict[str, int]:
         groups = images
         point[name] = value
     return point
+
+
+def discriminate_to_H_generic(targets):
+    """nilform.discriminate_to_H by multiplying out a generic Hom: each
+    target goes through the retraction a_k -> (q_k, r_k, p_k) over
+    Z[p3, q3, r3, ...] by UT3Elem and RingElem arithmetic,
+    ``rings.nonvanishing_point`` picks the exponents from the images'
+    entries, and a Hom over Z gives the target images.  Returns the generic
+    entries [[e12, e13, e23], ...], the extra images and the target images."""
+    n = targets[0].n
+    extras = range(3, n + 1)
+    names = [f"{v}{k}" for k in extras for v in "pqr"]
+    ring = RingDesc((tuple(names),))
+    x = {v: RingElem.var(ring, v) for v in names}
+    generic = nilform.Hom(
+        [ut3.a1(ring), ut3.a2(ring)]
+        + [UT3Elem(ring, x[f"q{k}"], x[f"r{k}"], x[f"p{k}"]) for k in extras],
+        ut3.identity(ring),
+    )
+    entries = [[g.u12, g.u13, g.u23] for g in map(generic, targets)]
+    point = rings.nonvanishing_point(entries, names)
+    exps = tuple((point[f"p{k}"], point[f"q{k}"], point[f"r{k}"]) for k in extras)
+    hom = nilform.Hom(
+        [ut3.a1(rings.Z), ut3.a2(rings.Z)] + [ut3.elem(rings.Z, q, r, p) for p, q, r in exps],
+        ut3.identity(rings.Z),
+    )
+    return entries, exps, tuple(map(hom, targets))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from conftest import discriminate_to_H_generic
 
 from heislab import nilform, ut3
 from heislab.nilform import (
@@ -221,3 +222,75 @@ def test_discriminate_exponents_zero_when_trivial_retraction_works():
             assert any(any(e) for e in cert.extra_images)
             seen_nonzero += 1
     assert seen_zero and seen_nonzero
+
+
+def _random_targets(rng: random.Random, n: int) -> list[NilForm]:
+    """Nonidentity forms of rank n: general ones with exponents from the
+    small ones up to +-10^6, commutator-only ones, and ones that die under
+    a_k -> 1 for every k > 2 (no a1, a2 or [a2,a1] in them)."""
+
+    def exponent():
+        return rng.choice((0, 0, 0, 1, -1, 2, -3, rng.randint(-(10**6), 10**6)))
+
+    npairs = n * (n - 1) // 2
+    out = []
+    while len(out) < rng.randint(1, 5):
+        kind = rng.randrange(3)
+        e = [0] * n if kind == 1 else [exponent() for _ in range(n)]
+        f = [exponent() for _ in range(npairs)]
+        if kind == 2:
+            e[0] = e[1] = f[0] = 0
+        t = NilForm(n, tuple(e), tuple(f))
+        if not t.is_identity():
+            out.append(t)
+    return out
+
+
+def test_generic_forms_match_the_generic_hom():
+    rng = random.Random(24)
+    moved = 0
+    for n in range(2, 9):
+        ring = nilform.generic_ring(n)
+        for _ in range(12):
+            targets = _random_targets(rng, n)
+            entries, exps, images = discriminate_to_H_generic(targets)
+            assert [
+                [nilform.form_elem(f, ring) for f in nilform.generic_forms(t)] for t in targets
+            ] == entries
+            cert = discriminate_to_H(targets)
+            assert cert.extra_images == exps
+            assert cert.target_images == images
+            assert cert.verify(targets)
+            moved += any(map(any, exps))
+    assert moved  # some sets die under a_k -> 1 and move the exponents
+
+
+def test_discriminate_multiplies_nothing(monkeypatch):
+    from heislab.rings import RingElem
+    from heislab.ut3 import UT3Elem
+
+    calls = {}
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    targets = _random_targets(random.Random(25), 6)
+    targets.append(generator(6, 3))  # dies under a3 -> 1
+    for owner, attr in (
+        (RingElem, "__mul__"),
+        (UT3Elem, "__mul__"),
+        (UT3Elem, "pow_int"),
+        (Hom, "apply"),
+        (Hom, "__call__"),
+        (Hom, "__init__"),
+    ):
+        count(owner, attr)
+    cert = discriminate_to_H(targets)
+    assert calls == {"__init__": 1}
+    assert any(any(e) for e in cert.extra_images)
