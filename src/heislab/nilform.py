@@ -16,23 +16,26 @@ injective, and then choosing integer exponents one at a time with
 ``rings.nonvanishing_point``.  The generic image of a normal form is read
 off its exponents by the class-2 product rule: its 12- and 23-entries are
 linear forms in the q_k and p_k and its 13-entry is a quadratic form
-(``generic_forms``), summed as integer dictionaries over sparse monomials,
-so no ring element is multiplied.
+(``generic_forms``), summed as integer dictionaries over sparse monomials
+in the term format that ``rings.nonvanishing_point`` reads, so no ring
+element is built or multiplied.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from . import rings, ut3
-from .rings import Z, RingDesc, RingElem
+from .rings import Z, RingElem
 from .ut3 import UT3Elem
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Ordered basic-commutator index pairs (i, j), 1-based, i < j."""
-    return [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    return tuple((i, j) for j in range(2, n + 1) for i in range(1, j))
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,8 @@ class DiscriminationCertificate:
     target_images: tuple[UT3Elem, ...]
 
     def verify(self, targets) -> bool:
+        if len(targets := list(targets)) != len(self.target_images):
+            return False
         for t, img in zip(targets, self.target_images):
             got = self.hom(t)
             if got.is_identity() or got != img:
@@ -175,20 +180,10 @@ class DiscriminationCertificate:
         return True
 
 
-# A form is a polynomial in the names p3, q3, r3, p4, ... of
-# ``generic_ring``, as {monomial: coefficient}; a monomial is the sorted
-# tuple of its names' positions, so () is the constant monomial.
-
-
-def generic_ring(n: int) -> RingDesc:
-    """Z[p3, q3, r3, ..., pn, qn, rn], the ring of the generic retraction of
-    the rank-n group."""
-    return RingDesc((tuple(f"{v}{k}" for k in range(3, n + 1) for v in "pqr"),))
-
-
 def generic_forms(t: NilForm) -> tuple[dict, dict, dict]:
     """The (12, 13, 23)-entries of t's image under the generic retraction,
-    as forms.
+    in the term format of ``rings.nonvanishing_point`` for the names
+    p3, q3, r3, p4, ... (indices 0, 1, 2, 3, ...), all in component 0.
 
     a_k goes to the element with entries (Q_k, R_k, P_k): (0, 0, 1) for a1,
     (1, 0, 0) for a2 and (q_k, r_k, p_k) for k > 2.  The class-2 product
@@ -202,19 +197,20 @@ def generic_forms(t: NilForm) -> tuple[dict, dict, dict]:
              + sum_{i<j} f_ij (Q_j P_i - Q_i P_j)
 
     so the 12- and 23-entries are linear forms and the 13-entry a
-    quadratic form.
+    quadratic form.  Every quadratic monomial is a product Q_j P_k of two
+    distinct names (a q and a p), so each exponent is 1.
     """
     n = t.n
-    Q = [None, ()] + [(3 * k + 1,) for k in range(n - 2)]
-    R = [None, None] + [(3 * k + 2,) for k in range(n - 2)]
-    P = [(), None] + [(3 * k,) for k in range(n - 2)]
+    Q = [None, ()] + [((3 * k + 1, 1),) for k in range(n - 2)]
+    R = [None, None] + [((3 * k + 2, 1),) for k in range(n - 2)]
+    P = [(), None] + [((3 * k, 1),) for k in range(n - 2)]
     f12, f13, f23 = {}, {}, {}
 
     def add(form, a, b, c):
         # c * a * b, where None is the form 0
         if a is not None and b is not None:
-            m = tuple(sorted(a + b))
-            form[m] = form.get(m, 0) + c
+            key = (0, tuple(sorted(a + b)))
+            form[key] = form.get(key, 0) + c
 
     left = []  # (Q_j, e_j) for the letters before a_k
     for k, e in enumerate(t.e):
@@ -231,24 +227,12 @@ def generic_forms(t: NilForm) -> tuple[dict, dict, dict]:
         if f:
             add(f13, Q[j - 1], P[i - 1], f)
             add(f13, Q[i - 1], P[j - 1], -f)
-    return f12, f13, f23
-
-
-def form_elem(form: dict, ring: RingDesc) -> RingElem:
-    """The form as a canonical element of ``generic_ring``."""
-    m = len(ring.components[0])
-    terms = []
-    for mono, c in form.items():
-        if c:
-            e = [0] * m
-            for i in mono:
-                e[i] += 1
-            terms.append((tuple(e), c))
-    return RingElem(ring, (tuple(sorted(terms)),))
+    # the 13-entry's coefficients can cancel to 0; the format keeps none
+    return f12, {key: c for key, c in f13.items() if c}, f23
 
 
 def _evaluate(form: dict, values: list[int]) -> int:
-    return sum(c * math.prod(values[i] for i in mono) for mono, c in form.items())
+    return sum(c * math.prod(values[i] ** d for i, d in mono) for (_, mono), c in form.items())
 
 
 def discriminate_to_H(targets) -> DiscriminationCertificate:
@@ -265,10 +249,10 @@ def discriminate_to_H(targets) -> DiscriminationCertificate:
     every image nonidentity.  When the retraction a_k -> 1 kills no target,
     all exponents are 0.
 
-    Each form is canonicalised once into the element of ``generic_ring``
-    that multiplying out the generic images gives (canonical forms are
-    unique), so every value tried and taken is the one that product would
-    give.  The target images are the forms evaluated at the chosen point.
+    The forms are the terms of the entries that multiplying out the
+    generic images gives, so every value tried and taken is the one that
+    product would give.  The target images are the forms evaluated at the
+    chosen point.
     """
     targets = list(targets)
     if not targets:
@@ -281,10 +265,9 @@ def discriminate_to_H(targets) -> DiscriminationCertificate:
             raise ValueError("mixed ranks")
         if t.is_identity():
             raise ValueError("identity is annihilated by every retraction")
-    ring = generic_ring(n)
-    names = ring.components[0]
+    names = [f"{v}{k}" for k in range(3, n + 1) for v in "pqr"]
     forms = [generic_forms(t) for t in targets]
-    point = rings.nonvanishing_point([[form_elem(f, ring) for f in fs] for fs in forms], names)
+    point = rings.nonvanishing_point(forms, names)
     values = [point[v] for v in names]
     exps = tuple(tuple(values[i : i + 3]) for i in range(0, len(values), 3))
     hom = Hom([ut3.a1(Z), ut3.a2(Z)] + [ut3.elem(Z, q, r, p) for p, q, r in exps], ut3.identity(Z))

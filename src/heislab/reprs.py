@@ -569,7 +569,7 @@ def big_powers_retraction(
         if t.is_identity():
             raise ValueError("identity target cannot survive any retraction")
     groups = [[t.u12, t.u13, t.u23] for t in targets]
-    n = rings.nonvanishing_point(groups, [name], start=1)[name]
+    n = rings.nonvanishing_point(rings.terms_of(groups, [name]), [name], start=1)[name]
     images = tuple(
         UT3Elem(rep_ext.ring, *(rings.substitute(e, name, n) for e in g)) for g in groups
     )

@@ -351,19 +351,48 @@ def retract(rho: Retraction, r: RingElem) -> int:
     return _peval(r.parts[rho.component], point)
 
 
-def _slices(terms: dict, index: list[int]) -> dict:
-    """The slices of an element in one indeterminate x, given as its terms
-    {(component, monomial): coefficient} and x's position in each
-    component's names (-1 where the component lacks x): one coefficient
-    list, indexed by the degree in x, per (component, monomial with x's
-    exponent set to 0).  A term without x keeps its own key."""
+# The term format of ``nonvanishing_point`` for a list of names: an element
+# is {(component, monomial): nonzero coefficient}, a monomial the sorted
+# tuple of its (index, exponent) pairs.  Index i < len(names) stands for
+# names[i]; a component's other indeterminates sort last, from len(names) on.
+
+
+def terms_of(groups, names) -> list[list[dict]]:
+    """Groups of ``RingElem``s in the term format for ``names``.  Each
+    exponent vector of a list of component names becomes a monomial once
+    per call, however many terms share it."""
+    position = {name: i for i, name in enumerate(names)}
+    known = {}  # component names -> (index of each, {exponent vector: monomial})
+    out = []
+    for group in groups:
+        elems = []
+        for r in group:
+            terms = {}
+            for j, (comp, p) in enumerate(zip(r.ring.components, r.parts)):
+                if comp not in known:
+                    index = [position.get(x, len(names) + i) for i, x in enumerate(comp)]
+                    known[comp] = index, {}
+                index, memo = known[comp]
+                for e, c in p:
+                    mono = memo.get(e)
+                    if mono is None:
+                        mono = memo[e] = tuple(sorted((index[i], d) for i, d in enumerate(e) if d))
+                    terms[j, mono] = c
+            elems.append(terms)
+        out.append(elems)
+    return out
+
+
+def _split(terms: dict, k: int) -> dict:
+    """The slices of an element in names[k] once names[:k] are substituted
+    away: one coefficient list, indexed by the degree in names[k], per
+    (component, rest of the monomial).  No index below k is left, so
+    names[k], where it occurs, leads its monomial and is split off the
+    front."""
     out = {}
-    for key, c in terms.items():
-        j, e = key
-        i = index[j]
-        d = e[i] if i >= 0 else 0
-        if d:
-            key = (j, e[:i] + (0,) + e[i + 1 :])
+    for (j, mono), c in terms.items():
+        d = mono[0][1] if mono and mono[0][0] == k else 0
+        key = (j, mono[1:] if d else mono)
         coeffs = out.get(key)
         if coeffs is None:
             out[key] = coeffs = [0] * (d + 1)
@@ -384,17 +413,19 @@ def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
     """Integer values for ``names`` under which every group keeps a nonzero
     element.
 
-    Each group is a list of elements, at least one of them nonzero.  The names
-    are assigned in order, each the least integer >= ``start`` after which
+    Each group is a list of elements in the term format above (``terms_of``
+    converts ring elements), at least one of them nonzero.  The names are
+    assigned in order, each the least integer >= ``start`` after which
     every group, with all earlier names already substituted, still has a
     nonzero element.  With a single name the value is therefore the least
     valid one.
 
-    Values are tried on the elements' slices in the name (``_slices``): an
+    Values are tried on the elements' slices in the name (``_split``): an
     element vanishes at a value exactly when each of its slices, a list of
     integer coefficients, vanishes there, which Horner's rule decides on
     plain ints.  Where a later name follows, the substituted elements are
-    read off the same evaluations at the chosen value.
+    read off the same evaluations at the chosen value, still in the term
+    format.
 
     Termination (the one-variable case of Alon's Combinatorial
     Nullstellensatz): fix a name x and in each group a nonzero element g,
@@ -405,21 +436,12 @@ def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
     one of start, ..., start + D is taken.  Evaluating slices instead of
     substituting changes no value tried or taken, so the bound stands.
     """
-    groups = [[r for r in group if not r.is_zero()] for group in groups]
+    groups = [[terms for terms in group if terms] for group in groups]
     if not all(groups):
         raise ValueError("every group needs a nonzero element")
-    if not groups:
-        return dict.fromkeys(names, start)
-    components = groups[0][0].ring.components
-    # each element as its terms {(component, monomial): coefficient}
-    groups = [
-        [{(j, e): c for j, p in enumerate(r.parts) for e, c in p} for r in group]
-        for group in groups
-    ]
     point = {}
     for k, name in enumerate(names):
-        index = [comp.index(name) if name in comp else -1 for comp in components]
-        sliced = [[_slices(terms, index) for terms in group] for group in groups]
+        sliced = [[_split(terms, k) for terms in group] for group in groups]
         value = start
         if k == len(names) - 1:
             # the last name: a group lives once one slice of one element
@@ -478,7 +500,7 @@ def discriminate(rs: list[RingElem]) -> Retraction | DomainFailure:
                 [RingElem(ring, tuple(p if j == comp else () for j, p in enumerate(r.parts)))]
                 for r in rs
             ]
-            return Retraction.of(comp, nonvanishing_point(groups, names))
+            return Retraction.of(comp, nonvanishing_point(terms_of(groups, names), names))
     # no component works: exhibit an annihilating pair
     for a, b in itertools.combinations(rs, 2):
         if (a * b).is_zero():

@@ -100,14 +100,6 @@ class UT3Elem:
         factor of the (1,3) block."""
         return self.u12, self.u23
 
-    def in_centralizer_a(self, i: int) -> bool:
-        """Membership in the centralizer of the distinguished generator a_i."""
-        if i == 1:
-            return self.u12.is_zero()
-        if i == 2:
-            return self.u23.is_zero()
-        raise ValueError("i must be 1 or 2")
-
     def __str__(self) -> str:
         return "{e12: %s, e13: %s, e23: %s}" % (self.u12, self.u13, self.u23)
 

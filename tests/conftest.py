@@ -83,7 +83,7 @@ def discriminate_to_H_generic(targets):
         ut3.identity(ring),
     )
     entries = [[g.u12, g.u13, g.u23] for g in map(generic, targets)]
-    point = rings.nonvanishing_point(entries, names)
+    point = rings.nonvanishing_point(rings.terms_of(entries, names), names)
     exps = tuple((point[f"p{k}"], point[f"q{k}"], point[f"r{k}"]) for k in extras)
     hom = nilform.Hom(
         [ut3.a1(rings.Z), ut3.a2(rings.Z)] + [ut3.elem(rings.Z, q, r, p) for p, q, r in exps],

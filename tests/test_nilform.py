@@ -6,7 +6,7 @@ import time
 import pytest
 from conftest import discriminate_to_H_generic
 
-from heislab import nilform, ut3
+from heislab import nilform, rings, ut3
 from heislab.nilform import (
     Hom,
     NilForm,
@@ -145,6 +145,14 @@ def test_discriminate_single_target():
     assert cert.verify([generator(3, 3)])
 
 
+def test_verify_wants_one_target_per_image():
+    ts = [generator(4, 3), generator(4, 4)]
+    cert = discriminate_to_H(ts)
+    assert cert.verify(ts)
+    assert not cert.verify(ts[:1])
+    assert not cert.verify(ts + [generator(4, 1)])
+
+
 def test_discriminate_needs_nontrivial_image():
     # a3 dies under a3->1, so the exponents cannot all be zero
     t = collect(3, [(3, 1)])
@@ -248,25 +256,29 @@ def _random_targets(rng: random.Random, n: int) -> list[NilForm]:
 
 def test_generic_forms_match_the_generic_hom():
     rng = random.Random(24)
+    cases = [_random_targets(rng, n) for n in range(2, 9) for _ in range(12)]
+    # last, one rank-100 set, where the exponents move at a64, a99 and a100
+    a = [None] + [generator(100, k) for k in range(1, 101)]
+    cases.append(
+        [a[100], a[99].comm(a[100]), a[3] * a[57].pow_int(2) * a[100].inv(), a[1].comm(a[64])]
+    )
     moved = 0
-    for n in range(2, 9):
-        ring = nilform.generic_ring(n)
-        for _ in range(12):
-            targets = _random_targets(rng, n)
-            entries, exps, images = discriminate_to_H_generic(targets)
-            assert [
-                [nilform.form_elem(f, ring) for f in nilform.generic_forms(t)] for t in targets
-            ] == entries
-            cert = discriminate_to_H(targets)
-            assert cert.extra_images == exps
-            assert cert.target_images == images
-            assert cert.verify(targets)
-            moved += any(map(any, exps))
+    for targets in cases:
+        n = targets[0].n
+        names = [f"{v}{k}" for k in range(3, n + 1) for v in "pqr"]
+        entries, exps, images = discriminate_to_H_generic(targets)
+        assert [list(nilform.generic_forms(t)) for t in targets] == rings.terms_of(entries, names)
+        cert = discriminate_to_H(targets)
+        assert cert.extra_images == exps
+        assert cert.target_images == images
+        assert cert.verify(targets)
+        moved += any(map(any, exps))
     assert moved  # some sets die under a_k -> 1 and move the exponents
+    assert [k for k, e in enumerate(exps, 3) if any(e)] == [64, 99, 100]  # the rank-100 set
 
 
 def test_discriminate_multiplies_nothing(monkeypatch):
-    from heislab.rings import RingElem
+    from heislab.rings import RingDesc, RingElem
     from heislab.ut3 import UT3Elem
 
     calls = {}
@@ -283,6 +295,7 @@ def test_discriminate_multiplies_nothing(monkeypatch):
     targets = _random_targets(random.Random(25), 6)
     targets.append(generator(6, 3))  # dies under a3 -> 1
     for owner, attr in (
+        (RingDesc, "__post_init__"),
         (RingElem, "__mul__"),
         (UT3Elem, "__mul__"),
         (UT3Elem, "pow_int"),

@@ -23,6 +23,7 @@ from heislab.rings import (
     parse_ring,
     retract,
     substitute,
+    terms_of,
 )
 
 ZZ = parse_ring("Z x Z")
@@ -479,7 +480,7 @@ def test_nonvanishing_point_properties(ring, data):
     groups = data.draw(st.lists(group, min_size=1, max_size=4))
     start = data.draw(st.integers(-2, 2))
     names = ring.components[0]
-    point = nonvanishing_point(groups, names, start)
+    point = nonvanishing_point(terms_of(groups, names), names, start)
     assert list(point) == list(names)
     assert _all_alive(groups, point)
     for k, name in enumerate(names):
@@ -492,9 +493,18 @@ def test_nonvanishing_point_properties(ring, data):
             assert not _all_alive(groups, {**earlier, name: value})
 
 
+def test_terms_of_indexes_names_first():
+    # names[i] is index i in every component; a component's other
+    # indeterminates come after the names, in their component order
+    ring = parse_ring("Z[t,s] x Z[u]")
+    (r,), (zero,) = terms_of([[parse_elem(ring, "(t*s^2+3, 2*u)")], [RingElem.zero(ring)]], ["s"])
+    assert r == {(0, ((0, 2), (1, 1))): 1, (0, ()): 3, (1, ((1, 1),)): 2}
+    assert zero == {}
+
+
 def test_nonvanishing_point_rejects_dead_group():
     with pytest.raises(ValueError):
-        nonvanishing_point([[RingElem.zero(ZTH)]], ["theta"])
+        nonvanishing_point(terms_of([[RingElem.zero(ZTH)]], ["theta"]), ["theta"])
 
 
 # Ring shapes for the kernel's differential test: no indeterminate, one
@@ -570,7 +580,7 @@ def test_nonvanishing_point_matches_trial_substitution(ring, data):
     names = names[: data.draw(st.integers(1, len(names)))]
     start = data.draw(st.sampled_from([0, 1]))
     groups = data.draw(_killable_groups(ring, names, start))
-    assert nonvanishing_point(groups, names, start) == nonvanishing_point_oracle(
+    assert nonvanishing_point(terms_of(groups, names), names, start) == nonvanishing_point_oracle(
         groups, names, start
     )
 
@@ -584,5 +594,5 @@ def test_nonvanishing_point_skips_several_dead_values():
     groups = [[t * (t - RingElem.idempotent(ring, 0))], [s * (s - two) + t - two]]
     for start in (0, 1):
         want = nonvanishing_point_oracle(groups, ["t", "s"], start)
-        assert nonvanishing_point(groups, ["t", "s"], start) == want
+        assert nonvanishing_point(terms_of(groups, ["t", "s"]), ["t", "s"], start) == want
     assert want == {"t": 2, "s": 1}
