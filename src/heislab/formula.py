@@ -556,6 +556,10 @@ class GroupEnv:
     hashable, with == as group equality.  Two elements have one coset_key
     exactly when they differ by a factor in N, a central subgroup that
     holds every commutator (the (1,3) block of UT3), so G/N is abelian.
+    The group must be torsion-free: x^d = 1 with d != 0 only for x = 1
+    (lemma 4 of ``_compile_conjunction``).  Every group here is: G/N and N
+    lie in sums of torsion-free rings, x^d = 1 makes d times x's image in
+    G/N zero, so x is in N, where x^d is d times x.
     ``Representation.env`` uses a ``ut3.Class2Law`` on integer tuples;
     elements with their own methods use ``ElementLaw``.  a1 and a2 must be
     present in the constant table.
@@ -724,16 +728,15 @@ class SearchWitness:
         return dict(sorted(self.words.items()))
 
 
-def _is_central(t) -> bool:
-    """Central in every class-2 group by its syntax: 1, a commutator, or a
-    product or power of these."""
-    if isinstance(t, (One, TComm)):
-        return True
+def _built_from(t, leaves) -> bool:
+    """Whether t is made of nodes of the types in ``leaves`` by products and
+    powers alone.  Made of 1 and commutators, t is central in every class-2
+    group."""
     if isinstance(t, TMul):
-        return _is_central(t.left) and _is_central(t.right)
+        return _built_from(t.left, leaves) and _built_from(t.right, leaves)
     if isinstance(t, TPow):
-        return _is_central(t.base)
-    return False
+        return _built_from(t.base, leaves)
+    return isinstance(t, leaves)
 
 
 def _exponents(t, sign: int, out: dict) -> dict:
@@ -749,6 +752,37 @@ def _exponents(t, sign: int, out: dict) -> dict:
     elif isinstance(t, TPow):
         _exponents(t.base, sign * t.exp, out)
     return out
+
+
+def _to_one(t, ones):
+    """t, a term or an Eq/Ne literal, with each Var in ``ones`` replaced by 1."""
+    if isinstance(t, Var):
+        return ONE if t in ones else t
+    if isinstance(t, TPow):
+        return TPow(_to_one(t.base, ones), t.exp)
+    if isinstance(t, (TMul, TComm, Eq, Ne)):
+        return type(t)(_to_one(t.left, ones), _to_one(t.right, ones))
+    return t
+
+
+def _fold_powers(literals) -> list:
+    """The literals with each *power literal*, whose sides are made of one
+    variable x and 1 by products and powers, folded by lemma 4 of
+    ``_compile_conjunction``.  With d the net exponent of x, an Eq becomes
+    1=1 and, if d != 0, sets x to 1 in every literal; an Ne becomes x!=1
+    if d != 0, else 1!=1."""
+    ones = set()
+    folded = []
+    for lit in literals:
+        if _built_from(lit.left, (One, Var)) and _built_from(lit.right, (One, Var)):
+            exponents = _exponents(lit.right, -1, _exponents(lit.left, 1, {}))
+            if len(exponents) == 1:
+                ((x, d),) = exponents.items()
+                if d and isinstance(lit, Eq):
+                    ones.add(x)
+                lit = type(lit)(x if d else ONE, ONE)
+        folded.append(lit)
+    return [_to_one(lit, ones) for lit in folded] if ones else folded
 
 
 def _commutator_sides(lit):
@@ -801,7 +835,7 @@ def _compile_term(t, env: GroupEnv, var_pos: dict, cur: list):
     right = _compile_term(t.right, env, var_pos, cur)
     if isinstance(t, TMul):
         return _combine(law.mul, left, right)
-    if _is_central(t.left) or _is_central(t.right):
+    if _built_from(t.left, (One, TComm)) or _built_from(t.right, (One, TComm)):
         return env.identity, None
     return _combine(law.comm, left, right)
 
@@ -828,11 +862,13 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
     given ``env.class_ball`` instead, and finds the same elements and
     words (lemma 3).
 
-    Literals without variables are decided here, once -- with the
-    commutator fold of ``_compile_term`` this decides CT(n >= 2), whose
-    chain compiles to 1, before any ball is built: search is None when
-    one of them is false.  Every other literal is checked at the level of
-    its last variable, in one of three ways.
+    Literals without variables are decided here, once, before any ball is
+    built: search is None when one of them is false.  With the commutator
+    fold of ``_compile_term`` this decides CT(n >= 2), whose chain
+    compiles to 1.  Power literals are folded first (``_fold_powers``,
+    lemma 4 below), which decides the negated ``zero_sq_qi``, x*x=1 &
+    x!=1, and ``torsion_free_qi(k)`` the same way.  Every other literal is
+    checked at the level of its last variable, in one of three ways.
 
     - A *row literal* [u,v]=1 or [u,v]!=1, whose sides u and v are each a
       variable or a constant, is decided per center class (lemma 1
@@ -908,7 +944,19 @@ def _compile_conjunction(literals, variables, env: GroupEnv):
     s-1.  By induction the class walk's frontier holds exactly those r,
     with the same words and in the same order, so it reaches the same
     classes at shell s, in the same order, with the same first elements
-    and words."""
+    and words.
+
+    *Lemma 4 (power literals):* a literal whose sides are made of one
+    variable x and 1 by products and powers says x^d = 1, where d is x's
+    net exponent, since the powers of x commute.  The group is
+    torsion-free (``GroupEnv``), so with d != 0 an Eq holds exactly when
+    x = 1 and an Ne exactly when x != 1; with d = 0 an Eq always holds and
+    an Ne never does.  An Eq with d != 0 leaves x one value, the identity,
+    at ball position 0 with word ``1``, so replacing x by 1 in every
+    literal keeps each satisfying assignment of the other variables.  x
+    then occurs nowhere, so it is blind, and its first value is position
+    0: the search finds the same first assignment as before."""
+    literals = _fold_powers(literals)
     nvars = len(variables)
     var_pos = {v: k for k, v in enumerate(variables)}
     cur: list = [None] * nvars  # the element chosen for each variable
@@ -1133,7 +1181,9 @@ def _search_ball(f, env: GroupEnv, bound: int, negate: bool) -> Verdict:
     constant anywhere in the matrix raises UnresolvedNameError, also where
     no search would evaluate it.  A disjunct whose variables are all blind
     searches ``env.class_ball``, any other the whole ball; a disjunct
-    that a literal without variables decides false builds neither."""
+    that a literal without variables decides false, after the commutator
+    fold and lemma 4 of ``_compile_conjunction`` (so the negated
+    ``zero_sq_qi`` and ``torsion_free_qi(k)``), builds neither."""
     blocks, matrix = _peel_quantifiers(f)
     variables = [v for _, vs in blocks for v in vs]
     searches = [

@@ -3,12 +3,13 @@ evaluation, and bounded quantifier search."""
 
 import itertools
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import classes_two_pass, corpus, first_by_brute_force, refute_by_brute_force
-from heislab import cli, formula, reprs, ut3
+from conftest import classes_two_pass, corpus, first_by_brute_force, refute_by_brute_force, ut3_env
+from heislab import cli, formula, nilform, reprs, ut3
 from heislab.formula import (
     A1,
     A2,
@@ -602,6 +603,14 @@ def test_search_conjunction_matches_brute_force(case):
         # at bound 0 the ball is {1}: the rows of a1 and a2 are off it
         ("H", 0, "[x,a1]=1 & [a2,y]=1 & [x,y]=1"),
         ("H", 0, "[x,a1]=1 & [a2,y]!=1"),
+        # power literals (lemma 4): d = e always holds, so x is a1; an Ne
+        # with d != e says x != 1; x^-2=1 sets x to 1 in [x,a1]!=1 too,
+        # which then fails, and in y=x, so y is 1
+        ("H", 2, "x^2=x^2 & [x,a2]!=1"),
+        ("H", 2, "x^3!=x & y=a1"),
+        ("H", 2, "x^-2=1 & [x,a1]!=1"),
+        ("zxz", 2, "x*x^2=x^-1*x & y=x"),
+        ("H", 1, "x^0!=x^0"),
     ],
 )
 def test_search_conjunction_matches_brute_force_on_fixed_cases(env_name, bound, matrix):
@@ -609,6 +618,91 @@ def test_search_conjunction_matches_brute_force_on_fixed_cases(env_name, bound, 
     variables = sorted(free_vars(parse(matrix)))
     env = _SEARCH_ENVS[env_name]()
     _assert_search_matches_brute_force(literals, variables, env, bound)
+
+
+_POWER_REPS = [cli.fixture(n) for n in sorted(cli.FIXTURES)] + corpus(6, seed=71)
+
+
+@cache
+def _power_envs(k: int):
+    """(the integer tuples' env, the matrices' env) of _POWER_REPS[k], made
+    once, so that each ball is built once per bound."""
+    return _POWER_REPS[k].env(), ut3_env(_POWER_REPS[k])
+
+
+@st.composite
+def _power_conjunctions(draw):
+    """(literals, variables, k, bound): ``_conjunctions``'s literals mixed
+    with one-variable power literals x^d=x^e and x^d!=x^e, d and e in
+    -3..3 (d = e too), on _POWER_REPS[k] at bounds 1-3.  A planted
+    assignment, if any, gives each variable the identity half the time.
+    Three variables where the ball has at most 17 elements, two where it
+    has at most 60, else one, so that the brute force stays small."""
+    k = draw(st.integers(0, len(_POWER_REPS) - 1))
+    bound = draw(st.integers(1, 3))
+    env, _ = _power_envs(k)
+    ball = env.ball(bound)
+    variables = ["x", "y", "z"][: 3 if len(ball) <= 17 else 2 if len(ball) <= 60 else 1]
+    element = st.just(ball[0]) | st.sampled_from(ball)
+    planted = draw(st.tuples(*[element for _ in variables]) | st.none())
+    words = None if planted is None else {v: w for v, (_, w) in zip(variables, planted)}
+    literals = []
+    for _ in range(draw(st.integers(1, 6))):
+        used = draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
+        kind = draw(st.sampled_from(["power", "power", "masked", "terms"]))
+        if kind == "power":
+            x, exps = Var(draw(st.sampled_from(used))), st.integers(-3, 3)
+            left, right = TPow(x, draw(exps)), TPow(x, draw(exps))
+        elif kind == "masked":
+            left, right = draw(_masked_sides(used, words))
+        else:
+            left = draw(_search_terms(used))
+            right = draw(st.one_of(st.just(ONE), _search_terms(used)))
+        if planted is None:
+            literals.append(draw(st.sampled_from([Eq, Ne]))(left, right))
+        else:
+            at = {v: e for v, (e, _) in zip(variables, planted)}
+            same = eval_term(left, env, at) == eval_term(right, env, at)
+            literals.append((Eq if same else Ne)(left, right))
+    return literals, variables, k, bound
+
+
+def _first_words(literals, variables, env, bound):
+    """The words of the search's first assignment on the ball, or None."""
+    search, _ = formula._compile_conjunction(literals, variables, env)
+    ball = env.ball(bound)
+    positions = search and search(ball, env.classes(bound))
+    return positions and [ball[p][1] for p in positions]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_power_conjunctions())
+def test_power_literal_fold_matches_brute_force(case):
+    # lemma 4 against eval_qf on every tuple, and the same search on the
+    # matrices through ElementLaw
+    literals, variables, k, bound = case
+    env, oracle = _power_envs(k)
+    _assert_search_matches_brute_force(literals, variables, env, bound)
+    assert _first_words(literals, variables, env, bound) == _first_words(
+        literals, variables, oracle, bound
+    )
+
+
+def _torsion_free_envs():
+    envs = [rep.env() for rep in _POWER_REPS]
+    gens = [(f"a{k}", nilform.generator(4, k)) for k in range(1, 5)]
+    envs.append(formula.GroupEnv(formula.ElementLaw(nilform.identity(4)), dict(gens[:2]), gens))
+    return envs
+
+
+@pytest.mark.parametrize("env", _torsion_free_envs(), ids=[*sorted(cli.FIXTURES), *"012345", "free4"])
+def test_groups_are_torsion_free(env):
+    # the premise of lemma 4, on the fixtures, corpus representations and
+    # the free class-2 group of rank 4 that discriminate uses
+    law = env.law
+    for g, word in env.ball(3):
+        for d in (1, 2, 3, 4, 5, -1, -2, -3, -4, -5):
+            assert (law.pow_int(g, d) == env.identity) == (g == env.identity), (word, d)
 
 
 @pytest.mark.parametrize("env_name", sorted(_SEARCH_ENVS))
@@ -723,12 +817,14 @@ def test_nzct_evaluates_each_pair_of_classes_at_most_once(monkeypatch, capsys):
 
 
 def test_pin_tests_the_literal_on_the_identity_class_only(monkeypatch, capsys):
-    # x*x=1 pins x to the classes whose square is central: on a
-    # torsion-free group, the identity's class alone
+    # x*x=[x,x] pins x to the classes whose square is central: on a
+    # torsion-free group, the identity's class alone.  (x*x=1 alone, as in
+    # zero_sq_qi, is folded by lemma 4 and pins nothing.)
     env = full_zxz_env()
     identity_class = env.law.coset_key(env.identity)
     calls = _count_calls(monkeypatch, "mul")
-    assert cli.main(["refute", "zero_sq_qi", "--example", "tau-fails-zxz", "--bound", "4"]) == 2
+    sentence = "forall x ( x*x=[x,x] -> x=1 )"
+    assert cli.main(["refute", sentence, "--example", "tau-fails-zxz", "--bound", "4"]) == 2
     assert capsys.readouterr().out == "inconclusive method=bounded_search bound=4\n"
     assert calls and all(x == y for x, y in calls)
     assert {env.law.coset_key(x) for x, _ in calls} == {identity_class}
@@ -772,14 +868,27 @@ def test_ct_past_one_commutator_builds_no_ball(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(cli.FIXTURES))
 def test_commutator_only_sentences_walk_the_class_ball(monkeypatch, name):
-    # every variable of these is blind; x in zero_sq_qi is not
+    # every variable of these is blind; x2 in CT(0), bare in x2!=1, is not
     env = cli.fixture(name).env()
     calls = _count_balls(monkeypatch)
     for sentence in ("NZCT", "CT(1)", "tau", "centralizer_qi"):
         refute_universal(builtin(sentence), env, 3)
     assert calls == {"ball": [], "class_ball": [3] * 4}
-    refute_universal(builtin("zero_sq_qi"), env, 3)
+    refute_universal(builtin("CT(0)"), env, 3)
     assert calls == {"ball": [3], "class_ball": [3] * 4}
+
+
+@pytest.mark.parametrize("rep", _POWER_REPS)
+def test_power_literals_build_no_ball(monkeypatch, rep):
+    # lemma 4: x*x=1 and x^k=1 set x to 1, so x!=1 is decided false
+    env = rep.env()
+    calls = _count_balls(monkeypatch)
+    names = ["zero_sq_qi"] + [f"torsion_free_qi({k})" for k in (1, 2, 3, 4, 5, -1, -2, -3, -4, -5)]
+    for name in names:
+        for bound in (1, 4):
+            out = refute_universal(builtin(name), env, bound)
+            assert out == Verdict("inconclusive", "bounded_search", bound=bound), name
+    assert calls == {"ball": [], "class_ball": []}
 
 
 @pytest.mark.parametrize("rep", [cli.fixture(n) for n in sorted(cli.FIXTURES)] + corpus(6, seed=71))
