@@ -361,7 +361,7 @@ def cmd_discriminate(args) -> int:
     }
 
     def text(doc):
-        yield f"{doc['status']} method=bounded_search"
+        yield f"{doc['status']} method=exact_certificate"
         for k, (p, q, r) in enumerate(doc["extra_images"], start=3):
             yield f"  a{k} -> a1^{p}*a2^{q}*[a2,a1]^{r}"
         yield from _arrow_lines(lines, doc["target_images"])

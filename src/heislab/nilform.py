@@ -250,7 +250,7 @@ def discriminate_to_H(targets) -> DiscriminationCertificate:
     all exponents are 0.
 
     The forms are the terms of the entries that multiplying out the
-    generic images gives, so every value tried and taken is the one that
+    generic images gives, so every exponent taken is the one that
     product would give.  The target images are the forms evaluated at the
     chosen point.
     """

@@ -546,9 +546,10 @@ def big_powers_retraction(
     target keeps a nonzero entry, a polynomial in the indeterminate over a
     product of domains, so ``rings.nonvanishing_point`` finds n with
     n <= 1 + D, where D is the sum over the targets of the largest degree of
-    an entry in the indeterminate.  It tries each value by integer
-    evaluation, so the only substitutions are the three per target that
-    make the certificate's retracted targets."""
+    an entry in the indeterminate.  It reads n off the integer roots of the
+    entries' coefficient lists, checked by integer evaluation, with work
+    linear in the targets however large n is; the only substitutions are
+    the three per target that make the certificate's retracted targets."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     if name is None:

@@ -933,6 +933,21 @@ def test_big_powers_substitutes_only_for_the_certificate(monkeypatch, k, first):
     assert all(not g.is_identity() for g in cert.retracted_targets)
 
 
+@pytest.mark.parametrize("k", [40, 200])
+def test_big_powers_work_is_linear_in_the_targets(monkeypatch, k):
+    # the targets t*a1^-j, j = 1, ..., k, die at theta = j, so n = k + 1.
+    # Trying 1, 2, ... in turn evaluates about k^2/2 coefficient lists; the
+    # root sets evaluate each target's list a bounded number of times
+    rep2 = extend_centralizer(heisenberg(), 1, "theta")
+    _, t = rep2.generators[-1]
+    targets = [t * a1(rep2.ring).pow_int(-j) for j in range(1, k + 1)]
+    calls = []
+    horner = rings._horner
+    monkeypatch.setattr(rings, "_horner", lambda *args: calls.append(args) or horner(*args))
+    assert big_powers_retraction(rep2, targets, 1).n == k + 1
+    assert len(calls) <= 4 * k
+
+
 def test_big_powers_identity_target_rejected():
     rep2 = extend_centralizer(heisenberg(), 1, "theta")
     from heislab.ut3 import identity

@@ -528,11 +528,12 @@ def _shaped_elems(ring):
     )
 
 
-def _vanishing_factor(ring, name, roots):
-    """The product of (name - a) over the roots in each component that
-    carries name, and 0 in every other component: it dies at each root."""
+def _vanishing_factor(ring, name, factors):
+    """The product of c*name - b over the (c, b) in ``factors`` in each
+    component that carries name, and 0 in every other component: it dies
+    at each integer b/c, and a factor with c not dividing b dies nowhere."""
     out = RingElem.one(ring)
-    for a in roots:
+    for c, b in factors:
         parts = []
         for names in ring.components:
             zero = (0,) * len(names)
@@ -540,9 +541,23 @@ def _vanishing_factor(ring, name, roots):
                 parts.append(())
                 continue
             x = tuple(int(n == name) for n in names)
-            parts.append(((zero, -a), (x, 1)) if a else ((x, 1),))
+            parts.append(((zero, -b), (x, c)) if b else ((x, c),))
         out = out * RingElem(ring, tuple(parts))
     return out
+
+
+@st.composite
+def _factor(draw, start):
+    """(c, b) for a factor c*x - b: (x - a) or a scaled c*(x - a) with a
+    root a from ``start`` on, or c*x - b with no integer root."""
+    a = draw(st.integers(start, start + 3))
+    kind = draw(st.sampled_from(["root", "scaled", "rootless"]))
+    if kind == "root":
+        return 1, a
+    c = draw(st.sampled_from([-3, -2, 2, 3]))
+    if kind == "scaled":
+        return c, c * a
+    return c, c * a + draw(st.integers(1, abs(c) - 1))
 
 
 @st.composite
@@ -556,8 +571,8 @@ def _killable_groups(draw, ring, names, start):
         carried = [n for n in names if any(n in c for c in ring.components)]
         if carried and draw(st.booleans()):
             name = draw(st.sampled_from(carried))
-            roots = draw(st.lists(st.integers(start, start + 3), min_size=1, max_size=3))
-            factor = _vanishing_factor(ring, name, roots)
+            factors = draw(st.lists(_factor(start), min_size=1, max_size=3))
+            factor = _vanishing_factor(ring, name, factors)
             r = factor if r.is_zero() else r * factor
         return r
 
@@ -578,7 +593,7 @@ def test_nonvanishing_point_matches_trial_substitution(ring, data):
     names = [n for c in ring.components for n in c]
     names = data.draw(st.permutations(list(dict.fromkeys(names)) + ["v"]))
     names = names[: data.draw(st.integers(1, len(names)))]
-    start = data.draw(st.sampled_from([0, 1]))
+    start = data.draw(st.integers(-3, 1))
     groups = data.draw(_killable_groups(ring, names, start))
     assert nonvanishing_point(terms_of(groups, names), names, start) == nonvanishing_point_oracle(
         groups, names, start
@@ -596,3 +611,43 @@ def test_nonvanishing_point_skips_several_dead_values():
         want = nonvanishing_point_oracle(groups, ["t", "s"], start)
         assert nonvanishing_point(terms_of(groups, ["t", "s"]), ["t", "s"], start) == want
     assert want == {"t": 2, "s": 1}
+
+
+BIG = 10**39 + 7  # 40 digits
+
+
+@pytest.mark.parametrize(
+    "groups, start, want",
+    [
+        # two roots in the window: each start in turn
+        *(([["(theta-2)*(theta-5)"]], s, w) for s, w in zip(range(1, 7), (1, 3, 3, 4, 6, 6))),
+        # a scaled line with an integer root, and one without
+        ([["2*theta-6"], ["2*theta-3"]], 3, 4),
+        ([["2*theta-6", "2*theta-3"]], 3, 3),
+        ([["2*theta-3"]], 1, 1),
+        # the constant term 0: the roots 0 and -1
+        ([["theta^2*(theta+1)"]], -1, 1),
+        # roots far outside the window [start, start + D]
+        ([[f"(theta-{BIG})*(theta-1)"]], 1, 2),
+        ([[f"theta-{BIG}"], [f"theta^2-{BIG}*theta"]], 0, 1),
+        ([[f"(theta-1)*(theta-{BIG})"], [f"(theta-2)*(theta+{BIG})"]], 1, 3),
+    ],
+)
+def test_nonvanishing_point_fixed_cases(groups, start, want):
+    groups = [[parse_elem(ZTH, r) for r in group] for group in groups]
+    names = ["theta"]
+    got = nonvanishing_point(terms_of(groups, names), names, start)
+    assert got == nonvanishing_point_oracle(groups, names, start) == {"theta": want}
+
+
+def test_nonvanishing_point_least_slice_roots_need_every_slice():
+    # in t, r = (t - 1) + s*(t - 2)*(t - 3) has the slices t - 1 and
+    # (t - 2)*(t - 3); the least one dies at 1, where the other does not.
+    # With (t - 2) + s*(t - 2)*(t - 4) the least one's root 2 is shared.
+    # The group [t] dies at the start 0, so the roots are looked at.
+    ring = parse_ring("Z[t,s]")
+    r, q, t = (parse_elem(ring, x) for x in ("t-1+s*(t-2)*(t-3)", "t-2+s*(t-2)*(t-4)", "t"))
+    cases = (([[r]], 1, 1), ([[r], [t]], 0, 1), ([[q]], 2, 3), ([[r], [q]], 1, 1), ([[r], [q], [t]], 0, 1))
+    for groups, start, want in cases:
+        got = nonvanishing_point(terms_of(groups, ["t"]), ["t"], start)
+        assert got == nonvanishing_point_oracle(groups, ["t"], start) == {"t": want}
