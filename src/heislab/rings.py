@@ -383,18 +383,12 @@ def terms_of(groups, names) -> list[list[dict]]:
     return out
 
 
-def _split(terms: dict, k: int) -> dict | None:
+def _split(terms: dict, k: int) -> dict:
     """The slices of an element in names[k] once names[:k] are substituted
     away: one coefficient list, indexed by the degree in names[k], per
     (component, rest of the monomial).  No index below k is left, so
     names[k], where it occurs, leads its monomial and is split off the
-    front.  None when names[k] occurs nowhere: the element is then a
-    nonzero constant in it, alive at every value and its own image."""
-    for _, mono in terms:
-        if mono and mono[0][0] == k:
-            break
-    else:
-        return None
+    front."""
     out = {}
     for (j, mono), c in terms.items():
         d = mono[0][1] if mono and mono[0][0] == k else 0
@@ -415,65 +409,55 @@ def _horner(coeffs: list[int], x: int) -> int:
     return v
 
 
-def _root_candidates(c: list[int], lo: int, hi: int) -> list[int]:
-    """Integers in [lo, hi] among which lie all the integer roots of the
-    nonzero coefficient list ``c``: none for a constant, -c0/c1 for a line
-    [c0, c1], and for higher degrees 0 when the constant term is 0 and the
-    divisors of the lowest nonzero coefficient (the rational root theorem:
-    an integer root v != 0 of x^m * q with q(0) != 0 divides q(0))."""
-    if len(c) == 1:
-        return []
-    if len(c) == 2:
-        root, rest = divmod(-c[0], c[1])
-        return [root] if not rest and lo <= root <= hi else []
-    low = next(filter(None, c))
-    bound = abs(low)
-    out = [v for v in range(max(lo, -bound), min(hi, bound) + 1) if v and not low % v]
-    if not c[0] and lo <= 0 <= hi:
-        out.append(0)
-    return out
+def _least_live(sliced, start: int) -> int:
+    """The least integer >= start at which every group of sliced elements
+    keeps a nonzero slice.
 
+    A group dies at v only if its slice of least degree vanishes there, so
+    only that slice's integer roots are checked, each with Horner's rule
+    on every slice of the group.  A constant has none.  A line [c0, c1] has
+    at most -c0/c1, found at once.  For a higher degree the walk up from
+    ``start`` tests each value it reaches: 0 is a root candidate when the
+    constant term is 0, and v != 0 when it divides the lowest nonzero
+    coefficient (the rational root theorem: an integer root v != 0 of
+    x^m * q with q(0) != 0 divides q(0))."""
+    lines = {}  # a line's integer root >= start -> the groups it may kill
+    curves = []  # (constant term, lowest nonzero coefficient, group)
+    for group in sliced:
+        c = min((c for s in group for c in s.values()), key=len)
+        if len(c) == 2:
+            root, rest = divmod(-c[0], c[1])
+            if not rest and root >= start:
+                lines.setdefault(root, []).append(group)
+        elif len(c) > 2:
+            curves.append((c[0], next(filter(None, c)), group))
 
-def _least_live(groups: list[list[list[int]]], start: int) -> int:
-    """The least integer >= start at which every group, a list of
-    coefficient lists, keeps one that is nonzero.  A group dies only at
-    integer roots of its list of least degree, so only those candidates
-    are checked, each on every list of its group, and only until the first
-    value that no group dies at."""
-    least = [(group, min(group, key=len)) for group in groups]
-    hi = start + sum(len(c) - 1 for _, c in least)
-    dying = {}  # candidate value -> the groups that may die there
-    for group, c in least:
-        for v in _root_candidates(c, start, hi):
-            dying.setdefault(v, []).append(group)
+    def dies(group):
+        return not any(_horner(c, value) for s in group for c in s.values())
+
     value = start
-    while any(not any(_horner(c, value) for c in group) for group in dying.get(value, ())):
+    while any(map(dies, lines.get(value, ()))) or any(
+        dies(group) for c0, low, group in curves if (not low % value if value else not c0)
+    ):
         value += 1
     return value
 
 
 def _images(sliced, value: int):
-    """The groups of (element, slices) pairs with the name set to
-    ``value``, in the term format, or None as soon as a group has no
-    nonzero element left."""
+    """The groups of sliced elements with the name set to ``value``, in
+    the term format, or None as soon as a group has no nonzero element
+    left."""
     images = []
     for group in sliced:
         image = []
-        for terms, s in group:
-            if s is not None:
-                terms = {key: v for key, c in s.items() if (v := _horner(c, value))}
+        for s in group:
+            terms = {key: v for key, c in s.items() if (v := _horner(c, value))}
             if terms:
                 image.append(terms)
         if not image:
             return None
         images.append(image)
     return images
-
-
-def _mortal(sliced) -> list[list[list[int]]]:
-    """The slices of each group that can die: one whose every element has
-    the name."""
-    return [[c for _, s in group for c in s.values()] for group in sliced if all(s for _, s in group)]
 
 
 def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
@@ -490,45 +474,42 @@ def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
     Each element is split once per name into its slices (``_split``), and
     an element vanishes at a value exactly when each of its slices, a list
     of integer coefficients, vanishes there, which Horner's rule decides
-    on plain ints.  An element without the name never vanishes, so only a
-    group whose every element has the name can die (``_mortal``).
-    ``start`` is checked first and taken when it keeps every group alive.
-    Otherwise the value is read off the groups' integer root sets
-    (``_least_live``): a group dies at v exactly when all of its slices
-    vanish at v, so each of its dead values is an integer root of its
-    slice of least degree (``_root_candidates``), and a candidate is
-    checked with Horner's rule on every slice of its group.  The value is
-    the least integer >= ``start`` in no group's dead set.  A loop trying
-    start, start + 1, ... in turn takes exactly the values in no dead set,
-    so it would take the same value first.  Where a later name follows,
-    the substituted elements are the slices evaluated once at the chosen
-    value, still in the term format.
+    on plain ints.  So a group dies at v exactly when all of its slices
+    vanish at v, and each of its dead values is an integer root of its
+    slice of least degree.  The value is read off these root sets
+    (``_least_live``): the least integer >= ``start`` in no group's dead
+    set, where each candidate root is checked on every slice of its group.
+    A loop trying start, start + 1, ... in turn takes exactly the values
+    in no dead set, so it would take the same value first.  For every name
+    but the last the substituted elements are the slices evaluated once at
+    the chosen value, still in the term format; that pass is made at
+    ``start`` first, and when it keeps every group alive ``start`` is
+    taken with no root looked for.
 
     Termination and the window (the one-variable case of Alon's
     Combinatorial Nullstellensatz): the least slice of a group is a
     nonzero integer polynomial in the name of some degree d, so it has at
     most d roots and the group at most d dead values.  At most D = the sum
-    of these degrees are dead, so one of start, ..., start + D is taken,
-    and no candidate above start + D is looked for.  D is at most the sum
-    over groups of the largest degree of an element in the name.
+    of these degrees are dead, so one of start, ..., start + D is taken:
+    the walk of ``_least_live`` reaches no value above start + D.  D is at
+    most the sum over groups of the largest degree of an element in the
+    name.
     """
     groups = [[terms for terms in group if terms] for group in groups]
     if not all(groups):
         raise ValueError("every group needs a nonzero element")
     point = {}
     for k, name in enumerate(names):
-        sliced = [[(terms, _split(terms, k)) for terms in group] for group in groups]
-        value = start
+        sliced = [[_split(terms, k) for terms in group] for group in groups]
         if k == len(names) - 1:
             # the last name: nothing is substituted
-            mortal = _mortal(sliced)
-            if not all(any(_horner(c, value) for c in group) for group in mortal):
-                value = _least_live(mortal, start)
-        else:
+            point[name] = _least_live(sliced, start)
+            break
+        value = start
+        groups = _images(sliced, value)
+        if groups is None:
+            value = _least_live(sliced, start)
             groups = _images(sliced, value)
-            if groups is None:
-                value = _least_live(_mortal(sliced), start)
-                groups = _images(sliced, value)
         point[name] = value
     return point
 

@@ -643,11 +643,40 @@ def test_nonvanishing_point_fixed_cases(groups, start, want):
 def test_nonvanishing_point_least_slice_roots_need_every_slice():
     # in t, r = (t - 1) + s*(t - 2)*(t - 3) has the slices t - 1 and
     # (t - 2)*(t - 3); the least one dies at 1, where the other does not.
-    # With (t - 2) + s*(t - 2)*(t - 4) the least one's root 2 is shared.
-    # The group [t] dies at the start 0, so the roots are looked at.
+    # With (t - 2) + s*(t - 2)*(t - 4) the least one's root 2 is shared,
+    # and the group [t] dies at the start 0.
     ring = parse_ring("Z[t,s]")
     r, q, t = (parse_elem(ring, x) for x in ("t-1+s*(t-2)*(t-3)", "t-2+s*(t-2)*(t-4)", "t"))
     cases = (([[r]], 1, 1), ([[r], [t]], 0, 1), ([[q]], 2, 3), ([[r], [q]], 1, 1), ([[r], [q], [t]], 0, 1))
     for groups, start, want in cases:
         got = nonvanishing_point(terms_of(groups, ["t"]), ["t"], start)
         assert got == nonvanishing_point_oracle(groups, ["t"], start) == {"t": want}
+
+
+class _Counted(int):
+    """An int that counts the remainders taken of it in ``taken``."""
+
+    taken = []
+
+    def __mod__(self, other):
+        self.taken.append(other)
+        return int(self) % other
+
+
+@pytest.mark.parametrize("k", [40, 200])
+def test_nonvanishing_point_work_on_curves_is_linear(monkeypatch, k):
+    # the groups j*(theta^2 + M), j = 1, ..., k, never die, and theta - 1
+    # kills the start 1, so the value is 2.  Only the values the walk
+    # reaches are tested against a curve's lowest coefficient: the line
+    # rules 1 out first, and at 2 each curve takes one remainder and, where
+    # 2 divides it, one Horner call.  Testing every value of the window
+    # [start, start + D], D = 2k + 1, would take about 2k^2 remainders.
+    M = 10**6 + 1
+    curves = [[{(0, ()): _Counted(j * M), (0, ((0, 2),)): _Counted(j)}] for j in range(1, k + 1)]
+    groups = [*curves, [{(0, ()): -1, (0, ((0, 1),)): 1}]]
+    calls = []
+    horner = rings._horner
+    monkeypatch.setattr(rings, "_horner", lambda *args: calls.append(args) or horner(*args))
+    monkeypatch.setattr(_Counted, "taken", [])
+    assert nonvanishing_point(groups, ["theta"], 1) == {"theta": 2}
+    assert len(_Counted.taken) + len(calls) <= 4 * k
