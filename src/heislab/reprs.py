@@ -547,9 +547,10 @@ def big_powers_retraction(
     product of domains, so ``rings.nonvanishing_point`` finds n with
     n <= 1 + D, where D is the sum over the targets of the largest degree of
     an entry in the indeterminate.  It reads n off the integer roots of the
-    entries' coefficient lists, checked by integer evaluation, with work
-    linear in the targets however large n is; the only substitutions are
-    the three per target that make the certificate's retracted targets."""
+    entries' coefficient lists, checked by integer evaluation; when the
+    entries are linear in the indeterminate the work is linear in the
+    targets however large n is.  The only substitutions are the three per
+    target that make the certificate's retracted targets."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     if name is None:
