@@ -345,8 +345,7 @@ def cmd_discriminate(args) -> int:
         raise UsageError(f"generator index above {MAX_GENERATORS}")
     env = formula.GroupEnv(
         formula.ElementLaw(nilform.identity(n)),
-        {"a1": nilform.generator(n, 1), "a2": nilform.generator(n, 2)},
-        [(f"a{k}", nilform.generator(n, k)) for k in range(1, n + 1)],
+        [("a1", nilform.generator(n, 1)), ("a2", nilform.generator(n, 2))],
     )
     assignment = {f"a{k}": nilform.generator(n, k) for k in range(3, n + 1)}
     targets = [formula.eval_term(t, env, assignment) for t in terms]

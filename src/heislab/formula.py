@@ -22,6 +22,7 @@ refutation; an exhausted bound never is.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -136,19 +137,17 @@ _TOKEN_RE = re.compile(
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
-def _tokenize(text: str):
-    tokens = []
+def _tokenize(text: str) -> list[str]:
+    tokens = _TOKEN_RE.findall(text)
+    # findall skips what no token matches, so the tokens cover the text up
+    # to blanks iff they hold all of its non-blank characters
+    if sum(map(len, tokens)) == len("".join(text.split())):
+        return tokens
     pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaParseError(f"bad character at offset {pos}: {text[pos:pos+10]!r}")
-        tokens.append((m.group(1), pos))
+    while m := _TOKEN_RE.match(text, pos):
         pos = m.end()
-    return tokens
+    pos = len(text) - len(text[pos:].lstrip())
+    raise FormulaParseError(f"bad character at offset {pos}: {text[pos:pos+10]!r}")
 
 
 class _Parser:
@@ -160,12 +159,12 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = [*_tokenize(text), None]  # None ends the input
         self.i = 0
         self.depth = 0  # groups open around the current token
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def next(self) -> str:
         tok = self.peek()
@@ -174,12 +173,15 @@ class _Parser:
         self.i += 1
         return tok
 
+    def offset(self) -> int:
+        """The current token's offset in the text, or the text's length at
+        its end, from a second pass that only error messages pay for."""
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        return [*starts, len(self.text)][self.i]
+
     def expect(self, tok: str):
-        got, pos = (
-            self.tokens[self.i] if self.i < len(self.tokens) else (None, len(self.text))
-        )
-        if got != tok:
-            raise FormulaParseError(f"expected {tok!r} at offset {pos}, got {got!r}")
+        if (got := self.peek()) != tok:
+            raise FormulaParseError(f"expected {tok!r} at offset {self.offset()}, got {got!r}")
         self.i += 1
 
     def node(self, node, *below: int):
@@ -333,7 +335,7 @@ def parse(text: str):
     p = _Parser(text)
     out, _ = p.sentence()
     if p.peek() is not None:
-        raise FormulaParseError(f"trailing input at {p.tokens[p.i][1]}")
+        raise FormulaParseError(f"trailing input at {p.offset()}")
     return out
 
 
@@ -341,7 +343,7 @@ def parse_term(text: str):
     p = _Parser(text)
     out, _ = p.term()
     if p.peek() is not None:
-        raise FormulaParseError(f"trailing input at {p.tokens[p.i][1]}")
+        raise FormulaParseError(f"trailing input at {p.offset()}")
     return out
 
 
@@ -475,6 +477,10 @@ def classify(f) -> str:
 # ---------------------------------------------------------------------------
 # DNF
 
+# The most disjuncts a matrix may distribute into: k two-literal clauses
+# make 2^k, all built before any search starts.
+MAX_DISJUNCTS = 4096
+
 
 def _nnf_literals(f, negate: bool):
     """Negation normal form as nested And/Or over Eq/Ne literals."""
@@ -514,10 +520,22 @@ def _distribute(f) -> list[list]:
     raise FormulaError(f"unexpected node in NNF: {f!r}")
 
 
+def _count_disjuncts(f) -> int:
+    """The number of disjuncts ``_distribute`` makes of an NNF formula."""
+    if isinstance(f, Or):
+        return sum(map(_count_disjuncts, f.items))
+    if isinstance(f, And):
+        return math.prod(map(_count_disjuncts, f.items))
+    return 1
+
+
 def dnf_disjuncts(matrix, negate: bool = False) -> list[list]:
     if not _is_qf(matrix):
         raise FormulaError("dnf_disjuncts requires a quantifier-free matrix")
-    return _distribute(_nnf_literals(matrix, negate))
+    nnf = _nnf_literals(matrix, negate)
+    if _count_disjuncts(nnf) > MAX_DISJUNCTS:
+        raise FormulaError(f"the matrix has more than {MAX_DISJUNCTS} disjuncts in DNF")
+    return _distribute(nnf)
 
 
 # ---------------------------------------------------------------------------
@@ -561,99 +579,76 @@ class GroupEnv:
     lie in sums of torsion-free rings, x^d = 1 makes d times x's image in
     G/N zero, so x is in N, where x^d is d times x.
     ``Representation.env`` uses a ``ut3.Class2Law`` on integer tuples;
-    elements with their own methods use ``ElementLaw``.  a1 and a2 must be
-    present in the constant table.
+    elements with their own methods use ``ElementLaw``.
+
+    ``generators`` are (name, element) pairs, a1 and a2 among them; they
+    are the letters of the ball's words and the named constants.
 
     A *center class* is the set of ball elements with one coset_key.
-    ``classes`` maps each class's coset_key to its ball positions, and
-    ``class_ball`` walks the first element of each class alone; each is
-    computed once per bound.
+    ``ball``, ``classes`` and ``class_ball`` read one breadth-first walk,
+    made once per bound and kind, whose frontier keeps each new element
+    for the ball and each new coset_key for the class ball.
     """
 
-    def __init__(self, law, constants: dict, generators: list):
-        if "a1" not in constants or "a2" not in constants:
-            raise ValueError("constant table must contain a1 and a2")
+    def __init__(self, law, generators: list):
+        self.constants = dict(generators)
+        if "a1" not in self.constants or "a2" not in self.constants:
+            raise ValueError("generators must include a1 and a2")
         self.law = law
         self.identity = law.identity
-        self.constants = dict(constants)
-        self.generators = list(generators)  # (name, element) pairs
-        self._balls: dict[int, list] = {}
-        self._classes: dict[int, dict] = {}
-        self._class_balls: dict[int, tuple] = {}
+        self.generators = list(generators)
+        self._walks: dict[tuple[int, bool], tuple[list, dict]] = {}
 
-    def _letters(self) -> list:
-        """(x -> x*g, name) for each generator g and then its inverse."""
+    def _walk(self, bound: int, by_class: bool) -> tuple[list, dict]:
+        """``ball`` and ``classes``, or with ``by_class`` ``class_ball``: BFS
+        over words in each generator and then its inverse, whose frontier
+        keeps each new element, or each new coset_key's first element alone
+        (lemma 3 of ``_compile_conjunction``)."""
+        if (bound, by_class) in self._walks:
+            return self._walks[bound, by_class]
         law = self.law
         letters = []
         for name, g in self.generators:
             letters.append((law.right_mul(g), name))
             letters.append((law.right_mul(law.inv(g)), name + "^-1"))
-        return letters
-
-    def ball(self, bound: int) -> list:
-        """Distinct elements of word length <= bound over the generators,
-        as (element, word) pairs in canonical BFS order."""
-        if bound in self._balls:
-            return self._balls[bound]
-        letters = self._letters()
-        coset_key = self.law.coset_key
-        seen = {self.identity: "1"}
-        classes = {coset_key(self.identity): [0]}
-        frontier = [self.identity]
-        for _ in range(bound):
-            nxt = []
-            for e in frontier:
-                word = seen[e]
-                for step, name in letters:
-                    e2 = step(e)
-                    if e2 not in seen:
-                        positions = classes.get(key := coset_key(e2))
-                        if positions is None:
-                            classes[key] = [len(seen)]
-                        else:
-                            positions.append(len(seen))
-                        seen[e2] = name if word == "1" else word + "*" + name
-                        nxt.append(e2)
-            frontier = nxt
-        out = list(seen.items())
-        self._balls[bound] = out
-        self._classes[bound] = classes
-        return out
-
-    def classes(self, bound: int) -> dict:
-        """The center classes of the ball: each coset_key maps to its ball
-        positions in ascending order, in the order of first positions.
-        ``ball`` records them as it adds each element."""
-        if bound not in self._classes:
-            self.ball(bound)
-        return self._classes[bound]
-
-    def class_ball(self, bound: int) -> tuple[list, dict]:
-        """(pairs, classes): the (element, word) pair of the first element
-        of each center class of ``ball(bound)``, in class order, and the
-        map from each class's coset_key to [its index in pairs].  The walk
-        is ``ball``'s, but its frontier keeps only the first element of
-        each new class, so it never builds the whole ball (lemma 3 of
-        ``_compile_conjunction``)."""
-        if bound in self._class_balls:
-            return self._class_balls[bound]
-        letters = self._letters()
-        coset_key = self.law.coset_key
+        coset_key = law.coset_key
         pairs = [(self.identity, "1")]
         classes = {coset_key(self.identity): [0]}
+        seen = classes if by_class else {self.identity}  # what the frontier deduplicates
         frontier = pairs[:]
         for _ in range(bound):
             nxt = []
             for e, word in frontier:
                 for step, name in letters:
                     e2 = step(e)
-                    if (key := coset_key(e2)) not in classes:
-                        classes[key] = [len(pairs)]
-                        pairs.append((e2, name if word == "1" else word + "*" + name))
-                        nxt.append(pairs[-1])
+                    if (mark := coset_key(e2) if by_class else e2) in seen:
+                        continue
+                    if by_class:
+                        classes[mark] = [len(pairs)]
+                    else:
+                        seen.add(e2)
+                        classes.setdefault(coset_key(e2), []).append(len(pairs))
+                    pairs.append((e2, name if word == "1" else word + "*" + name))
+                    nxt.append(pairs[-1])
             frontier = nxt
-        self._class_balls[bound] = pairs, classes
+        self._walks[bound, by_class] = pairs, classes
         return pairs, classes
+
+    def ball(self, bound: int) -> list:
+        """Distinct elements of word length <= bound over the generators,
+        as (element, word) pairs in canonical BFS order."""
+        return self._walk(bound, False)[0]
+
+    def classes(self, bound: int) -> dict:
+        """The center classes of the ball: each coset_key maps to its ball
+        positions in ascending order, in the order of first positions."""
+        return self._walk(bound, False)[1]
+
+    def class_ball(self, bound: int) -> tuple[list, dict]:
+        """(pairs, classes): the (element, word) pair of the first element
+        of each center class of ``ball(bound)``, in class order, and the
+        map from each class's coset_key to [its index in pairs]."""
+        return self._walk(bound, True)
 
 
 def eval_term(t, env: GroupEnv, assignment: dict):

@@ -166,9 +166,14 @@ class DiscriminationCertificate:
     """A retraction F_n(N_2) -> H that kills none of the targets, with the
     verified nonidentity images."""
 
-    hom: Hom
     extra_images: tuple[tuple[int, int, int], ...]  # (p, q, r) per generator > 2
     target_images: tuple[UT3Elem, ...]
+
+    @functools.cached_property
+    def hom(self) -> Hom:
+        """a1, a2 fixed and a_k -> a1^p a2^q c^r, built on first use."""
+        images = [ut3.a1(Z), ut3.a2(Z)] + [ut3.elem(Z, q, r, p) for p, q, r in self.extra_images]
+        return Hom(images, ut3.identity(Z))
 
     def verify(self, targets) -> bool:
         if len(targets := list(targets)) != len(self.target_images):
@@ -270,6 +275,5 @@ def discriminate_to_H(targets) -> DiscriminationCertificate:
     point = rings.nonvanishing_point(forms, names)
     values = [point[v] for v in names]
     exps = tuple(tuple(values[i : i + 3]) for i in range(0, len(values), 3))
-    hom = Hom([ut3.a1(Z), ut3.a2(Z)] + [ut3.elem(Z, q, r, p) for p, q, r in exps], ut3.identity(Z))
     images = tuple(ut3.elem(Z, *(_evaluate(f, values) for f in fs)) for fs in forms)
-    return DiscriminationCertificate(hom, exps, images)
+    return DiscriminationCertificate(exps, images)

@@ -155,7 +155,7 @@ class Representation:
         does the arithmetic, so the bounded search hashes and compares
         plain tuples; ``law.to_ut3`` gives the matrix back."""
         gens = [(name, g) for (name, _), g in zip(self.generators, self.law_generators)]
-        return GroupEnv(self.law, dict(gens), gens)
+        return GroupEnv(self.law, gens)
 
     # the EntryLattices, built once; entry_lattices is looked up at call
     # time, so wrappers installed on the module see the call

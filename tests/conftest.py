@@ -287,8 +287,28 @@ def ut3_env(rep: reprs.Representation) -> formula.GroupEnv:
     """The group environment over the matrices themselves: UT3Elem and
     RingElem arithmetic, which Representation.env's integer class-2
     coordinates replace."""
-    gens = list(rep.generators)
-    return formula.GroupEnv(formula.ElementLaw(ut3.identity(rep.ring)), dict(gens), gens)
+    return formula.GroupEnv(formula.ElementLaw(ut3.identity(rep.ring)), rep.generators)
+
+
+def shortlex_firsts(env: formula.GroupEnv, bound: int) -> tuple[list, list]:
+    """GroupEnv.ball(bound) and the pairs of GroupEnv.class_ball(bound)
+    without a breadth-first walk: every word of length <= bound in
+    shortlex order, the letters being each generator and then its inverse,
+    evaluated by law.mul, keeping the first word of each element and of
+    each coset_key.  A BFS word is its element's shortlex-least word, so
+    the lists agree with the walks pair for pair, words included."""
+    law = env.law
+    letters = []
+    for name, g in env.generators:
+        letters += [(name, g), (name + "^-1", law.pow_int(g, -1))]
+    elements, classes = {}, {}
+    for length in range(bound + 1):
+        for word in itertools.product(letters, repeat=length):
+            e = functools.reduce(law.mul, (g for _, g in word), env.identity)
+            text = "*".join(name for name, _ in word) or "1"
+            elements.setdefault(e, text)
+            classes.setdefault(law.coset_key(e), (e, text))
+    return list(elements.items()), list(classes.values())
 
 
 def classes_two_pass(env: formula.GroupEnv, bound: int) -> list:

@@ -357,6 +357,14 @@ def test_discriminate_identity_target(capsys, tmp_path):
     assert code == 3
 
 
+def test_discriminate_names_no_constant_past_a2(capsys, tmp_path):
+    # a3 is a generator, read as a variable; only a1 and a2 are constants
+    targets = tmp_path / "nil.txt"
+    targets.write_text("a3\n@a3*a1\n")
+    code, out, err = run(capsys, "discriminate", "--targets", str(targets))
+    assert (code, out, err) == (3, "", "error: unknown constant 'a3'\n")
+
+
 def test_appropriate(capsys):
     code, out, _ = run(capsys, "appropriate", "--example", "ztheta-lame", "--degree", "1")
     assert code == 0

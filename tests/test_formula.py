@@ -8,7 +8,14 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import classes_two_pass, corpus, first_by_brute_force, refute_by_brute_force, ut3_env
+from conftest import (
+    classes_two_pass,
+    corpus,
+    first_by_brute_force,
+    refute_by_brute_force,
+    shortlex_firsts,
+    ut3_env,
+)
 from heislab import cli, formula, nilform, reprs, ut3
 from heislab.formula import (
     A1,
@@ -306,6 +313,29 @@ def test_dnf_equivalent_by_truth_table():
             assert _eval_bool(f, values) == any(
                 all(_eval_bool(x, values) for x in d) for d in disjuncts
             )
+
+
+def _clauses(k: int, clause: str) -> str:
+    return " & ".join([clause] * k)
+
+
+def test_dnf_past_the_cap_is_an_error(monkeypatch, capsys):
+    # k two-literal clauses distribute into 2^k disjuncts; 2^12 is the cap
+    matrix = parse(_clauses(12, "(x=1|[x,a1]=1)"))
+    assert len(dnf_disjuncts(matrix)) == formula.MAX_DISJUNCTS == 4096
+    # the count is read off the NNF, before any disjunct is built
+    monkeypatch.setattr(formula, "_distribute", None)
+    with pytest.raises(formula.FormulaError, match="more than 4096 disjuncts"):
+        dnf_disjuncts(parse(_clauses(13, "(x=1|[x,a1]=1)")))
+    # or negated, as refute distributes
+    with pytest.raises(formula.FormulaError, match="more than 4096 disjuncts"):
+        dnf_disjuncts(parse(" | ".join(["(x!=1 & [x,a1]!=1)"] * 13)), negate=True)
+    for argv in (
+        ["witness", f"exists x ( {_clauses(16, '(x=1|[x,a1]=1)')} )"],
+        ["refute", f"forall x ( {' | '.join(['(x!=1 & [x,a1]!=1)'] * 16)} )"],
+    ):
+        assert cli.main([*argv, "--bound", "1"]) == 3
+        assert capsys.readouterr().err == "error: the matrix has more than 4096 disjuncts in DNF\n"
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +721,7 @@ def test_power_literal_fold_matches_brute_force(case):
 def _torsion_free_envs():
     envs = [rep.env() for rep in _POWER_REPS]
     gens = [(f"a{k}", nilform.generator(4, k)) for k in range(1, 5)]
-    envs.append(formula.GroupEnv(formula.ElementLaw(nilform.identity(4)), dict(gens[:2]), gens))
+    envs.append(formula.GroupEnv(formula.ElementLaw(nilform.identity(4)), gens))
     return envs
 
 
@@ -748,6 +778,14 @@ def test_representatives_are_the_first_of_each_center_class():
     assert classes == {keys[p]: [i] for i, p in enumerate(reps)}
     assert reps[0] == 0 and len(pairs) < len(ball)
     assert env.class_ball(2)[0] is pairs  # computed once per bound
+
+
+@pytest.mark.parametrize("rep", [cli.fixture(n) for n in sorted(cli.FIXTURES)] + corpus(12, seed=71))
+def test_walks_match_shortlex_oracle(rep):
+    # each walk against every word of length <= bound, not against the other
+    env = rep.env()
+    for bound in range(4):
+        assert (env.ball(bound), env.class_ball(bound)[0]) == shortlex_firsts(env, bound)
 
 
 @pytest.mark.parametrize("rep", [cli.fixture(n) for n in sorted(cli.FIXTURES)] + corpus(40, seed=71))

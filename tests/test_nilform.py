@@ -89,7 +89,7 @@ def test_coset_key_classes_match_the_heisenberg_ball():
     from heislab import formula, reprs
 
     gens = [("a1", generator(2, 1)), ("a2", generator(2, 2))]
-    env = formula.GroupEnv(formula.ElementLaw(identity(2)), dict(gens), gens)
+    env = formula.GroupEnv(formula.ElementLaw(identity(2)), gens)
     rep = reprs.heisenberg()
     H = rep.env()
     for bound in range(4):
@@ -305,5 +305,8 @@ def test_discriminate_multiplies_nothing(monkeypatch):
     ):
         count(owner, attr)
     cert = discriminate_to_H(targets)
-    assert calls == {"__init__": 1}
+    assert calls == {}
     assert any(any(e) for e in cert.extra_images)
+    # the Hom is built on first use, once
+    assert cert.verify(targets) and cert.verify(targets)
+    assert calls["__init__"] == 1
