@@ -38,7 +38,7 @@ from .formula import (
 )
 from .reprs import ConfigError, Representation
 from .rings import RingElem, RingMismatchError, RingParseError, parse_elem, parse_int
-from .ut3 import UT3Elem
+from .ut3 import Class2Law, UT3Elem
 
 
 class UsageError(Exception):
@@ -305,7 +305,8 @@ def cmd_appropriate(args) -> int:
 
 
 _GEN_NAME_RE = re.compile(r"a([1-9]\d*)")
-MAX_GENERATORS = 100  # discriminate's top index; a rank-n NilForm has n(n-1)/2 slots
+# discriminate's top index; the rank-n free law has dimension n + n(n-1)/2
+MAX_GENERATORS = 100
 
 
 def _read_targets(path: str) -> list[str]:
@@ -320,38 +321,26 @@ def _arrow_lines(sources: list[str], images: list[str]) -> list[str]:
     return [f"  {s} -> {img}" for s, img in zip(sources, images)]
 
 
-def _term_names(t) -> set[str]:
-    """Names of the variables and constants in a term."""
-    if isinstance(t, (formula.Var, formula.Const)):
-        return {t.name}
-    if isinstance(t, (formula.TMul, formula.TComm)):
-        return _term_names(t.left) | _term_names(t.right)
-    if isinstance(t, formula.TPow):
-        return _term_names(t.base)
-    return set()
-
-
 def cmd_discriminate(args) -> int:
     lines = _read_targets(args.targets)
     terms = [parse_term(ln) for ln in lines]
     n = 2
-    for t in terms:
-        for v in _term_names(t):
-            m = _GEN_NAME_RE.fullmatch(v)
-            if not m:
-                raise UsageError(f"unknown generator {v!r} (expect a1, a2, a3, ...)")
-            n = max(n, parse_int(m.group(1), UsageError))
+    for v in sorted(set().union(*map(formula.free_vars, terms))):
+        m = _GEN_NAME_RE.fullmatch(v)
+        if not m:
+            raise UsageError(f"unknown generator {v!r} (expect a1, a2, a3, ...)")
+        n = max(n, parse_int(m.group(1), UsageError))
     if n > MAX_GENERATORS:
         raise UsageError(f"generator index above {MAX_GENERATORS}")
-    env = formula.GroupEnv(
-        formula.ElementLaw(nilform.identity(n)),
-        [("a1", nilform.generator(n, 1)), ("a2", nilform.generator(n, 2))],
-    )
-    assignment = {f"a{k}": nilform.generator(n, k) for k in range(3, n + 1)}
-    targets = [formula.eval_term(t, env, assignment) for t in terms]
+    # the free class-2 group on Mal'cev coordinates; a_k is the k-th unit
+    law = Class2Law.free(n)
+    gens = [(f"a{k}", law.identity[: k - 1] + (1,) + law.identity[k:]) for k in range(1, n + 1)]
+    env = formula.GroupEnv(law, gens[:2])
+    targets = [formula.eval_term(t, env, dict(gens[2:])) for t in terms]
     for ln, t in zip(lines, targets):
-        if t.is_identity():
+        if t == law.identity:
             raise UsageError(f"target {ln!r} is the identity")
+    targets = [nilform.NilForm(n, t[:n], t[n:]) for t in targets]
     cert = nilform.discriminate_to_H(targets)
     doc = {
         "status": "holds",
@@ -372,8 +361,8 @@ def cmd_bigpowers(args) -> int:
     rep = _load_rep(args)
     lines = _read_targets(args.targets)
     env = rep.env()
-    targets = [rep.law.to_ut3(formula.eval_term(parse_term(ln), env, {})) for ln in lines]
-    cert = reprs.big_powers_retraction(rep, targets, int(args.at[1]), args.name)
+    targets = [rep.to_ut3(formula.eval_term(parse_term(ln), env, {})) for ln in lines]
+    cert = reprs.big_powers_retraction(rep, targets, args.name)
 
     def text(doc):
         yield f"n={doc['n']} indeterminate={doc['indeterminate']}"
@@ -513,7 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bigpowers", help="minimal big-powers retraction exponent")
     p.add_argument("--targets", required=True, metavar="FILE", help="one word per line over the generators")
-    p.add_argument("--at", choices=("a1", "a2"), required=True)
+    p.add_argument(
+        "--at",
+        choices=("a1", "a2"),
+        required=True,
+        help="the a_i whose centralizer was extended; n does not depend on it",
+    )
     p.add_argument("--name", help="indeterminate to retract (default: last adjoined)")
     _add_rep_opts(p)
     p.set_defaults(fn=cmd_bigpowers)

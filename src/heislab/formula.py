@@ -546,24 +546,6 @@ class UnresolvedNameError(FormulaError):
     pass
 
 
-class ElementLaw:
-    """The law of a GroupEnv whose elements carry their own group methods:
-    __mul__, inv(), pow_int(), comm() and coset_key() (``nilform.NilForm``
-    in ``discriminate``, ``ut3.UT3Elem`` in the tests)."""
-
-    def __init__(self, identity):
-        self.identity = identity
-
-    mul = operator.mul
-    inv = operator.methodcaller("inv")
-    pow_int = staticmethod(lambda x, n: x.pow_int(n))
-    comm = staticmethod(lambda x, y: x.comm(y))
-    coset_key = operator.methodcaller("coset_key")
-
-    def right_mul(self, g):
-        return lambda x: x * g
-
-
 class GroupEnv:
     """Element universe for evaluation and bounded quantifier search.
 
@@ -573,13 +555,14 @@ class GroupEnv:
     nilpotency class 2, so that every commutator is central, and be
     hashable, with == as group equality.  Two elements have one coset_key
     exactly when they differ by a factor in N, a central subgroup that
-    holds every commutator (the (1,3) block of UT3), so G/N is abelian.
-    The group must be torsion-free: x^d = 1 with d != 0 only for x = 1
-    (lemma 4 of ``_compile_conjunction``).  Every group here is: G/N and N
-    lie in sums of torsion-free rings, x^d = 1 makes d times x's image in
-    G/N zero, so x is in N, where x^d is d times x.
-    ``Representation.env`` uses a ``ut3.Class2Law`` on integer tuples;
-    elements with their own methods use ``ElementLaw``.
+    holds every commutator, so G/N is abelian.  The group must be
+    torsion-free: x^d = 1 with d != 0 only for x = 1 (lemma 4 of
+    ``_compile_conjunction``).  In the program the law is always a
+    ``ut3.Class2Law`` on integer tuples, a representation's
+    (``Representation.env``, N the (1,3) block) or the free class-2
+    group's (``discriminate``, N the basic commutators), and each such
+    group is torsion-free: x^d = 1 makes d*x zero below the central block
+    N, so x is in N, where x^d is d*x.
 
     ``generators`` are (name, element) pairs, a1 and a2 among them; they
     are the letters of the ball's words and the named constants.

@@ -8,6 +8,10 @@ with the basic commutators [a_j, a_i] (j > i) central.  Collection uses the
 class-2 rule a_j a_i = a_i a_j [a_j, a_i]; commutators are written
 g^-1 h^-1 g h throughout.
 
+``ut3.Class2Law.free(n)`` is the same group's law on the tuples e + f, and
+``discriminate`` evaluates its words there; ``NilForm``'s own arithmetic is
+the law's independent reference.
+
 The rank-2 group is identified with the integer Heisenberg group via
 a1^p a2^q c^r  ->  matrix entries (e12, e13, e23) = (q, r, p).  Higher-rank
 groups are discriminated into it by sending each a_k (k > 2) to the generic
@@ -83,11 +87,6 @@ class NilForm:
 
     def comm(self, other: "NilForm") -> "NilForm":
         return self.inv() * other.inv() * self * other
-
-    def coset_key(self) -> tuple[int, ...]:
-        """The generator exponents: equal for two elements exactly when
-        they differ by a central product of basic commutators."""
-        return self.e
 
     def __str__(self) -> str:
         pieces = [f"a{i+1}^{x}" for i, x in enumerate(self.e) if x]

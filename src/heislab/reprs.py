@@ -4,12 +4,14 @@ A representation is a finite list of named matrix generators over a product
 ring, always containing the distinguished integer generators a1 and a2.  The
 map g -> (g12, g23) is a homomorphism onto an additive subgroup of R^2, and
 every entry of every group element has exact integer coordinates over the
-finitely many (component, monomial) frames of the class-2 law
-(``Representation.law``, see ``ut3.Class2Law``); these are the only
-coordinates a representation has.  That turns each question below (zero
-divisors among centralizer entries, solvability of the centralizer systems,
-commutator surjectivity) into a Hermite-normal-form computation, which is
-how the checkers get to be exact over infinite groups.
+finitely many (component, monomial) frames f12, f23 and f13 that the
+representation builds from its generators.  These are the only coordinates
+a representation has, and its class-2 law (``Representation.law``, a
+``ut3.Class2Law``) does the group arithmetic on them.  That turns each
+question below (zero divisors among centralizer entries, solvability of
+the centralizer systems, commutator surjectivity) into a
+Hermite-normal-form computation, which is how the checkers get to be exact
+over infinite groups.
 
 Checkers return a ``formula.Verdict``; a "violated" verdict always
 carries a witness reconstructed as an explicit product of the generators,
@@ -112,29 +114,95 @@ class Representation:
     full_center: bool = False
 
     @cached_property
+    def f12(self) -> Frame:
+        """The (component, monomial) frame of the generators' (1,2) entries."""
+        return rings.frame_of(g.u12 for _, g in self.generators)
+
+    @cached_property
+    def f23(self) -> Frame:
+        """The frame of the generators' (2,3) entries."""
+        return rings.frame_of(g.u23 for _, g in self.generators)
+
+    @cached_property
+    def _products(self) -> tuple[tuple[int, int, tuple], ...]:
+        """(i, j, m) per pair of an f12 and an f23 monomial in one component:
+        their places and the monomial of their product."""
+        return tuple(
+            (i, j, (c, tuple(a + b for a, b in zip(e, e2))))
+            for i, (c, e) in enumerate(self.f12)
+            for j, (c2, e2) in enumerate(self.f23)
+            if c == c2
+        )
+
+    @cached_property
+    def f13(self) -> Frame:
+        """The frame of the generators' (1,3) entries and of every product
+        of an f12 and an f23 monomial in one component."""
+        mono = {m for *_, m in self._products}
+        return tuple(sorted(mono | set(rings.frame_of(g.u13 for _, g in self.generators))))
+
+    @cached_property
+    def index(self) -> tuple[dict, dict, dict]:
+        """Each monomial's place in f12, f23 and f13."""
+        return tuple({m: k for k, m in enumerate(f)} for f in (self.f12, self.f23, self.f13))
+
+    @cached_property
     def law(self) -> Class2Law:
-        """The group law on integer class-2 coordinates (see ``ut3``); its
-        frames are the only coordinates the representation has."""
-        return Class2Law.of(self.ring, (g for _, g in self.generators))
+        """The group law on integer class-2 coordinates (see ``ut3``): an
+        element is one flat tuple (x12, x23, z) over the frames f12, f23 and
+        f13, the only coordinates the representation has, and B(x, y) =
+        x12*y23 adds x[i]*y[j] to z[k] for each f12 place i and f23 place j
+        in one component, with k the place of their product.  Frame
+        coordinates are unique, so two elements are equal iff their tuples
+        are."""
+        n12, n = len(self.f12), len(self.frame)
+        table = tuple((i, n12 + j, n + self.index[2][m]) for i, j, m in self._products)
+        return Class2Law(n + len(self.f13), n, table)
 
     @cached_property
     def frame(self) -> Frame:
-        """The ambient coordinates of the entry-pair lattice: the law's
-        (1,2) frame, then its (2,3) frame."""
-        return self.law.f12 + self.law.f23
+        """The ambient coordinates of the entry-pair lattice: the (1,2)
+        frame, then the (2,3) frame."""
+        return self.f12 + self.f23
+
+    def coords(self, block: int, entry: RingElem) -> tuple[int, ...] | None:
+        """The coordinates of a ring element over one frame (block 0: f12,
+        1: f23, 2: f13); None if it has a monomial outside that frame."""
+        return rings.frame_coords(self.index[block], entry)
+
+    def element(self, g: UT3Elem) -> tuple[int, ...]:
+        """The law's coordinates of g, which must lie in the frames (every
+        element of the group does)."""
+        v = ()
+        for block, entry in enumerate((g.u12, g.u23, g.u13)):
+            coords = self.coords(block, entry)
+            if coords is None:
+                raise ValueError(f"{g} is outside the frames of the law")
+            v += coords
+        return v
+
+    def to_ut3(self, v: tuple[int, ...]) -> UT3Elem:
+        """The matrix of the law's coordinates v."""
+        n12, n = len(self.f12), len(self.frame)
+        return UT3Elem(
+            self.ring,
+            rings.from_frame(self.ring, self.f12, v[:n12]),
+            rings.from_frame(self.ring, self.f13, v[n:]),
+            rings.from_frame(self.ring, self.f23, v[n12:n]),
+        )
 
     def elem_from_coords(self, v) -> tuple[RingElem, RingElem]:
         """The (1,2) and (2,3) entries of an entry-pair vector over ``frame``."""
-        n12 = len(self.law.f12)
+        n12 = len(self.f12)
         return (
-            rings.from_frame(self.ring, self.law.f12, v[:n12]),
-            rings.from_frame(self.ring, self.law.f23, v[n12:]),
+            rings.from_frame(self.ring, self.f12, v[:n12]),
+            rings.from_frame(self.ring, self.f23, v[n12:]),
         )
 
     @cached_property
     def law_generators(self) -> tuple[tuple[int, ...], ...]:
         """The generators as the law's integer class-2 coordinate tuples."""
-        return tuple(self.law.element(g) for _, g in self.generators)
+        return tuple(self.element(g) for _, g in self.generators)
 
     def product_of_generators(self, exponents) -> UT3Elem:
         """prod_k g_k^{c_k} in generator order; its entry pair is the
@@ -146,14 +214,14 @@ class Representation:
         for g, c in zip(self.law_generators, exponents):
             if c:
                 out = law.mul(out, law.pow_int(g, c))
-        return law.to_ut3(out)
+        return self.to_ut3(out)
 
     def env(self):
         """Evaluation environment over this group for the formula module.
 
         Its elements are the integer coordinate tuples of ``law``, which
         does the arithmetic, so the bounded search hashes and compares
-        plain tuples; ``law.to_ut3`` gives the matrix back."""
+        plain tuples; ``to_ut3`` gives the matrix back."""
         gens = [(name, g) for (name, _), g in zip(self.generators, self.law_generators)]
         return GroupEnv(self.law, gens)
 
@@ -163,12 +231,12 @@ class Representation:
 
     @cached_property
     def det_form(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``det_form[i][j]`` is det(b_i, b_j) over ``law.f13``: the (1,3)
+        """``det_form[i][j]`` is det(b_i, b_j) over ``f13``: the (1,3)
         coordinates of the law's commutator of the basis rows b_i and b_j
         of the entry-pair lattice (see ``nzct_check``)."""
         law = self.law
         n = len(self.frame)
-        pad = (0,) * len(law.f13)
+        pad = (0,) * len(self.f13)
         rows = [b + pad for b in self.lattices.A.basis]
         return tuple(tuple(law.comm(x, y)[n:] for y in rows) for x in rows)
 
@@ -198,8 +266,7 @@ class EntryLattices:
     """The derived lattices of a representation, all over ``frame``.
 
     A is generated by the (x12, x23) parts of the generators' law
-    coordinates: a 12-block over ``law.f12``, then a 23-block over
-    ``law.f23``.
+    coordinates: a 12-block over ``f12``, then a 23-block over ``f23``.
     A1 (resp. A2) is the sublattice with the 12-block (resp. 23-block) zero:
     entry pairs realized in the centralizer of a1 (resp. a2).  Only A
     takes an HNF of the generators; A1 and A2 are cut out of A's basis.
@@ -211,7 +278,7 @@ class EntryLattices:
 
 
 def entry_lattices(rep: Representation) -> EntryLattices:
-    n12, n = len(rep.law.f12), len(rep.frame)
+    n12, n = len(rep.f12), len(rep.frame)
     A = zlattice.hnf([g[:n] for g in rep.law_generators], ambient_dim=n)
     A1 = zlattice.intersect_coordinate_zero(A, range(n12))
     A2 = zlattice.intersect_coordinate_zero(A, range(n12, n))
@@ -221,7 +288,7 @@ def entry_lattices(rep: Representation) -> EntryLattices:
 def _block_coords(rep: Representation, block: int, component: int) -> list[int]:
     """Coordinates of one ring component inside the 12-block (0) or the
     23-block (1) of ``frame``."""
-    n12 = len(rep.law.f12)
+    n12 = len(rep.f12)
     span = range(n12) if block == 0 else range(n12, len(rep.frame))
     return [i for i in span if rep.frame[i][0] == component]
 
@@ -230,7 +297,7 @@ def _realizing_exponents(rep: Representation, value: RingElem, block: int) -> Op
     """Generator exponents of a group element whose entry pair is ``value``
     in the 12-block (0) or the 23-block (1) and zero in the other; None if
     there is none."""
-    c = rep.law.coords(block, value)
+    c = rep.coords(block, value)
     if c is None:
         return None  # a monomial outside the block's frame
     zero = (0,) * (len(rep.frame) - len(c))
@@ -346,7 +413,7 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     nonzero coefficient is negative are walked, in ``itertools.product``
     order, where each comes before its negation: the witness is the first
     of the whole box.  The law reads B off ``law.table`` as integer
-    coordinates over ``law.f13``.  B is Z-bilinear and alternating, so
+    coordinates over ``f13``.  B is Z-bilinear and alternating, so
     B(c, d) for coefficient tuples c and d is sum_ij c_i d_j B(b_i, b_j)
     (``det_form``), and ring elements are built only for the witness."""
     if bound < 1:
@@ -375,7 +442,7 @@ def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
     is bilinear, so it is nonzero on C_q iff it is nonzero on a pair of the
     kernel basis; that pair is x1 and x3 (they may lie outside the box),
     and y is the first b_i with L_q[i] != 0."""
-    m, A = len(rep.law.f13), rep.lattices.A
+    m, A = len(rep.f13), rep.lattices.A
 
     def pairing(c):  # row i is B(b_i, c)
         return [zlattice.combine(c, row, m) for row in rep.det_form]
@@ -428,17 +495,17 @@ def sigma_check(rep: Representation) -> Verdict:
     a nonzero coordinate whose monomial is outside that frame makes the
     system unsolvable.  The ring element is built only for the witness."""
     law = rep.law
-    n12, n = len(law.f12), len(rep.frame)
+    n12, n = len(rep.f12), len(rep.frame)
     # each f13 coordinate's place in the 12-block and in the 23-block
     places = [
-        [None if i is None else offset + i for i in map(law.index[block].get, law.f13)]
+        [None if i is None else offset + i for i in map(rep.index[block].get, rep.f13)]
         for block, offset in ((0, 0), (1, n12))
     ]
     for g, h in itertools.combinations(rep.law_generators, 2):
         z = law.comm(g, h)[n:]
         for place, system in zip(places, "ST"):
             if not _pair_in(rep.lattices.A, z, place):
-                value = rings.from_frame(rep.ring, law.f13, z)
+                value = rings.from_frame(rep.ring, rep.f13, z)
                 return Verdict("violated", "exact_lattice", SigmaWitness(value, system))
     return Verdict("holds", "exact_lattice")
 
@@ -533,13 +600,11 @@ class BigPowersCertificate:
 
 
 def big_powers_retraction(
-    rep_ext: Representation,
-    targets,
-    i: int,
-    name: str | None = None,
+    rep_ext: Representation, targets, name: str | None = None
 ) -> BigPowersCertificate:
     """Smallest n >= 1 such that the retraction sending the extension
-    indeterminate to n (i.e. t to a_i^n) kills no target.
+    indeterminate to n (i.e. t to a_i^n) kills no target.  The extension
+    fixes i: its generator t is the indeterminate in the slot of a_i.
 
     The indeterminate is ``name``, by default the last one of component 1
     (an extension appends its indeterminate to every component).  Each
@@ -551,8 +616,6 @@ def big_powers_retraction(
     entries are linear in the indeterminate the work is linear in the
     targets however large n is.  The only substitutions are the three per
     target that make the certificate's retracted targets."""
-    if i not in (1, 2):
-        raise ValueError("i must be 1 or 2")
     if name is None:
         ring = rep_ext.ring
         if not ring.components[0]:

@@ -11,16 +11,15 @@ group-theoretic structure used downstream reads off these entries:
 The distinguished generators a1 (lower one in the (2,3) slot) and a2 (one in
 the (1,2) slot) generate the integer-entry copy of the Heisenberg group.
 
-A finitely generated G <= UT3(R) has class 2, and its elements have exact
-integer coordinates: the (1,2) and (2,3) entries over the monomial frames of
-the generators' (1,2) and (2,3) entries, the (1,3) entry over the frame of
-the generators' (1,3) monomials and of every product of a (1,2) with a (2,3)
-frame monomial in the same component.  With B(x, y) = x12*y23 read off an
-integer table, the closed forms above become integer arithmetic
-(``Class2Law``) on plain tuples of ints: the law multiplies, and the tuples
-hash and compare by themselves.  The bounded formula search runs on it, and
-the entry lattices, sigma, the systems S/T and NZCT in ``reprs`` use its
-frames as their only coordinates.
+These closed forms hold in every group of class 2 whose product adds a
+bilinear map B to a central block.  ``Class2Law`` is that arithmetic on
+plain tuples of ints, read off an integer table of B's terms: the law
+multiplies, and the tuples hash and compare by themselves.  A finitely
+generated G <= UT3(R) gets one over integer coordinates of its entries
+(``reprs.Representation.law``, which holds the frames), and the free
+class-2 group of rank n one over its Mal'cev coordinates
+(``Class2Law.free``, which ``discriminate`` evaluates on).  Every
+``formula.GroupEnv`` in the program runs on one of these laws.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .rings import Frame, RingDesc, RingElem, RingMismatchError, frame_coords, frame_of, from_frame
+from .rings import RingDesc, RingElem, RingMismatchError
 
 
 @dataclass(frozen=True)
@@ -95,11 +94,6 @@ class UT3Elem:
         a1 and a2, hence with everything)."""
         return self.u12.is_zero() and self.u23.is_zero()
 
-    def coset_key(self):
-        """Equal for two elements exactly when they differ by a central
-        factor of the (1,3) block."""
-        return self.u12, self.u23
-
     def __str__(self) -> str:
         return "{e12: %s, e13: %s, e23: %s}" % (self.u12, self.u13, self.u23)
 
@@ -140,50 +134,33 @@ def elem(ring: RingDesc, e12, e13, e23) -> UT3Elem:
 
 @dataclass(frozen=True)
 class Class2Law:
-    """The group law of <generators> <= UT3(R) on integer coordinates.
+    """A group law of class 2 on integer coordinate tuples.
 
-    An element is one flat tuple x = (x12, x23, z) of ints over the frames
-    ``f12``, ``f23`` and ``f13``; ``Class2Law.of`` is the one place that
-    picks the monomials of a representation, and ``coords`` the one
-    coordinate routine.  ``table`` holds one (i, j, k) per pair of a (1,2)
-    and a (2,3) frame monomial in the same component: the coordinate i of
-    x, the coordinate j of y and the z-coordinate k of their product, so
-    B(x, y) = x12*y23 adds x[i]*y[j] to z[k].  Frame coordinates are unique,
-    so two elements are equal iff their tuples are; the tuples carry no law,
-    so ``mul`` and ``comm`` reject only a tuple of another length."""
+    An element is one flat tuple x of ``dim`` ints whose coordinates from
+    ``central`` on span the central block.  ``table`` holds one (i, j, k)
+    per term of the bilinear map B: x*y adds B(x, y), that is x[i]*y[j] for
+    each row, to the central coordinate k, and i and j lie below
+    ``central``.  Two elements are equal iff their tuples are; the tuples
+    carry no law, so ``mul`` and ``comm`` reject only a tuple of another
+    length.  ``Representation.law`` builds the law of <generators> <=
+    UT3(R) over its frames, and ``free`` the free class-2 group."""
 
-    ring: RingDesc
-    f12: Frame
-    f23: Frame
-    f13: Frame
-    table: tuple[tuple[int, int, int], ...] = field(compare=False, repr=False)
-    index: tuple[dict, dict, dict] = field(compare=False, repr=False)  # of f12, f23, f13
+    dim: int
+    central: int
+    table: tuple[tuple[int, int, int], ...] = field(repr=False)
 
     @classmethod
-    def of(cls, ring: RingDesc, generators) -> "Class2Law":
-        gens = list(generators)
-        f12 = frame_of(g.u12 for g in gens)
-        f23 = frame_of(g.u23 for g in gens)
-        products = [
-            (i, j, (c, tuple(a + b for a, b in zip(e, e2))))
-            for i, (c, e) in enumerate(f12)
-            for j, (c2, e2) in enumerate(f23)
-            if c == c2
-        ]
-        f13 = tuple(sorted(set(frame_of(g.u13 for g in gens)) | {m for *_, m in products}))
-        index = tuple({m: k for k, m in enumerate(f)} for f in (f12, f23, f13))
-        n12, n23 = len(f12), len(f23)
-        table = tuple((i, n12 + j, n12 + n23 + index[2][m]) for i, j, m in products)
-        return cls(ring, f12, f23, f13, table, index)
+    def free(cls, n: int) -> "Class2Law":
+        """The free class-2 group of rank n on Mal'cev coordinates: a tuple
+        is ``NilForm``'s e + f, with f in ``nilform._pairs(n)`` order, and
+        x*y gains [a_j, a_i]^(x_j*y_i) (i < j) from moving y's a_i past x's
+        a_j, which is ``NilForm``'s collection rule."""
+        pairs = [(j - 1, i - 1) for j in range(2, n + 1) for i in range(1, j)]
+        return cls(n + len(pairs), n, tuple((i, j, n + p) for p, (i, j) in enumerate(pairs)))
 
     @cached_property
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.dim
-
-    @cached_property
-    def dim(self) -> int:
-        """The length of every element's tuple."""
-        return len(self.f12) + len(self.f23) + len(self.f13)
 
     def mul(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         if not len(x) == len(y) == self.dim:
@@ -236,31 +213,6 @@ class Class2Law:
         return tuple(out)
 
     def coset_key(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        """The 12/23 coordinates: equal for two elements exactly when they
-        differ by a central factor of the (1,3) block."""
-        return x[: self.dim - len(self.f13)]
-
-    def coords(self, block: int, entry: RingElem) -> tuple[int, ...] | None:
-        """The coordinates of a ring element over one frame (block 0: f12,
-        1: f23, 2: f13); None if it has a monomial outside that frame."""
-        return frame_coords(self.index[block], entry)
-
-    def element(self, g: UT3Elem) -> tuple[int, ...]:
-        """The coordinates of g, which must lie in the frames (every element
-        of the group the law was made for does)."""
-        v = ()
-        for block, entry in enumerate((g.u12, g.u23, g.u13)):
-            coords = self.coords(block, entry)
-            if coords is None:
-                raise ValueError(f"{g} is outside the frames of the law")
-            v += coords
-        return v
-
-    def to_ut3(self, v: tuple[int, ...]) -> UT3Elem:
-        n12, n23 = len(self.f12), len(self.f23)
-        return UT3Elem(
-            self.ring,
-            from_frame(self.ring, self.f12, v[:n12]),
-            from_frame(self.ring, self.f13, v[n12 + n23 :]),
-            from_frame(self.ring, self.f23, v[n12 : n12 + n23]),
-        )
+        """The coordinates below the central block: equal for two elements
+        exactly when they differ by a central factor."""
+        return x[: self.central]

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 import re
 
@@ -283,11 +284,32 @@ def product_oracle(rep: reprs.Representation, exponents) -> UT3Elem:
     return out
 
 
+class ElementLaw:
+    """The law of a GroupEnv whose elements carry their own group methods,
+    __mul__, inv(), pow_int() and comm(): the oracle beside
+    ut3.Class2Law, with ``UT3Elem``s (``ut3_env``) or ``NilForm``s.
+    ``coset_key`` maps an element to its class modulo the central block."""
+
+    def __init__(self, identity, coset_key):
+        self.identity = identity
+        self.coset_key = coset_key
+
+    mul = operator.mul
+    inv = operator.methodcaller("inv")
+    pow_int = staticmethod(lambda x, n: x.pow_int(n))
+    comm = staticmethod(lambda x, y: x.comm(y))
+
+    def right_mul(self, g):
+        return lambda x: x * g
+
+
 def ut3_env(rep: reprs.Representation) -> formula.GroupEnv:
     """The group environment over the matrices themselves: UT3Elem and
     RingElem arithmetic, which Representation.env's integer class-2
-    coordinates replace."""
-    return formula.GroupEnv(formula.ElementLaw(ut3.identity(rep.ring)), rep.generators)
+    coordinates replace.  Two matrices differ by a central factor exactly
+    when their (1,2) and (2,3) entries agree."""
+    law = ElementLaw(ut3.identity(rep.ring), lambda g: (g.u12, g.u23))
+    return formula.GroupEnv(law, rep.generators)
 
 
 def shortlex_firsts(env: formula.GroupEnv, bound: int) -> tuple[list, list]:
@@ -644,7 +666,7 @@ def sigma_check_dlattice(rep: reprs.Representation) -> Verdict:
     for dvec in D.basis:
         value = rings.from_frame(rep.ring, frame, dvec)
         for system, block in (("S", 0), ("T", 1)):
-            c = rep.law.coords(block, value)
+            c = rep.coords(block, value)
             if c is not None:
                 pad = (0,) * (len(rep.frame) - len(c))
                 vec = c + pad if block == 0 else pad + c

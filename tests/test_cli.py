@@ -183,7 +183,7 @@ def test_long_literal_in_a_formula_is_exit_3(capsys, tmp_path, argv):
 
 
 def test_discriminate_generator_index_cap(capsys, tmp_path, monkeypatch):
-    from heislab import cli, nilform
+    from heislab import cli, ut3
 
     cap = cli.MAX_GENERATORS
     targets = tmp_path / "wide.txt"
@@ -191,9 +191,9 @@ def test_discriminate_generator_index_cap(capsys, tmp_path, monkeypatch):
     assert run(capsys, "discriminate", "--targets", str(targets))[0] == 0
 
     def fail(n):
-        raise AssertionError("a NilForm was built")
+        raise AssertionError("a free law was built")
 
-    monkeypatch.setattr(nilform, "identity", fail)
+    monkeypatch.setattr(ut3.Class2Law, "free", fail)
     for index in (cap + 1, 3000, 10**4000):
         targets.write_text(f"a3*a1\n[a{index},a2]\n")
         code, out, err = run(capsys, "discriminate", "--targets", str(targets))
@@ -320,6 +320,23 @@ def test_bigpowers(capsys, tmp_path):
     )
     assert code == 0
     assert "n=2" in out
+
+
+@pytest.mark.parametrize("extended", ["a1", "a2"])
+def test_bigpowers_certificate_does_not_depend_on_at(capsys, tmp_path, extended):
+    # the extension fixes which a_i the generator t becomes; --at is only read
+    code, ext, _ = run(capsys, "extend", "--at", extended)
+    cfg = tmp_path / "ext.cfg"
+    cfg.write_text(ext)
+    targets = tmp_path / "targets.txt"
+    targets.write_text(f"@t\n@t*{extended}^-1\n@t*{extended}^-2*a1\n[@t,a1*a2]\n")
+    outs = [
+        run(capsys, "bigpowers", "--targets", str(targets), "--rep", str(cfg), "--at", at, *mode)
+        for mode in ([], ["--json"])
+        for at in ("a1", "a2")
+    ]
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    assert outs[0][0] == 0 and outs[0][1].startswith("n=")
 
 
 def test_discriminate(capsys, tmp_path):

@@ -16,7 +16,7 @@ from conftest import (
     shortlex_firsts,
     ut3_env,
 )
-from heislab import cli, formula, nilform, reprs, ut3
+from heislab import cli, formula, reprs, ut3
 from heislab.formula import (
     A1,
     A2,
@@ -348,7 +348,7 @@ def test_eval_term_in_H():
     from heislab.rings import RingElem, Z
 
     law = env.law
-    c13 = law.to_ut3(c)
+    c13 = reprs.heisenberg().to_ut3(c)
     assert c13.u13 == RingElem.one(Z) and c13.is_central()
     w = eval_term(parse_term("a1*a2^-1*[a2,a1]^3"), env, {})
     a1, a2 = env.constants["a1"], env.constants["a2"]
@@ -709,7 +709,7 @@ def _first_words(literals, variables, env, bound):
 @given(_power_conjunctions())
 def test_power_literal_fold_matches_brute_force(case):
     # lemma 4 against eval_qf on every tuple, and the same search on the
-    # matrices through ElementLaw
+    # matrices through conftest.ElementLaw
     literals, variables, k, bound = case
     env, oracle = _power_envs(k)
     _assert_search_matches_brute_force(literals, variables, env, bound)
@@ -720,8 +720,9 @@ def test_power_literal_fold_matches_brute_force(case):
 
 def _torsion_free_envs():
     envs = [rep.env() for rep in _POWER_REPS]
-    gens = [(f"a{k}", nilform.generator(4, k)) for k in range(1, 5)]
-    envs.append(formula.GroupEnv(formula.ElementLaw(nilform.identity(4)), gens))
+    law = ut3.Class2Law.free(4)
+    gens = [(f"a{k}", tuple(int(i == k - 1) for i in range(law.dim))) for k in range(1, 5)]
+    envs.append(formula.GroupEnv(law, gens))
     return envs
 
 

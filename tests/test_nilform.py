@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from conftest import discriminate_to_H_generic
+from conftest import ElementLaw, discriminate_to_H_generic
 
 from heislab import nilform, rings, ut3
 from heislab.nilform import (
@@ -84,20 +84,100 @@ def test_to_matrix_is_isomorphism():
         to_matrix(identity(3))
 
 
+def _form(n: int, x: tuple[int, ...]) -> NilForm:
+    """The NilForm of a tuple e + f of Class2Law.free(n)."""
+    return NilForm(n, x[:n], x[n:])
+
+
+def _random_nilform(rng: random.Random, n: int) -> NilForm:
+    """A collected word, or a form with arbitrary exponents up to +-50."""
+    if rng.random() < 0.5:
+        return random_form(rng, n)
+    e = tuple(rng.randint(-50, 50) for _ in range(n))
+    return NilForm(n, e, tuple(rng.randint(-50, 50) for _ in range(n * (n - 1) // 2)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_free_law_matches_nilform(n):
+    # Class2Law.free(n) on e + f is NilForm's arithmetic
+    rng = random.Random(40 + n)
+    law = ut3.Class2Law.free(n)
+    assert law.dim == n + n * (n - 1) // 2 and law.central == n
+    assert _form(n, law.identity) == identity(n)
+    for _ in range(300):
+        x, y = _random_nilform(rng, n), _random_nilform(rng, n)
+        a, b, m = x.e + x.f, y.e + y.f, rng.randint(-5, 5)
+        assert _form(n, law.mul(a, b)) == x * y
+        assert _form(n, law.right_mul(b)(a)) == x * y
+        assert _form(n, law.inv(a)) == x.inv()
+        assert _form(n, law.pow_int(a, m)) == x.pow_int(m)
+        assert _form(n, law.comm(a, b)) == x.comm(y)
+        # one coset key exactly when x and y differ by a central factor
+        z = y if rng.random() < 0.5 else x * NilForm(n, (0,) * n, y.f)
+        c = z.e + z.f
+        assert law.coset_key(a) == x.e
+        assert (law.coset_key(a) == law.coset_key(c)) == (not any((x.inv() * z).e))
+
+
+def test_free_law_of_rank_2_is_the_heisenberg_group():
+    # through to_matrix, Class2Law.free(2) is UT3Elem's arithmetic over Z
+    rng = random.Random(46)
+    law = ut3.Class2Law.free(2)
+    for _ in range(300):
+        a, b = (_random_nilform(rng, 2) for _ in range(2))
+        a, b, m = a.e + a.f, b.e + b.f, rng.randint(-5, 5)
+        g, h = to_matrix(_form(2, a)), to_matrix(_form(2, b))
+        assert to_matrix(_form(2, law.mul(a, b))) == g * h
+        assert to_matrix(_form(2, law.inv(a))) == g.inv()
+        assert to_matrix(_form(2, law.pow_int(a, m))) == g.pow_int(m)
+        assert to_matrix(_form(2, law.comm(a, b))) == g.comm(h)
+        # coset_key is (e23, e12), the entries a central factor leaves
+        key = to_matrix(NilForm(2, law.coset_key(a), (0,)))
+        assert (key.u23, key.u12) == (g.u23, g.u12)
+
+
+def test_free_law_evaluates_words_as_nilform():
+    # discriminate's evaluation of its targets on the free law, against
+    # the same words on NilForms through the tests' ElementLaw
+    from heislab import formula
+
+    rng = random.Random(47)
+
+    def word(depth):
+        pick = rng.randrange(4 if depth else 1)
+        if pick == 0:
+            return f"a{rng.randint(1, 5)}"
+        if pick == 1:
+            return f"{word(depth - 1)}*{word(depth - 1)}"
+        if pick == 2:
+            return f"({word(depth - 1)})^{rng.randint(-3, 3)}"
+        return f"[{word(depth - 1)},{word(depth - 1)}]"
+
+    for n in (5, 7):
+        law = ut3.Class2Law.free(n)
+        units = [(f"a{k}", tuple(int(i == k - 1) for i in range(law.dim))) for k in range(1, n + 1)]
+        forms = [(f"a{k}", generator(n, k)) for k in range(1, n + 1)]
+        env = formula.GroupEnv(law, units[:2])
+        oracle = formula.GroupEnv(ElementLaw(identity(n), lambda x: x.e), forms[:2])
+        for _ in range(200):
+            t = formula.parse_term(word(3))
+            got = formula.eval_term(t, env, dict(units[2:]))
+            assert _form(n, got) == formula.eval_term(t, oracle, dict(forms[2:]))
+
+
 def test_coset_key_classes_match_the_heisenberg_ball():
-    # the rank-2 group is H, and to_matrix sends coset_key to (e23, e12)
+    # the rank-2 free law is H, and to_matrix sends coset_key to (e23, e12)
     from heislab import formula, reprs
 
-    gens = [("a1", generator(2, 1)), ("a2", generator(2, 2))]
-    env = formula.GroupEnv(formula.ElementLaw(identity(2)), gens)
+    env = formula.GroupEnv(ut3.Class2Law.free(2), [("a1", (1, 0, 0)), ("a2", (0, 1, 0))])
     rep = reprs.heisenberg()
     H = rep.env()
     for bound in range(4):
-        assert [to_matrix(x) for x, _ in env.ball(bound)] == [
-            rep.law.to_ut3(g) for g, _ in H.ball(bound)
+        assert [to_matrix(_form(2, x)) for x, _ in env.ball(bound)] == [
+            rep.to_ut3(g) for g, _ in H.ball(bound)
         ]
-        assert [(to_matrix(x), w) for x, w in env.class_ball(bound)[0]] == [
-            (rep.law.to_ut3(g), w) for g, w in H.class_ball(bound)[0]
+        assert [(to_matrix(_form(2, x)), w) for x, w in env.class_ball(bound)[0]] == [
+            (rep.to_ut3(g), w) for g, w in H.class_ball(bound)[0]
         ]
 
 

@@ -140,12 +140,12 @@ def test_class2_law_matches_ut3(k, u, w, n):
     law, env, oracle = rep.law, rep.env(), ut3_env(rep)
     x, y = _word(env, u), _word(env, w)
     gx, gy = _word(oracle, u), _word(oracle, w)
-    assert law.to_ut3(x) == gx and law.to_ut3(y) == gy
-    assert law.to_ut3(law.mul(x, y)) == gx * gy
-    assert law.to_ut3(law.inv(x)) == gx.inv()
-    assert law.to_ut3(law.pow_int(x, n)) == gx.pow_int(n)
-    assert law.to_ut3(law.comm(x, y)) == gx.comm(gy)
-    assert law.element(gx) == x
+    assert rep.to_ut3(x) == gx and rep.to_ut3(y) == gy
+    assert rep.to_ut3(law.mul(x, y)) == gx * gy
+    assert rep.to_ut3(law.inv(x)) == gx.inv()
+    assert rep.to_ut3(law.pow_int(x, n)) == gx.pow_int(n)
+    assert rep.to_ut3(law.comm(x, y)) == gx.comm(gy)
+    assert rep.element(gx) == x
     # x*y == y*x exactly when x and y commute
     xy, yx = law.mul(x, y), law.mul(y, x)
     for a, b, ga, gb in ((x, y, gx, gy), (xy, yx, gx * gy, gy * gx)):
@@ -162,11 +162,11 @@ def test_class2_ball_matches_ut3(k):
     for bound in range(4):
         ball, expected = env.ball(bound), oracle.ball(bound)
         assert [w for _, w in ball] == [w for _, w in expected]
-        assert [rep.law.to_ut3(e) for e, _ in ball] == [g for g, _ in expected]
+        assert [rep.to_ut3(e) for e, _ in ball] == [g for g, _ in expected]
         # coset_key gives both element types the same center classes, and
         # the class walk the same first element of each
         pairs, _ = env.class_ball(bound)
-        assert [(rep.law.to_ut3(e), w) for e, w in pairs] == oracle.class_ball(bound)[0]
+        assert [(rep.to_ut3(e), w) for e, w in pairs] == oracle.class_ball(bound)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,11 +192,11 @@ SEARCH_SENTENCES = (
 @pytest.mark.parametrize("k", range(len(SEARCH_REPS)))
 def test_search_on_the_law_matches_ut3(k):
     # the whole bounded search on integer tuples, against the matrices
-    # through ElementLaw, whose coset keys are pairs of ring elements.  At
-    # bound 1, and at bound 2 on the fixtures, the matrices run the brute
-    # force (no rows, pins or blind variables), so a fault of the search
-    # shows too; at the larger bounds, where the brute force over matrices
-    # is too slow, they run the same search
+    # through conftest.ElementLaw, whose coset keys are pairs of ring
+    # elements.  At bound 1, and at bound 2 on the fixtures, the matrices
+    # run the brute force (no rows, pins or blind variables), so a fault of
+    # the search shows too; at the larger bounds, where the brute force
+    # over matrices is too slow, they run the same search
     rep = SEARCH_REPS[k]
     env, oracle = rep.env(), ut3_env(rep)
     fixture = k < len(SEARCH_FIXTURES)
@@ -216,7 +216,7 @@ def test_search_on_the_law_matches_ut3(k):
 def test_class2_law_frames():
     rep = cli.fixture("tau-fails-zxz")  # Y = (1,0) in e12, X = (0,1) in e23
     law = rep.law
-    assert law.f12 == law.f23 == law.f13 == ((0, ()), (1, ()))
+    assert rep.f12 == rep.f23 == rep.f13 == ((0, ()), (1, ()))
     assert sorted(law.table) == [(0, 2, 4), (1, 3, 5)]
     env = rep.env()
     assert env.constants["Y"] == (1, 0, 0, 0, 0, 0)
@@ -241,4 +241,4 @@ def test_class2_law_rejects_mixed_groups():
 def test_class2_law_element_outside_frames():
     rep = cli.fixture("heisenberg")
     with pytest.raises(ValueError, match="outside the frames"):
-        rep.law.element(elem(ZTH, 0, 0, "theta"))
+        rep.element(elem(ZTH, 0, 0, "theta"))

@@ -236,7 +236,7 @@ def test_prefix_intersection_matches_the_general_path(seed):
         A = rep.lattices.A
         for m in range(1, A.ambient_dim + 1):
             assert intersect_coordinate_zero(A, range(m)) == intersect_coordinate_zero_general(A, range(m))
-        n12 = len(rep.law.f12)
+        n12 = len(rep.f12)
         assert rep.lattices.A1 == intersect_coordinate_zero_general(A, range(n12))
 
 
