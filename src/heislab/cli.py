@@ -21,6 +21,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from typing import NamedTuple
 
 from . import formula, nilform, reprs
@@ -279,8 +280,14 @@ def cmd_extend(args) -> int:
 
 
 def cmd_adjoin_y(args) -> int:
+    """adjoin_Y's warnings go to stderr as ``warning: <message>`` lines, the
+    same on every call of the process."""
     rep = _load_rep(args)
-    new = reprs.adjoin_Y(rep, _parse_z(rep, args.z))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        new = reprs.adjoin_Y(rep, _parse_z(rep, args.z))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     sys.stdout.write(reprs.serialize_config(new))
     return 0
 
@@ -340,8 +347,7 @@ def cmd_discriminate(args) -> int:
     for ln, t in zip(lines, targets):
         if t == law.identity:
             raise UsageError(f"target {ln!r} is the identity")
-    targets = [nilform.NilForm(n, t[:n], t[n:]) for t in targets]
-    cert = nilform.discriminate_to_H(targets)
+    cert = nilform.discriminate_to_H(law, targets)
     doc = {
         "status": "holds",
         "extra_images": [list(e) for e in cert.extra_images],
@@ -505,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--at",
         choices=("a1", "a2"),
-        required=True,
-        help="the a_i whose centralizer was extended; n does not depend on it",
+        help="the a_i whose centralizer was extended (optional: n does not depend on it)",
     )
     p.add_argument("--name", help="indeterminate to retract (default: last adjoined)")
     _add_rep_opts(p)

@@ -1,4 +1,4 @@
-"""Free 2-nilpotent groups of finite rank with Mal'cev normal forms.
+"""Free 2-nilpotent groups of finite rank, and their discrimination into H.
 
 An element of the rank-n free 2-nilpotent group is written uniquely as
 
@@ -8,18 +8,18 @@ with the basic commutators [a_j, a_i] (j > i) central.  Collection uses the
 class-2 rule a_j a_i = a_i a_j [a_j, a_i]; commutators are written
 g^-1 h^-1 g h throughout.
 
-``ut3.Class2Law.free(n)`` is the same group's law on the tuples e + f, and
-``discriminate`` evaluates its words there; ``NilForm``'s own arithmetic is
-the law's independent reference.
+The program runs on ``ut3.Class2Law.free(n)``, the same group's law on the
+tuples e + f, which ``discriminate`` and this module's certificates read.
+``NilForm``, ``collect``, ``to_matrix`` and ``Hom`` are its reference.
 
 The rank-2 group is identified with the integer Heisenberg group via
 a1^p a2^q c^r  ->  matrix entries (e12, e13, e23) = (q, r, p).  Higher-rank
 groups are discriminated into it by sending each a_k (k > 2) to the generic
 element with entries (q_k, r_k, p_k) over Z[p3, q3, r3, ...], which is
 injective, and then choosing integer exponents one at a time with
-``rings.nonvanishing_point``.  The generic image of a normal form is read
-off its exponents by the class-2 product rule: its 12- and 23-entries are
-linear forms in the q_k and p_k and its 13-entry is a quadratic form
+``rings.nonvanishing_point``.  The generic image of a tuple is read off its
+exponents by the class-2 product rule: its 12- and 23-entries are linear
+forms in the q_k and p_k and its 13-entry is a quadratic form
 (``generic_forms``), summed as integer dictionaries over sparse monomials
 in the term format that ``rings.nonvanishing_point`` reads, so no ring
 element is built or multiplied.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import rings, ut3
 from .rings import Z, RingElem
-from .ut3 import UT3Elem
+from .ut3 import Class2Law, UT3Elem
 
 
 @functools.cache
@@ -168,43 +168,48 @@ class DiscriminationCertificate:
     extra_images: tuple[tuple[int, int, int], ...]  # (p, q, r) per generator > 2
     target_images: tuple[UT3Elem, ...]
 
-    @functools.cached_property
-    def hom(self) -> Hom:
-        """a1, a2 fixed and a_k -> a1^p a2^q c^r, built on first use."""
-        images = [ut3.a1(Z), ut3.a2(Z)] + [ut3.elem(Z, q, r, p) for p, q, r in self.extra_images]
-        return Hom(images, ut3.identity(Z))
-
     def verify(self, targets) -> bool:
+        """Whether a1, a2 fixed and a_k -> a1^p a2^q [a2,a1]^r send the
+        targets, tuples of ``Class2Law.free(n)``, to ``target_images`` and
+        none to 1.  It runs on H = ``Class2Law.free(2)``, where
+        a1^p a2^q [a2,a1]^r is (p, q, r), the matrix (q, r, p)."""
+        H, images = Class2Law.free(2), [(1, 0, 0), (0, 1, 0), *self.extra_images]
+        law = Class2Law.free(len(images))
+        images += [H.comm(images[i], images[j]) for i, j, _ in law.table]  # one per coordinate
         if len(targets := list(targets)) != len(self.target_images):
             return False
         for t, img in zip(targets, self.target_images):
-            got = self.hom(t)
-            if got.is_identity() or got != img:
+            if len(t) != law.dim:
+                return False
+            p, q, r = got = functools.reduce(H.mul, map(H.pow_int, images, t), H.identity)
+            if got == H.identity or ut3.elem(Z, q, r, p) != img:
                 return False
         return True
 
 
-def generic_forms(t: NilForm) -> tuple[dict, dict, dict]:
-    """The (12, 13, 23)-entries of t's image under the generic retraction,
-    in the term format of ``rings.nonvanishing_point`` for the names
-    p3, q3, r3, p4, ... (indices 0, 1, 2, 3, ...), all in component 0.
+def generic_forms(law: Class2Law, t: tuple[int, ...]) -> tuple[dict, dict, dict]:
+    """The (12, 13, 23)-entries of the image of t, a tuple of
+    ``law = Class2Law.free(n)``, under the generic retraction, in the term
+    format of ``rings.nonvanishing_point`` for the names p3, q3, r3, p4, ...
+    (indices 0, 1, 2, 3, ...), all in component 0.
 
     a_k goes to the element with entries (Q_k, R_k, P_k): (0, 0, 1) for a1,
     (1, 0, 0) for a2 and (q_k, r_k, p_k) for k > 2.  The class-2 product
     rule (g*h)13 = g13 + h13 + g12*h23, its powers
     g^e = (e*g12, e*g13 + C(e,2)*g12*g23, e*g23) and the central commutators
-    [g,h] = (0, g12*h23 - h12*g23, 0) give t = a1^e1...an^en prod [a_j,a_i]^f_ij
-    the entries
+    [g,h] = (0, g12*h23 - h12*g23, 0) give t = a1^e1...an^en prod c_k^t[k],
+    with c_k = [a_i, a_j] for each ``law.table`` row (i - 1, j - 1, k), the
+    entries
 
         12:  sum_k e_k Q_k                23:  sum_k e_k P_k
         13:  sum_k (e_k R_k + C(e_k,2) Q_k P_k) + sum_{j<k} e_j e_k Q_j P_k
-             + sum_{i<j} f_ij (Q_j P_i - Q_i P_j)
+             + sum_{rows} t[k] (Q_i P_j - Q_j P_i)
 
     so the 12- and 23-entries are linear forms and the 13-entry a
     quadratic form.  Every quadratic monomial is a product Q_j P_k of two
     distinct names (a q and a p), so each exponent is 1.
     """
-    n = t.n
+    n = law.central
     Q = [None, ()] + [((3 * k + 1, 1),) for k in range(n - 2)]
     R = [None, None] + [((3 * k + 2, 1),) for k in range(n - 2)]
     P = [(), None] + [((3 * k, 1),) for k in range(n - 2)]
@@ -217,7 +222,7 @@ def generic_forms(t: NilForm) -> tuple[dict, dict, dict]:
             form[key] = form.get(key, 0) + c
 
     left = []  # (Q_j, e_j) for the letters before a_k
-    for k, e in enumerate(t.e):
+    for k, e in enumerate(t[:n]):
         if e:
             add(f12, Q[k], (), e)
             add(f23, P[k], (), e)
@@ -227,10 +232,10 @@ def generic_forms(t: NilForm) -> tuple[dict, dict, dict]:
                 add(f13, q, P[k], d * e)
             if Q[k] is not None:
                 left.append((Q[k], e))
-    for (i, j), f in zip(_pairs(n), t.f):
-        if f:
-            add(f13, Q[j - 1], P[i - 1], f)
-            add(f13, Q[i - 1], P[j - 1], -f)
+    for i, j, k in law.table:
+        if t[k]:
+            add(f13, Q[i], P[j], t[k])
+            add(f13, Q[j], P[i], -t[k])
     # the 13-entry's coefficients can cancel to 0; the format keeps none
     return f12, {key: c for key, c in f13.items() if c}, f23
 
@@ -239,13 +244,14 @@ def _evaluate(form: dict, values: list[int]) -> int:
     return sum(c * math.prod(values[i] ** d for i, d in mono) for (_, mono), c in form.items())
 
 
-def discriminate_to_H(targets) -> DiscriminationCertificate:
-    """Retraction to the rank-2 (Heisenberg) copy mapping no target to 1.
+def discriminate_to_H(law: Class2Law, targets) -> DiscriminationCertificate:
+    """Retraction of ``law = Class2Law.free(n)`` to the rank-2 (Heisenberg)
+    copy mapping no target, a tuple of the law, to 1.
 
     a1 and a2 are fixed; each a_k (k > 2) is sent to a1^p a2^q c^r.  The
     targets' images under the generic retraction with indeterminate
-    exponents p_k, q_k, r_k are read off their normal forms as integer
-    forms (``generic_forms``), with no group or ring multiplication.  The
+    exponents p_k, q_k, r_k are read off their tuples as integer forms
+    (``generic_forms``), with no group or ring multiplication.  The
     generic retraction is injective (the images of a1, ..., an and of the
     basic commutators have independent entries), so every image has a
     nonzero entry, and ``rings.nonvanishing_point`` picks nonnegative
@@ -261,16 +267,10 @@ def discriminate_to_H(targets) -> DiscriminationCertificate:
     targets = list(targets)
     if not targets:
         raise ValueError("no targets")
-    n = targets[0].n
-    if n < 2:
-        raise ValueError("rank must be at least 2")
-    for t in targets:
-        if t.n != n:
-            raise ValueError("mixed ranks")
-        if t.is_identity():
-            raise ValueError("identity is annihilated by every retraction")
-    names = [f"{v}{k}" for k in range(3, n + 1) for v in "pqr"]
-    forms = [generic_forms(t) for t in targets]
+    if law.identity in targets:
+        raise ValueError("identity is annihilated by every retraction")
+    names = [f"{v}{k}" for k in range(3, law.central + 1) for v in "pqr"]
+    forms = [generic_forms(law, t) for t in targets]
     point = rings.nonvanishing_point(forms, names)
     values = [point[v] for v in names]
     exps = tuple(tuple(values[i : i + 3]) for i in range(0, len(values), 3))

@@ -147,6 +147,27 @@ class Representation:
         return tuple({m: k for k, m in enumerate(f)} for f in (self.f12, self.f23, self.f13))
 
     @cached_property
+    def places(self) -> tuple[tuple, tuple]:
+        """Each f13 coordinate's place in ``frame``'s 12-block and in its
+        23-block; None where its monomial is outside f12 (resp. f23)."""
+        return tuple(
+            tuple(None if i is None else offset + i for i in map(self.index[block].get, self.f13))
+            for block, offset in ((0, 0), (1, len(self.f12)))
+        )
+
+    def entry_pair(self, z, block: int) -> list[int] | None:
+        """The entry pair over ``frame`` with f13 coordinates z in the
+        12-block (0) or 23-block (1) and 0 in the other; None if z has a
+        monomial outside that block's frame."""
+        v = [0] * len(self.frame)
+        for place, c in zip(self.places[block], z):
+            if c:
+                if place is None:
+                    return None
+                v[place] = c
+        return v
+
+    @cached_property
     def law(self) -> Class2Law:
         """The group law on integer class-2 coordinates (see ``ut3``): an
         element is one flat tuple (x12, x23, z) over the frames f12, f23 and
@@ -291,17 +312,6 @@ def _block_coords(rep: Representation, block: int, component: int) -> list[int]:
     n12 = len(rep.f12)
     span = range(n12) if block == 0 else range(n12, len(rep.frame))
     return [i for i in span if rep.frame[i][0] == component]
-
-
-def _realizing_exponents(rep: Representation, value: RingElem, block: int) -> Optional[tuple]:
-    """Generator exponents of a group element whose entry pair is ``value``
-    in the 12-block (0) or the 23-block (1) and zero in the other; None if
-    there is none."""
-    c = rep.coords(block, value)
-    if c is None:
-        return None  # a monomial outside the block's frame
-    zero = (0,) * (len(rep.frame) - len(c))
-    return zlattice.in_source_coordinates(rep.lattices.A, c + zero if block == 0 else zero + c)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +470,14 @@ def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
 
 def _solve(rep: Representation, z: UT3Elem, block: int) -> Optional[Solution]:
     """A group element whose entry pair is z13 in the given block (0: the
-    12-block, 1: the 23-block) and zero in the other; None if there is none."""
+    12-block, 1: the 23-block) and zero in the other; None if there is none.
+    z13 is placed as ``f13`` coordinates, which hold every f12 and f23
+    monomial (a1 and a2 put 1 in every component)."""
     if not z.is_central():
         raise ValueError("z must be central")
-    coeffs = _realizing_exponents(rep, z.u13, block)
+    c = rep.coords(2, z.u13)
+    v = None if c is None else rep.entry_pair(c, block)
+    coeffs = None if v is None else zlattice.in_source_coordinates(rep.lattices.A, v)
     return None if coeffs is None else Solution(rep.product_of_generators(coeffs), coeffs)
 
 
@@ -490,36 +504,20 @@ def sigma_check(rep: Representation) -> Verdict:
     pairs in itertools.combinations order, with S tried before T: that z
     is itself a commutator value.
 
-    z is read as the (1,3) coordinates of the law's commutator and moved
-    into the 12- or 23-block by a map from ``f13`` to ``f12`` or ``f23``;
-    a nonzero coordinate whose monomial is outside that frame makes the
-    system unsolvable.  The ring element is built only for the witness."""
-    law = rep.law
-    n12, n = len(rep.f12), len(rep.frame)
-    # each f13 coordinate's place in the 12-block and in the 23-block
-    places = [
-        [None if i is None else offset + i for i in map(rep.index[block].get, rep.f13)]
-        for block, offset in ((0, 0), (1, n12))
-    ]
+    z is read as the (1,3) coordinates of the law's commutator and placed
+    in the 12- or 23-block by ``Representation.entry_pair``, the placement
+    ``solve_S`` and ``solve_T`` use; a pair that is None makes the system
+    unsolvable.  Membership is ``zlattice.solve``, which takes no exponents,
+    and the ring element is built only for the witness."""
+    law, n = rep.law, len(rep.frame)
     for g, h in itertools.combinations(rep.law_generators, 2):
         z = law.comm(g, h)[n:]
-        for place, system in zip(places, "ST"):
-            if not _pair_in(rep.lattices.A, z, place):
+        for block, system in enumerate("ST"):
+            v = rep.entry_pair(z, block)
+            if v is None or zlattice.solve(rep.lattices.A, v) is None:
                 value = rings.from_frame(rep.ring, rep.f13, z)
                 return Verdict("violated", "exact_lattice", SigmaWitness(value, system))
     return Verdict("holds", "exact_lattice")
-
-
-def _pair_in(A: Lattice, z, place) -> bool:
-    """Whether A holds the entry pair whose coordinate place[k] is z[k] (a
-    place None is outside the frame) and whose others are 0."""
-    v = [0] * A.ambient_dim
-    for k, c in enumerate(z):
-        if c:
-            if place[k] is None:
-                return False
-            v[place[k]] = c
-    return zlattice.solve(A, v) is not None
 
 
 # ---------------------------------------------------------------------------

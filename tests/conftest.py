@@ -66,12 +66,35 @@ def nonvanishing_point_oracle(groups, names, start: int = 0) -> dict[str, int]:
     return point
 
 
+def on_free_law(targets, n: int | None = None):
+    """NilForms as nilform.discriminate_to_H and
+    DiscriminationCertificate.verify read them: the law Class2Law.free(n),
+    n the forms' rank unless there are none, and each form's tuple e + f."""
+    targets = list(targets)
+    law = ut3.Class2Law.free(targets[0].n if targets else n)
+    return law, [t.e + t.f for t in targets]
+
+
+def h_hom(extra_images) -> nilform.Hom:
+    """The retraction a certificate stands for, as a Hom onto UT3Elems over
+    Z: a1 and a2 fixed and a_k -> a1^p a2^q [a2,a1]^r, the matrix (q, r, p)."""
+    images = [ut3.a1(rings.Z), ut3.a2(rings.Z)] + [ut3.elem(rings.Z, q, r, p) for p, q, r in extra_images]
+    return nilform.Hom(images, ut3.identity(rings.Z))
+
+
+def verify_oracle(cert, targets) -> bool:
+    """DiscriminationCertificate.verify on NilForms, through ``h_hom``."""
+    hom = h_hom(cert.extra_images)
+    images = [hom(t) for t in targets]
+    return list(cert.target_images) == images and not any(g.is_identity() for g in images)
+
+
 def discriminate_to_H_generic(targets):
     """nilform.discriminate_to_H by multiplying out a generic Hom: each
     target goes through the retraction a_k -> (q_k, r_k, p_k) over
     Z[p3, q3, r3, ...] by UT3Elem and RingElem arithmetic,
     ``rings.nonvanishing_point`` picks the exponents from the images'
-    entries, and a Hom over Z gives the target images.  Returns the generic
+    entries, and ``h_hom`` gives the target images.  Returns the generic
     entries [[e12, e13, e23], ...], the extra images and the target images."""
     n = targets[0].n
     extras = range(3, n + 1)
@@ -86,11 +109,7 @@ def discriminate_to_H_generic(targets):
     entries = [[g.u12, g.u13, g.u23] for g in map(generic, targets)]
     point = rings.nonvanishing_point(rings.terms_of(entries, names), names)
     exps = tuple((point[f"p{k}"], point[f"q{k}"], point[f"r{k}"]) for k in extras)
-    hom = nilform.Hom(
-        [ut3.a1(rings.Z), ut3.a2(rings.Z)] + [ut3.elem(rings.Z, q, r, p) for p, q, r in exps],
-        ut3.identity(rings.Z),
-    )
-    return entries, exps, tuple(map(hom, targets))
+    return entries, exps, tuple(map(h_hom(exps), targets))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import corpus, lame_check_def1, product_oracle, random_ut3
+from conftest import corpus, lame_check_def1, on_free_law, product_oracle, random_ut3, verify_oracle
 from heislab import formula, nilform, reprs, rings, ut3, zlattice
 from heislab.formula import builtin, refute_universal
 from heislab.nilform import collect, discriminate_to_H, to_matrix
@@ -132,8 +132,9 @@ def test_criterion_7_discrimination():
                     map(abs, t.e + t.f)
                 ) <= 3:
                     targets.append(t)
-            cert = discriminate_to_H(targets)
-            assert cert.verify(targets)
+            law, ts = on_free_law(targets)
+            cert = discriminate_to_H(law, ts)
+            assert cert.verify(ts) and verify_oracle(cert, targets)
 
 
 def test_criterion_8_systems_and_sigma():

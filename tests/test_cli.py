@@ -303,6 +303,20 @@ def test_adjoin_y(capsys, tmp_path):
     assert code == 0
 
 
+def test_adjoin_y_warning_is_one_stable_stderr_line(capsys):
+    # the same one line on every call of the process, with no source path
+    for z, message in (
+        ("0", "adjoin_Y with z = identity adjoins the identity"),
+        ("1", "system S is already solvable; adjoin_Y is redundant"),
+    ):
+        first, second = (run(capsys, "adjoin-y", "--z", z) for _ in range(2))
+        assert first == second
+        code, out, err = first
+        assert code == 0 and "generators: {" in out
+        assert err == f"warning: {message}\n"
+    assert run(capsys, "adjoin-y", "--z", "(1,0)", "--example", "zxz-lame")[2] == ""
+
+
 def test_adjoin_center(capsys):
     code, out, _ = run(capsys, "adjoin-center")
     assert code == 0
@@ -331,11 +345,11 @@ def test_bigpowers_certificate_does_not_depend_on_at(capsys, tmp_path, extended)
     targets = tmp_path / "targets.txt"
     targets.write_text(f"@t\n@t*{extended}^-1\n@t*{extended}^-2*a1\n[@t,a1*a2]\n")
     outs = [
-        run(capsys, "bigpowers", "--targets", str(targets), "--rep", str(cfg), "--at", at, *mode)
+        run(capsys, "bigpowers", "--targets", str(targets), "--rep", str(cfg), *at, *mode)
         for mode in ([], ["--json"])
-        for at in ("a1", "a2")
+        for at in (["--at", "a1"], ["--at", "a2"], [])
     ]
-    assert outs[0] == outs[1] and outs[2] == outs[3]
+    assert outs[0] == outs[1] == outs[2] and outs[3] == outs[4] == outs[5]
     assert outs[0][0] == 0 and outs[0][1].startswith("n=")
 
 

@@ -1,8 +1,9 @@
 """Golden stdout and exit codes of the ``heislab`` command.
 
 Every case runs ``cli.main`` in-process and compares stdout and the exit code
-with ``tests/data/cli_golden.json``.  stderr is not compared: warnings carry
-source line numbers.  After a deliberate output change, regenerate the data
+with ``tests/data/cli_golden.json``.  stderr is not compared: it holds only
+the error and warning messages, whose wording ``test_cli.py`` checks where
+it matters.  After a deliberate output change, regenerate the data
 with ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
 """
 
@@ -210,9 +211,7 @@ def test_data_covers_exactly_the_cases(golden):
     assert sorted(golden) == sorted(_key(c) for c in _cases())
 
 
-# one test per subcommand keeps the per-test overhead small; warnings such
-# as adjoin-y's "already solvable" belong to stderr, which is not compared
-@pytest.mark.filterwarnings("ignore::UserWarning")
+# one test per subcommand keeps the per-test overhead small
 @pytest.mark.parametrize("command", sorted({c["argv"][0] for c in _cases()}))
 def test_cli_golden(command, golden, files):
     mismatches = []
@@ -224,6 +223,40 @@ def test_cli_golden(command, golden, files):
         if got != (expected["exit"], expected["stdout"]):
             mismatches.append((_key(case), (expected["exit"], expected["stdout"]), got))
     assert not mismatches, mismatches[0]
+
+
+class ReferenceArithmeticUsed(Exception):
+    """Not a ValueError, so ``cli.main`` lets it through."""
+
+
+def test_cli_golden_without_reference_arithmetic(golden, files, monkeypatch):
+    """Every case again, with the arithmetic that the tests keep as the
+    reference patched to raise: ``NilForm`` and its group methods,
+    ``UT3Elem``'s group methods, ``Hom``, ``collect`` and ``to_matrix``.
+    The program computes on ``Class2Law`` tuples and reaches none of them."""
+    from heislab import nilform, ut3
+
+    def trap(name):
+        def raiser(*args, **kwargs):
+            raise ReferenceArithmeticUsed(name)
+
+        return raiser
+
+    traps = [(nilform.NilForm, "__post_init__"), (nilform, "collect"), (nilform, "to_matrix")]
+    traps += [(cls, m) for cls in (nilform.NilForm, ut3.UT3Elem) for m in ("__mul__", "inv", "pow_int", "comm")]
+    traps += [(nilform.Hom, m) for m in ("__init__", "apply", "__call__")]
+    for owner, attr in traps:
+        monkeypatch.setattr(owner, attr, trap(f"{owner.__name__}.{attr}"))
+    mismatches = []
+    for case in _cases():
+        expected = golden[_key(case)]
+        try:
+            got = _run(case, files)
+        except ReferenceArithmeticUsed as exc:
+            got = f"reached {exc}"
+        if got != (expected["exit"], expected["stdout"]):
+            mismatches.append((_key(case), got))
+    assert not mismatches, mismatches[:3]
 
 
 def test_json_stdout_is_the_emitters(golden):

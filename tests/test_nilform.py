@@ -4,9 +4,10 @@ import random
 import time
 
 import pytest
-from conftest import ElementLaw, discriminate_to_H_generic
+from conftest import ElementLaw, discriminate_to_H_generic, h_hom, on_free_law, verify_oracle
 
 from heislab import nilform, rings, ut3
+from heislab.rings import RingElem
 from heislab.nilform import (
     Hom,
     NilForm,
@@ -221,38 +222,40 @@ def test_hom_commutator_bilinearity():
 
 
 def test_discriminate_single_target():
-    cert = discriminate_to_H([generator(3, 3)])
-    assert cert.verify([generator(3, 3)])
+    law, ts = on_free_law([generator(3, 3)])
+    cert = discriminate_to_H(law, ts)
+    assert cert.verify(ts)
 
 
 def test_verify_wants_one_target_per_image():
-    ts = [generator(4, 3), generator(4, 4)]
-    cert = discriminate_to_H(ts)
+    law, ts = on_free_law([generator(4, 3), generator(4, 4)])
+    cert = discriminate_to_H(law, ts)
     assert cert.verify(ts)
     assert not cert.verify(ts[:1])
-    assert not cert.verify(ts + [generator(4, 1)])
+    assert not cert.verify(ts + on_free_law([generator(4, 1)])[1])
 
 
 def test_discriminate_needs_nontrivial_image():
     # a3 dies under a3->1, so the exponents cannot all be zero
     t = collect(3, [(3, 1)])
-    cert = discriminate_to_H([t])
-    assert cert.verify([t])
-    assert not cert.hom(t).is_identity()
+    cert = discriminate_to_H(*on_free_law([t]))
+    assert cert.verify(on_free_law([t])[1])
+    assert not h_hom(cert.extra_images)(t).is_identity()
     assert any(any(e) for e in cert.extra_images)
 
 
 def test_discriminate_fixed_rank2_part():
     c = collect(3, [(2, -1), (1, -1), (2, 1), (1, 1)])  # [a2,a1]
-    cert = discriminate_to_H([c])
-    assert cert.hom(c) == ut3.a2(Z).comm(ut3.a1(Z))
+    cert = discriminate_to_H(*on_free_law([c]))
+    assert h_hom(cert.extra_images)(c) == ut3.a2(Z).comm(ut3.a1(Z))
+    assert cert.target_images == (ut3.a2(Z).comm(ut3.a1(Z)),)
 
 
 def test_discriminate_rejects_identity_target():
     with pytest.raises(ValueError):
-        discriminate_to_H([identity(3)])
+        discriminate_to_H(*on_free_law([identity(3)]))
     with pytest.raises(ValueError):
-        discriminate_to_H([])
+        discriminate_to_H(*on_free_law([], 3))
 
 
 def test_discriminate_random_sets():
@@ -263,8 +266,9 @@ def test_discriminate_random_sets():
             t = random_form(rng, 3, bound=3)
             if not t.is_identity():
                 targets.append(t)
-        cert = discriminate_to_H(targets)
-        assert cert.verify(targets)
+        law, ts = on_free_law(targets)
+        cert = discriminate_to_H(law, ts)
+        assert cert.verify(ts)
         for t, img in zip(targets, cert.target_images):
             assert not img.is_identity()
 
@@ -281,10 +285,11 @@ def test_discriminate_leaves_the_exponent_cube():
         for r in (-1, 0, 1)
     ]
     targets.append(generator(5, 4) * generator(5, 5))
+    law, ts = on_free_law(targets)
     started = time.perf_counter()
-    cert = discriminate_to_H(targets)
+    cert = discriminate_to_H(law, ts)
     assert time.perf_counter() - started < 2.0
-    assert cert.verify(targets)
+    assert cert.verify(ts)
     assert cert.extra_images == ((0, 0, 2), (0, 0, 0), (0, 0, 1))
 
 
@@ -301,8 +306,9 @@ def test_discriminate_exponents_zero_when_trivial_retraction_works():
         trivial = Hom(
             [ut3.a1(Z), ut3.a2(Z)] + [ut3.identity(Z)] * (n - 2), ut3.identity(Z)
         )
-        cert = discriminate_to_H(targets)
-        assert cert.verify(targets)
+        law, ts = on_free_law(targets)
+        cert = discriminate_to_H(law, ts)
+        assert cert.verify(ts)
         if all(not trivial(t).is_identity() for t in targets):
             assert cert.extra_images == ((0, 0, 0),) * (n - 2)
             seen_zero += 1
@@ -347,11 +353,12 @@ def test_generic_forms_match_the_generic_hom():
         n = targets[0].n
         names = [f"{v}{k}" for k in range(3, n + 1) for v in "pqr"]
         entries, exps, images = discriminate_to_H_generic(targets)
-        assert [list(nilform.generic_forms(t)) for t in targets] == rings.terms_of(entries, names)
-        cert = discriminate_to_H(targets)
+        law, ts = on_free_law(targets)
+        assert [list(nilform.generic_forms(law, t)) for t in ts] == rings.terms_of(entries, names)
+        cert = discriminate_to_H(law, ts)
         assert cert.extra_images == exps
         assert cert.target_images == images
-        assert cert.verify(targets)
+        assert cert.verify(ts)
         moved += any(map(any, exps))
     assert moved  # some sets die under a_k -> 1 and move the exponents
     assert [k for k, e in enumerate(exps, 3) if any(e)] == [64, 99, 100]  # the rank-100 set
@@ -374,19 +381,58 @@ def test_discriminate_multiplies_nothing(monkeypatch):
 
     targets = _random_targets(random.Random(25), 6)
     targets.append(generator(6, 3))  # dies under a3 -> 1
+    law, ts = on_free_law(targets)
     for owner, attr in (
         (RingDesc, "__post_init__"),
         (RingElem, "__mul__"),
         (UT3Elem, "__mul__"),
         (UT3Elem, "pow_int"),
+        (UT3Elem, "comm"),
+        (NilForm, "__post_init__"),
         (Hom, "apply"),
         (Hom, "__call__"),
         (Hom, "__init__"),
     ):
         count(owner, attr)
-    cert = discriminate_to_H(targets)
-    assert calls == {}
+    cert = discriminate_to_H(law, ts)
     assert any(any(e) for e in cert.extra_images)
-    # the Hom is built on first use, once
-    assert cert.verify(targets) and cert.verify(targets)
-    assert calls["__init__"] == 1
+    # verify runs on the free law's tuples too
+    assert cert.verify(ts)
+    assert calls == {}
+
+
+def test_verify_matches_the_hom_oracle():
+    # verify on the tuples against the Hom onto UT3Elems on the NilForms:
+    # random sets of ranks 2-6, each with one image changed, target lists
+    # one short and one long, and the retraction a_k -> 1 with its own
+    # images, which verify rejects exactly when it kills a target
+    rng = random.Random(26)
+    changed = killed = 0
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        targets = _random_targets(rng, n)
+        law, ts = on_free_law(targets)
+        cert = discriminate_to_H(law, ts)
+        assert cert.verify(ts) and verify_oracle(cert, targets)
+        k = rng.randrange(len(ts))
+        g = cert.target_images[k]
+        for bad in (
+            ut3.elem(Z, g.u12, g.u13 + RingElem.integer(Z, rng.choice((-1, 1))), g.u23),
+            ut3.elem(Z, g.u12 + RingElem.one(Z), g.u13, g.u23),
+            ut3.identity(Z),
+        ):
+            other = nilform.DiscriminationCertificate(
+                cert.extra_images, cert.target_images[:k] + (bad,) + cert.target_images[k + 1 :]
+            )
+            assert not other.verify(ts) and not verify_oracle(other, targets)
+            changed += 1
+        assert not cert.verify(ts[:-1]) and not verify_oracle(cert, targets[:-1])
+        assert not cert.verify(ts + ts[:1]) and not verify_oracle(cert, targets + targets[:1])
+        # a tuple of another rank is no target of this certificate
+        assert not cert.verify([t + (0,) for t in ts])
+        trivial = ((0, 0, 0),) * (n - 2)
+        own = nilform.DiscriminationCertificate(trivial, tuple(map(h_hom(trivial), targets)))
+        alive = not any(g.is_identity() for g in own.target_images)
+        assert own.verify(ts) == verify_oracle(own, targets) == alive
+        killed += not alive
+    assert changed == 450 and killed

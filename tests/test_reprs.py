@@ -785,6 +785,54 @@ def test_sigma_witness_is_an_unsolvable_generator_commutator():
     assert violated >= 10
 
 
+def _block_pair(rep, value, block):
+    """value's coordinates over f12 (block 0) or f23 (block 1), padded to an
+    entry pair over ``frame``; None outside that frame."""
+    c = rep.coords(block, value)
+    if c is None:
+        return None
+    zero = (0,) * (len(rep.frame) - len(c))
+    return list(c + zero if block == 0 else zero + c)
+
+
+def test_entry_pair_places_f13_as_the_block_coordinates_do():
+    # every f13 monomial, and random combinations of them, placed in each
+    # block, against the value's own coordinates over f12 and over f23
+    rng = random.Random(18)
+    for rep in sigma_reps():
+        m = len(rep.f13)
+        assert rep.f13 == tuple(sorted(set(rep.f13) | set(rep.f12) | set(rep.f23)))
+        units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+        mixed = [tuple(rng.choice((0, 0, 1, -2, 3)) for _ in range(m)) for _ in range(4)]
+        for z in units + mixed:
+            value = rings.from_frame(rep.ring, rep.f13, z)
+            for block in (0, 1):
+                assert rep.entry_pair(z, block) == _block_pair(rep, value, block)
+
+
+def test_solve_matches_the_block_coordinates_route():
+    # solve_S and solve_T read z13 as f13 coordinates; the exponents are the
+    # ones z13's own coordinates over f12 or f23 give, and a z13 outside
+    # f13 has none
+    rng = random.Random(19)
+    solved = unsolved = 0
+    for rep in sigma_reps():
+        A, m = rep.lattices.A, len(rep.f13)
+        values = [rep.to_ut3(rep.law.comm(g, h)).u13 for g, h in itertools.combinations(rep.law_generators, 2)]
+        values += [rings.from_frame(rep.ring, rep.f13, [rng.randint(-2, 2) for _ in range(m)]) for _ in range(3)]
+        values += [RingElem.var(rep.ring, name) ** 9 for name in rep.ring.components[0][:1]]
+        zero = RingElem.zero(rep.ring)
+        for value in values:
+            for block, solver in enumerate((solve_S, solve_T)):
+                v = _block_pair(rep, value, block)
+                want = None if v is None else zlattice.in_source_coordinates(A, v)
+                sol = solver(rep, UT3Elem(rep.ring, zero, value, zero))
+                assert (None if sol is None else sol.coefficients) == want
+                solved += sol is not None
+                unsolved += sol is None
+    assert solved > 100 and unsolved > 100
+
+
 def test_product_of_generators_matches_matrix_oracle():
     rng = random.Random(60)
     for rep in corpus(60) + [wide_representation(rng, 12)]:
