@@ -1,6 +1,7 @@
 """heislab: exact decision procedures for Heisenberg-like matrix groups.
 
 Subpackages:
+  record   -- the immutable record base of every value class
   rings    -- products of integer polynomial rings, retractions, discrimination
   zlattice -- integer lattices in Hermite normal form
   ut3      -- the group of upper unitriangular 3x3 matrices over such rings

@@ -25,47 +25,60 @@ import heapq
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import cache, partial, reduce
 from typing import Any, Optional
 
+from .record import Record, setfield
 from .rings import MAX_DEPTH, parse_int
 
 # ---------------------------------------------------------------------------
 # AST
 
 
-@dataclass(frozen=True)
-class One:
+class One(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Pair(Record):
+    """The shape of the binary nodes, each its own class."""
 
-
-@dataclass(frozen=True)
-class Const:
-    name: str  # a1, a2, or a named group element
-
-
-@dataclass(frozen=True)
-class TMul:
     left: Any
     right: Any
 
+    def __init__(self, left, right):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
-@dataclass(frozen=True)
-class TPow:
+
+class Var(Record):
+    name: str
+
+    def __init__(self, name):
+        setfield(self, "name", name)
+
+
+class Const(Record):
+    name: str  # a1, a2, or a named group element
+
+    def __init__(self, name):
+        setfield(self, "name", name)
+
+
+class TMul(_Pair):
+    pass
+
+
+class TPow(Record):
     base: Any
     exp: int  # any integer; -1 is the inverse
 
+    def __init__(self, base, exp):
+        setfield(self, "base", base)
+        setfield(self, "exp", exp)
 
-@dataclass(frozen=True)
-class TComm:
-    left: Any
-    right: Any
+
+class TComm(_Pair):
+    pass
 
 
 ONE = One()
@@ -73,44 +86,48 @@ A1 = Const("a1")
 A2 = Const("a2")
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Any
-    right: Any
+class Eq(_Pair):
+    pass
 
 
-@dataclass(frozen=True)
-class Ne:
-    left: Any
-    right: Any
+class Ne(_Pair):
+    pass
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     arg: Any
 
+    def __init__(self, arg):
+        setfield(self, "arg", arg)
 
-@dataclass(frozen=True)
-class And:
+
+class And(Record):
     items: tuple
 
+    def __init__(self, items):
+        setfield(self, "items", items)
 
-@dataclass(frozen=True)
-class Or:
+
+class Or(Record):
     items: tuple
 
-
-@dataclass(frozen=True)
-class Implies:
-    left: Any
-    right: Any
+    def __init__(self, items):
+        setfield(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Quant:
+class Implies(_Pair):
+    pass
+
+
+class Quant(Record):
     kind: str  # "forall" | "exists"
     vars: tuple[str, ...]
     body: Any
+
+    def __init__(self, kind, vars, body):
+        setfield(self, "kind", kind)
+        setfield(self, "vars", vars)
+        setfield(self, "body", body)
 
 
 class FormulaError(ValueError):
@@ -676,15 +693,20 @@ def eval_qf(f, env: GroupEnv, assignment: dict) -> bool:
 # Bounded quantifier search
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """The answer to whether a group satisfies a sentence, from an exact
     checker (``reprs``) or a bounded search (below)."""
 
     status: str  # holds | violated | inconclusive
     method: str  # exact_lattice | bounded_search
-    witness: object = None
-    bound: Optional[int] = None
+    witness: object
+    bound: Optional[int]
+
+    def __init__(self, status, method, witness=None, bound=None):
+        setfield(self, "status", status)
+        setfield(self, "method", method)
+        setfield(self, "witness", witness)
+        setfield(self, "bound", bound)
 
     def to_dict(self) -> dict:
         return {
@@ -695,12 +717,16 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class SearchWitness:
+class SearchWitness(Record):
     """The assignment a bounded search found: elements and their words."""
 
-    assignment: dict = field(hash=False)
-    words: dict = field(hash=False)
+    assignment: dict
+    words: dict
+    _unhashed = ("assignment", "words")
+
+    def __init__(self, assignment, words):
+        setfield(self, "assignment", assignment)
+        setfield(self, "words", words)
 
     def to_dict(self) -> dict:
         return dict(sorted(self.words.items()))

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import rings, ut3
+from .record import Record, setfield
 from .rings import Z, RingElem
 from .ut3 import Class2Law, UT3Elem
 
@@ -42,17 +42,19 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(2, n + 1) for i in range(1, j))
 
 
-@dataclass(frozen=True)
-class NilForm:
+class NilForm(Record):
     """Mal'cev normal form; ``f`` is indexed by ``_pairs(n)`` order."""
 
     n: int
     e: tuple[int, ...]
     f: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.e) != self.n or len(self.f) != self.n * (self.n - 1) // 2:
+    def __init__(self, n, e, f):
+        if len(e) != n or len(f) != n * (n - 1) // 2:
             raise ValueError("exponent vector lengths do not match rank")
+        setfield(self, "n", n)
+        setfield(self, "e", e)
+        setfield(self, "f", f)
 
     def is_identity(self) -> bool:
         return not any(self.e) and not any(self.f)
@@ -160,13 +162,16 @@ class Hom:
     __call__ = apply
 
 
-@dataclass(frozen=True)
-class DiscriminationCertificate:
+class DiscriminationCertificate(Record):
     """A retraction F_n(N_2) -> H that kills none of the targets, with the
     verified nonidentity images."""
 
     extra_images: tuple[tuple[int, int, int], ...]  # (p, q, r) per generator > 2
     target_images: tuple[UT3Elem, ...]
+
+    def __init__(self, extra_images, target_images):
+        setfield(self, "extra_images", extra_images)
+        setfield(self, "target_images", target_images)
 
     def verify(self, targets) -> bool:
         """Whether a1, a2 fixed and a_k -> a1^p a2^q [a2,a1]^r send the

@@ -23,25 +23,30 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 from . import rings, zlattice
 from .formula import GroupEnv, Verdict
+from .record import Record, setfield
 from .rings import Frame, RingDesc, RingElem
 from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2
 from .zlattice import Lattice
 
 
-@dataclass(frozen=True)
-class LameWitness:
+class LameWitness(Record):
     """Element of C(a_i) \\ Z whose off-diagonal entry is a zero divisor."""
 
     centralizer: int  # 1 or 2
     element: UT3Elem
     entry: RingElem
     dead_component: int
+
+    def __init__(self, centralizer, element, entry, dead_component):
+        setfield(self, "centralizer", centralizer)
+        setfield(self, "element", element)
+        setfield(self, "entry", entry)
+        setfield(self, "dead_component", dead_component)
 
     def to_dict(self):
         return {
@@ -52,20 +57,22 @@ class LameWitness:
         }
 
 
-@dataclass(frozen=True)
-class TauWitness:
+class TauWitness(Record):
     """Assignment (x1=x, x2=y) falsifying tau: y in C(a2), x in C(a1),
     [y,x]=1, yet [y,a1] != 1 and [a2,x] != 1."""
 
     y: UT3Elem
     x: UT3Elem
 
+    def __init__(self, y, x):
+        setfield(self, "y", y)
+        setfield(self, "x", x)
+
     def to_dict(self):
         return {"y": str(self.y), "x": str(self.x)}
 
 
-@dataclass(frozen=True)
-class NzctWitness:
+class NzctWitness(Record):
     """Assignment falsifying NZCT: q noncentral (does not commute with y),
     p and w commute with q but not with each other."""
 
@@ -74,33 +81,44 @@ class NzctWitness:
     w: UT3Elem
     y: UT3Elem
 
+    def __init__(self, q, p, w, y):
+        setfield(self, "q", q)
+        setfield(self, "p", p)
+        setfield(self, "w", w)
+        setfield(self, "y", y)
+
     def to_dict(self):
         return {"x2": str(self.q), "x1": str(self.p), "x3": str(self.w), "y": str(self.y)}
 
 
-@dataclass(frozen=True)
-class SigmaWitness:
+class SigmaWitness(Record):
     """The (1,3) entry of a generator commutator [g_k, g_l] (a commutator
     value) whose centralizer system has no solution."""
 
     value: RingElem
     system: str  # "S" or "T"
 
+    def __init__(self, value, system):
+        setfield(self, "value", value)
+        setfield(self, "system", system)
+
     def to_dict(self):
         return {"commutator_13_entry": str(self.value), "unsolvable_system": self.system}
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     element: UT3Elem
     coefficients: tuple[int, ...]  # exponents over the generator list
+
+    def __init__(self, element, coefficients):
+        setfield(self, "element", element)
+        setfield(self, "coefficients", coefficients)
 
     def to_dict(self):
         return {"element": str(self.element), "exponents": list(self.coefficients)}
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Finitely generated H-subgroup of UT3(R) given by named generators.
 
     ``full_center`` marks the center-adjoined variant: the (1,3) entries are
@@ -111,7 +129,12 @@ class Representation:
 
     ring: RingDesc
     generators: tuple[tuple[str, UT3Elem], ...]
-    full_center: bool = False
+    full_center: bool
+
+    def __init__(self, ring, generators, full_center=False):
+        setfield(self, "ring", ring)
+        setfield(self, "generators", generators)
+        setfield(self, "full_center", full_center)
 
     @cached_property
     def f12(self) -> Frame:
@@ -282,8 +305,7 @@ def heisenberg() -> Representation:
     return representation(rings.Z)
 
 
-@dataclass(frozen=True)
-class EntryLattices:
+class EntryLattices(Record):
     """The derived lattices of a representation, all over ``frame``.
 
     A is generated by the (x12, x23) parts of the generators' law
@@ -296,6 +318,11 @@ class EntryLattices:
     A: Lattice
     A1: Lattice
     A2: Lattice
+
+    def __init__(self, A, A1, A2):
+        setfield(self, "A", A)
+        setfield(self, "A1", A1)
+        setfield(self, "A2", A2)
 
 
 def entry_lattices(rep: Representation) -> EntryLattices:
@@ -554,7 +581,7 @@ def adjoin_Y(rep: Representation, z: UT3Elem, name: str | None = None) -> Repres
 def adjoin_center(rep: Representation) -> Representation:
     """Mark the center as all of {(1,3) entries}: C-rank is unchanged and
     no lattice checker is affected (they read the 12/23 entries only)."""
-    return replace(rep, full_center=True)
+    return Representation(rep.ring, rep.generators, True)
 
 
 def extend_centralizer(rep: Representation, i: int, name: str) -> Representation:
@@ -583,11 +610,15 @@ def extend_centralizer(rep: Representation, i: int, name: str) -> Representation
     return Representation(new_ring, gens + ((gen_name, t),), rep.full_center)
 
 
-@dataclass(frozen=True)
-class BigPowersCertificate:
+class BigPowersCertificate(Record):
     n: int
     indeterminate: str
     retracted_targets: tuple[UT3Elem, ...]
+
+    def __init__(self, n, indeterminate, retracted_targets):
+        setfield(self, "n", n)
+        setfield(self, "indeterminate", indeterminate)
+        setfield(self, "retracted_targets", retracted_targets)
 
     def to_dict(self):
         return {
@@ -649,11 +680,15 @@ def c_rank(rep: Representation) -> int:
 # Appropriateness
 
 
-@dataclass(frozen=True)
-class Appropriateness:
+class Appropriateness(Record):
     status: str  # confirmed | refuted | inconclusive
-    witness: Optional[RingElem] = None
-    degree_bound: int = 0
+    witness: Optional[RingElem]
+    degree_bound: int
+
+    def __init__(self, status, witness=None, degree_bound=0):
+        setfield(self, "status", status)
+        setfield(self, "witness", witness)
+        setfield(self, "degree_bound", degree_bound)
 
     def to_dict(self):
         return {

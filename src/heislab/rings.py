@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+
+from .record import Record, setfield
 
 # A polynomial is a sorted tuple of (exponent-vector, coefficient) pairs with
 # nonzero coefficients; the exponent vector indexes the component's
@@ -121,8 +122,7 @@ def _psubst(p: Poly, idx: int, value: int) -> Poly:
     return _canon(terms)
 
 
-@dataclass(frozen=True)
-class RingDesc:
+class RingDesc(Record):
     """Descriptor of a finite product of integer polynomial rings.
 
     ``components[j]`` is the tuple of indeterminate names of the j-th factor;
@@ -131,12 +131,13 @@ class RingDesc:
 
     components: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components):
+        if not components:
             raise ValueError("ring needs at least one component")
-        for names in self.components:
+        for names in components:
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate indeterminate in component {names}")
+        setfield(self, "components", components)
 
     @property
     def ncomponents(self) -> int:
@@ -186,16 +187,17 @@ def parse_ring(text: str) -> RingDesc:
     return RingDesc(tuple(comps))
 
 
-@dataclass(frozen=True)
-class RingElem:
+class RingElem(Record):
     """Element of a product ring, one canonical polynomial per component."""
 
     ring: RingDesc
     parts: tuple[Poly, ...]
 
-    def __post_init__(self):
-        if len(self.parts) != self.ring.ncomponents:
+    def __init__(self, ring, parts):
+        if len(parts) != ring.ncomponents:
             raise ValueError("component count mismatch")
+        setfield(self, "ring", ring)
+        setfield(self, "parts", parts)
 
     # -- constructors -------------------------------------------------------
 
@@ -320,13 +322,16 @@ def from_frame(ring: RingDesc, frame: Frame, v) -> RingElem:
     return RingElem(ring, tuple(map(tuple, parts)))
 
 
-@dataclass(frozen=True)
-class Retraction:
+class Retraction(Record):
     """A homomorphism R -> Z: project to one component, then evaluate the
     indeterminates at an integer point."""
 
     component: int
     point: tuple[tuple[str, int], ...]  # sorted (name, value) pairs
+
+    def __init__(self, component, point):
+        setfield(self, "component", component)
+        setfield(self, "point", point)
 
     @classmethod
     def of(cls, component: int, assignment: dict[str, int]) -> "Retraction":
@@ -514,12 +519,14 @@ def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
     return point
 
 
-@dataclass(frozen=True)
-class DomainFailure:
+class DomainFailure(Record):
     """Certificate that no single retraction keeps the requested elements
     nonzero: a pair of nonzero elements whose product is zero."""
 
     witness: tuple[RingElem, RingElem]
+
+    def __init__(self, witness):
+        setfield(self, "witness", witness)
 
 
 def discriminate(rs: list[RingElem]) -> Retraction | DomainFailure:

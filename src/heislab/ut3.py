@@ -25,23 +25,26 @@ class-2 group of rank n one over its Mal'cev coordinates
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from .record import Record, setfield
 from .rings import RingDesc, RingElem, RingMismatchError
 
 
-@dataclass(frozen=True)
-class UT3Elem:
+class UT3Elem(Record):
     ring: RingDesc
     u12: RingElem
     u13: RingElem
     u23: RingElem
 
-    def __post_init__(self):
-        for entry in (self.u12, self.u13, self.u23):
-            if entry.ring != self.ring:
+    def __init__(self, ring, u12, u13, u23):
+        for entry in (u12, u13, u23):
+            if entry.ring != ring:
                 raise RingMismatchError("entry over the wrong ring")
+        setfield(self, "ring", ring)
+        setfield(self, "u12", u12)
+        setfield(self, "u13", u13)
+        setfield(self, "u23", u23)
 
     # -- group operations ---------------------------------------------------
 
@@ -132,8 +135,7 @@ def elem(ring: RingDesc, e12, e13, e23) -> UT3Elem:
 # Integer class-2 coordinates
 
 
-@dataclass(frozen=True)
-class Class2Law:
+class Class2Law(Record):
     """A group law of class 2 on integer coordinate tuples.
 
     An element is one flat tuple x of ``dim`` ints whose coordinates from
@@ -147,7 +149,13 @@ class Class2Law:
 
     dim: int
     central: int
-    table: tuple[tuple[int, int, int], ...] = field(repr=False)
+    table: tuple[tuple[int, int, int], ...]
+    _hidden = ("table",)
+
+    def __init__(self, dim, central, table):
+        setfield(self, "dim", dim)
+        setfield(self, "central", central)
+        setfield(self, "table", table)
 
     @classmethod
     def free(cls, n: int) -> "Class2Law":

@@ -11,8 +11,9 @@ this to reconstruct witnesses in terms of the original generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+from .record import Record, setfield
 
 Vector = tuple[int, ...]
 
@@ -90,14 +91,18 @@ def _row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
     return rows, U
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Subgroup of Z^d given by an HNF basis (rows)."""
 
     ambient_dim: int
     basis: tuple[Vector, ...]
     # basis rows as integer combinations of the generating vectors
     transform: tuple[Vector, ...]
+
+    def __init__(self, ambient_dim, basis, transform):
+        setfield(self, "ambient_dim", ambient_dim)
+        setfield(self, "basis", basis)
+        setfield(self, "transform", transform)
 
     @property
     def rank(self) -> int:

@@ -242,7 +242,7 @@ def test_cli_golden_without_reference_arithmetic(golden, files, monkeypatch):
 
         return raiser
 
-    traps = [(nilform.NilForm, "__post_init__"), (nilform, "collect"), (nilform, "to_matrix")]
+    traps = [(nilform.NilForm, "__init__"), (nilform, "collect"), (nilform, "to_matrix")]
     traps += [(cls, m) for cls in (nilform.NilForm, ut3.UT3Elem) for m in ("__mul__", "inv", "pow_int", "comm")]
     traps += [(nilform.Hom, m) for m in ("__init__", "apply", "__call__")]
     for owner, attr in traps:

@@ -383,12 +383,12 @@ def test_discriminate_multiplies_nothing(monkeypatch):
     targets.append(generator(6, 3))  # dies under a3 -> 1
     law, ts = on_free_law(targets)
     for owner, attr in (
-        (RingDesc, "__post_init__"),
+        (RingDesc, "__init__"),
         (RingElem, "__mul__"),
         (UT3Elem, "__mul__"),
         (UT3Elem, "pow_int"),
         (UT3Elem, "comm"),
-        (NilForm, "__post_init__"),
+        (NilForm, "__init__"),
         (Hom, "apply"),
         (Hom, "__call__"),
         (Hom, "__init__"),
