@@ -440,6 +440,9 @@ def _add_bound_opt(p):
     p.add_argument("--bound", type=_int_arg, help="search bound (capped by HEISLAB_MAX_BOUND)")
 
 
+_Z_HELP = "(1,3) entry of the central target; write one starting with - as --z=-theta^2+3"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``heislab`` parser, built once; every caller shares it."""
@@ -471,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("solve-s", "solve-t"):
         p = sub.add_parser(name, help=f"solve the centralizer system {name[-1].upper()}")
-        p.add_argument("--z", required=True, metavar="ELT", help="(1,3) entry of the central target")
+        p.add_argument("--z", required=True, metavar="ELT", help=_Z_HELP)
         _add_rep_opts(p)
         p.set_defaults(fn=cmd_solve)
 
@@ -486,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("adjoin-y", help="adjoin Y with [a2,Y]=1 and [Y,a1]=z")
-    p.add_argument("--z", required=True, metavar="ELT", help="(1,3) entry of the central target")
+    p.add_argument("--z", required=True, metavar="ELT", help=_Z_HELP)
     _add_rep_opts(p, with_json=False)
     p.set_defaults(fn=cmd_adjoin_y)
 

@@ -28,7 +28,7 @@ import re
 from functools import cache, partial, reduce
 from typing import Any, Optional
 
-from .record import Record, setfield
+from .record import Record
 from .rings import MAX_DEPTH, parse_int
 
 # ---------------------------------------------------------------------------
@@ -45,23 +45,13 @@ class _Pair(Record):
     left: Any
     right: Any
 
-    def __init__(self, left, right):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-
 
 class Var(Record):
     name: str
 
-    def __init__(self, name):
-        setfield(self, "name", name)
-
 
 class Const(Record):
     name: str  # a1, a2, or a named group element
-
-    def __init__(self, name):
-        setfield(self, "name", name)
 
 
 class TMul(_Pair):
@@ -71,10 +61,6 @@ class TMul(_Pair):
 class TPow(Record):
     base: Any
     exp: int  # any integer; -1 is the inverse
-
-    def __init__(self, base, exp):
-        setfield(self, "base", base)
-        setfield(self, "exp", exp)
 
 
 class TComm(_Pair):
@@ -97,22 +83,13 @@ class Ne(_Pair):
 class Not(Record):
     arg: Any
 
-    def __init__(self, arg):
-        setfield(self, "arg", arg)
-
 
 class And(Record):
     items: tuple
 
-    def __init__(self, items):
-        setfield(self, "items", items)
-
 
 class Or(Record):
     items: tuple
-
-    def __init__(self, items):
-        setfield(self, "items", items)
 
 
 class Implies(_Pair):
@@ -123,11 +100,6 @@ class Quant(Record):
     kind: str  # "forall" | "exists"
     vars: tuple[str, ...]
     body: Any
-
-    def __init__(self, kind, vars, body):
-        setfield(self, "kind", kind)
-        setfield(self, "vars", vars)
-        setfield(self, "body", body)
 
 
 class FormulaError(ValueError):
@@ -699,14 +671,8 @@ class Verdict(Record):
 
     status: str  # holds | violated | inconclusive
     method: str  # exact_lattice | bounded_search
-    witness: object
-    bound: Optional[int]
-
-    def __init__(self, status, method, witness=None, bound=None):
-        setfield(self, "status", status)
-        setfield(self, "method", method)
-        setfield(self, "witness", witness)
-        setfield(self, "bound", bound)
+    witness: object = None
+    bound: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
@@ -723,10 +689,6 @@ class SearchWitness(Record):
     assignment: dict
     words: dict
     _unhashed = ("assignment", "words")
-
-    def __init__(self, assignment, words):
-        setfield(self, "assignment", assignment)
-        setfield(self, "words", words)
 
     def to_dict(self) -> dict:
         return dict(sorted(self.words.items()))

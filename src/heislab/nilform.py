@@ -169,10 +169,6 @@ class DiscriminationCertificate(Record):
     extra_images: tuple[tuple[int, int, int], ...]  # (p, q, r) per generator > 2
     target_images: tuple[UT3Elem, ...]
 
-    def __init__(self, extra_images, target_images):
-        setfield(self, "extra_images", extra_images)
-        setfield(self, "target_images", target_images)
-
     def verify(self, targets) -> bool:
         """Whether a1, a2 fixed and a_k -> a1^p a2^q [a2,a1]^r send the
         targets, tuples of ``Class2Law.free(n)``, to ``target_images`` and

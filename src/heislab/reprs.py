@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import rings, zlattice
 from .formula import GroupEnv, Verdict
-from .record import Record, setfield
+from .record import Record
 from .rings import Frame, RingDesc, RingElem
 from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2
 from .zlattice import Lattice
@@ -41,12 +41,6 @@ class LameWitness(Record):
     element: UT3Elem
     entry: RingElem
     dead_component: int
-
-    def __init__(self, centralizer, element, entry, dead_component):
-        setfield(self, "centralizer", centralizer)
-        setfield(self, "element", element)
-        setfield(self, "entry", entry)
-        setfield(self, "dead_component", dead_component)
 
     def to_dict(self):
         return {
@@ -64,10 +58,6 @@ class TauWitness(Record):
     y: UT3Elem
     x: UT3Elem
 
-    def __init__(self, y, x):
-        setfield(self, "y", y)
-        setfield(self, "x", x)
-
     def to_dict(self):
         return {"y": str(self.y), "x": str(self.x)}
 
@@ -81,12 +71,6 @@ class NzctWitness(Record):
     w: UT3Elem
     y: UT3Elem
 
-    def __init__(self, q, p, w, y):
-        setfield(self, "q", q)
-        setfield(self, "p", p)
-        setfield(self, "w", w)
-        setfield(self, "y", y)
-
     def to_dict(self):
         return {"x2": str(self.q), "x1": str(self.p), "x3": str(self.w), "y": str(self.y)}
 
@@ -98,10 +82,6 @@ class SigmaWitness(Record):
     value: RingElem
     system: str  # "S" or "T"
 
-    def __init__(self, value, system):
-        setfield(self, "value", value)
-        setfield(self, "system", system)
-
     def to_dict(self):
         return {"commutator_13_entry": str(self.value), "unsolvable_system": self.system}
 
@@ -109,10 +89,6 @@ class SigmaWitness(Record):
 class Solution(Record):
     element: UT3Elem
     coefficients: tuple[int, ...]  # exponents over the generator list
-
-    def __init__(self, element, coefficients):
-        setfield(self, "element", element)
-        setfield(self, "coefficients", coefficients)
 
     def to_dict(self):
         return {"element": str(self.element), "exponents": list(self.coefficients)}
@@ -129,12 +105,7 @@ class Representation(Record):
 
     ring: RingDesc
     generators: tuple[tuple[str, UT3Elem], ...]
-    full_center: bool
-
-    def __init__(self, ring, generators, full_center=False):
-        setfield(self, "ring", ring)
-        setfield(self, "generators", generators)
-        setfield(self, "full_center", full_center)
+    full_center: bool = False
 
     @cached_property
     def f12(self) -> Frame:
@@ -318,11 +289,6 @@ class EntryLattices(Record):
     A: Lattice
     A1: Lattice
     A2: Lattice
-
-    def __init__(self, A, A1, A2):
-        setfield(self, "A", A)
-        setfield(self, "A1", A1)
-        setfield(self, "A2", A2)
 
 
 def entry_lattices(rep: Representation) -> EntryLattices:
@@ -615,11 +581,6 @@ class BigPowersCertificate(Record):
     indeterminate: str
     retracted_targets: tuple[UT3Elem, ...]
 
-    def __init__(self, n, indeterminate, retracted_targets):
-        setfield(self, "n", n)
-        setfield(self, "indeterminate", indeterminate)
-        setfield(self, "retracted_targets", retracted_targets)
-
     def to_dict(self):
         return {
             "n": self.n,
@@ -682,13 +643,8 @@ def c_rank(rep: Representation) -> int:
 
 class Appropriateness(Record):
     status: str  # confirmed | refuted | inconclusive
-    witness: Optional[RingElem]
-    degree_bound: int
-
-    def __init__(self, status, witness=None, degree_bound=0):
-        setfield(self, "status", status)
-        setfield(self, "witness", witness)
-        setfield(self, "degree_bound", degree_bound)
+    witness: Optional[RingElem] = None
+    degree_bound: int = 0
 
     def to_dict(self):
         return {

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 
 from .record import Record, setfield
 
@@ -329,10 +330,6 @@ class Retraction(Record):
     component: int
     point: tuple[tuple[str, int], ...]  # sorted (name, value) pairs
 
-    def __init__(self, component, point):
-        setfield(self, "component", component)
-        setfield(self, "point", point)
-
     @classmethod
     def of(cls, component: int, assignment: dict[str, int]) -> "Retraction":
         return cls(component, tuple(sorted(assignment.items())))
@@ -525,9 +522,6 @@ class DomainFailure(Record):
 
     witness: tuple[RingElem, RingElem]
 
-    def __init__(self, witness):
-        setfield(self, "witness", witness)
-
 
 def discriminate(rs: list[RingElem]) -> Retraction | DomainFailure:
     """A retraction keeping every element of rs nonzero, or a DomainFailure.
@@ -612,6 +606,14 @@ def _tokenize(text: str) -> list[str]:
     raise RingParseError(f"bad character at {text[pos:]!r}")
 
 
+def _power_too_long(c: int, n: int) -> bool:
+    """Whether |c|^n has more digits than ``parse_int`` reads (the limit on
+    integer string conversion, if any), computing no power over 8*limit bits."""
+    limit, c = getattr(sys, "get_int_max_str_digits", lambda: 0)(), abs(c)  # 3.10.7+
+    # |c|^n >= 2^(n*(bitlength-1)), and 2^(4*limit) = 16^limit > 10^limit
+    return limit > 0 and c > 1 and (n * (c.bit_length() - 1) > 4 * limit or c**n >= 10**limit)
+
+
 class _ExprParser:
     """Recursive-descent parser for a polynomial expression over one
     component: every rule returns that component's canonical ``Poly``, and
@@ -668,7 +670,10 @@ class _ExprParser:
             tok = self.next()
             if not tok.isdigit():
                 raise RingParseError(f"expected a non-negative integer exponent, got {tok!r}")
-            out = _ppow(out, parse_int(tok), len(self.names))
+            n = parse_int(tok)
+            if len(out) == 1 and _power_too_long(out[0][1], n):
+                raise RingParseError(f"power ^{tok} has more than {sys.get_int_max_str_digits()} digits")
+            out = _ppow(out, n, len(self.names))
         return out
 
     def atom(self) -> Poly:

@@ -152,11 +152,6 @@ class Class2Law(Record):
     table: tuple[tuple[int, int, int], ...]
     _hidden = ("table",)
 
-    def __init__(self, dim, central, table):
-        setfield(self, "dim", dim)
-        setfield(self, "central", central)
-        setfield(self, "table", table)
-
     @classmethod
     def free(cls, n: int) -> "Class2Law":
         """The free class-2 group of rank n on Mal'cev coordinates: a tuple

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .record import Record, setfield
+from .record import Record
 
 Vector = tuple[int, ...]
 
@@ -98,11 +98,6 @@ class Lattice(Record):
     basis: tuple[Vector, ...]
     # basis rows as integer combinations of the generating vectors
     transform: tuple[Vector, ...]
-
-    def __init__(self, ambient_dim, basis, transform):
-        setfield(self, "ambient_dim", ambient_dim)
-        setfield(self, "basis", basis)
-        setfield(self, "transform", transform)
 
     @property
     def rank(self) -> int:

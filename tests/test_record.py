@@ -202,3 +202,61 @@ def test_constructor_checks_raise_as_before():
         nilform.NilForm(2, (1,), (0,))
     with pytest.raises(ValueError, match="do not match rank"):
         nilform.NilForm(3, (1, 0, 0), (0,))
+
+
+class _Point(Record):
+    a: int
+    b: tuple = (0,)
+
+
+def test_generated_init_signature_and_defaults():
+    assert str(inspect.signature(_Point)) == "(a, b=(0,))"
+    assert _Point.__init__.__qualname__ == "_Point.__init__"
+    p = _Point(1)
+    assert (p.a, p.b) == (1, (0,)) and vars(p) == {"a": 1, "b": (0,)}
+    assert _Point(1, (2,)) == _Point(b=(2,), a=1) == _Point(a=1, b=(2,))
+    assert _Point(1) != _Point(1, (2,))
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs",
+    [
+        (_Point, (), {}),
+        (_Point, (1, 2, 3), {}),
+        (_Point, (1,), {"c": 3}),
+        (_Point, (1,), {"a": 1}),
+        (F.Verdict, ("holds",), {}),
+        (F.Verdict, ("holds", "exact_lattice", None, 1, 2), {}),
+        (F.TMul, (X,), {}),
+        (F.Var, (), {"name": "x", "label": "y"}),
+    ],
+    ids=["missing", "extra", "unknown-keyword", "twice", "Verdict", "Verdict-extra", "TMul", "Var"],
+)
+def test_generated_init_rejects_bad_arguments(cls, args, kwargs):
+    owner = "_Pair" if cls is F.TMul else cls.__qualname__
+    with pytest.raises(TypeError, match=rf"^{owner}\.__init__\(\) "):
+        cls(*args, **kwargs)
+
+
+def test_a_field_without_default_after_a_defaulted_one_is_rejected():
+    with pytest.raises(TypeError, match="follows a defaulted one"):
+
+        class _Bad(Record):
+            a: int = 0
+            b: int
+
+
+def test_only_the_checking_classes_write_their_own_init():
+    def written(cls):
+        init = vars(cls).get("__init__")
+        return init is not None and init.__code__.co_filename == sys.modules[cls.__module__].__file__
+
+    classes = _record_classes() | {F._Pair}
+    assert {c for c in classes if written(c)} == {RingDesc, RingElem, ut3.UT3Elem, nilform.NilForm}
+    # the others with fields of their own have one generated by Record; the
+    # rest inherit theirs
+    generated = {c for c in classes if "__init__" in vars(c) and not written(c)}
+    assert generated == {c for c in classes if vars(c).get("__annotations__") and not written(c)}
+    assert F.TMul.__init__ is F.Eq.__init__ is F._Pair.__init__
+    assert F._Pair.__init__.__qualname__ == "_Pair.__init__"
+    assert "__init__" not in vars(F.TMul) and "__init__" not in vars(F.One)

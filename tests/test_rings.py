@@ -214,6 +214,20 @@ def test_literal_past_the_digit_limit_is_a_parse_error(parse, text):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_power_past_the_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    assert parse_elem(Z, "10^4299") == parse_elem(Z, "1" + "0" * 4299)
+    for text in ("10^4300", "3^100000000", "(-2*t)^20000"):
+        start = time.process_time()
+        with pytest.raises(RingParseError, match="has more than 4300 digits"):
+            parse_elem(parse_ring("Z[t]"), text)
+        assert time.process_time() - start < 0.5
+    t = parse_elem(parse_ring("Z[t]"), "t^999999999")
+    assert t.parts == ((((999999999,), 1),),)
+    assert parse_elem(Z, "(-1)^7") == RingElem.integer(Z, -1)
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize("k", [1, 8, 32])
 def test_bare_literal_is_the_tuple_of_its_copies(k):
     ring = parse_ring(" x ".join(["Z[t]"] * k))
