@@ -21,6 +21,7 @@ so it can be re-checked by direct matrix arithmetic.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import warnings
 from functools import cached_property
@@ -28,7 +29,7 @@ from typing import Optional
 
 from . import rings, zlattice
 from .formula import GroupEnv, Verdict
-from .record import Record
+from .record import Record, setfield
 from .rings import Frame, RingDesc, RingElem
 from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2
 from .zlattice import Lattice
@@ -94,46 +95,89 @@ class Solution(Record):
         return {"element": str(self.element), "exponents": list(self.coefficients)}
 
 
-class Representation(Record):
+class _LazyMatrices:
+    """The generator matrices of a representation that stores none (see
+    ``Representation.from_terms``), made the first time they are read.
+    They live on a base class because ``Record`` takes a value in the class
+    body for the field's default."""
+
+    @cached_property
+    def generators(self) -> tuple[tuple[str, UT3Elem], ...]:
+        return tuple(zip(self.names, map(self.to_ut3, self.law_generators)))
+
+
+class Representation(Record, _LazyMatrices):
     """Finitely generated H-subgroup of UT3(R) given by named generators.
 
     ``full_center`` marks the center-adjoined variant: the (1,3) entries are
     treated as ranging over all of R.  None of the lattice checkers look at
     (1,3) entries, so the flag only matters for bookkeeping and C-rank
     invariance.
+
+    The frames and the law's tuples are read off ``terms``, the
+    generators' entries as ``rings.frame_terms``.  A representation made
+    from matrices reads its terms off ``generators``.  One made by
+    ``from_terms``, as ``parse_config`` makes it, holds only the names and
+    the terms, and makes the matrices ``generators`` from the law's tuples
+    when a command reads them (``appropriateness_check``,
+    ``serialize_config`` and the constructions do, the checkers do not).
     """
 
     ring: RingDesc
     generators: tuple[tuple[str, UT3Elem], ...]
     full_center: bool = False
 
+    @classmethod
+    def from_terms(cls, ring: RingDesc, names: tuple[str, ...], terms: tuple, full_center: bool):
+        """The representation whose generators have these names and
+        ``terms``, with no matrix made."""
+        rep = cls.__new__(cls)
+        for field, value in (("ring", ring), ("full_center", full_center), ("names", names), ("terms", terms)):
+            setfield(rep, field, value)
+        return rep
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The generators' names, a1 and a2 first."""
+        return tuple(name for name, _ in self.generators)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[dict, dict, dict], ...]:
+        """Each generator's (1,2), (2,3) and (1,3) entries, in that order,
+        as {(component, monomial): nonzero coefficient} dicts."""
+        return tuple(tuple(map(rings.frame_terms, (g.u12, g.u23, g.u13))) for _, g in self.generators)
+
+    def _frame(self, block: int) -> set:
+        return {m for entries in self.terms for m in entries[block]}
+
     @cached_property
     def f12(self) -> Frame:
         """The (component, monomial) frame of the generators' (1,2) entries."""
-        return rings.frame_of(g.u12 for _, g in self.generators)
+        return tuple(sorted(self._frame(0)))
 
     @cached_property
     def f23(self) -> Frame:
         """The frame of the generators' (2,3) entries."""
-        return rings.frame_of(g.u23 for _, g in self.generators)
+        return tuple(sorted(self._frame(1)))
 
     @cached_property
     def _products(self) -> tuple[tuple[int, int, tuple], ...]:
         """(i, j, m) per pair of an f12 and an f23 monomial in one component:
         their places and the monomial of their product."""
+        f23: dict[int, list] = {}  # (place, monomial) of each f23 monomial, by component
+        for j, (c, e) in enumerate(self.f23):
+            f23.setdefault(c, []).append((j, e))
         return tuple(
-            (i, j, (c, tuple(a + b for a, b in zip(e, e2))))
+            (i, j, (c, tuple(map(operator.add, e, e2))))
             for i, (c, e) in enumerate(self.f12)
-            for j, (c2, e2) in enumerate(self.f23)
-            if c == c2
+            for j, e2 in f23.get(c, ())
         )
 
     @cached_property
     def f13(self) -> Frame:
         """The frame of the generators' (1,3) entries and of every product
         of an f12 and an f23 monomial in one component."""
-        mono = {m for *_, m in self._products}
-        return tuple(sorted(mono | set(rings.frame_of(g.u13 for _, g in self.generators))))
+        return tuple(sorted({m for *_, m in self._products} | self._frame(2)))
 
     @cached_property
     def index(self) -> tuple[dict, dict, dict]:
@@ -216,8 +260,22 @@ class Representation(Record):
 
     @cached_property
     def law_generators(self) -> tuple[tuple[int, ...], ...]:
-        """The generators as the law's integer class-2 coordinate tuples."""
-        return tuple(self.element(g) for _, g in self.generators)
+        """The generators as the law's integer class-2 coordinate tuples,
+        read off ``terms``."""
+        n = len(self.frame)
+        places = [
+            {m: k for k, m in enumerate(f, offset)}
+            for f, offset in ((self.f12, 0), (self.f23, len(self.f12)), (self.f13, n))
+        ]
+        dim = n + len(self.f13)
+        out = []
+        for entries in self.terms:
+            v = [0] * dim
+            for place, terms in zip(places, entries):
+                for m, c in terms.items():
+                    v[place[m]] = c
+            out.append(tuple(v))
+        return tuple(out)
 
     def product_of_generators(self, exponents) -> UT3Elem:
         """prod_k g_k^{c_k} in generator order; its entry pair is the
@@ -237,8 +295,7 @@ class Representation(Record):
         Its elements are the integer coordinate tuples of ``law``, which
         does the arithmetic, so the bounded search hashes and compares
         plain tuples; ``to_ut3`` gives the matrix back."""
-        gens = [(name, g) for (name, _), g in zip(self.generators, self.law_generators)]
-        return GroupEnv(self.law, gens)
+        return GroupEnv(self.law, list(zip(self.names, self.law_generators)))
 
     # the EntryLattices, built once; entry_lattices is looked up at call
     # time, so wrappers installed on the module see the call
@@ -280,23 +337,33 @@ class EntryLattices(Record):
     """The derived lattices of a representation, all over ``frame``.
 
     A is generated by the (x12, x23) parts of the generators' law
-    coordinates: a 12-block over ``f12``, then a 23-block over ``f23``.
-    A1 (resp. A2) is the sublattice with the 12-block (resp. 23-block) zero:
-    entry pairs realized in the centralizer of a1 (resp. a2).  Only A
-    takes an HNF of the generators; A1 and A2 are cut out of A's basis.
+    coordinates: a 12-block over ``f12`` (the first ``n12`` coordinates),
+    then a 23-block over ``f23``.  A1 (resp. A2) is the sublattice with the
+    12-block (resp. 23-block) zero: entry pairs realized in the centralizer
+    of a1 (resp. a2).  Only A takes an HNF of the generators, when the
+    record is made; A1 and A2 are cut out of A's basis the first time they
+    are read.  ``lame_check``, ``tau_check`` and ``c_rank`` read them;
+    ``sigma_check``, ``solve_S``, ``solve_T`` and ``nzct_check`` read A
+    alone.
     """
 
     A: Lattice
-    A1: Lattice
-    A2: Lattice
+    n12: int
+
+    @cached_property
+    def A1(self) -> Lattice:
+        return zlattice.intersect_coordinate_zero(self.A, range(self.n12))
+
+    @cached_property
+    def A2(self) -> Lattice:
+        return zlattice.intersect_coordinate_zero(self.A, range(self.n12, self.A.ambient_dim))
 
 
 def entry_lattices(rep: Representation) -> EntryLattices:
-    n12, n = len(rep.f12), len(rep.frame)
-    A = zlattice.hnf([g[:n] for g in rep.law_generators], ambient_dim=n)
-    A1 = zlattice.intersect_coordinate_zero(A, range(n12))
-    A2 = zlattice.intersect_coordinate_zero(A, range(n12, n))
-    return EntryLattices(A, A1, A2)
+    """A's one HNF, of the generators' law coordinates over ``frame``; see
+    ``EntryLattices`` for when A1 and A2 are made."""
+    n = len(rep.frame)
+    return EntryLattices(zlattice.hnf([g[:n] for g in rep.law_generators], ambient_dim=n), len(rep.f12))
 
 
 def _block_coords(rep: Representation, block: int, component: int) -> list[int]:
@@ -451,7 +518,7 @@ def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
         return [zlattice.combine(c, row, m) for row in rep.det_form]
 
     def build(c):  # the group element at coefficients c over A's basis
-        return rep.product_of_generators(zlattice.combine(c, A.transform, len(rep.generators)))
+        return rep.product_of_generators(zlattice.combine(c, A.transform, len(rep.names)))
 
     Lq = pairing(q)
     for p, w in itertools.combinations(zlattice.left_kernel(Lq), 2):
@@ -518,7 +585,7 @@ def sigma_check(rep: Representation) -> Verdict:
 
 
 def _fresh_name(rep: Representation, stem: str) -> str:
-    names = {n for n, _ in rep.generators}
+    names = set(rep.names)
     if stem not in names:
         return stem
     k = 2
@@ -572,7 +639,7 @@ def extend_centralizer(rep: Representation, i: int, name: str) -> Representation
     theta = RingElem.var(new_ring, name)
     zero = RingElem.zero(new_ring)
     t = UT3Elem(new_ring, zero, zero, theta) if i == 1 else UT3Elem(new_ring, theta, zero, zero)
-    gen_name = _fresh_name(Representation(new_ring, gens), "t")
+    gen_name = _fresh_name(rep, "t")
     return Representation(new_ring, gens + ((gen_name, t),), rep.full_center)
 
 
@@ -676,35 +743,43 @@ class ConfigError(ValueError):
     pass
 
 
-# A literal holds no ':' (see rings._TOKEN), so each ':' in a generator's
-# block ends a key, which runs back to the ',' or ':' before it.
-_ENTRY_KEY = re.compile(r"(?<![^,:])([^,:]*):")
-# a piece between keys, and the commas and blanks that end it
-_ENTRY_VALUE = re.compile(r"(.*[^\s,])?[\s,]*", re.S)
+# the commas and blanks that end a literal, or that are all a text holds
+_SEPARATORS = r"[\s,]*"
+_ENTRY_VALUE = re.compile(rf"(.*[^\s,])?{_SEPARATORS}", re.S)
+_BLANK = re.compile(_SEPARATORS)
 
 
 def _entry_value(piece: str) -> str:
-    return (_ENTRY_VALUE.fullmatch(piece).group(1) or "").strip()
+    """A piece of a generator's block without its leading blanks and its
+    trailing commas and blanks."""
+    piece = piece.strip()
+    return (_ENTRY_VALUE.fullmatch(piece).group(1) or "") if piece.endswith(",") else piece
 
 
-def parse_elem_block(ring: RingDesc, body: str) -> UT3Elem:
-    """Parse ``e12: <lit>, e13: <lit>, e23: <lit>`` into a matrix element.
-    A literal runs up to the commas and blanks before the next key, so blank
-    items are skipped, and entries with no comma between them are an error."""
-    head, *pieces = _ENTRY_KEY.split(body)
+def _entry_texts(body: str) -> dict[str, str]:
+    """The literal of each entry of ``e12: <lit>, e13: <lit>, e23: <lit>``.
+    A literal holds no ':' (see rings._TOKEN), so each ':' ends a key,
+    which runs back to the ',' before it (or to the start or the ':' before
+    it), and a literal runs up to that ','.  So blank items are skipped,
+    and entries with no comma between them are an error."""
+    *segments, tail = body.split(":")
+    keys, before = [], []  # before each key: the head, then a literal
+    for segment in segments:
+        text, _, key = segment.rpartition(",")
+        keys.append(key)
+        before.append(text)
+    head, *literals = before + [tail]
     if junk := _entry_value(head):
         raise ConfigError(f"bad entry {junk!r} (want e12/e13/e23)")
-    keys = ("e12", "e13", "e23")
     values = {}
-    for key, value in zip(pieces[::2], pieces[1::2]):
+    for key, value in zip(keys, literals):
         key = key.strip()
-        if key not in keys:
+        if key not in ("e12", "e13", "e23"):
             raise ConfigError(f"bad entry key {key!r} (want e12/e13/e23, after a comma)")
         if key in values:
             raise ConfigError(f"duplicate entry {key}")
         values[key] = _entry_value(value)
-    zero = RingElem.zero(ring)
-    return UT3Elem(ring, *(rings.parse_elem(ring, values[k]) if k in values else zero for k in keys))
+    return values
 
 
 _CONFIG_KEY = re.compile(r"\s*(\w+)\s*:[ \t]*([^\n]*)")
@@ -713,24 +788,10 @@ _GENERATORS = re.compile(r"\s*\{([^{}]*(?:\{[^{}]*\}[^{}]*)*)\}")
 _GENERATOR = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*)\s*:\s*(?:\{([^}]*)\}\s*,?)?")
 
 
-def parse_config(text: str) -> Representation:
-    """Parse the representation config format:
-
-        ring: Z x Z
-        full_center: false
-        generators: {
-          b: {e12: 0, e13: 0, e23: (1,0)}
-        }
-
-    a1 and a2 are implied; ``full_center`` and ``generators`` are optional;
-    ``#`` starts a comment.  Any other key, a repeated key and any other
-    text are errors.
-
-    The reader relies on three facts of the format.  An element literal
-    holds only digits, names, blanks and ``-+*^(),``, so it holds no ``:``,
-    ``{`` or ``}``.  An expression holds no comma, so in a literal a comma
-    only separates tuple entries.  So the generators block nests braces one
-    level deep, and each ``:`` inside a generator's block ends a key."""
+def _config_parts(text: str):
+    """The ring, the ``full_center`` flag, and an iterator over the (name,
+    entry texts) of each generator, which raises each generator's syntax
+    error when it gets there."""
     text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     fields: dict[str, str] = {}
     pos = 0
@@ -759,24 +820,66 @@ def parse_config(text: str) -> Representation:
     full_center = fields.get("full_center", "false")
     if full_center not in ("true", "false"):
         raise ConfigError("full_center must be true or false")
-    extra: dict[str, UT3Elem] = {}
-    body = fields.get("generators", "")
+    return ring, full_center == "true", _generator_entries(fields.get("generators", ""))
+
+
+def _generator_entries(body: str):
+    """(name, ``_entry_texts``) per generator of the generators block."""
+    names = {"a1", "a2"}
     pos = 0
-    while body[pos:].replace(",", " ").strip():  # until only \s blanks and commas remain
+    while not _BLANK.fullmatch(body, pos):  # until only blanks and commas remain
         g = _GENERATOR.match(body, pos)
         if not g:
             raise ConfigError(f"bad generator syntax near {body[pos:pos+30]!r}")
         name, block = g.groups()
-        if name in extra or name in ("a1", "a2"):
+        if name in names:
             raise ConfigError(f"duplicate or reserved generator name {name!r}")
         if block is None:
             raise ConfigError(f"generator {name!r}: expected '{{'")
+        yield name, _entry_texts(block)
+        names.add(name)
+        pos = g.end()
+
+
+def parse_config(text: str) -> Representation:
+    """Parse the representation config format:
+
+        ring: Z x Z
+        full_center: false
+        generators: {
+          b: {e12: 0, e13: 0, e23: (1,0)}
+        }
+
+    a1 and a2 are implied; ``full_center`` and ``generators`` are optional;
+    ``#`` starts a comment.  Any other key, a repeated key and any other
+    text are errors.
+
+    The reader relies on three facts of the format.  An element literal
+    holds only digits, names, blanks and ``-+*^(),``, so it holds no ``:``,
+    ``{`` or ``}``.  An expression holds no comma, so in a literal a comma
+    only separates tuple entries.  So the generators block nests braces one
+    level deep, and each ``:`` inside a generator's block ends a key.
+
+    Each entry literal is read by ``rings.parse_terms`` (e12, e13, then
+    e23) into the terms of ``Representation.from_terms``, so no ring
+    element or matrix is made.  The frames and the law's tuples come from
+    the terms; A takes its HNF when a checker first reads the lattices, and
+    A1 and A2 are cut from it when one reads them (see ``EntryLattices``);
+    the matrices are made from the law's tuples when a command reads
+    ``generators``."""
+    ring, full_center, generators = _config_parts(text)
+    one = {(j, (0,) * len(names)): 1 for j, names in enumerate(ring.components)}
+    names, terms = ["a1", "a2"], [({}, one, {}), (one, {}, {})]  # a1 = e23, a2 = e12
+    for name, texts in generators:
         try:
-            extra[name] = parse_elem_block(ring, block)
+            t12, t13, t23 = (
+                rings.parse_terms(ring, texts[k]) if k in texts else {} for k in ("e12", "e13", "e23")
+            )
         except rings.RingParseError as exc:
             raise ConfigError(f"generator {name!r}: {exc}") from exc
-        pos = g.end()
-    return representation(ring, extra, full_center == "true")
+        names.append(name)
+        terms.append((t12, t23, t13))
+    return Representation.from_terms(ring, tuple(names), tuple(terms), full_center)
 
 
 def serialize_config(rep: Representation) -> str:

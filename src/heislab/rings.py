@@ -292,11 +292,9 @@ class RingElem(Record):
 Frame = tuple[tuple[int, Monomial], ...]
 
 
-def frame_of(elems) -> Frame:
-    """Sorted (component, monomial) coordinates occurring in the elements."""
-    return tuple(
-        sorted({(j, e) for x in elems for j, p in enumerate(x.parts) for e, _c in p})
-    )
+def frame_terms(elem: RingElem) -> dict[tuple[int, Monomial], int]:
+    """elem's terms keyed by (component, monomial), a frame's coordinates."""
+    return {(j, e): c for j, p in enumerate(elem.parts) for e, c in p}
 
 
 def frame_coords(index: dict, elem: RingElem) -> tuple[int, ...] | None:
@@ -606,12 +604,34 @@ def _tokenize(text: str) -> list[str]:
     raise RingParseError(f"bad character at {text[pos:]!r}")
 
 
+def _digit_limit() -> int:
+    """The most digits ``parse_int`` reads and ``str`` writes: the limit on
+    integer string conversion, 0 for none (the interpreter has one from
+    3.10.7 on)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(c: int, limit: int) -> bool:
+    """Whether c has more than limit > 0 digits.  2^(3*limit) < 10^limit <
+    2^(4*limit), so the bit length decides outside that band."""
+    bits = c.bit_length()
+    return bits > 3 * limit and (bits > 4 * limit or abs(c) >= 10**limit)
+
+
+def _check_digits(coefficients) -> None:
+    """Raise ``RingParseError`` if a coefficient has more digits than
+    ``_digit_limit`` (nothing is checked when it is 0)."""
+    limit = _digit_limit()
+    if limit and any(_too_long(c, limit) for c in coefficients):
+        raise RingParseError(f"coefficient has more than {limit} digits")
+
+
 def _power_too_long(c: int, n: int) -> bool:
-    """Whether |c|^n has more digits than ``parse_int`` reads (the limit on
-    integer string conversion, if any), computing no power over 8*limit bits."""
-    limit, c = getattr(sys, "get_int_max_str_digits", lambda: 0)(), abs(c)  # 3.10.7+
+    """Whether |c|^n has more digits than ``parse_int`` reads, computing no
+    power over 8*limit bits."""
+    limit, c = _digit_limit(), abs(c)
     # |c|^n >= 2^(n*(bitlength-1)), and 2^(4*limit) = 16^limit > 10^limit
-    return limit > 0 and c > 1 and (n * (c.bit_length() - 1) > 4 * limit or c**n >= 10**limit)
+    return limit > 0 and c > 1 and (n * (c.bit_length() - 1) > 4 * limit or _too_long(c**n, limit))
 
 
 class _ExprParser:
@@ -619,7 +639,8 @@ class _ExprParser:
     component: every rule returns that component's canonical ``Poly``, and
     ``parse_elem`` assembles the ring element once.  ``component`` only
     names the component in error messages.  Parentheses nest at most
-    MAX_DEPTH deep."""
+    MAX_DEPTH deep, and each product (``term``) and each sum (``expr``) is
+    checked by ``_check_digits``."""
 
     def __init__(self, tokens, names: tuple[str, ...], component: int):
         self.tokens = [*tokens, None]  # None ends the input
@@ -653,7 +674,9 @@ class _ExprParser:
             for e, c in self.term():
                 terms[e] = terms.get(e, 0) + sign * c
             if self.peek() not in ("+", "-"):
-                return _canon(terms)
+                out = _canon(terms)
+                _check_digits(c for _, c in out)
+                return out
             sign = 1 if self.next() == "+" else -1
 
     def term(self) -> Poly:
@@ -661,6 +684,7 @@ class _ExprParser:
         while self.peek() == "*":
             self.next()
             out = _pmul(out, self.factor())
+        _check_digits(c for _, c in out)
         return out
 
     def factor(self) -> Poly:
@@ -712,7 +736,8 @@ def _parse_poly(tokens, names, component: int, trailing: str) -> Poly:
 # an integer.  Digit runs are capped at 640, the least limit on integer
 # string conversion that Python lets a program set, so a longer run takes
 # the recursive descent and ``parse_int``'s error.
-_FLAT_NUM = r"[0-9]{1,640}"
+_LEAST_LIMIT = 640
+_FLAT_NUM = rf"[0-9]{{1,{_LEAST_LIMIT}}}"
 _FLAT_FACTOR = rf"(?:{_FLAT_NUM}|{_IDENT}(?:\^{_FLAT_NUM})?)"
 _FLAT_EXPR = rf"-?{_FLAT_FACTOR}(?:[-+*]{_FLAT_FACTOR})*"
 _FLAT = re.compile(rf"\(({_FLAT_EXPR}(?:,{_FLAT_EXPR})+)\)|({_FLAT_EXPR})")
@@ -720,11 +745,17 @@ _FLAT = re.compile(rf"\(({_FLAT_EXPR}(?:,{_FLAT_EXPR})+)\)|({_FLAT_EXPR})")
 _FLAT_TERM = re.compile(r"(-?)([^-+]+)")
 
 
-def _flat_poly(text: str, names: tuple[str, ...]) -> Poly | None:
-    """The canonical polynomial of a flat expression over the
-    indeterminates ``names``; None if it names another indeterminate."""
+def _flat_poly(text: str, names: tuple[str, ...]) -> dict[Monomial, int] | None:
+    """The terms {monomial: nonzero coefficient} of a flat expression over
+    the indeterminates ``names``; None if it names another indeterminate.
+    Products and sums are checked as ``_ExprParser`` checks them, but only
+    in a text longer than the digit limit: a product has at most as many
+    digits as its factors together, and a sum of n terms at most the
+    largest term's digits plus those of n."""
     if text.lstrip("-").isdigit():  # an integer
-        return _pconst(int(text), len(names))
+        c = int(text)
+        return {(0,) * len(names): c} if c else {}
+    check = len(text) > _LEAST_LIMIT and len(text) > _digit_limit() > 0
     terms: dict[Monomial, int] = {}
     for sign, product in _FLAT_TERM.findall(text):
         c = -1 if sign else 1
@@ -737,15 +768,22 @@ def _flat_poly(text: str, names: tuple[str, ...]) -> Poly | None:
                 if name not in names:
                     return None
                 e[names.index(name)] += int(k) if k else 1
+        if check:
+            _check_digits((c,))
         e = tuple(e)
         terms[e] = terms.get(e, 0) + c
-    return _canon(terms)
+    if check:
+        _check_digits(terms.values())
+    return {e: c for e, c in terms.items() if c}
 
 
-def _parse_flat(ring: RingDesc, text: str) -> RingElem | None:
-    """``parse_elem`` of a flat literal that names only indeterminates of
+def _flat_terms(ring: RingDesc, text: str) -> dict[tuple[int, Monomial], int] | None:
+    """``parse_terms`` of a flat literal that names only indeterminates of
     its components and, as a tuple, has one entry per component; None for
-    any other text."""
+    any other text.  The components are read in order, up to the first that
+    names another indeterminate, and a bare expression once per list of
+    indeterminates, at its first component, as ``_parse_tokens`` reads
+    them."""
     m = _FLAT.fullmatch(text)
     if m is None:
         return None
@@ -754,16 +792,39 @@ def _parse_flat(ring: RingDesc, text: str) -> RingElem | None:
         entries = entries.split(",")
         if len(entries) != ring.ncomponents:
             return None
-        parts = [_flat_poly(entry, names) for entry, names in zip(entries, ring.components)]
+        polys = map(_flat_poly, entries, ring.components)
     else:
-        polys: dict[tuple[str, ...], Poly | None] = {}
-        for names in ring.components:
-            if names not in polys:
-                polys[names] = _flat_poly(bare, names)
-        parts = [polys[names] for names in ring.components]
-    if None in parts:
+        read: dict[tuple[str, ...], dict | None] = {}
+        polys = (
+            read[names] if names in read else read.setdefault(names, _flat_poly(bare, names))
+            for names in ring.components
+        )
+    terms = {}
+    for j, p in enumerate(polys):
+        if p is None:
+            return None
+        for e, c in p.items():
+            terms[j, e] = c
+    return terms
+
+
+def _parse_flat(ring: RingDesc, text: str) -> RingElem | None:
+    """``parse_elem`` of a flat literal (see ``_flat_terms``); None for any
+    other text."""
+    terms = _flat_terms(ring, text)
+    if terms is None:
         return None
-    return RingElem(ring, tuple(parts))
+    keys = sorted(terms)
+    return from_frame(ring, keys, map(terms.__getitem__, keys))
+
+
+def parse_terms(ring: RingDesc, text: str) -> dict[tuple[int, Monomial], int]:
+    """``parse_elem``'s element as ``frame_terms``: its nonzero coefficients
+    keyed by (component, monomial).  A flat literal is read straight into
+    them, with no polynomial or ring element made; any other text goes to
+    ``parse_elem``'s recursive descent, so every error message is the same."""
+    terms = _flat_terms(ring, text)
+    return terms if terms is not None else frame_terms(_parse_tokens(ring, text))
 
 
 def parse_elem(ring: RingDesc, text: str) -> RingElem:
@@ -778,10 +839,11 @@ def parse_elem(ring: RingDesc, text: str) -> RingElem:
     A flat literal (see ``_FLAT``) such as ``(2*t^2-t,-3)`` or ``s*t+1``,
     with at most 640 digits in a row, that names only indeterminates of its
     components and, as a tuple, has one entry per component, is matched by
-    one regular expression and read straight into its polynomials.  Any
-    other text, valid or not, goes to the recursive descent of
-    ``_parse_tokens``, so the result and every error message are the same
-    on both paths.
+    one regular expression and read straight into its terms.  Any other
+    text, valid or not, goes to the recursive descent of ``_parse_tokens``,
+    so the result and every error message are the same on both paths.  A
+    product or sum whose coefficient has more digits than the limit on
+    integer string conversion is a ``RingParseError`` on both.
     """
     elem = _parse_flat(ring, text)
     return elem if elem is not None else _parse_tokens(ring, text)

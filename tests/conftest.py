@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+import types
 
 import pytest
 
@@ -20,6 +21,11 @@ CORPUS_RINGS = ["Z", "Z^2", "Z^3", "Z[theta]"]
 
 # ---------------------------------------------------------------------------
 # Ring helpers that only tests use
+
+
+def frame_of(elems) -> rings.Frame:
+    """Sorted (component, monomial) coordinates occurring in the elements."""
+    return tuple(sorted({(j, e) for x in elems for j, p in enumerate(x.parts) for e, _c in p}))
 
 
 def is_zero_divisor(r: RingElem) -> bool:
@@ -257,6 +263,71 @@ def parse_config_oracle(text: str) -> reprs.Representation:
             raise reprs.ConfigError(f"generator {name!r}: {exc}") from exc
         pos = re.compile(r"\s*,?").match(body, pos).end()
     return reprs.representation(ring, extra, full_center == "true")
+
+
+# ---------------------------------------------------------------------------
+# Per-entry config reader (reprs.parse_config reads entries into terms)
+
+
+def parse_config_per_entry(text: str) -> reprs.Representation:
+    """reprs.parse_config as it read configs before its term reader: each
+    entry literal, e12, e13 then e23, into a ring element and a UT3Elem,
+    and the matrices given to reprs.representation.  The literals go
+    through the recursive descent, which gives parse_elem's element and
+    error on every text, so no flat reader takes part."""
+    ring, full_center, generators = reprs._config_parts(text)
+    zero = RingElem.zero(ring)
+    extra = {}
+    for name, texts in generators:
+        try:
+            entries = [
+                rings._parse_tokens(ring, texts[k]) if k in texts else zero for k in ("e12", "e13", "e23")
+            ]
+        except rings.RingParseError as exc:
+            raise reprs.ConfigError(f"generator {name!r}: {exc}") from exc
+        extra[name] = UT3Elem(ring, *entries)
+    return reprs.representation(ring, extra, full_center)
+
+
+def law_oracle(rep: reprs.Representation):
+    """(f12, f23, f13, law tuples) read off rep's generator matrices entry
+    by entry, by frame_of and frame_coords, as Representation read them
+    before it read its terms."""
+    gens = [g for _, g in rep.generators]
+    f12 = frame_of(g.u12 for g in gens)
+    f23 = frame_of(g.u23 for g in gens)
+    products = {(c, tuple(a + b for a, b in zip(e, e2))) for c, e in f12 for c2, e2 in f23 if c == c2}
+    f13 = tuple(sorted(products | set(frame_of(g.u13 for g in gens))))
+    index = [{m: k for k, m in enumerate(f)} for f in (f12, f23, f13)]
+    law = tuple(
+        sum((rings.frame_coords(i, x) for i, x in zip(index, (g.u12, g.u23, g.u13))), ())
+        for g in gens
+    )
+    return f12, f23, f13, law
+
+
+def _reading(read, text: str):
+    try:
+        return read(text)
+    except Exception as exc:  # both readers must raise the same
+        return type(exc).__name__, str(exc)
+
+
+def config_readings(text: str):
+    """What reprs.parse_config and the per-entry oracle read from text: the
+    ring, the flag, (f12, f23, f13, law tuples) and the named matrices, or
+    the exception's type and message."""
+
+    def read(text):
+        rep = reprs.parse_config(text)
+        law = (rep.f12, rep.f23, rep.f13, rep.law_generators)  # before any matrix is made
+        return rep.ring, rep.full_center, law, rep.generators
+
+    def read_per_entry(text):
+        rep = parse_config_per_entry(text)
+        return rep.ring, rep.full_center, law_oracle(rep), rep.generators
+
+    return _reading(read, text), _reading(read_per_entry, text)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +617,7 @@ def union_frame_lattices(rep: reprs.Representation):
     lattices had before they moved to the law's frames.  Returns the frame,
     labelled with its block (0: 12-block, 1: 23-block), and the lattices."""
     entries = [x for _, g in rep.generators for x in (g.u12, g.u13, g.u23)]
-    frame = rings.frame_of(entries + pair_dets(rep))
+    frame = frame_of(entries + pair_dets(rep))
     index = {m: i for i, m in enumerate(frame)}
     d = len(frame)
     rows = [
@@ -557,7 +628,7 @@ def union_frame_lattices(rep: reprs.Representation):
     A1 = zlattice.intersect_coordinate_zero(A, range(d))
     A2 = zlattice.intersect_coordinate_zero(A, range(d, 2 * d))
     labels = [(0, m) for m in frame] + [(1, m) for m in frame]
-    return labels, reprs.EntryLattices(A, A1, A2)
+    return labels, types.SimpleNamespace(A=A, A1=A1, A2=A2)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +750,7 @@ def sigma_check_dlattice(rep: reprs.Representation) -> Verdict:
     a violation names that basis vector, which is only a combination of
     commutator values."""
     dets = pair_dets(rep)
-    frame = rings.frame_of(dets)
+    frame = frame_of(dets)
     index = {m: i for i, m in enumerate(frame)}
     D = zlattice.hnf([rings.frame_coords(index, x) for x in dets], ambient_dim=len(frame))
     for dvec in D.basis:
@@ -718,7 +789,7 @@ def appropriateness_check_products(rep: reprs.Representation, degree_bound: int)
         products.update(dict.fromkeys(layer))
     products = list(products)
     targets = reprs._ring_targets(rep.ring)
-    frame = rings.frame_of(products + targets)
+    frame = frame_of(products + targets)
     index = {m: i for i, m in enumerate(frame)}
     span = zlattice.hnf([rings.frame_coords(index, p) for p in products], ambient_dim=len(frame))
     entry_vars = {n for e in entries for names in rep.ring.components for n in names if e.uses_var(n)}

@@ -5,7 +5,7 @@ documented error."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import parse_config_oracle, parse_elem_oracle
+from conftest import config_readings, parse_config_oracle, parse_elem_oracle
 from heislab import cli, formula, reprs, rings
 from heislab.formula import FormulaParseError
 from heislab.rings import RingParseError
@@ -226,6 +226,22 @@ def _config_with_blocks(draw):
 def test_config_reader_matches_the_bracket_depth_reader(text):
     """Wherever either reader accepts a config, both accept it and agree."""
     assert _read(reprs.parse_config, text) == _read(parse_config_oracle, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _mutated(st.sampled_from([CONFIG] + sorted(cli.FIXTURES.values())), CONFIG_TOKENS)
+    | _mutated(_config_with_blocks(), CONFIG_TOKENS)
+)
+@example(CONFIG)
+@example("ring: Z x Z\ngenerators: { b: {e12: (1,2), e13: 2, e23: ((1),(2))} }")
+@example("ring: Z[t] x Z\ngenerators: { b: {e12: (t,1), e13: t} }")
+@example("ring: Z[t]\ngenerators: { b: {e12: t-t, e23: (t+1)*(t-1)-t^2} }")
+def test_config_reader_matches_the_per_entry_reader(text):
+    """parse_config's frames, law tuples and matrices are the per-entry
+    reader's, or both raise the same exception."""
+    read, oracle = config_readings(text)
+    assert read == oracle
 
 
 @pytest.mark.parametrize("text", ["Z^1001", "Z^100000000 x Z", "Z^1000 x Z[t]"])

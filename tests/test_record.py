@@ -74,7 +74,7 @@ def _samples():
         reprs.SigmaWitness: (E1, "S"),
         reprs.Solution: (a1, (1, 0)),
         reprs.Representation: (Z, (("a1", a1), ("a2", a2)), False),
-        reprs.EntryLattices: (LAT, LAT, LAT),
+        reprs.EntryLattices: (LAT, 1),
         reprs.BigPowersCertificate: (2, "theta", (a1,)),
         reprs.Appropriateness: ("refuted", E1, 3),
         nilform.NilForm: (2, (1, 0), (5,)),

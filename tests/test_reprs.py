@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (
     CORPUS_RINGS,
     appropriateness_check_products,
+    config_readings,
     corpus,
     domain_or_diagonal,
     is_zero_divisor,
@@ -124,6 +125,37 @@ def test_entry_lattices_one_hnf(monkeypatch):
         calls.clear()
         entry_lattices(fixture(name))
         assert len(calls) == 1, name
+
+
+def test_only_lame_tau_and_crank_cut_A1_and_A2(monkeypatch):
+    # A1 and A2 are cut from A when first read: sigma, S, T and NZCT read A
+    # alone, and lame, tau and crank make as many cuts as when both were
+    # cut with A (68 of them: two on each of the 34 representations)
+    calls = []
+    intersect = zlattice.intersect_coordinate_zero
+    monkeypatch.setattr(zlattice, "intersect_coordinate_zero", lambda L, c: calls.append(c) or intersect(L, c))
+    texts = [serialize_config(rep) for rep in corpus(30, seed=5)] + sorted(FIXTURES.values())
+
+    def z(rep):  # the central element with (1,3) entry 1
+        zero = RingElem.zero(rep.ring)
+        return UT3Elem(rep.ring, zero, RingElem.one(rep.ring), zero)
+
+    checks = {
+        "lame": lame_check,
+        "tau": tau_check,
+        "crank": c_rank,
+        "sigma": sigma_check,
+        "nzct": lambda rep: nzct_check(rep, 1),
+        "S": lambda rep: solve_S(rep, z(rep)),
+        "T": lambda rep: solve_T(rep, z(rep)),
+    }
+    counts = {}
+    for name, check in checks.items():
+        calls.clear()
+        for text in texts:
+            check(parse_config(text))
+        counts[name] = len(calls)
+    assert counts == {"lame": 181, "tau": 113, "crank": 68, "sigma": 0, "nzct": 0, "S": 0, "T": 0}
 
 
 def _nonzero_columns(lat, labels):
@@ -352,7 +384,7 @@ def test_tau_walk_prunes_at_the_root_on_many_components(monkeypatch):
     text = (pathlib.Path(__file__).parent / "data" / "tau_z20.cfg").read_text()
     rep = reprs.parse_config(text)
     assert rep.ring.ncomponents == 20
-    rep.lattices  # built before counting
+    rep.lattices.A1, rep.lattices.A2  # built before counting
     monkeypatch.setattr(zlattice, "intersect_coordinate_zero", counting)
     assert tau_check(rep).status == "holds"
     assert len(calls) == 2
@@ -1106,6 +1138,32 @@ def test_config_roundtrip():
         assert back.ring == rep.ring
         assert back.full_center == rep.full_center
         assert [(n, g) for n, g in back.generators] == list(rep.generators)
+
+
+def test_config_reader_matches_the_per_entry_oracle():
+    """parse_config reads entries into terms; the oracle reads each into a
+    ring element and the frames and law tuples off the matrices.  Both give
+    the same frames, law tuples and matrices, or the same exception."""
+    rng = random.Random(8)
+    reps = corpus(40, seed=11) + [wide_representation(rng, n) for n in (6, 12)]
+    texts = [serialize_config(rep) for rep in reps] + sorted(FIXTURES.values())
+    texts += [path.read_text() for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.cfg"))]
+    texts += [
+        "ring: Z[t] x Z[t]\ngenerators: { b: {e13: t-t, e12: (t^2-1,0), e23: -(t+1)} }",
+        "ring: Z[t] x Z\ngenerators: { b: {e12: (2*t-t-t,0), e23: (t^2-t^2+1,0)} }",
+        "ring: Z[s,t] x Z[t]\ngenerators: { b: {e12: (s*t+t*s,t)}, c: {e23: (0,t^2)} }",
+        "ring: Z x Z\ngenerators: { b: {e12: (t,1)} }",
+        "ring: Z x Z\ngenerators: { b: {e12: (1,2,3)} }",
+        "ring: Z\ngenerators: { b: {e12: 1, e12: 2} }",
+        "ring: Z\ngenerators: { b: {e13: 10^4000*10^4000} }",
+        "ring: Z\ngenerators: { b: {e13: %s} }" % "*".join(["9" * 640] * 7),
+    ]
+    raised = 0
+    for text in texts:
+        read, oracle = config_readings(text)
+        assert read == oracle, text
+        raised += isinstance(read[0], str)
+    assert raised == 6
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import is_zero_divisor, nonvanishing_point_oracle, separate
-from heislab import rings
+from heislab import reprs, rings
 from heislab.rings import (
     DomainFailure,
     Retraction,
@@ -226,6 +226,40 @@ def test_power_past_the_digit_limit_is_a_parse_error():
     assert t.parts == ((((999999999,), 1),),)
     assert parse_elem(Z, "(-1)^7") == RingElem.integer(Z, -1)
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_product_or_sum_past_the_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    seven = "*".join(["9" * 640] * 7)  # a flat product of 4480 digits
+    ZT = parse_ring("Z x Z[t]")
+    too_long = [
+        (Z, "10^4000*10^4000"),
+        (Z, "9*10^4299+9*10^4299"),
+        (Z, seven),
+        (Z, f"({seven})"),
+        (ZT, f"(1,-{seven}*t)"),
+        (ZT, "(1,(t+10^2200)^2)"),
+    ]
+    for ring, text in too_long:
+        # the flat reader, the term reader and the recursive descent alike
+        for parse in (parse_elem, rings.parse_terms, rings._parse_tokens):
+            start = time.process_time()
+            with pytest.raises(RingParseError, match=f"^coefficient has more than {limit} digits$"):
+                parse(ring, text)
+            assert time.process_time() - start < 0.5
+    # each product and each whole sum is checked, not a partial sum
+    for parse in (parse_elem, rings._parse_tokens):
+        assert parse(Z, "9*10^4299+9*10^4299-9*10^4299") == parse_elem(Z, "9*10^4299")
+        assert parse(Z, seven + "*0") == RingElem.zero(Z)
+    with pytest.raises(reprs.ConfigError, match=f"^generator 'b': coefficient has more than {limit} digits$"):
+        reprs.parse_config(f"ring: Z\ngenerators: {{ b: {{e13: {seven}}} }}")
+    # with no limit nothing is checked
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_elem(Z, "10^4000*10^4000") == RingElem.integer(Z, 10**8000)
+        assert rings.parse_terms(Z, seven) == {(0, ()): int("9" * 640) ** 7}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("k", [1, 8, 32])
