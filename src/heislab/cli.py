@@ -261,7 +261,7 @@ def cmd_solve(args) -> int:
         if not doc["solvable"]:
             return [f"unsolvable {head}"]
         sol = doc["solution"]
-        word = "*".join(f"{n}^{c}" for (n, _), c in zip(rep.generators, sol["exponents"]) if c)
+        word = "*".join(f"{n}^{c}" for n, c in zip(rep.names, sol["exponents"]) if c)
         return [f"solvable {head}", f"  element: {sol['element']}", f"  word: {word or '1'}"]
 
     return _emit(args, doc, text, 0 if sol is not None else 1)

@@ -1,11 +1,12 @@
 """Representations G <= UT3(R) and the exact decision procedures on them.
 
-A representation is a finite list of named matrix generators over a product
-ring, always containing the distinguished integer generators a1 and a2.  The
-map g -> (g12, g23) is a homomorphism onto an additive subgroup of R^2, and
+A representation is a finite list of named generators over a product ring,
+always containing the distinguished integer generators a1 and a2, each held
+as the terms of its (1,2), (2,3) and (1,3) entries.  The map
+g -> (g12, g23) is a homomorphism onto an additive subgroup of R^2, and
 every entry of every group element has exact integer coordinates over the
 finitely many (component, monomial) frames f12, f23 and f13 that the
-representation builds from its generators.  These are the only coordinates
+representation builds from those terms.  These are the only coordinates
 a representation has, and its class-2 law (``Representation.law``, a
 ``ut3.Class2Law``) does the group arithmetic on them.  That turns each
 question below (zero divisors among centralizer entries, solvability of
@@ -29,7 +30,7 @@ from typing import Optional
 
 from . import rings, zlattice
 from .formula import GroupEnv, Verdict
-from .record import Record, setfield
+from .record import Record
 from .rings import Frame, RingDesc, RingElem
 from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2
 from .zlattice import Lattice
@@ -95,57 +96,31 @@ class Solution(Record):
         return {"element": str(self.element), "exponents": list(self.coefficients)}
 
 
-class _LazyMatrices:
-    """The generator matrices of a representation that stores none (see
-    ``Representation.from_terms``), made the first time they are read.
-    They live on a base class because ``Record`` takes a value in the class
-    body for the field's default."""
+class Representation(Record):
+    """Finitely generated H-subgroup of UT3(R) given by named generators.
+
+    ``names`` lists the generators, a1 and a2 first.  ``terms`` holds each
+    generator's (1,2), (2,3) and (1,3) entries, in that order, as
+    {(component, monomial): nonzero coefficient} dicts (``rings.frame_terms``);
+    the frames and the law's tuples are read off them, and no matrix is
+    stored.  ``full_center`` marks the center-adjoined variant: the (1,3)
+    entries are treated as ranging over all of R.  None of the lattice
+    checkers look at (1,3) entries, so the flag only matters for bookkeeping
+    and C-rank invariance.
+    """
+
+    _unhashed = ("terms",)
+
+    ring: RingDesc
+    names: tuple[str, ...]
+    terms: tuple[tuple[dict, dict, dict], ...]
+    full_center: bool = False
 
     @cached_property
     def generators(self) -> tuple[tuple[str, UT3Elem], ...]:
+        """(name, matrix) per generator, the matrices made from the law's
+        tuples when first read; no command reads them."""
         return tuple(zip(self.names, map(self.to_ut3, self.law_generators)))
-
-
-class Representation(Record, _LazyMatrices):
-    """Finitely generated H-subgroup of UT3(R) given by named generators.
-
-    ``full_center`` marks the center-adjoined variant: the (1,3) entries are
-    treated as ranging over all of R.  None of the lattice checkers look at
-    (1,3) entries, so the flag only matters for bookkeeping and C-rank
-    invariance.
-
-    The frames and the law's tuples are read off ``terms``, the
-    generators' entries as ``rings.frame_terms``.  A representation made
-    from matrices reads its terms off ``generators``.  One made by
-    ``from_terms``, as ``parse_config`` makes it, holds only the names and
-    the terms, and makes the matrices ``generators`` from the law's tuples
-    when a command reads them (``appropriateness_check``,
-    ``serialize_config`` and the constructions do, the checkers do not).
-    """
-
-    ring: RingDesc
-    generators: tuple[tuple[str, UT3Elem], ...]
-    full_center: bool = False
-
-    @classmethod
-    def from_terms(cls, ring: RingDesc, names: tuple[str, ...], terms: tuple, full_center: bool):
-        """The representation whose generators have these names and
-        ``terms``, with no matrix made."""
-        rep = cls.__new__(cls)
-        for field, value in (("ring", ring), ("full_center", full_center), ("names", names), ("terms", terms)):
-            setfield(rep, field, value)
-        return rep
-
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        """The generators' names, a1 and a2 first."""
-        return tuple(name for name, _ in self.generators)
-
-    @cached_property
-    def terms(self) -> tuple[tuple[dict, dict, dict], ...]:
-        """Each generator's (1,2), (2,3) and (1,3) entries, in that order,
-        as {(component, monomial): nonzero coefficient} dicts."""
-        return tuple(tuple(map(rings.frame_terms, (g.u12, g.u23, g.u13))) for _, g in self.generators)
 
     def _frame(self, block: int) -> set:
         return {m for entries in self.terms for m in entries[block]}
@@ -318,15 +293,17 @@ def representation(
     extra_generators: dict[str, UT3Elem] | None = None,
     full_center: bool = False,
 ) -> Representation:
-    """Build a representation; a1 and a2 are always prepended."""
-    gens: list[tuple[str, UT3Elem]] = [("a1", _a1(ring)), ("a2", _a2(ring))]
+    """Build a representation from generator matrices, read into their
+    terms; a1 and a2 are always prepended."""
+    gens = {"a1": _a1(ring), "a2": _a2(ring)}
     for name, g in (extra_generators or {}).items():
         if name in ("a1", "a2"):
             raise ValueError("a1 and a2 are implicit and fixed")
         if g.ring != ring:
             raise ValueError(f"generator {name!r} is over the wrong ring")
-        gens.append((name, g))
-    return Representation(ring, tuple(gens), full_center)
+        gens[name] = g
+    terms = tuple(tuple(map(rings.frame_terms, (g.u12, g.u23, g.u13))) for g in gens.values())
+    return Representation(ring, tuple(gens), terms, full_center)
 
 
 def heisenberg() -> Representation:
@@ -528,16 +505,21 @@ def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
     return None
 
 
-def _solve(rep: Representation, z: UT3Elem, block: int) -> Optional[Solution]:
-    """A group element whose entry pair is z13 in the given block (0: the
-    12-block, 1: the 23-block) and zero in the other; None if there is none.
-    z13 is placed as ``f13`` coordinates, which hold every f12 and f23
-    monomial (a1 and a2 put 1 in every component)."""
+def _exponents(rep: Representation, z: UT3Elem, block: int) -> Optional[tuple[int, ...]]:
+    """The generator exponents of a group element whose entry pair is z13 in
+    the given block (0: the 12-block, 1: the 23-block) and zero in the
+    other; None if there is none.  z13 is placed as ``f13`` coordinates,
+    which hold every f12 and f23 monomial (a1 and a2 put 1 in every
+    component)."""
     if not z.is_central():
         raise ValueError("z must be central")
     c = rep.coords(2, z.u13)
     v = None if c is None else rep.entry_pair(c, block)
-    coeffs = None if v is None else zlattice.in_source_coordinates(rep.lattices.A, v)
+    return None if v is None else zlattice.in_source_coordinates(rep.lattices.A, v)
+
+
+def _solve(rep: Representation, z: UT3Elem, block: int) -> Optional[Solution]:
+    coeffs = _exponents(rep, z, block)
     return None if coeffs is None else Solution(rep.product_of_generators(coeffs), coeffs)
 
 
@@ -603,44 +585,36 @@ def adjoin_Y(rep: Representation, z: UT3Elem, name: str | None = None) -> Repres
         raise ValueError("z must be central")
     if z.is_identity():
         warnings.warn("adjoin_Y with z = identity adjoins the identity")
-    elif solve_S(rep, z) is not None:
+    elif _exponents(rep, z, 0) is not None:
         warnings.warn("system S is already solvable; adjoin_Y is redundant")
-    zero = RingElem.zero(rep.ring)
-    Y = UT3Elem(rep.ring, z.u13, zero, zero)
     name = name or _fresh_name(rep, "Y")
-    return Representation(rep.ring, rep.generators + ((name, Y),), rep.full_center)
+    terms = rep.terms + ((rings.frame_terms(z.u13), {}, {}),)
+    return Representation(rep.ring, rep.names + (name,), terms, rep.full_center)
 
 
 def adjoin_center(rep: Representation) -> Representation:
     """Mark the center as all of {(1,3) entries}: C-rank is unchanged and
     no lattice checker is affected (they read the 12/23 entries only)."""
-    return Representation(rep.ring, rep.generators, True)
+    return Representation(rep.ring, rep.names, rep.terms, True)
 
 
 def extend_centralizer(rep: Representation, i: int, name: str) -> Representation:
     """Free rank-1 extension of C(a_i): adjoin an indeterminate to the ring
     and a generator whose only off-center entry is that indeterminate (it
-    commutes with the whole centralizer slice by construction)."""
+    commutes with the whole centralizer slice by construction).  The
+    indeterminate comes last in every component, so each old monomial gets
+    a 0 exponent for it."""
     if i not in (1, 2):
         raise ValueError("i must be 1 or 2")
     new_ring = rings.adjoin_indeterminate(rep.ring, name)
-    gens = tuple(
-        (
-            n,
-            UT3Elem(
-                new_ring,
-                rings.embed(g.u12, new_ring),
-                rings.embed(g.u13, new_ring),
-                rings.embed(g.u23, new_ring),
-            ),
-        )
-        for n, g in rep.generators
+    terms = tuple(
+        tuple({(j, e + (0,)): c for (j, e), c in entry.items()} for entry in entries)
+        for entries in rep.terms
     )
-    theta = RingElem.var(new_ring, name)
-    zero = RingElem.zero(new_ring)
-    t = UT3Elem(new_ring, zero, zero, theta) if i == 1 else UT3Elem(new_ring, theta, zero, zero)
-    gen_name = _fresh_name(rep, "t")
-    return Representation(new_ring, gens + ((gen_name, t),), rep.full_center)
+    theta = {(j, (0,) * len(names) + (1,)): 1 for j, names in enumerate(rep.ring.components)}
+    t = ({}, theta, {}) if i == 1 else (theta, {}, {})
+    names = rep.names + (_fresh_name(rep, "t"),)
+    return Representation(new_ring, names, terms + (t,), rep.full_center)
 
 
 class BigPowersCertificate(Record):
@@ -861,12 +835,10 @@ def parse_config(text: str) -> Representation:
     level deep, and each ``:`` inside a generator's block ends a key.
 
     Each entry literal is read by ``rings.parse_terms`` (e12, e13, then
-    e23) into the terms of ``Representation.from_terms``, so no ring
-    element or matrix is made.  The frames and the law's tuples come from
-    the terms; A takes its HNF when a checker first reads the lattices, and
-    A1 and A2 are cut from it when one reads them (see ``EntryLattices``);
-    the matrices are made from the law's tuples when a command reads
-    ``generators``."""
+    e23) into the representation's ``terms``, so no ring element or matrix
+    is made.  The frames and the law's tuples come from the terms; A takes
+    its HNF when a checker first reads the lattices, and A1 and A2 are cut
+    from it when one reads them (see ``EntryLattices``)."""
     ring, full_center, generators = _config_parts(text)
     one = {(j, (0,) * len(names)): 1 for j, names in enumerate(ring.components)}
     names, terms = ["a1", "a2"], [({}, one, {}), (one, {}, {})]  # a1 = e23, a2 = e12
@@ -879,19 +851,18 @@ def parse_config(text: str) -> Representation:
             raise ConfigError(f"generator {name!r}: {exc}") from exc
         names.append(name)
         terms.append((t12, t23, t13))
-    return Representation.from_terms(ring, tuple(names), tuple(terms), full_center)
+    return Representation(ring, tuple(names), tuple(terms), full_center)
 
 
 def serialize_config(rep: Representation) -> str:
     lines = [f"ring: {rep.ring}"]
     lines.append(f"full_center: {'true' if rep.full_center else 'false'}")
-    extra = [(n, g) for n, g in rep.generators if n not in ("a1", "a2")]
+    extra = [(n, t) for n, t in zip(rep.names, rep.terms) if n not in ("a1", "a2")]
     if extra:
         lines.append("generators: {")
-        for name, g in extra:
-            lines.append(
-                f"  {name}: {{e12: {g.u12}, e13: {g.u13}, e23: {g.u23}}},"
-            )
+        for name, (t12, t23, t13) in extra:
+            e12, e13, e23 = (rings.from_terms(rep.ring, t) for t in (t12, t13, t23))
+            lines.append(f"  {name}: {{e12: {e12}, e13: {e13}, e23: {e23}}},")
         lines[-1] = lines[-1].rstrip(",")
         lines.append("}")
     else:
@@ -912,11 +883,9 @@ def appropriateness_check(rep: Representation, degree_bound: int) -> Appropriate
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
     one = RingElem.one(rep.ring)
-    entries = [one]
-    for _, g in rep.generators:
-        for entry in (g.u12, g.u13, g.u23):
-            if not entry.is_zero() and entry not in entries:
-                entries.append(entry)
+    # each generator's nonzero entries in (e12, e13, e23) order, each once
+    nonzero = [rings.from_terms(rep.ring, t) for g in rep.terms for t in (g[0], g[2], g[1]) if t]
+    entries = list(dict.fromkeys([one, *nonzero]))
     index: dict = {}  # frame coordinate -> position, in order of first use
     span = Lattice(0, (), ())  # the span of the products before `pending`
 

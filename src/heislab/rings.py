@@ -321,6 +321,12 @@ def from_frame(ring: RingDesc, frame: Frame, v) -> RingElem:
     return RingElem(ring, tuple(map(tuple, parts)))
 
 
+def from_terms(ring: RingDesc, terms: dict) -> RingElem:
+    """The element whose ``frame_terms`` are ``terms``."""
+    keys = sorted(terms)
+    return from_frame(ring, keys, map(terms.__getitem__, keys))
+
+
 class Retraction(Record):
     """A homomorphism R -> Z: project to one component, then evaluate the
     indeterminates at an integer point."""
@@ -808,16 +814,6 @@ def _flat_terms(ring: RingDesc, text: str) -> dict[tuple[int, Monomial], int] | 
     return terms
 
 
-def _parse_flat(ring: RingDesc, text: str) -> RingElem | None:
-    """``parse_elem`` of a flat literal (see ``_flat_terms``); None for any
-    other text."""
-    terms = _flat_terms(ring, text)
-    if terms is None:
-        return None
-    keys = sorted(terms)
-    return from_frame(ring, keys, map(terms.__getitem__, keys))
-
-
 def parse_terms(ring: RingDesc, text: str) -> dict[tuple[int, Monomial], int]:
     """``parse_elem``'s element as ``frame_terms``: its nonzero coefficients
     keyed by (component, monomial).  A flat literal is read straight into
@@ -845,8 +841,8 @@ def parse_elem(ring: RingDesc, text: str) -> RingElem:
     product or sum whose coefficient has more digits than the limit on
     integer string conversion is a ``RingParseError`` on both.
     """
-    elem = _parse_flat(ring, text)
-    return elem if elem is not None else _parse_tokens(ring, text)
+    terms = _flat_terms(ring, text)
+    return from_terms(ring, terms) if terms is not None else _parse_tokens(ring, text)
 
 
 def _parse_tokens(ring: RingDesc, text: str) -> RingElem:

@@ -147,9 +147,9 @@ def split_tuple_oracle(tokens: list[str]) -> list[list[str]] | None:
 
 def parse_elem_oracle(ring: RingDesc, text: str) -> RingElem:
     """rings.parse_elem with tuples found by bracket depth."""
-    elem = rings._parse_flat(ring, text)
-    if elem is not None:
-        return elem
+    terms = rings._flat_terms(ring, text)
+    if terms is not None:
+        return rings.from_terms(ring, terms)
     tokens = rings._tokenize(text)
     parts = split_tuple_oracle(tokens)
     if parts is not None:
@@ -799,6 +799,58 @@ def appropriateness_check_products(rep: reprs.Representation, degree_bound: int)
             status = "refuted" if target_vars and not (target_vars & entry_vars) else "inconclusive"
             return reprs.Appropriateness(status, t, degree_bound)
     return reprs.Appropriateness("confirmed", None, degree_bound)
+
+
+# ---------------------------------------------------------------------------
+# Matrix-built constructions, as reprs built them before it built terms.  A
+# representation here is (ring, ((name, UT3Elem), ...), full_center).
+
+
+def _fresh_name_oracle(gens, stem: str) -> str:
+    names = {n for n, _ in gens}
+    if stem not in names:
+        return stem
+    k = 2
+    while f"{stem}{k}" in names:
+        k += 1
+    return f"{stem}{k}"
+
+
+def adjoin_Y_matrices(ring, gens, full_center, z: UT3Elem, name: str | None = None):
+    zero = RingElem.zero(ring)
+    Y = UT3Elem(ring, z.u13, zero, zero)
+    return ring, gens + ((name or _fresh_name_oracle(gens, "Y"), Y),), full_center
+
+
+def adjoin_center_matrices(ring, gens, full_center):
+    return ring, gens, True
+
+
+def extend_centralizer_matrices(ring, gens, full_center, i: int, name: str):
+    new_ring = rings.adjoin_indeterminate(ring, name)
+    new = tuple(
+        (n, UT3Elem(new_ring, *(rings.embed(x, new_ring) for x in (g.u12, g.u13, g.u23))))
+        for n, g in gens
+    )
+    theta = RingElem.var(new_ring, name)
+    zero = RingElem.zero(new_ring)
+    t = UT3Elem(new_ring, zero, zero, theta) if i == 1 else UT3Elem(new_ring, theta, zero, zero)
+    return new_ring, new + ((_fresh_name_oracle(gens, "t"), t),), full_center
+
+
+def serialize_config_matrices(ring, gens, full_center) -> str:
+    lines = [f"ring: {ring}"]
+    lines.append(f"full_center: {'true' if full_center else 'false'}")
+    extra = [(n, g) for n, g in gens if n not in ("a1", "a2")]
+    if extra:
+        lines.append("generators: {")
+        for name, g in extra:
+            lines.append(f"  {name}: {{e12: {g.u12}, e13: {g.u13}, e23: {g.u23}}},")
+        lines[-1] = lines[-1].rstrip(",")
+        lines.append("}")
+    else:
+        lines.append("generators: {}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,31 @@ def test_cli_golden_without_reference_arithmetic(golden, files, monkeypatch):
     assert not mismatches, mismatches[:3]
 
 
+def test_constructions_and_entry_readers_make_no_matrix(golden, files, monkeypatch):
+    """The cases of ``extend``, ``adjoin-y``, ``adjoin-center``,
+    ``appropriate`` and ``crank`` again, with ``Representation.to_ut3``
+    patched to raise: they work on the generators' entry terms and make no
+    generator matrix."""
+    from heislab import reprs
+
+    def refuse(self, v):
+        raise ReferenceArithmeticUsed("Representation.to_ut3")
+
+    monkeypatch.setattr(reprs.Representation, "to_ut3", refuse)
+    mismatches = []
+    for case in _cases():
+        if case["argv"][0] not in ("extend", "adjoin-y", "adjoin-center", "appropriate", "crank"):
+            continue
+        expected = golden[_key(case)]
+        try:
+            got = _run(case, files)
+        except ReferenceArithmeticUsed as exc:
+            got = f"reached {exc}"
+        if got != (expected["exit"], expected["stdout"]):
+            mismatches.append((_key(case), got))
+    assert not mismatches, mismatches[:3]
+
+
 def test_json_stdout_is_the_emitters(golden):
     """Every --json stdout but crank's compact one is the emitter's indented,
     key-sorted dump of one document."""

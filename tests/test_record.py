@@ -45,6 +45,7 @@ LAW = ut3.Class2Law.free(2)
 def _samples():
     """Constructor arguments for one instance of every record class."""
     a1, a2 = ut3.a1(Z), ut3.a2(Z)
+    h = reprs.heisenberg()
     return {
         F.One: (),
         F.Var: ("x",),
@@ -73,7 +74,7 @@ def _samples():
         reprs.NzctWitness: (a1, a2, a1, a2),
         reprs.SigmaWitness: (E1, "S"),
         reprs.Solution: (a1, (1, 0)),
-        reprs.Representation: (Z, (("a1", a1), ("a2", a2)), False),
+        reprs.Representation: (Z, h.names, h.terms, False),
         reprs.EntryLattices: (LAT, 1),
         reprs.BigPowersCertificate: (2, "theta", (a1,)),
         reprs.Appropriateness: ("refuted", E1, 3),
@@ -117,7 +118,7 @@ def test_record_value_semantics(cls):
     assert r is not s and r == s and not r != s and hash(r) == hash(s)
     # as a frozen dataclass hashed: the tuple of the hashed fields, so sets
     # of records iterate in the same order
-    unhashed = ("assignment", "words") if cls is F.SearchWitness else ()
+    unhashed = {F.SearchWitness: ("assignment", "words"), reprs.Representation: ("terms",)}.get(cls, ())
     assert hash(r) == hash(tuple(getattr(r, f) for f in cls._fields if f not in unhashed))
     # keyword construction
     assert cls(**dict(zip(cls._fields, _copy(args)))) == r
@@ -170,15 +171,29 @@ def test_defaults_and_positional_construction():
     v = F.Verdict("holds", "exact_lattice")
     assert (v.witness, v.bound) == (None, None)
     assert F.Verdict(status="holds", method="exact_lattice", bound=3).bound == 3
-    gens = reprs.heisenberg().generators
-    rep = reprs.Representation(Z, gens)
-    assert rep.full_center is False and rep == reprs.heisenberg()
+    h = reprs.heisenberg()
+    rep = reprs.Representation(Z, h.names, h.terms)
+    assert rep.full_center is False and rep == h
     centered = reprs.adjoin_center(rep)
-    assert centered.full_center is True and centered.generators is gens and centered != rep
+    assert centered.full_center is True and centered.terms is h.terms and centered != rep
     assert reprs.Appropriateness("confirmed") == reprs.Appropriateness("confirmed", None, 0)
     # positionally from rebuilt parts, as bench/check.py builds ring elements
     x = rings.parse_elem(rings.parse_ring("Z[t] x Z"), "(2*t^2 - 1, 3)")
     assert RingElem(x.ring, tuple(tuple(p) for p in x.parts)) == x
+
+
+def test_config_read_representation_equals_its_matrix_built_twin():
+    from heislab import cli
+
+    rep = reprs.parse_config(cli.FIXTURES["tau-fails-zxz"])
+    ring = rep.ring
+    zero = RingElem.zero(ring)
+    Y = ut3.UT3Elem(ring, rings.parse_elem(ring, "(1,0)"), zero, zero)
+    X = ut3.UT3Elem(ring, zero, zero, rings.parse_elem(ring, "(0,1)"))
+    twin = reprs.representation(ring, {"Y": Y, "X": X})
+    assert rep == twin and hash(rep) == hash(twin) and len({rep, twin}) == 1
+    assert rep.generators == twin.generators
+    assert rep != reprs.representation(ring, {"X": X, "Y": Y})
 
 
 def test_cached_properties_still_cache():

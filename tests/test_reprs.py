@@ -11,10 +11,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     CORPUS_RINGS,
+    adjoin_Y_matrices,
+    adjoin_center_matrices,
     appropriateness_check_products,
     config_readings,
     corpus,
     domain_or_diagonal,
+    extend_centralizer_matrices,
     is_zero_divisor,
     lame_check_def1,
     nzct_check_ringelem,
@@ -22,8 +25,10 @@ from conftest import (
     pair_det,
     pair_dets,
     product_oracle,
+    random_poly_elem,
     random_representation,
     random_ut3,
+    serialize_config_matrices,
     sigma_check_dlattice,
     tau_check_masks,
     union_frame_lattices,
@@ -947,6 +952,35 @@ def test_extend_centralizer_at_a2():
     for _, g in rep2.generators:
         if g.comm(a2(rep2.ring)).is_identity():
             assert t.comm(g).is_identity()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_constructions_match_their_matrix_built_references(seed):
+    """Each construction, on terms, against its matrix-built reference: the
+    same matrices, the same config text, and a config that reads back to
+    the same representation.  adjoin_Y warns where solve_S finds a
+    solution, as before it stopped building the solution's matrix."""
+    rng = random.Random(seed)
+    reps = corpus(60, seed=seed) + [fixture(name) for name in sorted(FIXTURES)]
+    for rep in reps + [extend_centralizer(rep, 2, "s") for rep in reps[::6]]:
+        ring = rep.ring
+        start = (ring, rep.generators, rep.full_center)
+        pairs = [
+            (extend_centralizer(rep, 1, "u"), extend_centralizer_matrices(*start, 1, "u")),
+            (extend_centralizer(rep, 2, "u"), extend_centralizer_matrices(*start, 2, "u")),
+            (adjoin_center(rep), adjoin_center_matrices(*start)),
+        ]
+        for z13 in (RingElem.one(ring), random_poly_elem(rng, ring), RingElem.zero(ring)):
+            z = UT3Elem(ring, RingElem.zero(ring), z13, RingElem.zero(ring))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                pairs.append((adjoin_Y(rep, z), adjoin_Y_matrices(*start, z)))
+            assert len(caught) == (1 if z.is_identity() else int(solve_S(rep, z) is not None))
+        for new, reference in pairs:
+            assert (new.ring, new.generators, new.full_center) == reference
+            text = serialize_config(new)
+            assert text == serialize_config_matrices(*reference)
+            assert parse_config(text) == new
 
 
 def test_extend_twice():

@@ -376,20 +376,20 @@ def element_literals(draw):
 def test_flat_literals_parse_as_the_recursive_descent_does(case):
     ring, text = case
     descent = _parse_outcome(rings._parse_tokens, ring, text)
-    flat = rings._parse_flat(ring, text)
-    if flat is not None:
-        assert flat == descent
+    terms = rings._flat_terms(ring, text)
+    if terms is not None:
+        assert rings.from_terms(ring, terms) == descent
     assert _parse_outcome(parse_elem, ring, text) == descent
 
 
 def test_flat_literals_take_the_one_pass_path():
     ring = parse_ring("Z[s,t] x Z[t] x Z")
     for text in ["(s*t^2-3*t+1,t-t,7)", "1", "-2*3+4", "(0,0,0)", "(1" + "0" * 639 + ",t^9,-1)"]:
-        assert rings._parse_flat(ring, text) == rings._parse_tokens(ring, text)
+        assert rings.from_terms(ring, rings._flat_terms(ring, text)) == rings._parse_tokens(ring, text)
     # blanks, parentheses, foreign names, a wrong entry count and a
     # 641-digit run all take the recursive descent
     for text in ["1 ", "(t)", "s", "(1,2)", "(t+1)^2", "2^2", "1" * 641]:
-        assert rings._parse_flat(ring, text) is None
+        assert rings._flat_terms(ring, text) is None
 
 
 def test_zeroth_power_is_one_in_its_own_component():
