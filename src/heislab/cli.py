@@ -225,21 +225,30 @@ def cmd_check(args) -> int:
         return _emit_verdict(args, name, _run_checker(name, rep, args))
     f = _resolve_formula(args.formula)
     cls = classify(f)
-    env = rep.env()
     bound = _bound(args, 2)
     if cls in ("universal", "quasi_identity", "identity"):
-        return _emit_verdict(args, cls, refute_universal(f, env, bound))
+        return _emit_verdict(args, cls, _refute(f, rep, bound))
     if cls in ("existential", "primitive"):
-        return _emit_verdict(args, cls, witness_existential(f, env, bound))
+        return _emit_verdict(args, cls, witness_existential(f, rep.env(), bound))
     raise UsageError(f"no checker for sentences of class {cls!r}")
+
+
+def _refute(f, rep: Representation, bound: int) -> Verdict:
+    """``refute_universal`` of f on rep.  Where ``reprs.holds_exactly``
+    proves f, no ball holds a counterexample, so this is the inconclusive
+    answer that the search would give, without the search."""
+    if reprs.holds_exactly(rep, f):
+        return Verdict("inconclusive", "bounded_search", bound=bound)
+    return refute_universal(f, rep.env(), bound)
 
 
 def cmd_search(args) -> int:
     """``refute`` a universal or ``witness`` an existential sentence."""
     rep = _load_rep(args)
     f = _resolve_formula(args.formula)
-    search = refute_universal if args.command == "refute" else witness_existential
-    return _emit_verdict(args, args.command, search(f, rep.env(), _bound(args, 2)))
+    bound = _bound(args, 2)
+    v = _refute(f, rep, bound) if args.command == "refute" else witness_existential(f, rep.env(), bound)
+    return _emit_verdict(args, args.command, v)
 
 
 def cmd_checker(args) -> int:

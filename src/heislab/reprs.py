@@ -25,11 +25,11 @@ import itertools
 import operator
 import re
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from . import rings, zlattice
-from .formula import GroupEnv, Verdict
+from .formula import GroupEnv, Verdict, builtin
 from .record import Record
 from .rings import Frame, RingDesc, RingElem
 from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2
@@ -454,6 +454,7 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     pi_j0(q) = 0, and then q = 0, which is central.  This covers every
     domain and every group whose entries agree on identical components.
 
+    These two tests are ``nzct_proved``, which ``holds_exactly`` shares.
     Otherwise each q in the box [-bound, bound]^r over A's basis b_i is
     decided exactly by ``_nzct_at``; a box without a witness is not a
     proof.  q and -q have the same centralizer, so only the q whose first
@@ -465,12 +466,9 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     (``det_form``), and ring elements are built only for the witness."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if nzct_proved(rep):
+        return Verdict("holds", "exact_lattice")
     A = rep.lattices.A
-    if A.rank <= 3:
-        return Verdict("holds", "exact_lattice")
-    columns = [_block_coords(rep, 0, j) + _block_coords(rep, 1, j) for j in range(rep.ring.ncomponents)]
-    if not any(zlattice.left_kernel([[b[i] for i in c] for b in A.basis]) for c in columns):
-        return Verdict("holds", "exact_lattice")
     span = range(-bound, bound + 1)
     for k in range(A.rank):  # the q = (0,) * k + (c < 0, ...)
         for tail in itertools.product(range(-bound, 0), *[span] * (A.rank - k - 1)):
@@ -478,6 +476,16 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
             if witness is not None:
                 return Verdict("violated", "exact_lattice", witness, bound=bound)
     return Verdict("inconclusive", "bounded_search", bound=bound)
+
+
+def nzct_proved(rep: Representation) -> bool:
+    """Whether the rank or the projection test of ``nzct_check`` proves
+    NZCT: A has rank <= 3, or every pi_j is injective on A."""
+    A = rep.lattices.A
+    if A.rank <= 3:
+        return True
+    columns = [_block_coords(rep, 0, j) + _block_coords(rep, 1, j) for j in range(rep.ring.ncomponents)]
+    return not any(zlattice.left_kernel([[b[i] for i in c] for b in A.basis]) for c in columns)
 
 
 def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
@@ -503,6 +511,38 @@ def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
             y = next(i for i, row in enumerate(Lq) if any(row))
             return NzctWitness(build(q), build(p), build(w), rep.product_of_generators(A.transform[y]))
     return None
+
+
+@cache
+def _proofs() -> dict:
+    """``holds_exactly``'s table, parsed on first use."""
+    return {
+        builtin("NZCT"): nzct_proved,
+        builtin("CT(1)"): nzct_proved,
+        builtin("tau"): lambda rep: tau_check(rep).status == "holds",
+        builtin("centralizer_qi"): lambda rep: True,
+    }
+
+
+def holds_exactly(rep: Representation, sentence) -> bool:
+    """Whether an exact argument proves that ``sentence`` holds on rep.
+
+    The sentences proved are builtin trees, matched by value, so the same
+    text given inline or in a file counts too; False proves nothing.
+
+    - NZCT holds where ``nzct_proved`` says so: A has rank <= 3, or every
+      pi_j is injective on A (the proofs are in ``nzct_check``).
+    - CT(1) is NZCT with y renamed w1, but with [w1,x2] != 1 for
+      [x2,y] != 1.  [w1,x2] = [x2,w1]^-1, so the two literals agree, and
+      CT(1) holds exactly where NZCT does.
+    - tau holds where ``tau_check`` says it holds; that check is exact in
+      both directions.
+    - centralizer_qi holds in every UT3(R).  B(z, a1) = z12 and
+      B(a2, z) = z23, so [z,a1] = 1 gives z12 = 0 and [a2,z] = 1 gives
+      z23 = 0.  Then B(z, x) = 0 for every x: z is central, and
+      [z,x] = 1."""
+    proof = _proofs().get(sentence)
+    return proof is not None and proof(rep)
 
 
 def _exponents(rep: Representation, z: UT3Elem, block: int) -> Optional[tuple[int, ...]]:

@@ -79,6 +79,8 @@ def _cases() -> list[dict]:
             argvs.append(["check", EXISTENTIAL, *rep])
             argvs.append(["refute", UNIVERSAL, *rep])
             argvs.append(["refute", "centralizer_qi", *rep, "--bound", "1"])
+            for name in ("NZCT", "tau", "CT(1)"):
+                argvs.append(["refute", name, *rep, "--bound", "2"])
             argvs.append(["refute", "forall x ( x=x )", *rep, "--bound", "1"])
             argvs.append(["witness", EXISTENTIAL, *rep])
             argvs.append(["witness", "exists x,y ( [x,y]!=1 & [x,a1]=1 )", *rep])
@@ -209,6 +211,7 @@ def files(tmp_path_factory):
 
 def test_data_covers_exactly_the_cases(golden):
     assert sorted(golden) == sorted(_key(c) for c in _cases())
+    assert len(golden) == len(_cases()) == 355  # no case listed twice
 
 
 # one test per subcommand keeps the per-test overhead small

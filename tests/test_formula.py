@@ -845,14 +845,30 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_nzct_evaluates_each_pair_of_classes_at_most_once(monkeypatch, capsys):
+def test_nzct_evaluates_each_pair_of_classes_at_most_once(monkeypatch):
     # zxz-lame has 63 center classes at bound 3; commuting rows and their
     # mirror entries ask law.comm about each unordered pair at most once
-    assert len(cli.fixture("zxz-lame").env().class_ball(3)[0]) == 63
+    env = cli.fixture("zxz-lame").env()
+    assert len(env.class_ball(3)[0]) == 63
     calls = _count_calls(monkeypatch, "comm")
-    assert cli.main(["refute", "NZCT", "--example", "zxz-lame", "--bound", "3"]) == 2
-    assert capsys.readouterr().out == "inconclusive method=bounded_search bound=3\n"
+    out = refute_universal(builtin("NZCT"), env, 3)
+    assert out == Verdict("inconclusive", "bounded_search", bound=3)
     assert 0 < len(calls) <= 63 * 64 // 2
+
+
+def test_refute_of_a_sentence_proved_exactly_runs_no_search(monkeypatch, capsys):
+    # reprs.holds_exactly proves all four on zxz-lame, so refute answers
+    # as the exhausted search would, without a ball or a literal
+    calls = _count_calls(monkeypatch, "comm")
+    balls = _count_balls(monkeypatch)
+    for name in ("NZCT", "CT(1)", "tau", "centralizer_qi"):
+        assert cli.main(["refute", name, "--example", "zxz-lame", "--bound", "3"]) == 2
+        assert capsys.readouterr().out == "inconclusive method=bounded_search bound=3\n"
+    assert calls == [] and balls == {"ball": [], "class_ball": []}
+    # where tau fails, refute searches and finds its first witness
+    assert cli.main(["refute", "tau", "--example", "tau-fails-zxz", "--bound", "4"]) == 1
+    assert capsys.readouterr().out == "violated method=bounded_search bound=4\nwitness:\n  x1: X\n  x2: Y\n"
+    assert calls and balls == {"ball": [], "class_ball": [4]}
 
 
 def test_pin_tests_the_literal_on_the_identity_class_only(monkeypatch, capsys):

@@ -28,6 +28,7 @@ from conftest import (
     random_poly_elem,
     random_representation,
     random_ut3,
+    refute_by_brute_force,
     serialize_config_matrices,
     sigma_check_dlattice,
     tau_check_masks,
@@ -676,6 +677,49 @@ def test_nzct_builds_no_ring_elements_from_coordinates(monkeypatch):
     monkeypatch.setattr(Representation, "elem_from_coords", counted)
     assert nzct_check(fixture("tau-fails-zxz"), 2).status == "violated"
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Exact proofs of builtin sentences
+
+
+def _proof_reps(group):
+    """corpus(60, seed=group), or with "files" the fixtures and every
+    config in tests/data that reads."""
+    if group != "files":
+        return corpus(60, seed=group)
+    reps = [fixture(name) for name in sorted(FIXTURES)]
+    for path in sorted(pathlib.Path(__file__).parent.glob("data/*.cfg")):
+        try:
+            reps.append(parse_config(path.read_text()))
+        except reprs.ConfigError:
+            assert path.name == "config_nested.cfg"
+    return reps
+
+
+@pytest.mark.parametrize("group", [0, 1, 2, "files"])
+def test_holds_exactly_proves_only_what_no_search_refutes(group):
+    # a sentence that holds has no counterexample in any ball: neither the
+    # search at bounds 1-3 nor the brute-force oracle at bound 2 finds one
+    proved = dict.fromkeys(("NZCT", "CT(1)", "tau", "centralizer_qi"), 0)
+    for rep in _proof_reps(group):
+        env = rep.env()
+        for name in proved:
+            sentence = builtin(name)
+            if not reprs.holds_exactly(rep, sentence):
+                continue
+            proved[name] += 1
+            for bound in (1, 2, 3):
+                assert refute_universal(sentence, env, bound) == formula.Verdict(
+                    "inconclusive", "bounded_search", bound=bound
+                ), name
+            assert refute_by_brute_force(sentence, env, 2).status == "inconclusive", name
+        # tau_check is exact both ways, and so is tau's entry
+        assert reprs.holds_exactly(rep, builtin("tau")) == (tau_check(rep).status == "holds")
+        # CT(1) is NZCT with y renamed w1 and [x2,y] written [w1,x2]
+        nzct, ct1 = (refute_universal(builtin(name), env, 2) for name in ("NZCT", "CT(1)"))
+        assert nzct.status == ct1.status
+    assert all(proved.values()), proved
 
 
 def test_nzct_enumerates_no_lattice_vectors(monkeypatch):
