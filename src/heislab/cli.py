@@ -376,7 +376,7 @@ def cmd_bigpowers(args) -> int:
     rep = _load_rep(args)
     lines = _read_targets(args.targets)
     env = rep.env()
-    targets = [rep.to_ut3(formula.eval_term(parse_term(ln), env, {})) for ln in lines]
+    targets = [formula.eval_term(parse_term(ln), env, {}) for ln in lines]
     cert = reprs.big_powers_retraction(rep, targets, args.name)
 
     def text(doc):

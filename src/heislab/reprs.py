@@ -32,7 +32,7 @@ from . import rings, zlattice
 from .formula import GroupEnv, Verdict, builtin
 from .record import Record
 from .rings import Frame, RingDesc, RingElem
-from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2
+from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2, format_entries
 from .zlattice import Lattice
 
 
@@ -491,7 +491,7 @@ def nzct_proved(rep: Representation) -> bool:
 def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
     """A violation of NZCT with x2 = q, a nonzero coefficient tuple over the
     basis b_i of A, or None if there is none.  Such a q is noncentral:
-    B(q, a1) and B(a2, q) are its (2,3) and (1,2) entries up to sign, and
+    B(q, a1) and B(a2, q) are its (1,2) and (2,3) entries up to sign, and
     they are not both zero.  So a violation exists iff B is nonzero on C_q,
     the integer left kernel of the r x m matrix L_q with rows B(b_i, q).  B
     is bilinear, so it is nonzero on C_q iff it is nonzero on a pair of the
@@ -658,24 +658,52 @@ def extend_centralizer(rep: Representation, i: int, name: str) -> Representation
 
 
 class BigPowersCertificate(Record):
+    """The least retraction exponent n and each target's image under it.
+    An image is its (1,2), (1,3) and (2,3) entries, in that order, as
+    {(component, monomial): nonzero coefficient} dicts over ``ring``, the
+    format of ``Representation.terms``."""
+
+    _unhashed = ("retracted_targets",)
+
+    ring: RingDesc
     n: int
     indeterminate: str
-    retracted_targets: tuple[UT3Elem, ...]
+    retracted_targets: tuple[tuple[dict, dict, dict], ...]
 
     def to_dict(self):
         return {
             "n": self.n,
             "indeterminate": self.indeterminate,
-            "retracted_targets": [str(t) for t in self.retracted_targets],
+            "retracted_targets": [
+                format_entries(*(rings.format_terms(self.ring, e) for e in image))
+                for image in self.retracted_targets
+            ],
         }
+
+
+def _retraction_table(rep: Representation, name: str) -> list[tuple]:
+    """(entry, key, d, image key) per law coordinate, f12, then f23, then
+    f13: the coordinate's entry (0: e12, 1: e13, 2: e23), its key in
+    ``rings.nonvanishing_point``'s term format for [name], its degree d in
+    name, and its (component, monomial) key once name is set."""
+    where = [names.index(name) if name in names else None for names in rep.ring.components]
+    table = []
+    for entry, frame in ((0, rep.f12), (2, rep.f23), (1, rep.f13)):
+        for j, e in frame:
+            i = where[j]
+            d = 0 if i is None else e[i]
+            key = tuple(sorted((0 if k == i else k + 1, x) for k, x in enumerate(e) if x))
+            table.append((entry, (j, key), d, (j, e[:i] + (0,) + e[i + 1 :] if d else e)))
+    return table
 
 
 def big_powers_retraction(
     rep_ext: Representation, targets, name: str | None = None
 ) -> BigPowersCertificate:
     """Smallest n >= 1 such that the retraction sending the extension
-    indeterminate to n (i.e. t to a_i^n) kills no target.  The extension
-    fixes i: its generator t is the indeterminate in the slot of a_i.
+    indeterminate to n (i.e. t to a_i^n) kills no target, each a tuple of
+    ``rep_ext.law``.  The extension fixes i: its generator t is the
+    indeterminate in the slot of a_i.
 
     The indeterminate is ``name``, by default the last one of component 1
     (an extension appends its indeterminate to every component).  Each
@@ -685,8 +713,10 @@ def big_powers_retraction(
     an entry in the indeterminate.  It reads n off the integer roots of the
     entries' coefficient lists, checked by integer evaluation; when the
     entries are linear in the indeterminate the work is linear in the
-    targets however large n is.  The only substitutions are the three per
-    target that make the certificate's retracted targets."""
+    targets however large n is.  The targets reach it, and their images
+    are made, through one table over the law's coordinates
+    (``_retraction_table``): each image entry is the sum of c*n^d over the
+    coordinates with that image key."""
     if name is None:
         ring = rep_ext.ring
         if not ring.components[0]:
@@ -701,15 +731,26 @@ def big_powers_retraction(
     elif not any(name in names for names in rep_ext.ring.components):
         raise ValueError(f"{name!r} is not an indeterminate of {rep_ext.ring}")
     targets = list(targets)
-    for t in targets:
-        if t.is_identity():
+    table = _retraction_table(rep_ext, name)
+    groups = []
+    for v in targets:
+        if not any(v):
             raise ValueError("identity target cannot survive any retraction")
-    groups = [[t.u12, t.u13, t.u23] for t in targets]
-    n = rings.nonvanishing_point(rings.terms_of(groups, [name]), [name], start=1)[name]
-    images = tuple(
-        UT3Elem(rep_ext.ring, *(rings.substitute(e, name, n) for e in g)) for g in groups
-    )
-    return BigPowersCertificate(n, name, images)
+        group = ({}, {}, {})
+        for (entry, key, _, _), c in zip(table, v):
+            if c:
+                group[entry][key] = c
+        groups.append(group)
+    n = rings.nonvanishing_point(groups, [name], start=1)[name]
+    weighted = [(entry, key, n**d) for entry, _, d, key in table]
+    images = []
+    for v in targets:
+        image = ({}, {}, {})
+        for (entry, key, w), c in zip(weighted, v):
+            if c:
+                image[entry][key] = image[entry].get(key, 0) + c * w
+        images.append(tuple({k: c for k, c in e.items() if c} for e in image))
+    return BigPowersCertificate(rep_ext.ring, n, name, tuple(images))
 
 
 def c_rank(rep: Representation) -> int:
@@ -901,8 +942,8 @@ def serialize_config(rep: Representation) -> str:
     if extra:
         lines.append("generators: {")
         for name, (t12, t23, t13) in extra:
-            e12, e13, e23 = (rings.from_terms(rep.ring, t) for t in (t12, t13, t23))
-            lines.append(f"  {name}: {{e12: {e12}, e13: {e13}, e23: {e23}}},")
+            entries = (rings.format_terms(rep.ring, t) for t in (t12, t13, t23))
+            lines.append(f"  {name}: {format_entries(*entries)},")
         lines[-1] = lines[-1].rstrip(",")
         lines.append("}")
     else:

@@ -895,10 +895,21 @@ def _format_poly(p: Poly, names: tuple[str, ...]) -> str:
     return out
 
 
-def format_elem(elem: RingElem) -> str:
-    strs = [
-        _format_poly(p, names) for p, names in zip(elem.parts, elem.ring.components)
-    ]
+def _format_parts(ring: RingDesc, parts) -> str:
+    strs = [_format_poly(p, names) for p, names in zip(parts, ring.components)]
     if len(strs) == 1:
         return strs[0]
     return "(" + ",".join(strs) + ")"
+
+
+def format_elem(elem: RingElem) -> str:
+    return _format_parts(elem.ring, elem.parts)
+
+
+def format_terms(ring: RingDesc, terms: dict) -> str:
+    """``format_elem``'s text for the element whose ``frame_terms`` are
+    ``terms`` (nonzero coefficients), made with no ring element."""
+    parts = [[] for _ in ring.components]
+    for (j, e), c in terms.items():
+        parts[j].append((e, c))
+    return _format_parts(ring, map(sorted, parts))

@@ -98,7 +98,13 @@ class UT3Elem(Record):
         return self.u12.is_zero() and self.u23.is_zero()
 
     def __str__(self) -> str:
-        return "{e12: %s, e13: %s, e23: %s}" % (self.u12, self.u13, self.u23)
+        return format_entries(self.u12, self.u13, self.u23)
+
+
+def format_entries(e12, e13, e23) -> str:
+    """The printed matrix with entries e12, e13 and e23, each printed by
+    ``str``."""
+    return f"{{e12: {e12}, e13: {e13}, e23: {e23}}}"
 
 
 def identity(ring: RingDesc) -> UT3Elem:

@@ -72,6 +72,18 @@ def nonvanishing_point_oracle(groups, names, start: int = 0) -> dict[str, int]:
     return point
 
 
+def big_powers_by_substitution(rep: reprs.Representation, ut3_targets, name: str):
+    """``reprs.big_powers_retraction``'s exponent and printed images by the
+    route it replaced, on matrices (``rep.to_ut3`` of its law tuples): the
+    entries reach ``rings.nonvanishing_point`` through ``rings.terms_of``,
+    and each image is the matrix of ``rings.substitute`` of every entry,
+    printed by ``str``."""
+    groups = [[t.u12, t.u13, t.u23] for t in ut3_targets]
+    n = rings.nonvanishing_point(rings.terms_of(groups, [name]), [name], start=1)[name]
+    images = [str(UT3Elem(rep.ring, *(rings.substitute(e, name, n) for e in g))) for g in groups]
+    return n, images
+
+
 def on_free_law(targets, n: int | None = None):
     """NilForms as nilform.discriminate_to_H and
     DiscriminationCertificate.verify read them: the law Class2Law.free(n),

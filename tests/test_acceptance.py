@@ -233,10 +233,19 @@ def test_criterion_10_hnf_engine():
 def test_criterion_11_big_powers():
     with criterion(11, "big_powers_retraction returns the minimal certified exponent on random extended targets"):
         rng = random.Random(11)
-        rep2 = extend_centralizer(heisenberg(), 1, "theta")
-        ring = rep2.ring
+        ext = extend_centralizer(heisenberg(), 1, "theta")
+        ring = ext.ring
         th = RingElem.var(ring, "theta")
         zero = RingElem.zero(ring)
+        # the extension plus generators whose entries are theta^0..theta^3 in
+        # each slot, so every target below lies in the law's frames
+        extra = {"t": ext.generators[-1][1]}
+        for d in range(4):
+            p = th**d
+            extra[f"u{d}"] = UT3Elem(ring, p, zero, zero)
+            extra[f"c{d}"] = UT3Elem(ring, zero, p, zero)
+            extra[f"w{d}"] = UT3Elem(ring, zero, zero, p)
+        rep2 = reprs.representation(ring, extra)
 
         def rand_entry():
             # theta-degree <= 3, small integer coefficients
@@ -261,11 +270,14 @@ def test_criterion_11_big_powers():
                 g = UT3Elem(ring, rand_entry(), rand_entry(), rand_entry())
                 if not g.is_identity():
                     targets.append(g)
-            cert = big_powers_retraction(rep2, targets)
+            cert = big_powers_retraction(rep2, [rep2.element(g) for g in targets])
             # certificate re-verified by direct substitution
-            for g, img in zip(targets, cert.retracted_targets):
-                assert substituted(g, cert.n) == img
-                assert not img.is_identity()
+            printed = cert.to_dict()["retracted_targets"]
+            for g, img, text in zip(targets, cert.retracted_targets, printed):
+                sub = substituted(g, cert.n)
+                assert tuple(rings.frame_terms(e) for e in (sub.u12, sub.u13, sub.u23)) == img
+                assert str(sub) == text
+                assert any(img)
             # minimality: every smaller n kills some target
             for m in range(1, cert.n):
                 assert any(substituted(g, m).is_identity() for g in targets)

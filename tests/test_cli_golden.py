@@ -264,24 +264,36 @@ def test_cli_golden_without_reference_arithmetic(golden, files, monkeypatch):
 
 def test_constructions_and_entry_readers_make_no_matrix(golden, files, monkeypatch):
     """The cases of ``extend``, ``adjoin-y``, ``adjoin-center``,
-    ``appropriate`` and ``crank`` again, with ``Representation.to_ut3``
-    patched to raise: they work on the generators' entry terms and make no
-    generator matrix."""
-    from heislab import reprs
+    ``appropriate``, ``crank`` and ``bigpowers`` again, with
+    ``Representation.to_ut3`` patched to raise: they work on the
+    generators' entry terms and the law's tuples and make no generator
+    matrix.  All but ``appropriate``, which prints a ring element, also run
+    with ``rings.substitute``, ``rings.terms_of`` and ``rings.format_elem``
+    patched to raise: ``bigpowers`` and the config writer substitute and
+    print on terms."""
+    from heislab import reprs, rings
 
-    def refuse(self, v):
-        raise ReferenceArithmeticUsed("Representation.to_ut3")
+    def refusing(name):
+        def refuse(*args):
+            raise ReferenceArithmeticUsed(name)
 
-    monkeypatch.setattr(reprs.Representation, "to_ut3", refuse)
+        return refuse
+
+    monkeypatch.setattr(reprs.Representation, "to_ut3", refusing("Representation.to_ut3"))
     mismatches = []
     for case in _cases():
-        if case["argv"][0] not in ("extend", "adjoin-y", "adjoin-center", "appropriate", "crank"):
+        command = case["argv"][0]
+        if command not in ("extend", "adjoin-y", "adjoin-center", "appropriate", "crank", "bigpowers"):
             continue
         expected = golden[_key(case)]
-        try:
-            got = _run(case, files)
-        except ReferenceArithmeticUsed as exc:
-            got = f"reached {exc}"
+        with monkeypatch.context() as patch:
+            if command != "appropriate":
+                for name in ("substitute", "terms_of", "format_elem"):
+                    patch.setattr(rings, name, refusing(f"rings.{name}"))
+            try:
+                got = _run(case, files)
+            except ReferenceArithmeticUsed as exc:
+                got = f"reached {exc}"
         if got != (expected["exit"], expected["stdout"]):
             mismatches.append((_key(case), got))
     assert not mismatches, mismatches[:3]

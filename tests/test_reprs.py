@@ -14,6 +14,7 @@ from conftest import (
     adjoin_Y_matrices,
     adjoin_center_matrices,
     appropriateness_check_products,
+    big_powers_by_substitution,
     config_readings,
     corpus,
     domain_or_diagonal,
@@ -1040,9 +1041,9 @@ def test_extend_twice():
 def test_big_powers_simple():
     rep2 = extend_centralizer(heisenberg(), 1, "theta")
     _, t = rep2.generators[-1]
-    cert = big_powers_retraction(rep2, [t])
+    cert = big_powers_retraction(rep2, [rep2.element(t)])
     assert cert.n == 1
-    assert all(not g.is_identity() for g in cert.retracted_targets)
+    assert all(any(image) for image in cert.retracted_targets)
 
 
 def test_big_powers_root_avoidance():
@@ -1052,9 +1053,9 @@ def test_big_powers_root_avoidance():
     zero = RingElem.zero(ring)
     t_minus_1 = UT3Elem(ring, zero, zero, th - RingElem.one(ring))
     t_minus_3 = UT3Elem(ring, zero, zero, th - RingElem.integer(ring, 3))
-    cert = big_powers_retraction(rep2, [t_minus_3])
+    cert = big_powers_retraction(rep2, [rep2.element(t_minus_3)])
     assert cert.n == 1
-    cert = big_powers_retraction(rep2, [t_minus_1, t_minus_3])
+    cert = big_powers_retraction(rep2, [rep2.element(t_minus_1), rep2.element(t_minus_3)])
     assert cert.n == 2  # 1 kills theta-1, 3 kills theta-3
     # minimality: every smaller exponent kills some target
     for m in range(1, cert.n):
@@ -1074,20 +1075,24 @@ def test_big_powers_root_avoidance():
 def test_big_powers_substitutes_only_for_the_certificate(monkeypatch, k, first):
     # the targets t*a1^-j, j = first, ..., first+k-1, die at theta = j, so
     # n is first+k when first is 1 and 1 otherwise; the exponent is chosen
-    # by evaluation, and substitution makes only the three entries of each
-    # retracted target
+    # by evaluation, and the retracted targets are read off the law's
+    # tuples, so no ring element is substituted or converted at all
     rep2 = extend_centralizer(heisenberg(), 1, "theta")
-    _, t = rep2.generators[-1]
-    targets = [t * a1(rep2.ring).pow_int(-j) for j in range(first, first + k)]
+    law = rep2.law
+    t, a1_ = rep2.law_generators[-1], rep2.law_generators[0]
+    targets = [law.mul(t, law.pow_int(a1_, -j)) for j in range(first, first + k)]
     calls = []
-    substitute = rings.substitute
-    monkeypatch.setattr(
-        rings, "substitute", lambda *args: calls.append(args) or substitute(*args)
-    )
+    for fn in ("substitute", "terms_of"):
+        original = getattr(rings, fn)
+        monkeypatch.setattr(
+            rings, fn, lambda *args, f=original: calls.append(args) or f(*args)
+        )
     cert = big_powers_retraction(rep2, targets)
     assert cert.n == (first + k if first == 1 else 1)
-    assert len(calls) == 3 * k
-    assert all(not g.is_identity() for g in cert.retracted_targets)
+    assert calls == []
+    assert all(any(image) for image in cert.retracted_targets)
+    oracle = big_powers_by_substitution(rep2, map(rep2.to_ut3, targets), "theta")
+    assert oracle == (cert.n, cert.to_dict()["retracted_targets"])
 
 
 @pytest.mark.parametrize("k", [40, 200])
@@ -1097,7 +1102,7 @@ def test_big_powers_work_is_linear_in_the_targets(monkeypatch, k):
     # root sets evaluate each target's list a bounded number of times
     rep2 = extend_centralizer(heisenberg(), 1, "theta")
     _, t = rep2.generators[-1]
-    targets = [t * a1(rep2.ring).pow_int(-j) for j in range(1, k + 1)]
+    targets = [rep2.element(t * a1(rep2.ring).pow_int(-j)) for j in range(1, k + 1)]
     calls = []
     horner = rings._horner
     monkeypatch.setattr(rings, "_horner", lambda *args: calls.append(args) or horner(*args))
@@ -1109,26 +1114,153 @@ def test_big_powers_identity_target_rejected():
     rep2 = extend_centralizer(heisenberg(), 1, "theta")
     from heislab.ut3 import identity
 
-    with pytest.raises(ValueError):
-        big_powers_retraction(rep2, [identity(rep2.ring)])
+    with pytest.raises(ValueError, match="identity target"):
+        big_powers_retraction(rep2, [rep2.element(identity(rep2.ring))])
 
 
 def test_big_powers_unknown_name_rejected():
     rep2 = extend_centralizer(heisenberg(), 1, "theta")
     _, t = rep2.generators[-1]
     with pytest.raises(ValueError, match="not an indeterminate"):
-        big_powers_retraction(rep2, [t], "zzz")
-    assert big_powers_retraction(rep2, [t], "theta").indeterminate == "theta"
+        big_powers_retraction(rep2, [rep2.element(t)], "zzz")
+    assert big_powers_retraction(rep2, [rep2.element(t)], "theta").indeterminate == "theta"
 
 
 def test_big_powers_retraction_is_homomorphism():
     # the ring retraction theta -> n induces the group retraction t -> a1^n
     rep2 = extend_centralizer(heisenberg(), 1, "theta")
     _, t = rep2.generators[-1]
-    cert = big_powers_retraction(rep2, [t])
+    cert = big_powers_retraction(rep2, [rep2.element(t)])
     n = cert.n
-    img = cert.retracted_targets[0]
-    assert img.u23 == RingElem.integer(rep2.ring, n)  # = (a1^n)'s entry
+    e12, e13, e23 = (rings.from_terms(rep2.ring, e) for e in cert.retracted_targets[0])
+    assert e23 == RingElem.integer(rep2.ring, n)  # = (a1^n)'s entry
+    assert e12.is_zero() and e13.is_zero()
+
+
+def _random_entry(rng: random.Random, ring):
+    """A random element with monomials of degree <= 2 in each indeterminate
+    of its component."""
+    terms = {}
+    for j, names in enumerate(ring.components):
+        for _ in range(rng.randint(0, 2)):
+            terms[j, tuple(rng.randint(0, 2) for _ in names)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return rings.from_terms(ring, terms)
+
+
+def _random_word(rng: random.Random, law, gens):
+    """A product of 1-4 random generator powers and commutators of two."""
+    out = law.identity
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.25:
+            factor = law.comm(rng.choice(gens), rng.choice(gens))
+        else:
+            factor = law.pow_int(rng.choice(gens), rng.choice([-2, -1, 1, 2]))
+        out = law.mul(out, factor)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    ring=st.sampled_from(
+        ["Z[theta]", "Z[theta,s]", "Z[theta] x Z", "Z x Z[theta]", "Z[theta,s] x Z[s]", "Z[s] x Z[s,theta] x Z"]
+    ),
+    default_name=st.booleans(),
+)
+def test_big_powers_match_the_substitution_oracle(seed, ring, default_name):
+    # random extensions over rings where some components lack theta, with
+    # entries of degree <= 2 in each indeterminate, so products reach
+    # degree 4 and a theta*s monomial retracts to s, which may lie outside
+    # the frames; the exponent and every printed image are the oracle's
+    rng = random.Random(seed)
+    ring = parse_ring(ring)
+    extra = {
+        f"g{k}": UT3Elem(ring, *(_random_entry(rng, ring) for _ in range(3)))
+        for k in range(rng.randint(1, 3))
+    }
+    # an extension's generator t: theta in a1's or a2's slot, where it occurs
+    theta = {
+        (j, tuple(int(x == "theta") for x in names)): 1
+        for j, names in enumerate(ring.components)
+        if "theta" in names
+    }
+    theta, zero = rings.from_terms(ring, theta), RingElem.zero(ring)
+    at_a1 = rng.random() < 0.5
+    extra["t"] = UT3Elem(ring, zero, zero, theta) if at_a1 else UT3Elem(ring, theta, zero, zero)
+    rep = representation(ring, extra)
+    law, gens = rep.law, rep.law_generators
+    targets = [_random_word(rng, law, gens) for _ in range(rng.randint(0, 4))]
+    # killers t^e * a_i^(-e*k) for k = 1, 2, ..., which die at theta = k
+    # where every component carries theta
+    for k in range(1, rng.randint(1, 5)):
+        e = rng.choice([-2, -1, 1, 2])
+        a = gens[0 if at_a1 else 1]
+        targets.append(law.mul(law.pow_int(gens[-1], e), law.pow_int(a, -e * k)))
+    targets = [v for v in targets if any(v)]
+    assume(targets)
+    name_arg = None if default_name and ring.components[0] else "theta"
+    name = name_arg or ring.components[0][-1]
+    cert = big_powers_retraction(rep, targets, name_arg)
+    assert cert.indeterminate == name
+    ut3_targets = [rep.to_ut3(v) for v in targets]
+    assert big_powers_by_substitution(rep, ut3_targets, name) == (
+        cert.n,
+        cert.to_dict()["retracted_targets"],
+    )
+    for g, image in zip(ut3_targets, cert.retracted_targets):
+        substituted = (rings.substitute(e, name, cert.n) for e in (g.u12, g.u13, g.u23))
+        assert tuple(map(rings.frame_terms, substituted)) == image
+    # minimality: every smaller exponent kills some target
+    for m in range(1, cert.n):
+        assert any(
+            all(rings.substitute(e, name, m).is_zero() for e in (g.u12, g.u13, g.u23))
+            for g in ut3_targets
+        )
+
+
+@pytest.mark.parametrize(
+    "config, name, lines, outside",
+    [
+        # t*t has e13 = theta^2*s, which retracts to n^2*s: s is in no frame
+        (
+            "ring: Z[theta,s] x Z\ngenerators: {\n  t: {e12: (theta*s,0), e23: (theta,1)}\n}\n",
+            "theta",
+            ["@t*@t*a1", "@t*a2^-1", "[@t,a1]"],
+            (0, (0, 1)),
+        ),
+        # t*u^-1 is (theta-1)*s in e23 alone, which n = 1 kills
+        (
+            "ring: Z[theta,s]\ngenerators: {\n  u: {e23: s},\n  t: {e23: theta*s},\n  w: {e12: theta}\n}\n",
+            "theta",
+            ["@t*@u^-1", "@w*@t"],
+            None,
+        ),
+        # theta only in component 1; the images keep s in component 2
+        (
+            "ring: Z[theta] x Z[s]\ngenerators: {\n  t: {e12: (theta,s), e23: (theta^2,1)}\n}\n",
+            "theta",
+            ["@t*@t*a1^-3", "[@t,a2]*a1"],
+            None,
+        ),
+    ],
+    ids=["outside-the-frames", "killed-at-1", "partial-name"],
+)
+def test_big_powers_on_partial_names_and_images_outside_the_frames(config, name, lines, outside):
+    rep = parse_config(config)
+    env = rep.env()
+    targets = [formula.eval_term(formula.parse_term(ln), env, {}) for ln in lines]
+    cert = big_powers_retraction(rep, targets, name)
+    ut3_targets = [rep.to_ut3(v) for v in targets]
+    assert big_powers_by_substitution(rep, ut3_targets, name) == (
+        cert.n,
+        cert.to_dict()["retracted_targets"],
+    )
+    # theta is component 1's first indeterminate, and some entry has degree >= 2 in it
+    entries = [x for g in ut3_targets for x in (g.u12, g.u13, g.u23)]
+    assert any(j == 0 and e[0] >= 2 for x in entries for j, e in rings.frame_terms(x))
+    if outside is not None:
+        assert outside not in rep.f13
+        assert any(outside in image[1] for image in cert.retracted_targets)
 
 
 # ---------------------------------------------------------------------------
