@@ -38,8 +38,9 @@ from .formula import (
     witness_existential,
 )
 from .reprs import ConfigError, Representation
-from .rings import RingElem, RingMismatchError, RingParseError, parse_elem, parse_int
-from .ut3 import Class2Law, UT3Elem
+from .rings import RingMismatchError, RingParseError, format_terms, parse_int, parse_terms
+from .rings import parse_elem  # noqa: F401 -- no command reads it; bench/tracing.py wraps it by name
+from .ut3 import Class2Law, format_entries
 
 
 class UsageError(Exception):
@@ -138,13 +139,6 @@ def _load_rep(args) -> Representation:
     if getattr(args, "example", None):
         return fixture(args.example)
     return reprs.heisenberg()
-
-
-def _parse_z(rep: Representation, literal: str) -> UT3Elem:
-    """A central element given by its (1,3) entry literal."""
-    z13 = parse_elem(rep.ring, literal)
-    zero = RingElem.zero(rep.ring)
-    return UT3Elem(rep.ring, zero, z13, zero)
 
 
 _STATUS_EXIT = {"holds": 0, "confirmed": 0, "violated": 1, "refuted": 1, "inconclusive": 2}
@@ -258,10 +252,10 @@ def cmd_checker(args) -> int:
 def cmd_solve(args) -> int:
     """``solve-s`` or ``solve-t``."""
     rep = _load_rep(args)
-    z = _parse_z(rep, args.z)
+    z13 = parse_terms(rep.ring, args.z)
     system = args.command[-1].upper()
-    sol = (reprs.solve_S if system == "S" else reprs.solve_T)(rep, z)
-    doc = {"system": system, "z13": str(z.u13), "solvable": sol is not None}
+    sol = (reprs.solve_S if system == "S" else reprs.solve_T)(rep, z13)
+    doc = {"system": system, "z13": format_terms(rep.ring, z13), "solvable": sol is not None}
     if sol is not None:
         doc["solution"] = sol.to_dict()
 
@@ -294,7 +288,7 @@ def cmd_adjoin_y(args) -> int:
     rep = _load_rep(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        new = reprs.adjoin_Y(rep, _parse_z(rep, args.z))
+        new = reprs.adjoin_Y(rep, parse_terms(rep.ring, args.z))
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     sys.stdout.write(reprs.serialize_config(new))
@@ -360,7 +354,7 @@ def cmd_discriminate(args) -> int:
     doc = {
         "status": "holds",
         "extra_images": [list(e) for e in cert.extra_images],
-        "target_images": [str(g) for g in cert.target_images],
+        "target_images": [format_entries(q, r, p) for p, q, r in cert.target_images],
     }
 
     def text(doc):

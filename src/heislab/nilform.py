@@ -13,7 +13,9 @@ tuples e + f, which ``discriminate`` and this module's certificates read.
 ``NilForm``, ``collect``, ``to_matrix`` and ``Hom`` are its reference.
 
 The rank-2 group is identified with the integer Heisenberg group via
-a1^p a2^q c^r  ->  matrix entries (e12, e13, e23) = (q, r, p).  Higher-rank
+a1^p a2^q c^r  ->  matrix entries (e12, e13, e23) = (q, r, p); the program
+keeps the tuple (p, q, r) of ``Class2Law.free(2)`` and prints its matrix
+with ``ut3.format_entries(q, r, p)``.  Higher-rank
 groups are discriminated into it by sending each a_k (k > 2) to the generic
 element with entries (q_k, r_k, p_k) over Z[p3, q3, r3, ...], which is
 injective, and then choosing integer exponents one at a time with
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 
-from . import rings, ut3
+from . import rings
 from .record import Record, setfield
 from .rings import Z, RingElem
 from .ut3 import Class2Law, UT3Elem
@@ -164,28 +166,25 @@ class Hom:
 
 class DiscriminationCertificate(Record):
     """A retraction F_n(N_2) -> H that kills none of the targets, with the
-    verified nonidentity images."""
+    nonidentity images.  Both are tuples (p, q, r) of H =
+    ``Class2Law.free(2)``, the element a1^p a2^q [a2,a1]^r, whose matrix
+    has entries (e12, e13, e23) = (q, r, p)."""
 
-    extra_images: tuple[tuple[int, int, int], ...]  # (p, q, r) per generator > 2
-    target_images: tuple[UT3Elem, ...]
+    extra_images: tuple[tuple[int, int, int], ...]  # per generator > 2
+    target_images: tuple[tuple[int, int, int], ...]
 
     def verify(self, targets) -> bool:
         """Whether a1, a2 fixed and a_k -> a1^p a2^q [a2,a1]^r send the
         targets, tuples of ``Class2Law.free(n)``, to ``target_images`` and
-        none to 1.  It runs on H = ``Class2Law.free(2)``, where
-        a1^p a2^q [a2,a1]^r is (p, q, r), the matrix (q, r, p)."""
+        none to 1, computed on H's tuples."""
         H, images = Class2Law.free(2), [(1, 0, 0), (0, 1, 0), *self.extra_images]
         law = Class2Law.free(len(images))
         images += [H.comm(images[i], images[j]) for i, j, _ in law.table]  # one per coordinate
-        if len(targets := list(targets)) != len(self.target_images):
+        targets = list(targets)
+        if len(targets) != len(self.target_images) or any(len(t) != law.dim for t in targets):
             return False
-        for t, img in zip(targets, self.target_images):
-            if len(t) != law.dim:
-                return False
-            p, q, r = got = functools.reduce(H.mul, map(H.pow_int, images, t), H.identity)
-            if got == H.identity or ut3.elem(Z, q, r, p) != img:
-                return False
-        return True
+        got = tuple(functools.reduce(H.mul, map(H.pow_int, images, t), H.identity) for t in targets)
+        return H.identity not in got and got == self.target_images
 
 
 def generic_forms(law: Class2Law, t: tuple[int, ...]) -> tuple[dict, dict, dict]:
@@ -263,7 +262,7 @@ def discriminate_to_H(law: Class2Law, targets) -> DiscriminationCertificate:
     The forms are the terms of the entries that multiplying out the
     generic images gives, so every exponent taken is the one that
     product would give.  The target images are the forms evaluated at the
-    chosen point.
+    chosen point, read as H's tuples (p, q, r) = (e23, e12, e13).
     """
     targets = list(targets)
     if not targets:
@@ -275,5 +274,5 @@ def discriminate_to_H(law: Class2Law, targets) -> DiscriminationCertificate:
     point = rings.nonvanishing_point(forms, names)
     values = [point[v] for v in names]
     exps = tuple(tuple(values[i : i + 3]) for i in range(0, len(values), 3))
-    images = tuple(ut3.elem(Z, *(_evaluate(f, values) for f in fs)) for fs in forms)
+    images = tuple(tuple(_evaluate(f, values) for f in (f23, f12, f13)) for f12, f13, f23 in forms)
     return DiscriminationCertificate(exps, images)

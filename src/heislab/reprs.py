@@ -15,8 +15,12 @@ Hermite-normal-form computation, which is how the checkers get to be exact
 over infinite groups.
 
 Checkers return a ``formula.Verdict``; a "violated" verdict always
-carries a witness reconstructed as an explicit product of the generators,
-so it can be re-checked by direct matrix arithmetic.
+carries a witness reconstructed as an explicit product of the generators.
+Every element in an answer (a witness, a solution, a retracted target) is
+one triple of {(component, monomial): coefficient} dicts, its (t12, t23,
+t13) entry terms as in ``Representation.terms`` and over the record's
+``ring``, printed by ``format_element``.  No matrix is made; the tests
+recheck each one by direct matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -32,68 +36,89 @@ from . import rings, zlattice
 from .formula import GroupEnv, Verdict, builtin
 from .record import Record
 from .rings import Frame, RingDesc, RingElem
-from .ut3 import Class2Law, UT3Elem, a1 as _a1, a2 as _a2, format_entries
+from .ut3 import Class2Law, UT3Elem, format_entries
 from .zlattice import Lattice
 
 
 class LameWitness(Record):
-    """Element of C(a_i) \\ Z whose off-diagonal entry is a zero divisor."""
+    """Element of C(a_i) \\ Z (entry terms) whose off-diagonal entry is a zero divisor."""
 
+    ring: RingDesc
     centralizer: int  # 1 or 2
-    element: UT3Elem
-    entry: RingElem
+    element: tuple[dict, dict, dict]
     dead_component: int
+    _unhashed = ("element",)
+
+    @property
+    def entry(self) -> dict:  # (1,2) in C(a2), (2,3) in C(a1)
+        return self.element[0 if self.centralizer == 2 else 1]
 
     def to_dict(self):
         return {
             "centralizer": f"a{self.centralizer}",
-            "element": str(self.element),
-            "entry": str(self.entry),
+            "element": format_element(self.ring, self.element),
+            "entry": rings.format_terms(self.ring, self.entry),
             "dead_component": self.dead_component + 1,
         }
 
 
 class TauWitness(Record):
     """Assignment (x1=x, x2=y) falsifying tau: y in C(a2), x in C(a1),
-    [y,x]=1, yet [y,a1] != 1 and [a2,x] != 1."""
+    [y,x]=1, yet [y,a1] != 1 and [a2,x] != 1; both as entry terms."""
 
-    y: UT3Elem
-    x: UT3Elem
+    ring: RingDesc
+    y: tuple[dict, dict, dict]
+    x: tuple[dict, dict, dict]
+    _unhashed = ("y", "x")
 
     def to_dict(self):
-        return {"y": str(self.y), "x": str(self.x)}
+        return {"y": format_element(self.ring, self.y), "x": format_element(self.ring, self.x)}
 
 
 class NzctWitness(Record):
     """Assignment falsifying NZCT: q noncentral (does not commute with y),
-    p and w commute with q but not with each other."""
+    p and w commute with q but not with each other; all as entry terms."""
 
-    q: UT3Elem
-    p: UT3Elem
-    w: UT3Elem
-    y: UT3Elem
+    ring: RingDesc
+    q: tuple[dict, dict, dict]
+    p: tuple[dict, dict, dict]
+    w: tuple[dict, dict, dict]
+    y: tuple[dict, dict, dict]
+    _unhashed = ("q", "p", "w", "y")
 
     def to_dict(self):
-        return {"x2": str(self.q), "x1": str(self.p), "x3": str(self.w), "y": str(self.y)}
+        x2, x1, x3, y = (format_element(self.ring, g) for g in (self.q, self.p, self.w, self.y))
+        return {"x2": x2, "x1": x1, "x3": x3, "y": y}
 
 
 class SigmaWitness(Record):
-    """The (1,3) entry of a generator commutator [g_k, g_l] (a commutator
-    value) whose centralizer system has no solution."""
+    """The (1,3) entry terms of a generator commutator [g_k, g_l] (a
+    commutator value) whose centralizer system has no solution."""
 
-    value: RingElem
+    ring: RingDesc
+    value: dict
     system: str  # "S" or "T"
+    _unhashed = ("value",)
 
     def to_dict(self):
-        return {"commutator_13_entry": str(self.value), "unsolvable_system": self.system}
+        value = rings.format_terms(self.ring, self.value)
+        return {"commutator_13_entry": value, "unsolvable_system": self.system}
 
 
 class Solution(Record):
-    element: UT3Elem
+    ring: RingDesc
+    element: tuple[dict, dict, dict]
     coefficients: tuple[int, ...]  # exponents over the generator list
+    _unhashed = ("element",)
 
     def to_dict(self):
-        return {"element": str(self.element), "exponents": list(self.coefficients)}
+        return {"element": format_element(self.ring, self.element), "exponents": list(self.coefficients)}
+
+
+def format_element(ring: RingDesc, element) -> str:
+    """The printed matrix of an element's (t12, t23, t13) entry terms."""
+    t12, t23, t13 = (rings.format_terms(ring, t) for t in element)
+    return format_entries(t12, t13, t23)
 
 
 class Representation(Record):
@@ -159,25 +184,17 @@ class Representation(Record):
         """Each monomial's place in f12, f23 and f13."""
         return tuple({m: k for k, m in enumerate(f)} for f in (self.f12, self.f23, self.f13))
 
-    @cached_property
-    def places(self) -> tuple[tuple, tuple]:
-        """Each f13 coordinate's place in ``frame``'s 12-block and in its
-        23-block; None where its monomial is outside f12 (resp. f23)."""
-        return tuple(
-            tuple(None if i is None else offset + i for i in map(self.index[block].get, self.f13))
-            for block, offset in ((0, 0), (1, len(self.f12)))
-        )
-
-    def entry_pair(self, z, block: int) -> list[int] | None:
-        """The entry pair over ``frame`` with f13 coordinates z in the
-        12-block (0) or 23-block (1) and 0 in the other; None if z has a
-        monomial outside that block's frame."""
+    def entry_pair(self, z13: dict, block: int) -> list[int] | None:
+        """The entry pair over ``frame`` with the (1,3) entry terms z13 in
+        the 12-block (0) or 23-block (1) and 0 in the other; None if z13 has
+        a monomial outside that block's frame."""
+        index, offset = self.index[block], block * len(self.f12)
         v = [0] * len(self.frame)
-        for place, c in zip(self.places[block], z):
-            if c:
-                if place is None:
-                    return None
-                v[place] = c
+        for m, c in z13.items():
+            i = index.get(m)
+            if i is None:
+                return None
+            v[offset + i] = c
         return v
 
     @cached_property
@@ -199,17 +216,12 @@ class Representation(Record):
         frame, then the (2,3) frame."""
         return self.f12 + self.f23
 
-    def coords(self, block: int, entry: RingElem) -> tuple[int, ...] | None:
-        """The coordinates of a ring element over one frame (block 0: f12,
-        1: f23, 2: f13); None if it has a monomial outside that frame."""
-        return rings.frame_coords(self.index[block], entry)
-
     def element(self, g: UT3Elem) -> tuple[int, ...]:
-        """The law's coordinates of g, which must lie in the frames (every
-        element of the group does)."""
+        """The law's coordinates of the matrix g, which must lie in the
+        frames (every element of the group does)."""
         v = ()
-        for block, entry in enumerate((g.u12, g.u23, g.u13)):
-            coords = self.coords(block, entry)
+        for index, entry in zip(self.index, (g.u12, g.u23, g.u13)):
+            coords = rings.frame_coords(index, entry)
             if coords is None:
                 raise ValueError(f"{g} is outside the frames of the law")
             v += coords
@@ -217,13 +229,21 @@ class Representation(Record):
 
     def to_ut3(self, v: tuple[int, ...]) -> UT3Elem:
         """The matrix of the law's coordinates v."""
-        n12, n = len(self.f12), len(self.frame)
-        return UT3Elem(
-            self.ring,
-            rings.from_frame(self.ring, self.f12, v[:n12]),
-            rings.from_frame(self.ring, self.f13, v[n:]),
-            rings.from_frame(self.ring, self.f23, v[n12:n]),
-        )
+        t12, t23, t13 = self.entry_terms(v)
+        return UT3Elem(self.ring, *(rings.from_terms(self.ring, t) for t in (t12, t13, t23)))
+
+    @cached_property
+    def coordinates(self) -> tuple[tuple[int, tuple], ...]:
+        """(block, monomial) per coordinate of the law's tuples (block 0: f12, 1: f23, 2: f13)."""
+        return tuple((block, m) for block, f in enumerate((self.f12, self.f23, self.f13)) for m in f)
+
+    def entry_terms(self, v: tuple[int, ...]) -> tuple[dict, dict, dict]:
+        """The (t12, t23, t13) entry terms of the law's tuple v, as in ``terms``."""
+        out = ({}, {}, {})
+        for (block, m), c in zip(self.coordinates, v):
+            if c:
+                out[block][m] = c
+        return out
 
     def elem_from_coords(self, v) -> tuple[RingElem, RingElem]:
         """The (1,2) and (2,3) entries of an entry-pair vector over ``frame``."""
@@ -237,39 +257,34 @@ class Representation(Record):
     def law_generators(self) -> tuple[tuple[int, ...], ...]:
         """The generators as the law's integer class-2 coordinate tuples,
         read off ``terms``."""
-        n = len(self.frame)
-        places = [
-            {m: k for k, m in enumerate(f, offset)}
-            for f, offset in ((self.f12, 0), (self.f23, len(self.f12)), (self.f13, n))
-        ]
-        dim = n + len(self.f13)
+        place = {bm: k for k, bm in enumerate(self.coordinates)}
         out = []
         for entries in self.terms:
-            v = [0] * dim
-            for place, terms in zip(places, entries):
+            v = [0] * len(place)
+            for block, terms in enumerate(entries):
                 for m, c in terms.items():
-                    v[place[m]] = c
+                    v[place[block, m]] = c
             out.append(tuple(v))
         return tuple(out)
 
-    def product_of_generators(self, exponents) -> UT3Elem:
-        """prod_k g_k^{c_k} in generator order; its entry pair is the
-        corresponding integer combination of generator entry pairs.  The
-        product is taken on class-2 coordinates (``law_generators``) and
-        turned into a matrix once."""
+    def product_of_generators(self, exponents) -> tuple[dict, dict, dict]:
+        """prod_k g_k^{c_k} in generator order, as its (t12, t23, t13) entry
+        terms; its entry pair is the corresponding integer combination of
+        generator entry pairs.  The product is taken on class-2 coordinates
+        (``law_generators``) and read into terms once."""
         law = self.law
         out = law.identity
         for g, c in zip(self.law_generators, exponents):
             if c:
                 out = law.mul(out, law.pow_int(g, c))
-        return self.to_ut3(out)
+        return self.entry_terms(out)
 
     def env(self):
         """Evaluation environment over this group for the formula module.
 
         Its elements are the integer coordinate tuples of ``law``, which
         does the arithmetic, so the bounded search hashes and compares
-        plain tuples; ``to_ut3`` gives the matrix back."""
+        plain tuples; ``entry_terms`` gives their entries back."""
         return GroupEnv(self.law, list(zip(self.names, self.law_generators)))
 
     # the EntryLattices, built once; entry_lattices is looked up at call
@@ -288,6 +303,12 @@ class Representation(Record):
         return tuple(tuple(law.comm(x, y)[n:] for y in rows) for x in rows)
 
 
+def _a1_a2(ring: RingDesc) -> list[tuple[dict, dict, dict]]:
+    """The terms of a1 = e23 and a2 = e12, the first two generators."""
+    one = {(j, (0,) * len(names)): 1 for j, names in enumerate(ring.components)}
+    return [({}, one, {}), (one, {}, {})]
+
+
 def representation(
     ring: RingDesc,
     extra_generators: dict[str, UT3Elem] | None = None,
@@ -295,19 +316,19 @@ def representation(
 ) -> Representation:
     """Build a representation from generator matrices, read into their
     terms; a1 and a2 are always prepended."""
-    gens = {"a1": _a1(ring), "a2": _a2(ring)}
+    names, terms = ["a1", "a2"], _a1_a2(ring)
     for name, g in (extra_generators or {}).items():
         if name in ("a1", "a2"):
             raise ValueError("a1 and a2 are implicit and fixed")
         if g.ring != ring:
             raise ValueError(f"generator {name!r} is over the wrong ring")
-        gens[name] = g
-    terms = tuple(tuple(map(rings.frame_terms, (g.u12, g.u23, g.u13))) for g in gens.values())
-    return Representation(ring, tuple(gens), terms, full_center)
+        names.append(name)
+        terms.append(tuple(map(rings.frame_terms, (g.u12, g.u23, g.u13))))
+    return Representation(ring, tuple(names), tuple(terms), full_center)
 
 
 def heisenberg() -> Representation:
-    return representation(rings.Z)
+    return Representation(rings.Z, ("a1", "a2"), tuple(_a1_a2(rings.Z)))
 
 
 class EntryLattices(Record):
@@ -384,8 +405,7 @@ def lame_check(rep: Representation) -> Verdict:
         first = next((row for row in rows if is_single_generator(row[0])), first)
     coeffs, centralizer, comp = first
     g = rep.product_of_generators(coeffs)
-    entry = g.u12 if centralizer == 2 else g.u23
-    return Verdict("violated", "exact_lattice", LameWitness(centralizer, g, entry, comp))
+    return Verdict("violated", "exact_lattice", LameWitness(rep.ring, centralizer, g, comp))
 
 
 def tau_check(rep: Representation) -> Verdict:
@@ -421,9 +441,8 @@ def tau_check(rep: Representation) -> Verdict:
         if U.rank == 0 or V.rank == 0:
             continue
         if j == 0:
-            y = rep.product_of_generators(U.transform[0])
-            x = rep.product_of_generators(V.transform[0])
-            return Verdict("violated", "exact_lattice", TauWitness(y, x))
+            y, x = (rep.product_of_generators(lat.transform[0]) for lat in (U, V))
+            return Verdict("violated", "exact_lattice", TauWitness(rep.ring, y, x))
         j -= 1
         if outside or j:  # pushed first, so walked after the outside branch
             stack.append((j, outside, inside + (j,), U, None))
@@ -463,7 +482,7 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
     of the whole box.  The law reads B off ``law.table`` as integer
     coordinates over ``f13``.  B is Z-bilinear and alternating, so
     B(c, d) for coefficient tuples c and d is sum_ij c_i d_j B(b_i, b_j)
-    (``det_form``), and ring elements are built only for the witness."""
+    (``det_form``), and entry terms are read only for the witness."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if nzct_proved(rep):
@@ -508,8 +527,8 @@ def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
     Lq = pairing(q)
     for p, w in itertools.combinations(zlattice.left_kernel(Lq), 2):
         if any(zlattice.combine(p, pairing(w), m)):
-            y = next(i for i, row in enumerate(Lq) if any(row))
-            return NzctWitness(build(q), build(p), build(w), rep.product_of_generators(A.transform[y]))
+            y = rep.product_of_generators(A.transform[next(i for i, row in enumerate(Lq) if any(row))])
+            return NzctWitness(rep.ring, build(q), build(p), build(w), y)
     return None
 
 
@@ -545,35 +564,31 @@ def holds_exactly(rep: Representation, sentence) -> bool:
     return proof is not None and proof(rep)
 
 
-def _exponents(rep: Representation, z: UT3Elem, block: int) -> Optional[tuple[int, ...]]:
-    """The generator exponents of a group element whose entry pair is z13 in
-    the given block (0: the 12-block, 1: the 23-block) and zero in the
-    other; None if there is none.  z13 is placed as ``f13`` coordinates,
-    which hold every f12 and f23 monomial (a1 and a2 put 1 in every
-    component)."""
-    if not z.is_central():
-        raise ValueError("z must be central")
-    c = rep.coords(2, z.u13)
-    v = None if c is None else rep.entry_pair(c, block)
+def _exponents(rep: Representation, z13: dict, block: int) -> Optional[tuple[int, ...]]:
+    """The generator exponents of a group element whose entry pair is z13,
+    given as terms, in the given block (0: the 12-block, 1: the 23-block)
+    and zero in the other; None if there is none."""
+    v = rep.entry_pair(z13, block)
     return None if v is None else zlattice.in_source_coordinates(rep.lattices.A, v)
 
 
-def _solve(rep: Representation, z: UT3Elem, block: int) -> Optional[Solution]:
-    coeffs = _exponents(rep, z, block)
-    return None if coeffs is None else Solution(rep.product_of_generators(coeffs), coeffs)
+def _solve(rep: Representation, z13: dict, block: int) -> Optional[Solution]:
+    coeffs = _exponents(rep, z13, block)
+    return None if coeffs is None else Solution(rep.ring, rep.product_of_generators(coeffs), coeffs)
 
 
-def solve_S(rep: Representation, z: UT3Elem) -> Optional[Solution]:
-    """Solve [a2,y]=1, [y,a1]=z for central z; None when unsolvable.
+def solve_S(rep: Representation, z13: dict) -> Optional[Solution]:
+    """Solve [a2,y]=1, [y,a1]=z for z with (1,3) entry terms z13 (and so
+    central); None when unsolvable.
 
     y must realize the 12-entry z13 inside C(a2), i.e. the vector
     (z13, 0) must lie in the entry-pair lattice."""
-    return _solve(rep, z, 0)
+    return _solve(rep, z13, 0)
 
 
-def solve_T(rep: Representation, z: UT3Elem) -> Optional[Solution]:
-    """Solve [x,a1]=1, [a2,x]=z for central z; None when unsolvable."""
-    return _solve(rep, z, 1)
+def solve_T(rep: Representation, z13: dict) -> Optional[Solution]:
+    """Solve [x,a1]=1, [a2,x]=z for z13 as above; None when unsolvable."""
+    return _solve(rep, z13, 1)
 
 
 def sigma_check(rep: Representation) -> Verdict:
@@ -586,19 +601,18 @@ def sigma_check(rep: Representation) -> Verdict:
     pairs in itertools.combinations order, with S tried before T: that z
     is itself a commutator value.
 
-    z is read as the (1,3) coordinates of the law's commutator and placed
+    z is read as the (1,3) entry terms of the law's commutator and placed
     in the 12- or 23-block by ``Representation.entry_pair``, the placement
     ``solve_S`` and ``solve_T`` use; a pair that is None makes the system
-    unsolvable.  Membership is ``zlattice.solve``, which takes no exponents,
-    and the ring element is built only for the witness."""
+    unsolvable.  Membership is ``zlattice.solve``, which takes no
+    exponents."""
     law, n = rep.law, len(rep.frame)
     for g, h in itertools.combinations(rep.law_generators, 2):
-        z = law.comm(g, h)[n:]
+        z = {m: c for m, c in zip(rep.f13, law.comm(g, h)[n:]) if c}
         for block, system in enumerate("ST"):
             v = rep.entry_pair(z, block)
             if v is None or zlattice.solve(rep.lattices.A, v) is None:
-                value = rings.from_frame(rep.ring, rep.f13, z)
-                return Verdict("violated", "exact_lattice", SigmaWitness(value, system))
+                return Verdict("violated", "exact_lattice", SigmaWitness(rep.ring, z, system))
     return Verdict("holds", "exact_lattice")
 
 
@@ -616,19 +630,18 @@ def _fresh_name(rep: Representation, stem: str) -> str:
     return f"{stem}{k}"
 
 
-def adjoin_Y(rep: Representation, z: UT3Elem, name: str | None = None) -> Representation:
-    """Adjoin Y with (1,2) entry z13: then [a2,Y]=1 and [Y,a1]=z.
+def adjoin_Y(rep: Representation, z13: dict, name: str | None = None) -> Representation:
+    """Adjoin Y with (1,2) entry terms z13: then [a2,Y]=1 and [Y,a1]=z,
+    the element with (1,3) entry z13.
 
-    Meant for central z whose system S is unsolvable; other inputs are
-    allowed with a warning to keep pipelines total."""
-    if not z.is_central():
-        raise ValueError("z must be central")
-    if z.is_identity():
+    Meant for z whose system S is unsolvable; other inputs are allowed with
+    a warning to keep pipelines total."""
+    if not z13:
         warnings.warn("adjoin_Y with z = identity adjoins the identity")
-    elif _exponents(rep, z, 0) is not None:
+    elif _exponents(rep, z13, 0) is not None:
         warnings.warn("system S is already solvable; adjoin_Y is redundant")
     name = name or _fresh_name(rep, "Y")
-    terms = rep.terms + ((rings.frame_terms(z.u13), {}, {}),)
+    terms = rep.terms + ((z13, {}, {}),)
     return Representation(rep.ring, rep.names + (name,), terms, rep.full_center)
 
 
@@ -659,9 +672,9 @@ def extend_centralizer(rep: Representation, i: int, name: str) -> Representation
 
 class BigPowersCertificate(Record):
     """The least retraction exponent n and each target's image under it.
-    An image is its (1,2), (1,3) and (2,3) entries, in that order, as
+    An image is its (1,2), (2,3) and (1,3) entries, in that order, as
     {(component, monomial): nonzero coefficient} dicts over ``ring``, the
-    format of ``Representation.terms``."""
+    format of ``Representation.terms`` and ``product_of_generators``."""
 
     _unhashed = ("retracted_targets",)
 
@@ -674,26 +687,22 @@ class BigPowersCertificate(Record):
         return {
             "n": self.n,
             "indeterminate": self.indeterminate,
-            "retracted_targets": [
-                format_entries(*(rings.format_terms(self.ring, e) for e in image))
-                for image in self.retracted_targets
-            ],
+            "retracted_targets": [format_element(self.ring, image) for image in self.retracted_targets],
         }
 
 
 def _retraction_table(rep: Representation, name: str) -> list[tuple]:
-    """(entry, key, d, image key) per law coordinate, f12, then f23, then
-    f13: the coordinate's entry (0: e12, 1: e13, 2: e23), its key in
+    """(block, key, d, image key) per law coordinate: the coordinate's
+    block (0: f12, 1: f23, 2: f13), its key in
     ``rings.nonvanishing_point``'s term format for [name], its degree d in
     name, and its (component, monomial) key once name is set."""
     where = [names.index(name) if name in names else None for names in rep.ring.components]
     table = []
-    for entry, frame in ((0, rep.f12), (2, rep.f23), (1, rep.f13)):
-        for j, e in frame:
-            i = where[j]
-            d = 0 if i is None else e[i]
-            key = tuple(sorted((0 if k == i else k + 1, x) for k, x in enumerate(e) if x))
-            table.append((entry, (j, key), d, (j, e[:i] + (0,) + e[i + 1 :] if d else e)))
+    for block, (j, e) in rep.coordinates:
+        i = where[j]
+        d = 0 if i is None else e[i]
+        key = tuple(sorted((0 if k == i else k + 1, x) for k, x in enumerate(e) if x))
+        table.append((block, (j, key), d, (j, e[:i] + (0,) + e[i + 1 :] if d else e)))
     return table
 
 
@@ -737,18 +746,18 @@ def big_powers_retraction(
         if not any(v):
             raise ValueError("identity target cannot survive any retraction")
         group = ({}, {}, {})
-        for (entry, key, _, _), c in zip(table, v):
+        for (block, key, _, _), c in zip(table, v):
             if c:
-                group[entry][key] = c
+                group[block][key] = c
         groups.append(group)
     n = rings.nonvanishing_point(groups, [name], start=1)[name]
-    weighted = [(entry, key, n**d) for entry, _, d, key in table]
+    weighted = [(block, key, n**d) for block, _, d, key in table]
     images = []
     for v in targets:
         image = ({}, {}, {})
-        for (entry, key, w), c in zip(weighted, v):
+        for (block, key, w), c in zip(weighted, v):
             if c:
-                image[entry][key] = image[entry].get(key, 0) + c * w
+                image[block][key] = image[block].get(key, 0) + c * w
         images.append(tuple({k: c for k, c in e.items() if c} for e in image))
     return BigPowersCertificate(rep_ext.ring, n, name, tuple(images))
 
@@ -921,8 +930,7 @@ def parse_config(text: str) -> Representation:
     its HNF when a checker first reads the lattices, and A1 and A2 are cut
     from it when one reads them (see ``EntryLattices``)."""
     ring, full_center, generators = _config_parts(text)
-    one = {(j, (0,) * len(names)): 1 for j, names in enumerate(ring.components)}
-    names, terms = ["a1", "a2"], [({}, one, {}), (one, {}, {})]  # a1 = e23, a2 = e12
+    names, terms = ["a1", "a2"], _a1_a2(ring)
     for name, texts in generators:
         try:
             t12, t13, t23 = (
@@ -941,9 +949,8 @@ def serialize_config(rep: Representation) -> str:
     extra = [(n, t) for n, t in zip(rep.names, rep.terms) if n not in ("a1", "a2")]
     if extra:
         lines.append("generators: {")
-        for name, (t12, t23, t13) in extra:
-            entries = (rings.format_terms(rep.ring, t) for t in (t12, t13, t23))
-            lines.append(f"  {name}: {format_entries(*entries)},")
+        for name, entries in extra:
+            lines.append(f"  {name}: {format_element(rep.ring, entries)},")
         lines[-1] = lines[-1].rstrip(",")
         lines.append("}")
     else:

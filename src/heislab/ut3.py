@@ -28,7 +28,7 @@ import operator
 from functools import cached_property
 
 from .record import Record, setfield
-from .rings import RingDesc, RingElem, RingMismatchError
+from .rings import RingDesc, RingElem, RingMismatchError, parse_elem
 
 
 class UT3Elem(Record):
@@ -130,8 +130,6 @@ def elem(ring: RingDesc, e12, e13, e23) -> UT3Elem:
             return x
         if isinstance(x, int):
             return RingElem.integer(ring, x)
-        from .rings import parse_elem
-
         return parse_elem(ring, x)
 
     return UT3Elem(ring, coerce(e12), coerce(e13), coerce(e23))

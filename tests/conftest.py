@@ -20,6 +20,30 @@ CORPUS_RINGS = ["Z", "Z^2", "Z^3", "Z[theta]"]
 
 
 # ---------------------------------------------------------------------------
+# The element format of the program's answers, as matrices
+
+
+def matrix(ring: RingDesc, element) -> UT3Elem:
+    """The matrix of an element given by its (t12, t23, t13) entry terms,
+    the format of ``Representation.product_of_generators``, the witnesses
+    and the solutions: every such answer is checked by matrix arithmetic
+    through it."""
+    t12, t23, t13 = (rings.from_terms(ring, t) for t in element)
+    return UT3Elem(ring, t12, t13, t23)
+
+
+def entry_terms(g: UT3Elem) -> tuple[dict, dict, dict]:
+    """The (t12, t23, t13) entry terms of a matrix: ``matrix``'s inverse."""
+    return tuple(map(rings.frame_terms, (g.u12, g.u23, g.u13)))
+
+
+def h_tuple(g: UT3Elem) -> tuple[int, int, int]:
+    """The tuple (p, q, r) of H = Class2Law.free(2), a1^p a2^q [a2,a1]^r,
+    of an integer matrix with entries (e12, e13, e23) = (q, r, p)."""
+    return tuple(rings.frame_terms(x).get((0, ()), 0) for x in (g.u23, g.u12, g.u13))
+
+
+# ---------------------------------------------------------------------------
 # Ring helpers that only tests use
 
 
@@ -104,7 +128,7 @@ def verify_oracle(cert, targets) -> bool:
     """DiscriminationCertificate.verify on NilForms, through ``h_hom``."""
     hom = h_hom(cert.extra_images)
     images = [hom(t) for t in targets]
-    return list(cert.target_images) == images and not any(g.is_identity() for g in images)
+    return list(cert.target_images) == list(map(h_tuple, images)) and not any(g.is_identity() for g in images)
 
 
 def discriminate_to_H_generic(targets):
@@ -594,7 +618,7 @@ def tau_check_masks(rep: reprs.Representation) -> Verdict:
             continue
         y = rep.product_of_generators(latU.transform[0])
         x = rep.product_of_generators(latV.transform[0])
-        return Verdict("violated", "exact_lattice", reprs.TauWitness(y, x))
+        return Verdict("violated", "exact_lattice", reprs.TauWitness(rep.ring, y, x))
     return Verdict("holds", "exact_lattice")
 
 
@@ -708,7 +732,7 @@ def nzct_check_ringelem(rep: reprs.Representation, bound: int = 2) -> Verdict:
             def build(i):
                 return product_oracle(rep, zlattice.in_source_coordinates(L.A, vectors[i]))
 
-            witness = NzctWitness(build(q), build(p), build(w), build(witness_y))
+            witness = NzctWitness(rep.ring, *(entry_terms(build(i)) for i in (q, p, w, witness_y)))
             return Verdict("violated", "exact_lattice", witness, bound=bound)
     return Verdict("inconclusive", "bounded_search", bound=bound)
 
@@ -738,14 +762,13 @@ def lame_check_def1(rep: reprs.Representation, bound: int = 3) -> Verdict:
             if not s.is_zero() and is_zero_divisor(s):
                 coeffs = zlattice.in_source_coordinates(lat, vec)
                 g = product_oracle(rep, coeffs)
-                entry = u12 if block == 0 else u23
                 comp_dead = min(
                     set(range(rep.ring.ncomponents)) - set(s.support)
                 )
                 return Verdict(
                     "violated",
                     "exact_lattice",
-                    LameWitness(2 if block == 0 else 1, g, entry, comp_dead),
+                    LameWitness(rep.ring, 2 if block == 0 else 1, entry_terms(g), comp_dead),
                 )
     return Verdict("holds", "exact_lattice")
 
@@ -768,12 +791,12 @@ def sigma_check_dlattice(rep: reprs.Representation) -> Verdict:
     for dvec in D.basis:
         value = rings.from_frame(rep.ring, frame, dvec)
         for system, block in (("S", 0), ("T", 1)):
-            c = rep.coords(block, value)
+            c = rings.frame_coords(rep.index[block], value)
             if c is not None:
                 pad = (0,) * (len(rep.frame) - len(c))
                 vec = c + pad if block == 0 else pad + c
             if c is None or not zlattice.member(rep.lattices.A, vec):
-                witness = SigmaWitness(value, system)
+                witness = SigmaWitness(rep.ring, rings.frame_terms(value), system)
                 return Verdict("violated", "exact_lattice", witness)
     return Verdict("holds", "exact_lattice")
 
@@ -828,9 +851,9 @@ def _fresh_name_oracle(gens, stem: str) -> str:
     return f"{stem}{k}"
 
 
-def adjoin_Y_matrices(ring, gens, full_center, z: UT3Elem, name: str | None = None):
+def adjoin_Y_matrices(ring, gens, full_center, z13: RingElem, name: str | None = None):
     zero = RingElem.zero(ring)
-    Y = UT3Elem(ring, z.u13, zero, zero)
+    Y = UT3Elem(ring, z13, zero, zero)
     return ring, gens + ((name or _fresh_name_oracle(gens, "Y"), Y),), full_center
 
 

@@ -165,6 +165,15 @@ def _cases() -> list[dict]:
             cases.append({"argv": ["appropriate", "--rep", "{tmp}/" + cfg, *mode]})
         cases.append({"argv": ["solve-t", "--z", "(1,0)", "--rep", "{tmp}/z2.cfg", *mode]})
     cases.append({"argv": ["example", "heisenberg", "--bound", "0", "--json"]})
+    # --z literals beyond "1" and "(1,0)": a power, a leading minus, zero
+    # and a monomial outside f13 over Z[theta], and a tuple over Z x Z
+    for mode in ([], ["--json"]):
+        for cmd in ("solve-s", "solve-t"):
+            for z in ("(theta+1)^2", "-theta^2+3", "0", "theta^5"):
+                cases.append({"argv": [cmd, f"--z={z}", "--example", "ztheta-lame", *mode]})
+            cases.append({"argv": [cmd, "--z=(2,-1)", "--example", "tau-fails-zxz", *mode]})
+    for z in ("0", "(theta+1)^2"):
+        cases.append({"argv": ["adjoin-y", f"--z={z}", "--example", "ztheta-lame"]})
     return cases
 
 
@@ -211,7 +220,7 @@ def files(tmp_path_factory):
 
 def test_data_covers_exactly_the_cases(golden):
     assert sorted(golden) == sorted(_key(c) for c in _cases())
-    assert len(golden) == len(_cases()) == 355  # no case listed twice
+    assert len(golden) == len(_cases()) == 377  # no case listed twice
 
 
 # one test per subcommand keeps the per-test overhead small
@@ -232,26 +241,18 @@ class ReferenceArithmeticUsed(Exception):
     """Not a ValueError, so ``cli.main`` lets it through."""
 
 
-def test_cli_golden_without_reference_arithmetic(golden, files, monkeypatch):
-    """Every case again, with the arithmetic that the tests keep as the
-    reference patched to raise: ``NilForm`` and its group methods,
-    ``UT3Elem``'s group methods, ``Hom``, ``collect`` and ``to_matrix``.
-    The program computes on ``Class2Law`` tuples and reaches none of them."""
-    from heislab import nilform, ut3
+def _refusing(name):
+    def refuse(*args, **kwargs):
+        raise ReferenceArithmeticUsed(name)
 
-    def trap(name):
-        def raiser(*args, **kwargs):
-            raise ReferenceArithmeticUsed(name)
+    return refuse
 
-        return raiser
 
-    traps = [(nilform.NilForm, "__init__"), (nilform, "collect"), (nilform, "to_matrix")]
-    traps += [(cls, m) for cls in (nilform.NilForm, ut3.UT3Elem) for m in ("__mul__", "inv", "pow_int", "comm")]
-    traps += [(nilform.Hom, m) for m in ("__init__", "apply", "__call__")]
-    for owner, attr in traps:
-        monkeypatch.setattr(owner, attr, trap(f"{owner.__name__}.{attr}"))
+def _mismatches(golden, files, cases):
+    """The cases whose exit code and stdout differ from the golden data, a
+    trapped call counting as a difference."""
     mismatches = []
-    for case in _cases():
+    for case in cases:
         expected = golden[_key(case)]
         try:
             got = _run(case, files)
@@ -259,6 +260,43 @@ def test_cli_golden_without_reference_arithmetic(golden, files, monkeypatch):
             got = f"reached {exc}"
         if got != (expected["exit"], expected["stdout"]):
             mismatches.append((_key(case), got))
+    return mismatches
+
+
+def test_cli_golden_without_reference_arithmetic(golden, files, monkeypatch):
+    """Every case again, with the arithmetic that the tests keep as the
+    reference patched to raise: ``NilForm`` and its group methods,
+    ``UT3Elem``'s group methods, ``Hom``, ``collect`` and ``to_matrix``.
+    The program computes on ``Class2Law`` tuples and reaches none of them."""
+    from heislab import nilform, ut3
+
+    traps = [(nilform.NilForm, "__init__"), (nilform, "collect"), (nilform, "to_matrix")]
+    traps += [(cls, m) for cls in (nilform.NilForm, ut3.UT3Elem) for m in ("__mul__", "inv", "pow_int", "comm")]
+    traps += [(nilform.Hom, m) for m in ("__init__", "apply", "__call__")]
+    for owner, attr in traps:
+        monkeypatch.setattr(owner, attr, _refusing(f"{owner.__name__}.{attr}"))
+    mismatches = _mismatches(golden, files, _cases())
+    assert not mismatches, mismatches[:3]
+
+
+def test_cli_golden_makes_no_matrix(golden, files, monkeypatch):
+    """Every case again, with ``UT3Elem.__init__``,
+    ``Representation.to_ut3`` and ``ut3.elem`` patched to raise, and on
+    every command but ``appropriate``, which reads and prints ring
+    elements, ``rings.from_frame`` and ``rings.format_elem`` too.  Every
+    witness, solution, ``--z`` value and ``discriminate`` image is made
+    and printed as the law's tuples and entry terms."""
+    from heislab import reprs, rings, ut3
+
+    for owner, attr in ((ut3.UT3Elem, "__init__"), (reprs.Representation, "to_ut3"), (ut3, "elem")):
+        monkeypatch.setattr(owner, attr, _refusing(f"{owner.__name__}.{attr}"))
+    mismatches = []
+    for case in _cases():
+        with monkeypatch.context() as patch:
+            if case["argv"][0] != "appropriate":
+                for name in ("from_frame", "format_elem"):
+                    patch.setattr(rings, name, _refusing(f"rings.{name}"))
+            mismatches += _mismatches(golden, files, [case])
     assert not mismatches, mismatches[:3]
 
 
@@ -273,29 +311,17 @@ def test_constructions_and_entry_readers_make_no_matrix(golden, files, monkeypat
     print on terms."""
     from heislab import reprs, rings
 
-    def refusing(name):
-        def refuse(*args):
-            raise ReferenceArithmeticUsed(name)
-
-        return refuse
-
-    monkeypatch.setattr(reprs.Representation, "to_ut3", refusing("Representation.to_ut3"))
+    monkeypatch.setattr(reprs.Representation, "to_ut3", _refusing("Representation.to_ut3"))
     mismatches = []
     for case in _cases():
         command = case["argv"][0]
         if command not in ("extend", "adjoin-y", "adjoin-center", "appropriate", "crank", "bigpowers"):
             continue
-        expected = golden[_key(case)]
         with monkeypatch.context() as patch:
             if command != "appropriate":
                 for name in ("substitute", "terms_of", "format_elem"):
-                    patch.setattr(rings, name, refusing(f"rings.{name}"))
-            try:
-                got = _run(case, files)
-            except ReferenceArithmeticUsed as exc:
-                got = f"reached {exc}"
-        if got != (expected["exit"], expected["stdout"]):
-            mismatches.append((_key(case), got))
+                    patch.setattr(rings, name, _refusing(f"rings.{name}"))
+            mismatches += _mismatches(golden, files, [case])
     assert not mismatches, mismatches[:3]
 
 

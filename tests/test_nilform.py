@@ -4,10 +4,9 @@ import random
 import time
 
 import pytest
-from conftest import ElementLaw, discriminate_to_H_generic, h_hom, on_free_law, verify_oracle
+from conftest import ElementLaw, discriminate_to_H_generic, h_hom, h_tuple, on_free_law, verify_oracle
 
 from heislab import nilform, rings, ut3
-from heislab.rings import RingElem
 from heislab.nilform import (
     Hom,
     NilForm,
@@ -248,7 +247,7 @@ def test_discriminate_fixed_rank2_part():
     c = collect(3, [(2, -1), (1, -1), (2, 1), (1, 1)])  # [a2,a1]
     cert = discriminate_to_H(*on_free_law([c]))
     assert h_hom(cert.extra_images)(c) == ut3.a2(Z).comm(ut3.a1(Z))
-    assert cert.target_images == (ut3.a2(Z).comm(ut3.a1(Z)),)
+    assert cert.target_images == (h_tuple(ut3.a2(Z).comm(ut3.a1(Z))),)
 
 
 def test_discriminate_rejects_identity_target():
@@ -270,7 +269,7 @@ def test_discriminate_random_sets():
         cert = discriminate_to_H(law, ts)
         assert cert.verify(ts)
         for t, img in zip(targets, cert.target_images):
-            assert not img.is_identity()
+            assert img == h_tuple(h_hom(cert.extra_images)(t)) and any(img)
 
 
 def test_discriminate_leaves_the_exponent_cube():
@@ -357,7 +356,7 @@ def test_generic_forms_match_the_generic_hom():
         assert [list(nilform.generic_forms(law, t)) for t in ts] == rings.terms_of(entries, names)
         cert = discriminate_to_H(law, ts)
         assert cert.extra_images == exps
-        assert cert.target_images == images
+        assert cert.target_images == tuple(map(h_tuple, images))
         assert cert.verify(ts)
         moved += any(map(any, exps))
     assert moved  # some sets die under a_k -> 1 and move the exponents
@@ -415,11 +414,11 @@ def test_verify_matches_the_hom_oracle():
         cert = discriminate_to_H(law, ts)
         assert cert.verify(ts) and verify_oracle(cert, targets)
         k = rng.randrange(len(ts))
-        g = cert.target_images[k]
+        p, q, r = cert.target_images[k]
         for bad in (
-            ut3.elem(Z, g.u12, g.u13 + RingElem.integer(Z, rng.choice((-1, 1))), g.u23),
-            ut3.elem(Z, g.u12 + RingElem.one(Z), g.u13, g.u23),
-            ut3.identity(Z),
+            (p, q, r + rng.choice((-1, 1))),  # its 13-entry changed
+            (p, q + 1, r),  # its 12-entry changed
+            (0, 0, 0),
         ):
             other = nilform.DiscriminationCertificate(
                 cert.extra_images, cert.target_images[:k] + (bad,) + cert.target_images[k + 1 :]
@@ -431,8 +430,8 @@ def test_verify_matches_the_hom_oracle():
         # a tuple of another rank is no target of this certificate
         assert not cert.verify([t + (0,) for t in ts])
         trivial = ((0, 0, 0),) * (n - 2)
-        own = nilform.DiscriminationCertificate(trivial, tuple(map(h_hom(trivial), targets)))
-        alive = not any(g.is_identity() for g in own.target_images)
+        own = nilform.DiscriminationCertificate(trivial, tuple(h_tuple(h_hom(trivial)(t)) for t in targets))
+        alive = all(map(any, own.target_images))
         assert own.verify(ts) == verify_oracle(own, targets) == alive
         killed += not alive
     assert changed == 450 and killed

@@ -157,6 +157,33 @@ def test_elem_reader_matches_the_bracket_depth_reader(ring_and_text):
     assert _read(rings.parse_elem, ring, text) == _read(parse_elem_oracle, ring, text)
 
 
+def _outcome(parse, ring, text):
+    """What parse returns, or the message of the RingParseError it raises."""
+    try:
+        return parse(ring, text)
+    except RingParseError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_elem())
+@example((rings.parse_ring("Z[t] x Z"), "((t+1)^2,-3)"))
+@example((rings.parse_ring("Z[t]"), "-t^2+3"))
+@example((rings.parse_ring("Z x Z"), "(1,2,3)"))
+@example((rings.parse_ring("Z"), "10^4000*10^4000"))
+def test_term_reader_matches_parse_elem(ring_and_text):
+    """``--z`` is read by parse_terms and printed by format_terms: it
+    accepts exactly what parse_elem accepts, raises the same message
+    elsewhere, and prints what str prints of parse_elem's element."""
+    ring, text = ring_and_text
+    terms, elem = _outcome(rings.parse_terms, ring, text), _outcome(rings.parse_elem, ring, text)
+    if isinstance(elem, tuple):
+        assert terms == elem
+    else:
+        assert terms == rings.frame_terms(elem)
+        assert rings.format_terms(ring, terms) == str(elem)
+
+
 CONFIG_TOKENS = [
     "ring", "full_center", "generators", ":", "{", "}", ",", "\n", "#",
     "Z", " x ", "^", " 2 ", "1001", "[", "]", "t", "true", "false",

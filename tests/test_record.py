@@ -44,8 +44,8 @@ LAW = ut3.Class2Law.free(2)
 
 def _samples():
     """Constructor arguments for one instance of every record class."""
-    a1, a2 = ut3.a1(Z), ut3.a2(Z)
     h = reprs.heisenberg()
+    t_a1, t_a2 = h.terms  # the entry terms of a1 and a2
     return {
         F.One: (),
         F.Var: ("x",),
@@ -69,17 +69,17 @@ def _samples():
         ut3.UT3Elem: (Z, E1, E1, E1),
         ut3.Class2Law: (LAW.dim, LAW.central, LAW.table),
         zlattice.Lattice: (2, ((1, 0),), ((1,),)),
-        reprs.LameWitness: (1, a1, E1, 0),
-        reprs.TauWitness: (a2, a1),
-        reprs.NzctWitness: (a1, a2, a1, a2),
-        reprs.SigmaWitness: (E1, "S"),
-        reprs.Solution: (a1, (1, 0)),
+        reprs.LameWitness: (Z, 1, t_a1, 0),
+        reprs.TauWitness: (Z, t_a2, t_a1),
+        reprs.NzctWitness: (Z, t_a1, t_a2, t_a1, t_a2),
+        reprs.SigmaWitness: (Z, {(0, ()): 3}, "S"),
+        reprs.Solution: (Z, t_a1, (1, 0)),
         reprs.Representation: (Z, h.names, h.terms, False),
         reprs.EntryLattices: (LAT, 1),
         reprs.BigPowersCertificate: (Z, 2, "theta", (({}, {(0, ()): 2}, {}),)),
         reprs.Appropriateness: ("refuted", E1, 3),
         nilform.NilForm: (2, (1, 0), (5,)),
-        nilform.DiscriminationCertificate: (((1, 0, 0),), (a1,)),
+        nilform.DiscriminationCertificate: (((1, 0, 0),), ((1, 0, 0),)),
     }
 
 
@@ -122,6 +122,11 @@ def test_record_value_semantics(cls):
         F.SearchWitness: ("assignment", "words"),
         reprs.Representation: ("terms",),
         reprs.BigPowersCertificate: ("retracted_targets",),
+        reprs.LameWitness: ("element",),
+        reprs.TauWitness: ("y", "x"),
+        reprs.NzctWitness: ("q", "p", "w", "y"),
+        reprs.SigmaWitness: ("value",),
+        reprs.Solution: ("element",),
     }.get(cls, ())
     assert hash(r) == hash(tuple(getattr(r, f) for f in cls._fields if f not in unhashed))
     # keyword construction

@@ -18,9 +18,11 @@ from conftest import (
     config_readings,
     corpus,
     domain_or_diagonal,
+    entry_terms,
     extend_centralizer_matrices,
     is_zero_divisor,
     lame_check_def1,
+    matrix,
     nzct_check_ringelem,
     parse_config_oracle,
     pair_det,
@@ -85,6 +87,13 @@ def central(ring, lit):
     return UT3Elem(ring, zero, parse_elem(ring, lit), zero)
 
 
+def z13(z: UT3Elem) -> dict:
+    """The (1,3) entry terms of a central matrix z: the argument of
+    solve_S, solve_T and adjoin_Y."""
+    assert z.is_central()
+    return rings.frame_terms(z.u13)
+
+
 def commutator_rank(rep):
     """Rank of the lattice spanned by the generator commutator values."""
     law = rep.law
@@ -143,9 +152,8 @@ def test_only_lame_tau_and_crank_cut_A1_and_A2(monkeypatch):
     monkeypatch.setattr(zlattice, "intersect_coordinate_zero", lambda L, c: calls.append(c) or intersect(L, c))
     texts = [serialize_config(rep) for rep in corpus(30, seed=5)] + sorted(FIXTURES.values())
 
-    def z(rep):  # the central element with (1,3) entry 1
-        zero = RingElem.zero(rep.ring)
-        return UT3Elem(rep.ring, zero, RingElem.one(rep.ring), zero)
+    def z(rep):  # the (1,3) entry terms of 1
+        return rings.parse_terms(rep.ring, "1")
 
     checks = {
         "lame": lame_check,
@@ -200,17 +208,19 @@ def test_entry_pair_map_is_homomorphism():
 def test_coords_roundtrip():
     rep = full_zxz_rep()
     for _, g in rep.generators:
-        for block, (entry, frame) in enumerate(
-            ((g.u12, rep.f12), (g.u23, rep.f23), (g.u13, rep.f13))
+        for index, (entry, frame) in zip(
+            rep.index, ((g.u12, rep.f12), (g.u23, rep.f23), (g.u13, rep.f13))
         ):
-            v = rep.coords(block, entry)
+            v = rings.frame_coords(index, entry)
             assert v is not None
             assert rings.from_frame(rep.ring, frame, v) == entry
         assert rep.elem_from_coords(rep.element(g)[: len(rep.frame)]) == (g.u12, g.u23)
         assert rep.to_ut3(rep.element(g)) == g
-    assert rep.coords(0, parse_elem(ZZ, "(0, 999)")) is not None
+        assert rep.entry_terms(rep.element(g)) == entry_terms(g)
+    assert rings.frame_coords(rep.index[0], parse_elem(ZZ, "(0, 999)")) is not None
     # no theta-frame coordinate exists in this representation
-    assert representation(ZTH).coords(0, RingElem.var(ZTH, "theta")) is None
+    with pytest.raises(ValueError, match="outside the frames"):
+        representation(ZTH).element(elem(ZTH, "theta", 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +231,14 @@ def test_lame_zxz_violated_with_witness_b():
     v = lame_check(zxz_lame_rep())
     assert v.status == "violated" and v.method == "exact_lattice"
     w = v.witness
+    g, entry = matrix(w.ring, w.element), rings.from_terms(w.ring, w.entry)
     assert w.centralizer == 1
-    assert w.element.u23 == parse_elem(ZZ, "(1,0)")
-    assert w.entry == parse_elem(ZZ, "(1,0)")
+    assert g.u23 == parse_elem(ZZ, "(1,0)")
+    assert entry == parse_elem(ZZ, "(1,0)")
     # re-check independently: noncentral, in C(a1), entry a zero divisor
-    assert w.element.comm(a1(w.element.ring)).is_identity()
-    assert not w.element.is_central()
-    assert is_zero_divisor(w.entry)
+    assert g.comm(a1(w.ring)).is_identity()
+    assert not g.is_central()
+    assert is_zero_divisor(entry)
 
 
 def test_lame_ztheta_holds():
@@ -246,8 +257,8 @@ def test_lame_def1_agrees_on_fixtures():
 def test_lame_def1_witness_valid():
     v = lame_check_def1(zxz_lame_rep())
     assert v.status == "violated"
-    w = v.witness
-    s = w.element.u12 * w.element.u12 + w.element.u23 * w.element.u23
+    g = matrix(v.witness.ring, v.witness.element)
+    s = g.u12 * g.u12 + g.u23 * g.u23
     assert not s.is_zero() and is_zero_divisor(s)
 
 
@@ -288,9 +299,8 @@ def test_lame_builds_only_the_chosen_witness(monkeypatch):
         coeffs, centralizer, comp = (single or rows)[0]
         g = product_oracle(rep, coeffs)
         assert built == [coeffs]
-        assert v.witness == reprs.LameWitness(
-            centralizer, g, g.u12 if centralizer == 2 else g.u23, comp
-        )
+        assert v.witness == reprs.LameWitness(rep.ring, centralizer, entry_terms(g), comp)
+        assert rings.from_terms(rep.ring, v.witness.entry) == (g.u12 if centralizer == 2 else g.u23)
     assert violated >= 10
 
 
@@ -302,8 +312,7 @@ def test_tau_full_zxz_violated_and_witness_exact():
     rep = full_zxz_rep()
     v = tau_check(rep)
     assert v.status == "violated"
-    y, x = v.witness.y, v.witness.x
-    one = rep.ring  # noqa: F841
+    y, x = matrix(rep.ring, v.witness.y), matrix(rep.ring, v.witness.x)
     assert y.comm(x).is_identity()  # [y,x]=1
     assert a2(rep.ring).comm(y).is_identity()  # [a2,y]=1
     assert x.comm(a1(rep.ring)).is_identity()  # [x,a1]=1
@@ -340,9 +349,10 @@ def test_tau_violations_match_search():
         if v.status == "violated":
             violated += 1
             # the reconstructed witness falsifies tau's matrix directly
-            _, matrix = formula._peel_quantifiers(builtin("tau"))
-            assignment = {"x2": rep.element(v.witness.y), "x1": rep.element(v.witness.x)}
-            assert not formula.eval_qf(matrix, rep.env(), assignment)
+            _, body = formula._peel_quantifiers(builtin("tau"))
+            y, x = (matrix(rep.ring, g) for g in (v.witness.y, v.witness.x))
+            assignment = {"x2": rep.element(y), "x1": rep.element(x)}
+            assert not formula.eval_qf(body, rep.env(), assignment)
         else:
             # search never contradicts exact holds (small bound spot check)
             out = refute_universal(builtin("tau"), rep.env(), 1)
@@ -419,10 +429,11 @@ def test_nzct_rank_2_exact():
 
 def _assert_nzct_witness(w):
     """Re-check a violation by direct matrix computation."""
-    assert not w.q.comm(w.y).is_identity()  # q noncentral (fails to commute with y)
-    assert w.p.comm(w.q).is_identity()
-    assert w.q.comm(w.w).is_identity()
-    assert not w.p.comm(w.w).is_identity()
+    q, p, x3, y = (matrix(w.ring, g) for g in (w.q, w.p, w.w, w.y))
+    assert not q.comm(y).is_identity()  # q noncentral (fails to commute with y)
+    assert p.comm(q).is_identity()
+    assert q.comm(x3).is_identity()
+    assert not p.comm(x3).is_identity()
 
 
 def test_nzct_full_zxz_violated():
@@ -539,7 +550,7 @@ def test_tau_violation_is_an_nzct_witness():
             continue
         violated += 1
         g = dict(rep.generators)
-        x2, x1, x3, y = v.witness.y, g["a2"], v.witness.x, g["a1"]
+        x2, x1, x3, y = matrix(rep.ring, v.witness.y), g["a2"], matrix(rep.ring, v.witness.x), g["a1"]
         assert not x2.comm(y).is_identity()
         assert x1.comm(x2).is_identity()
         assert x2.comm(x3).is_identity()
@@ -662,7 +673,7 @@ def test_det_form_is_the_ring_determinant(seed, data):
     c, d = data.draw(coeffs), data.draw(coeffs)
     u = zlattice.combine(c, basis, len(rep.frame))
     v = zlattice.combine(d, basis, len(rep.frame))
-    assert _form_det(rep, c, d) == rep.coords(2, pair_det(rep, u, v))
+    assert _form_det(rep, c, d) == rings.frame_coords(rep.index[2], pair_det(rep, u, v))
     assert not any(_form_det(rep, c, c))
     assert _form_det(rep, c, d) == tuple(-x for x in _form_det(rep, d, c))
 
@@ -743,18 +754,18 @@ def test_nzct_enumerates_no_lattice_vectors(monkeypatch):
 def test_solve_S_c_in_H():
     rep = heisenberg()
     z = central(Z, "1")  # z = c
-    sol = solve_S(rep, z)
+    sol = solve_S(rep, z13(z))
     assert sol is not None
-    y = sol.element
+    y = matrix(Z, sol.element)
     assert a2(Z).comm(y).is_identity()
     assert y.comm(a1(Z)) == z
     assert y == a2(Z)
 
 
 def test_solve_T_c_in_H():
-    sol = solve_T(heisenberg(), central(Z, "1"))
+    sol = solve_T(heisenberg(), z13(central(Z, "1")))
     assert sol is not None
-    x = sol.element
+    x = matrix(Z, sol.element)
     assert x.comm(a1(Z)).is_identity()
     assert a2(Z).comm(x) == central(Z, "1")
     assert x == a1(Z)
@@ -765,21 +776,16 @@ def test_solve_S_unsolvable_zxz():
     z = central(ZZ, "(1,0)")
     # S needs y with y23=0, y12=e1: the e1 slot is only reachable via b's
     # 23-entry, so S is unsolvable...
-    assert solve_S(rep, z) is None
+    assert solve_S(rep, z13(z)) is None
     # ...while T is solved by x=b itself ([b,a1]=1 and [a2,b]=(0,e1,0))
-    sol = solve_T(rep, z)
+    sol = solve_T(rep, z13(z))
     assert sol is not None
-    assert a2(ZZ).comm(sol.element) == z
+    assert a2(ZZ).comm(matrix(ZZ, sol.element)) == z
 
 
 def test_solve_identity():
-    sol = solve_S(heisenberg(), central(Z, "0"))
-    assert sol is not None and sol.element.is_identity()
-
-
-def test_solve_requires_central():
-    with pytest.raises(ValueError):
-        solve_S(heisenberg(), a1(Z))
+    sol = solve_S(heisenberg(), z13(central(Z, "0")))
+    assert sol is not None and matrix(Z, sol.element).is_identity()
 
 
 def test_solutions_verified_on_corpus():
@@ -793,9 +799,9 @@ def test_solutions_verified_on_corpus():
                 (solve_S, lambda y: (a2(rep.ring).comm(y).is_identity(), y.comm(a1(rep.ring)) == z)),
                 (solve_T, lambda x: (x.comm(a1(rep.ring)).is_identity(), a2(rep.ring).comm(x) == z)),
             ):
-                sol = solver(rep, z)
+                sol = solver(rep, z13(z))
                 if sol is not None:
-                    c1, c2 = check(sol.element)
+                    c1, c2 = check(matrix(rep.ring, sol.element))
                     assert c1 and c2
 
 
@@ -811,7 +817,7 @@ def test_sigma_ztheta_violated():
     v = sigma_check(ztheta_rep())
     assert v.status == "violated"
     assert v.witness.system == "S"
-    assert v.witness.value == RingElem.var(ZTH, "theta")
+    assert rings.from_terms(ZTH, v.witness.value) == RingElem.var(ZTH, "theta")
 
 
 def test_sigma_trivial_full_center():
@@ -842,12 +848,10 @@ def test_sigma_matches_the_ring_element_route():
     for rep in sigma_reps():
         want = formula.Verdict("holds", "exact_lattice")
         for g, h in itertools.combinations(rep.law_generators, 2):
-            value = rep.to_ut3(rep.law.comm(g, h)).u13
-            zero = RingElem.zero(rep.ring)
-            z = UT3Elem(rep.ring, zero, value, zero)
+            z = z13(rep.to_ut3(rep.law.comm(g, h)))
             unsolved = [system for system, solver in zip("ST", (solve_S, solve_T)) if solver(rep, z) is None]
             if unsolved:
-                want = formula.Verdict("violated", "exact_lattice", reprs.SigmaWitness(value, unsolved[0]))
+                want = formula.Verdict("violated", "exact_lattice", reprs.SigmaWitness(rep.ring, z, unsolved[0]))
                 break
         assert sigma_check(rep) == want
 
@@ -859,10 +863,9 @@ def test_sigma_witness_is_an_unsolvable_generator_commutator():
         if v.status != "violated":
             continue
         value, system = v.witness.value, v.witness.system
-        assert value in pair_dets(rep)
-        zero = RingElem.zero(rep.ring)
+        assert rings.from_terms(rep.ring, value) in pair_dets(rep)
         solver = solve_S if system == "S" else solve_T
-        assert solver(rep, UT3Elem(rep.ring, zero, value, zero)) is None
+        assert solver(rep, value) is None
         violated += 1
     assert violated >= 10
 
@@ -870,7 +873,7 @@ def test_sigma_witness_is_an_unsolvable_generator_commutator():
 def _block_pair(rep, value, block):
     """value's coordinates over f12 (block 0) or f23 (block 1), padded to an
     entry pair over ``frame``; None outside that frame."""
-    c = rep.coords(block, value)
+    c = rings.frame_coords(rep.index[block], value)
     if c is None:
         return None
     zero = (0,) * (len(rep.frame) - len(c))
@@ -889,13 +892,13 @@ def test_entry_pair_places_f13_as_the_block_coordinates_do():
         for z in units + mixed:
             value = rings.from_frame(rep.ring, rep.f13, z)
             for block in (0, 1):
-                assert rep.entry_pair(z, block) == _block_pair(rep, value, block)
+                assert rep.entry_pair(rings.frame_terms(value), block) == _block_pair(rep, value, block)
 
 
 def test_solve_matches_the_block_coordinates_route():
-    # solve_S and solve_T read z13 as f13 coordinates; the exponents are the
-    # ones z13's own coordinates over f12 or f23 give, and a z13 outside
-    # f13 has none
+    # solve_S and solve_T place z13's terms in the 12- or 23-block; the
+    # exponents are the ones z13's own coordinates over f12 or f23 give,
+    # and a z13 outside f13 has none
     rng = random.Random(19)
     solved = unsolved = 0
     for rep in sigma_reps():
@@ -903,12 +906,11 @@ def test_solve_matches_the_block_coordinates_route():
         values = [rep.to_ut3(rep.law.comm(g, h)).u13 for g, h in itertools.combinations(rep.law_generators, 2)]
         values += [rings.from_frame(rep.ring, rep.f13, [rng.randint(-2, 2) for _ in range(m)]) for _ in range(3)]
         values += [RingElem.var(rep.ring, name) ** 9 for name in rep.ring.components[0][:1]]
-        zero = RingElem.zero(rep.ring)
         for value in values:
             for block, solver in enumerate((solve_S, solve_T)):
                 v = _block_pair(rep, value, block)
                 want = None if v is None else zlattice.in_source_coordinates(A, v)
-                sol = solver(rep, UT3Elem(rep.ring, zero, value, zero))
+                sol = solver(rep, rings.frame_terms(value))
                 assert (None if sol is None else sol.coefficients) == want
                 solved += sol is not None
                 unsolved += sol is None
@@ -920,7 +922,9 @@ def test_product_of_generators_matches_matrix_oracle():
     for rep in corpus(60) + [wide_representation(rng, 12)]:
         for _ in range(4):
             exponents = [rng.randint(-3, 3) for _ in rep.generators]
-            assert rep.product_of_generators(exponents) == product_oracle(rep, exponents)
+            g = rep.product_of_generators(exponents)
+            assert matrix(rep.ring, g) == product_oracle(rep, exponents)
+            assert g == entry_terms(product_oracle(rep, exponents))
 
 
 def test_sigma_holds_implies_solvable_commutators():
@@ -933,7 +937,7 @@ def test_sigma_holds_implies_solvable_commutators():
             # random group elements: words in the generators
             g = product_oracle(rep, [rng.randint(-3, 3) for _ in rep.generators])
             h = product_oracle(rep, [rng.randint(-3, 3) for _ in rep.generators])
-            z = g.comm(h)
+            z = z13(g.comm(h))
             assert solve_S(rep, z) is not None
             assert solve_T(rep, z) is not None
             checked += 1
@@ -947,24 +951,25 @@ def test_sigma_holds_implies_solvable_commutators():
 def test_adjoin_Y_postconditions():
     rep = zxz_lame_rep()
     z = central(ZZ, "(1,0)")
-    assert solve_S(rep, z) is None
-    rep2 = adjoin_Y(rep, z)
+    assert solve_S(rep, z13(z)) is None
+    rep2 = adjoin_Y(rep, z13(z))
     name, Y = rep2.generators[-1]
     assert a2(ZZ).comm(Y).is_identity()
     assert Y.comm(a1(ZZ)) == z
-    sol = solve_S(rep2, z)
-    assert sol is not None and sol.element == Y
+    sol = solve_S(rep2, z13(z))
+    assert sol is not None and matrix(ZZ, sol.element) == Y
 
 
 def test_adjoin_Y_warnings():
     rep = heisenberg()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        adjoin_Y(rep, central(Z, "0"))
-        adjoin_Y(rep, central(Z, "1"))  # S already solvable
-    assert len(caught) == 2
-    with pytest.raises(ValueError):
-        adjoin_Y(rep, a1(Z))
+        adjoin_Y(rep, z13(central(Z, "0")))
+        adjoin_Y(rep, z13(central(Z, "1")))  # S already solvable
+    assert [str(w.message) for w in caught] == [
+        "adjoin_Y with z = identity adjoins the identity",
+        "system S is already solvable; adjoin_Y is redundant",
+    ]
 
 
 def test_adjoin_center_idempotent_and_crank():
@@ -1015,12 +1020,12 @@ def test_constructions_match_their_matrix_built_references(seed):
             (extend_centralizer(rep, 2, "u"), extend_centralizer_matrices(*start, 2, "u")),
             (adjoin_center(rep), adjoin_center_matrices(*start)),
         ]
-        for z13 in (RingElem.one(ring), random_poly_elem(rng, ring), RingElem.zero(ring)):
-            z = UT3Elem(ring, RingElem.zero(ring), z13, RingElem.zero(ring))
+        for value in (RingElem.one(ring), random_poly_elem(rng, ring), RingElem.zero(ring)):
+            z = rings.frame_terms(value)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                pairs.append((adjoin_Y(rep, z), adjoin_Y_matrices(*start, z)))
-            assert len(caught) == (1 if z.is_identity() else int(solve_S(rep, z) is not None))
+                pairs.append((adjoin_Y(rep, z), adjoin_Y_matrices(*start, value)))
+            assert len(caught) == (1 if value.is_zero() else int(solve_S(rep, z) is not None))
         for new, reference in pairs:
             assert (new.ring, new.generators, new.full_center) == reference
             text = serialize_config(new)
@@ -1132,7 +1137,7 @@ def test_big_powers_retraction_is_homomorphism():
     _, t = rep2.generators[-1]
     cert = big_powers_retraction(rep2, [rep2.element(t)])
     n = cert.n
-    e12, e13, e23 = (rings.from_terms(rep2.ring, e) for e in cert.retracted_targets[0])
+    e12, e23, e13 = (rings.from_terms(rep2.ring, e) for e in cert.retracted_targets[0])
     assert e23 == RingElem.integer(rep2.ring, n)  # = (a1^n)'s entry
     assert e12.is_zero() and e13.is_zero()
 
@@ -1208,7 +1213,7 @@ def test_big_powers_match_the_substitution_oracle(seed, ring, default_name):
         cert.to_dict()["retracted_targets"],
     )
     for g, image in zip(ut3_targets, cert.retracted_targets):
-        substituted = (rings.substitute(e, name, cert.n) for e in (g.u12, g.u13, g.u23))
+        substituted = (rings.substitute(e, name, cert.n) for e in (g.u12, g.u23, g.u13))
         assert tuple(map(rings.frame_terms, substituted)) == image
     # minimality: every smaller exponent kills some target
     for m in range(1, cert.n):
@@ -1260,7 +1265,7 @@ def test_big_powers_on_partial_names_and_images_outside_the_frames(config, name,
     assert any(j == 0 and e[0] >= 2 for x in entries for j, e in rings.frame_terms(x))
     if outside is not None:
         assert outside not in rep.f13
-        assert any(outside in image[1] for image in cert.retracted_targets)
+        assert any(outside in image[2] for image in cert.retracted_targets)
 
 
 # ---------------------------------------------------------------------------
@@ -1471,3 +1476,91 @@ def test_exact_never_contradicted_by_search():
         out = refute_universal(builtin("NZCT"), rep.env(), 1)
         if out.status == "violated":
             assert nv.status == "violated"
+
+
+# ---------------------------------------------------------------------------
+# Generating-set invariance
+
+_MOVES = ("reverse", "shift", "invert", "product", "commutator")
+
+
+def _answers(rep):
+    """The status and method of lame, tau, sigma and nzct at bound 1, and
+    the C-rank; each witness rechecked as matrices by ``_assert_witness``."""
+    out = {}
+    for name, check in (("lame", lame_check), ("tau", tau_check), ("sigma", sigma_check)):
+        v = check(rep)
+        _assert_witness(rep, name, v.witness)
+        out[name] = v.status, v.method
+    v = nzct_check(rep, 1)
+    if v.witness is not None:
+        _assert_nzct_witness(v.witness)
+    out["nzct"] = v.status, v.method
+    out["crank"] = c_rank(rep)
+    return out
+
+
+def _assert_witness(rep, name, w):
+    if w is None:
+        return
+    g1, g2 = a1(rep.ring), a2(rep.ring)
+    if name == "lame":
+        g, entry = matrix(rep.ring, w.element), rings.from_terms(rep.ring, w.entry)
+        assert g.comm(g1 if w.centralizer == 1 else g2).is_identity() and not g.is_central()
+        assert entry == (g.u23 if w.centralizer == 1 else g.u12)
+        assert is_zero_divisor(entry) and not entry.parts[w.dead_component]
+    elif name == "tau":
+        y, x = matrix(rep.ring, w.y), matrix(rep.ring, w.x)
+        assert y.comm(x).is_identity() and g2.comm(y).is_identity() and x.comm(g1).is_identity()
+        assert not y.comm(g1).is_identity() and not g2.comm(x).is_identity()
+    else:
+        assert rings.from_terms(rep.ring, w.value) in pair_dets(rep)
+        assert (solve_S if w.system == "S" else solve_T)(rep, w.value) is None
+
+
+def _permute_components(rep, perm):
+    """rep over the ring with its components in the order ``perm``."""
+    ring = rings.RingDesc(tuple(rep.ring.components[k] for k in perm))
+
+    def move(x):
+        return RingElem(ring, tuple(x.parts[k] for k in perm))
+
+    extra = {n: UT3Elem(ring, *map(move, (g.u12, g.u13, g.u23))) for n, g in rep.generators[2:]}
+    return representation(ring, extra, rep.full_center)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_verdicts_do_not_depend_on_the_generating_set(seed, data):
+    """Lame, tau, sigma, NZCT and the C-rank are properties of the subgroup.
+    Moves that keep it: the extra generators reversed, g -> g*a1*a2^-1,
+    g -> g^-1, a redundant product added, and [a1,a2] added.  They keep A
+    and its frames, so even the bounded NZCT box is the same, and every
+    status and method agrees; witnesses may differ, and each passes its
+    matrix check.  A permutation of the ring's components reorders the
+    frames and so A's basis: there the exact answers agree, and the
+    bounded NZCT answer may turn inconclusive but never contradicts."""
+    rep = random_representation(random.Random(seed))
+    g1, g2 = a1(rep.ring), a2(rep.ring)
+    extra = [g for _, g in rep.generators[2:]]
+    draw = data.draw
+    for move in draw(st.lists(st.sampled_from(_MOVES), min_size=1, max_size=4)):
+        gens = [g1, g2, *extra]
+        if move == "reverse":
+            extra.reverse()
+        elif move == "commutator":
+            extra.append(g1.comm(g2))
+        elif move == "product":
+            extra.append(draw(st.sampled_from(gens)) * draw(st.sampled_from(gens)))
+        elif extra:
+            k = draw(st.integers(0, len(extra) - 1))
+            extra[k] = extra[k] * g1 * g2.inv() if move == "shift" else extra[k].inv()
+    variant = representation(rep.ring, {f"h{k}": g for k, g in enumerate(extra)}, rep.full_center)
+    want = _answers(rep)
+    assert _answers(variant) == want
+    perm = draw(st.permutations(range(rep.ring.ncomponents)))
+    got = _answers(_permute_components(variant, perm))
+    nzct, want_nzct = got.pop("nzct"), want.pop("nzct")
+    assert got == want
+    statuses = {nzct[0], want_nzct[0]}
+    assert nzct == want_nzct or statuses == {"inconclusive", "violated"}
