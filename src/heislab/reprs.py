@@ -773,34 +773,33 @@ def c_rank(rep: Representation) -> int:
 
 
 class Appropriateness(Record):
-    status: str  # confirmed | refuted | inconclusive
-    witness: Optional[RingElem] = None
+    """The answer of ``appropriateness_check`` at ``degree_bound``:
+    ``status`` is confirmed, refuted or inconclusive, and ``witness`` is
+    None when confirmed, else the first designated ring generator found
+    outside the span, as {(component, monomial): coefficient} terms over
+    ``ring``, printed by ``rings.format_terms``."""
+
+    ring: RingDesc
+    status: str
+    witness: Optional[dict] = None
     degree_bound: int = 0
+    _unhashed = ("witness",)
 
     def to_dict(self):
         return {
             "status": self.status,
-            "witness": None if self.witness is None else str(self.witness),
+            "witness": None if self.witness is None else rings.format_terms(self.ring, self.witness),
             "degree_bound": self.degree_bound,
         }
 
 
-def _ring_targets(ring: RingDesc) -> list[RingElem]:
-    """Designated generators of the product ring: the component idempotents
-    (when there are several components) and each indeterminate confined to
-    its component."""
-    targets = []
-    if ring.ncomponents > 1:
-        for j in range(ring.ncomponents):
-            targets.append(RingElem.idempotent(ring, j))
-    for j, names in enumerate(ring.components):
-        for idx in range(len(names)):
-            # the indeterminate names[idx] placed in component j only
-            e = tuple(1 if t == idx else 0 for t in range(len(names)))
-            parts = [() for _ in ring.components]
-            parts[j] = ((e, 1),)
-            targets.append(RingElem(ring, tuple(parts)))
-    return targets
+def _ring_targets(ring: RingDesc) -> list[dict]:
+    """Designated generators of the ring, as terms: the component idempotents
+    of a product, then each indeterminate confined to its component."""
+    comps = list(enumerate(ring.components))
+    targets = [{(j, (0,) * len(names)): 1} for j, names in comps] if len(comps) > 1 else []
+    units = [(j, tuple(int(k == i) for k in range(len(n)))) for j, n in comps for i in range(len(n))]
+    return targets + [{m: 1} for m in units]
 
 
 class ConfigError(ValueError):
@@ -967,46 +966,59 @@ def appropriateness_check(rep: Representation, degree_bound: int) -> Appropriate
     most d satisfies S_{d+1} = Z + E*S_d.  So once a layer adds no new frame
     coordinate and each of its products lies in the span, no later layer
     adds anything, and the enumeration stops.  The last layer skips that
-    test, so degree 1 takes one HNF."""
+    test, so degree 1 takes one HNF.  An element is the sorted tuple of its
+    ((component, monomial), coefficient) terms: equal elements, equal tuples."""
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
-    one = RingElem.one(rep.ring)
+    ring = rep.ring
+    one = tuple(((j, (0,) * len(names)), 1) for j, names in enumerate(ring.components))
     # each generator's nonzero entries in (e12, e13, e23) order, each once
-    nonzero = [rings.from_terms(rep.ring, t) for g in rep.terms for t in (g[0], g[2], g[1]) if t]
+    nonzero = [tuple(sorted(t.items())) for g in rep.terms for t in (g[0], g[2], g[1]) if t]
     entries = list(dict.fromkeys([one, *nonzero]))
     index: dict = {}  # frame coordinate -> position, in order of first use
     span = Lattice(0, (), ())  # the span of the products before `pending`
 
+    def times(x, y):
+        out = {}
+        for ((j, e), c), ((k, f), d) in itertools.product(x, y):
+            if j == k:
+                m = (j, tuple(map(operator.add, e, f)))
+                out[m] = out.get(m, 0) + c * d
+        return tuple(sorted(item for item in out.items() if item[1]))
+
+    def coords(x):
+        v = [0] * len(index)
+        for m, c in x:
+            v[index[m]] = c
+        return tuple(v)
+
     def spanned(lattice: Lattice, elems) -> Lattice:
         rows = [b + (0,) * (len(index) - lattice.ambient_dim) for b in lattice.basis]
-        rows += [rings.frame_coords(index, x) for x in elems]
-        return zlattice.hnf(rows, ambient_dim=len(index))
+        return zlattice.hnf(rows + list(map(coords, elems)), ambient_dim=len(index))
+
+    def variables(monomials):
+        return {n for j, e in monomials for n, d in zip(ring.components[j], e) if d}
 
     pending, layer, seen = [], [one], set()
     for degree in range(degree_bound + 1):
         if degree:
-            products = dict.fromkeys(p * e for p in layer for e in entries)
+            products = dict.fromkeys(times(p, e) for p in layer for e in entries)
             layer = [q for q in products if q not in seen]
         seen.update(layer)
         width = len(index)
-        for j, e in [(j, e) for q in layer for j, p in enumerate(q.parts) for e, _c in p]:
-            index.setdefault((j, e), len(index))
+        for m, _c in itertools.chain.from_iterable(layer):
+            index.setdefault(m, len(index))
         if len(index) == width and degree < degree_bound:
             span, pending = spanned(span, pending), []
-            if all(zlattice.member(span, rings.frame_coords(index, q)) for q in layer):
+            if all(zlattice.member(span, coords(q)) for q in layer):
                 break
         pending += layer
     if pending:
         span = spanned(span, pending)
-    entry_vars = {
-        n for e in entries for names in rep.ring.components for n in names if e.uses_var(n)
-    }
-    for t in _ring_targets(rep.ring):
-        v = rings.frame_coords(index, t)
-        if v is None or not zlattice.member(span, v):
-            target_vars = {n for names in rep.ring.components for n in names if t.uses_var(n)}
-            if target_vars and not (target_vars & entry_vars):
-                # the indeterminate appears in no entry: unreachable at any degree
-                return Appropriateness("refuted", t, degree_bound)
-            return Appropriateness("inconclusive", t, degree_bound)
-    return Appropriateness("confirmed", None, degree_bound)
+    entry_vars = variables(m for e in entries for m, _c in e)
+    for t in _ring_targets(ring):
+        if not (t.keys() <= index.keys() and zlattice.member(span, coords(t.items()))):
+            # refuted: the target's indeterminate is in no entry, so no degree reaches it
+            status = "refuted" if variables(t) - entry_vars else "inconclusive"
+            return Appropriateness(ring, status, t, degree_bound)
+    return Appropriateness(ring, "confirmed", None, degree_bound)

@@ -275,14 +275,6 @@ class RingElem(Record):
         """Component indices where the element is nonzero."""
         return frozenset(j for j, p in enumerate(self.parts) if p != ())
 
-    def uses_var(self, name: str) -> bool:
-        for names, p in zip(self.ring.components, self.parts):
-            if name in names:
-                i = names.index(name)
-                if any(e[i] > 0 for e, _ in p):
-                    return True
-        return False
-
     def __str__(self) -> str:
         return format_elem(self)
 
@@ -643,7 +635,7 @@ def _power_too_long(c: int, n: int) -> bool:
 class _ExprParser:
     """Recursive-descent parser for a polynomial expression over one
     component: every rule returns that component's canonical ``Poly``, and
-    ``parse_elem`` assembles the ring element once.  ``component`` only
+    ``_parse_tokens`` keys its terms by component.  ``component`` only
     names the component in error messages.  Parentheses nest at most
     MAX_DEPTH deep, and each product (``term``) and each sum (``expr``) is
     checked by ``_check_digits``."""
@@ -815,16 +807,8 @@ def _flat_terms(ring: RingDesc, text: str) -> dict[tuple[int, Monomial], int] | 
 
 
 def parse_terms(ring: RingDesc, text: str) -> dict[tuple[int, Monomial], int]:
-    """``parse_elem``'s element as ``frame_terms``: its nonzero coefficients
-    keyed by (component, monomial).  A flat literal is read straight into
-    them, with no polynomial or ring element made; any other text goes to
-    ``parse_elem``'s recursive descent, so every error message is the same."""
-    terms = _flat_terms(ring, text)
-    return terms if terms is not None else frame_terms(_parse_tokens(ring, text))
-
-
-def parse_elem(ring: RingDesc, text: str) -> RingElem:
-    """Parse an element literal.
+    """Read an element literal into its terms: its nonzero coefficients
+    keyed by (component, monomial), as ``frame_terms`` gives them.
 
     A tuple literal like ``(theta, 2)`` gives one expression per component; a
     bare expression applies diagonally to every component (the canonical
@@ -837,16 +821,21 @@ def parse_elem(ring: RingDesc, text: str) -> RingElem:
     components and, as a tuple, has one entry per component, is matched by
     one regular expression and read straight into its terms.  Any other
     text, valid or not, goes to the recursive descent of ``_parse_tokens``,
-    so the result and every error message are the same on both paths.  A
+    so the terms and every error message are the same on both paths.  A
     product or sum whose coefficient has more digits than the limit on
     integer string conversion is a ``RingParseError`` on both.
     """
     terms = _flat_terms(ring, text)
-    return from_terms(ring, terms) if terms is not None else _parse_tokens(ring, text)
+    return _parse_tokens(ring, text) if terms is None else terms
 
 
-def _parse_tokens(ring: RingDesc, text: str) -> RingElem:
-    """``parse_elem`` by recursive descent over the tokens: any literal,
+def parse_elem(ring: RingDesc, text: str) -> RingElem:
+    """The ring element of a literal: a view of ``parse_terms``."""
+    return from_terms(ring, parse_terms(ring, text))
+
+
+def _parse_tokens(ring: RingDesc, text: str) -> dict[tuple[int, Monomial], int]:
+    """``parse_terms`` by recursive descent over the tokens: any literal,
     and the error message of any text that is not one.  An expression holds
     no comma, so a literal in parentheses that holds one is a tuple, whose
     entries lie between its commas."""
@@ -858,18 +847,17 @@ def _parse_tokens(ring: RingDesc, text: str) -> RingElem:
             raise RingParseError(
                 f"tuple has {len(parts)} entries, ring has {ring.ncomponents} components"
             )
-        return RingElem(
-            ring,
-            tuple(
-                _parse_poly(part, names, j, f"trailing tokens in component {j + 1}")
-                for j, (part, names) in enumerate(zip(parts, ring.components))
-            ),
-        )
-    polys: dict[tuple[str, ...], Poly] = {}
-    for j, names in enumerate(ring.components):
-        if names not in polys:
-            polys[names] = _parse_poly(tokens, names, j, "trailing tokens in expression")
-    return RingElem(ring, tuple(polys[names] for names in ring.components))
+        polys = [
+            _parse_poly(part, names, j, f"trailing tokens in component {j + 1}")
+            for j, (part, names) in enumerate(zip(parts, ring.components))
+        ]
+    else:
+        read: dict[tuple[str, ...], Poly] = {}
+        for j, names in enumerate(ring.components):
+            if names not in read:
+                read[names] = _parse_poly(tokens, names, j, "trailing tokens in expression")
+        polys = [read[names] for names in ring.components]
+    return {(j, e): c for j, p in enumerate(polys) for e, c in p}
 
 
 def _format_poly(p: Poly, names: tuple[str, ...]) -> str:

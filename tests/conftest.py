@@ -317,7 +317,8 @@ def parse_config_per_entry(text: str) -> reprs.Representation:
     for name, texts in generators:
         try:
             entries = [
-                rings._parse_tokens(ring, texts[k]) if k in texts else zero for k in ("e12", "e13", "e23")
+                rings.from_terms(ring, rings._parse_tokens(ring, texts[k])) if k in texts else zero
+                for k in ("e12", "e13", "e23")
             ]
         except rings.RingParseError as exc:
             raise reprs.ConfigError(f"generator {name!r}: {exc}") from exc
@@ -823,17 +824,28 @@ def appropriateness_check_products(rep: reprs.Representation, degree_bound: int)
             break
         products.update(dict.fromkeys(layer))
     products = list(products)
-    targets = reprs._ring_targets(rep.ring)
+    ring = rep.ring
+    # the designated generators: the idempotents of a product, then each
+    # indeterminate confined to its component
+    targets = [RingElem.idempotent(ring, j) for j in range(ring.ncomponents)] if ring.ncomponents > 1 else []
+    for j, names in enumerate(ring.components):
+        for name in names:
+            var = RingElem.var(RingDesc((names,)), name).parts[0]
+            targets.append(RingElem(ring, tuple(var if k == j else () for k in range(ring.ncomponents))))
     frame = frame_of(products + targets)
     index = {m: i for i, m in enumerate(frame)}
     span = zlattice.hnf([rings.frame_coords(index, p) for p in products], ambient_dim=len(frame))
-    entry_vars = {n for e in entries for names in rep.ring.components for n in names if e.uses_var(n)}
+
+    def variables(x):  # the indeterminates with a positive exponent in x
+        return {n for names, p in zip(ring.components, x.parts) for e, _c in p for n, d in zip(names, e) if d}
+
+    entry_vars = set().union(*map(variables, entries))
     for t in targets:
         if not zlattice.member(span, rings.frame_coords(index, t)):
-            target_vars = {n for names in rep.ring.components for n in names if t.uses_var(n)}
+            target_vars = variables(t)
             status = "refuted" if target_vars and not (target_vars & entry_vars) else "inconclusive"
-            return reprs.Appropriateness(status, t, degree_bound)
-    return reprs.Appropriateness("confirmed", None, degree_bound)
+            return reprs.Appropriateness(ring, status, rings.frame_terms(t), degree_bound)
+    return reprs.Appropriateness(ring, "confirmed", None, degree_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -280,48 +280,37 @@ def test_cli_golden_without_reference_arithmetic(golden, files, monkeypatch):
 
 
 def test_cli_golden_makes_no_matrix(golden, files, monkeypatch):
-    """Every case again, with ``UT3Elem.__init__``,
-    ``Representation.to_ut3`` and ``ut3.elem`` patched to raise, and on
-    every command but ``appropriate``, which reads and prints ring
-    elements, ``rings.from_frame`` and ``rings.format_elem`` too.  Every
-    witness, solution, ``--z`` value and ``discriminate`` image is made
-    and printed as the law's tuples and entry terms."""
+    """Every case again, with ``UT3Elem.__init__``, ``RingElem.__init__``,
+    ``Representation.to_ut3``, ``ut3.elem`` and ``rings.from_frame``,
+    ``from_terms``, ``frame_terms`` and ``format_elem`` patched to raise.
+    Every literal, witness, solution, ``--z`` value, ``appropriate``
+    product and ``discriminate`` image is read, made and printed as the
+    law's tuples and entry terms, with no matrix or ring element."""
     from heislab import reprs, rings, ut3
 
-    for owner, attr in ((ut3.UT3Elem, "__init__"), (reprs.Representation, "to_ut3"), (ut3, "elem")):
+    traps = [(ut3.UT3Elem, "__init__"), (rings.RingElem, "__init__"), (reprs.Representation, "to_ut3"), (ut3, "elem")]
+    traps += [(rings, name) for name in ("from_frame", "from_terms", "frame_terms", "format_elem")]
+    for owner, attr in traps:
         monkeypatch.setattr(owner, attr, _refusing(f"{owner.__name__}.{attr}"))
-    mismatches = []
-    for case in _cases():
-        with monkeypatch.context() as patch:
-            if case["argv"][0] != "appropriate":
-                for name in ("from_frame", "format_elem"):
-                    patch.setattr(rings, name, _refusing(f"rings.{name}"))
-            mismatches += _mismatches(golden, files, [case])
+    mismatches = _mismatches(golden, files, _cases())
     assert not mismatches, mismatches[:3]
 
 
 def test_constructions_and_entry_readers_make_no_matrix(golden, files, monkeypatch):
     """The cases of ``extend``, ``adjoin-y``, ``adjoin-center``,
     ``appropriate``, ``crank`` and ``bigpowers`` again, with
-    ``Representation.to_ut3`` patched to raise: they work on the
+    ``Representation.to_ut3``, ``rings.substitute``, ``rings.terms_of``
+    and ``rings.format_elem`` patched to raise: they work on the
     generators' entry terms and the law's tuples and make no generator
-    matrix.  All but ``appropriate``, which prints a ring element, also run
-    with ``rings.substitute``, ``rings.terms_of`` and ``rings.format_elem``
-    patched to raise: ``bigpowers`` and the config writer substitute and
-    print on terms."""
+    matrix, and ``bigpowers``, ``appropriate`` and the config writer
+    substitute, multiply and print on terms."""
     from heislab import reprs, rings
 
     monkeypatch.setattr(reprs.Representation, "to_ut3", _refusing("Representation.to_ut3"))
-    mismatches = []
-    for case in _cases():
-        command = case["argv"][0]
-        if command not in ("extend", "adjoin-y", "adjoin-center", "appropriate", "crank", "bigpowers"):
-            continue
-        with monkeypatch.context() as patch:
-            if command != "appropriate":
-                for name in ("substitute", "terms_of", "format_elem"):
-                    patch.setattr(rings, name, _refusing(f"rings.{name}"))
-            mismatches += _mismatches(golden, files, [case])
+    for name in ("substitute", "terms_of", "format_elem"):
+        monkeypatch.setattr(rings, name, _refusing(f"rings.{name}"))
+    commands = ("extend", "adjoin-y", "adjoin-center", "appropriate", "crank", "bigpowers")
+    mismatches = _mismatches(golden, files, [case for case in _cases() if case["argv"][0] in commands])
     assert not mismatches, mismatches[:3]
 
 

@@ -77,7 +77,7 @@ def _samples():
         reprs.Representation: (Z, h.names, h.terms, False),
         reprs.EntryLattices: (LAT, 1),
         reprs.BigPowersCertificate: (Z, 2, "theta", (({}, {(0, ()): 2}, {}),)),
-        reprs.Appropriateness: ("refuted", E1, 3),
+        reprs.Appropriateness: (Z, "refuted", {(0, ()): 3}, 3),
         nilform.NilForm: (2, (1, 0), (5,)),
         nilform.DiscriminationCertificate: (((1, 0, 0),), ((1, 0, 0),)),
     }
@@ -127,6 +127,7 @@ def test_record_value_semantics(cls):
         reprs.NzctWitness: ("q", "p", "w", "y"),
         reprs.SigmaWitness: ("value",),
         reprs.Solution: ("element",),
+        reprs.Appropriateness: ("witness",),
     }.get(cls, ())
     assert hash(r) == hash(tuple(getattr(r, f) for f in cls._fields if f not in unhashed))
     # keyword construction
@@ -185,7 +186,7 @@ def test_defaults_and_positional_construction():
     assert rep.full_center is False and rep == h
     centered = reprs.adjoin_center(rep)
     assert centered.full_center is True and centered.terms is h.terms and centered != rep
-    assert reprs.Appropriateness("confirmed") == reprs.Appropriateness("confirmed", None, 0)
+    assert reprs.Appropriateness(Z, "confirmed") == reprs.Appropriateness(Z, "confirmed", None, 0)
     # positionally from rebuilt parts, as bench/check.py builds ring elements
     x = rings.parse_elem(rings.parse_ring("Z[t] x Z"), "(2*t^2 - 1, 3)")
     assert RingElem(x.ring, tuple(tuple(p) for p in x.parts)) == x
