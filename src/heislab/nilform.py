@@ -92,15 +92,6 @@ class NilForm(Record):
     def comm(self, other: "NilForm") -> "NilForm":
         return self.inv() * other.inv() * self * other
 
-    def __str__(self) -> str:
-        pieces = [f"a{i+1}^{x}" for i, x in enumerate(self.e) if x]
-        pieces += [
-            f"[a{j},a{i}]^{fx}"
-            for (i, j), fx in zip(_pairs(self.n), self.f)
-            if fx
-        ]
-        return "*".join(pieces) if pieces else "1"
-
 
 def identity(n: int) -> NilForm:
     return NilForm(n, (0,) * n, (0,) * (n * (n - 1) // 2))

@@ -128,10 +128,12 @@ class Representation(Record):
     generator's (1,2), (2,3) and (1,3) entries, in that order, as
     {(component, monomial): nonzero coefficient} dicts (``rings.frame_terms``);
     the frames and the law's tuples are read off them, and no matrix is
-    stored.  ``full_center`` marks the center-adjoined variant: the (1,3)
-    entries are treated as ranging over all of R.  None of the lattice
-    checkers look at (1,3) entries, so the flag only matters for bookkeeping
-    and C-rank invariance.
+    stored.  The representation also holds the lattices its checkers read:
+    the entry-pair lattice ``A`` and its centralizer sublattices ``A1`` and
+    ``A2``, each made the first time it is read.  ``full_center`` marks the
+    center-adjoined variant: the (1,3) entries are treated as ranging over
+    all of R.  None of the lattice checkers look at (1,3) entries, so the
+    flag only matters for bookkeeping and C-rank invariance.
     """
 
     _unhashed = ("terms",)
@@ -287,9 +289,26 @@ class Representation(Record):
         plain tuples; ``entry_terms`` gives their entries back."""
         return GroupEnv(self.law, list(zip(self.names, self.law_generators)))
 
-    # the EntryLattices, built once; entry_lattices is looked up at call
-    # time, so wrappers installed on the module see the call
-    lattices = cached_property(lambda self: entry_lattices(self))
+    @cached_property
+    def A(self) -> Lattice:
+        """The entry-pair lattice over ``frame``: the (x12, x23) parts of the
+        generators' law coordinates, a 12-block over ``f12`` then a 23-block
+        over ``f23``, put in HNF once by ``entry_lattices`` (looked up at
+        call time, so wrappers installed on the module see the call)."""
+        return entry_lattices(self)
+
+    @cached_property
+    def A1(self) -> Lattice:
+        """A's sublattice with the 12-block zero: the entry pairs realized in
+        C(a1), cut from A's basis the first time it is read.  ``lame_check``,
+        ``tau_check`` and ``c_rank`` read A1 and A2; ``sigma_check``,
+        ``solve_S``, ``solve_T`` and ``nzct_check`` read A alone."""
+        return zlattice.intersect_coordinate_zero(self.A, range(len(self.f12)))
+
+    @cached_property
+    def A2(self) -> Lattice:
+        """A's sublattice with the 23-block zero, realized in C(a2); see ``A1``."""
+        return zlattice.intersect_coordinate_zero(self.A, range(len(self.f12), self.A.ambient_dim))
 
     @cached_property
     def det_form(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -299,7 +318,7 @@ class Representation(Record):
         law = self.law
         n = len(self.frame)
         pad = (0,) * len(self.f13)
-        rows = [b + pad for b in self.lattices.A.basis]
+        rows = [b + pad for b in self.A.basis]
         return tuple(tuple(law.comm(x, y)[n:] for y in rows) for x in rows)
 
 
@@ -331,37 +350,10 @@ def heisenberg() -> Representation:
     return Representation(rings.Z, ("a1", "a2"), tuple(_a1_a2(rings.Z)))
 
 
-class EntryLattices(Record):
-    """The derived lattices of a representation, all over ``frame``.
-
-    A is generated by the (x12, x23) parts of the generators' law
-    coordinates: a 12-block over ``f12`` (the first ``n12`` coordinates),
-    then a 23-block over ``f23``.  A1 (resp. A2) is the sublattice with the
-    12-block (resp. 23-block) zero: entry pairs realized in the centralizer
-    of a1 (resp. a2).  Only A takes an HNF of the generators, when the
-    record is made; A1 and A2 are cut out of A's basis the first time they
-    are read.  ``lame_check``, ``tau_check`` and ``c_rank`` read them;
-    ``sigma_check``, ``solve_S``, ``solve_T`` and ``nzct_check`` read A
-    alone.
-    """
-
-    A: Lattice
-    n12: int
-
-    @cached_property
-    def A1(self) -> Lattice:
-        return zlattice.intersect_coordinate_zero(self.A, range(self.n12))
-
-    @cached_property
-    def A2(self) -> Lattice:
-        return zlattice.intersect_coordinate_zero(self.A, range(self.n12, self.A.ambient_dim))
-
-
-def entry_lattices(rep: Representation) -> EntryLattices:
-    """A's one HNF, of the generators' law coordinates over ``frame``; see
-    ``EntryLattices`` for when A1 and A2 are made."""
+def entry_lattices(rep: Representation) -> Lattice:
+    """``Representation.A``: one HNF of the generators' law coordinates over ``frame``."""
     n = len(rep.frame)
-    return EntryLattices(zlattice.hnf([g[:n] for g in rep.law_generators], ambient_dim=n), len(rep.f12))
+    return zlattice.hnf([g[:n] for g in rep.law_generators], ambient_dim=n)
 
 
 def _block_coords(rep: Representation, block: int, component: int) -> list[int]:
@@ -381,12 +373,11 @@ def lame_check(rep: Representation) -> Verdict:
     element of C(a2) has a zero-divisor (1,2) entry, and dually for C(a1)
     with (2,3) entries.  Over a product ring an entry is a zero divisor iff
     it vanishes on some component, which is a lattice condition."""
-    L = rep.lattices
     # (exponents, centralizer, dead component) of each transform row of
     # every component-vanishing sublattice, made as they are read
     rows = (
         (coeffs, centralizer, comp)
-        for centralizer, lat, block in ((2, L.A2, 0), (1, L.A1, 1))
+        for centralizer, lat, block in ((2, rep.A2, 0), (1, rep.A1, 1))
         for comp in range(rep.ring.ncomponents)
         for coeffs in zlattice.intersect_coordinate_zero(
             lat, _block_coords(rep, block, comp)
@@ -423,7 +414,6 @@ def tau_check(rep: Representation) -> Verdict:
     its inside components in V.  So a node whose U or V is already 0 is
     skipped with its subtree, and the masks with no component inside or
     none outside, whose U or V is 0, are never reached."""
-    L = rep.lattices
     k = rep.ring.ncomponents
 
     def zeroed(lat, block, comps):
@@ -433,11 +423,11 @@ def tau_check(rep: Representation) -> Verdict:
     # (components left to decide, outside, inside, U, V); None stands for
     # the lattice that the node's last decision changed, made when it is
     # reached
-    stack = [(k, (), (), L.A2, L.A1)]
+    stack = [(k, (), (), rep.A2, rep.A1)]
     while stack:
         j, outside, inside, U, V = stack.pop()
-        U = zeroed(L.A2, 0, outside) if U is None else U
-        V = zeroed(L.A1, 1, inside) if V is None else V
+        U = zeroed(rep.A2, 0, outside) if U is None else U
+        V = zeroed(rep.A1, 1, inside) if V is None else V
         if U.rank == 0 or V.rank == 0:
             continue
         if j == 0:
@@ -487,7 +477,7 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
         raise ValueError("bound must be >= 1")
     if nzct_proved(rep):
         return Verdict("holds", "exact_lattice")
-    A = rep.lattices.A
+    A = rep.A
     span = range(-bound, bound + 1)
     for k in range(A.rank):  # the q = (0,) * k + (c < 0, ...)
         for tail in itertools.product(range(-bound, 0), *[span] * (A.rank - k - 1)):
@@ -500,7 +490,7 @@ def nzct_check(rep: Representation, bound: int = 2) -> Verdict:
 def nzct_proved(rep: Representation) -> bool:
     """Whether the rank or the projection test of ``nzct_check`` proves
     NZCT: A has rank <= 3, or every pi_j is injective on A."""
-    A = rep.lattices.A
+    A = rep.A
     if A.rank <= 3:
         return True
     columns = [_block_coords(rep, 0, j) + _block_coords(rep, 1, j) for j in range(rep.ring.ncomponents)]
@@ -516,7 +506,7 @@ def _nzct_at(rep: Representation, q) -> Optional[NzctWitness]:
     is bilinear, so it is nonzero on C_q iff it is nonzero on a pair of the
     kernel basis; that pair is x1 and x3 (they may lie outside the box),
     and y is the first b_i with L_q[i] != 0."""
-    m, A = len(rep.f13), rep.lattices.A
+    m, A = len(rep.f13), rep.A
 
     def pairing(c):  # row i is B(b_i, c)
         return [zlattice.combine(c, row, m) for row in rep.det_form]
@@ -569,7 +559,7 @@ def _exponents(rep: Representation, z13: dict, block: int) -> Optional[tuple[int
     given as terms, in the given block (0: the 12-block, 1: the 23-block)
     and zero in the other; None if there is none."""
     v = rep.entry_pair(z13, block)
-    return None if v is None else zlattice.in_source_coordinates(rep.lattices.A, v)
+    return None if v is None else zlattice.in_source_coordinates(rep.A, v)
 
 
 def _solve(rep: Representation, z13: dict, block: int) -> Optional[Solution]:
@@ -611,7 +601,7 @@ def sigma_check(rep: Representation) -> Verdict:
         z = {m: c for m, c in zip(rep.f13, law.comm(g, h)[n:]) if c}
         for block, system in enumerate("ST"):
             v = rep.entry_pair(z, block)
-            if v is None or zlattice.solve(rep.lattices.A, v) is None:
+            if v is None or zlattice.solve(rep.A, v) is None:
                 return Verdict("violated", "exact_lattice", SigmaWitness(rep.ring, z, system))
     return Verdict("holds", "exact_lattice")
 
@@ -763,9 +753,8 @@ def big_powers_retraction(
 
 
 def c_rank(rep: Representation) -> int:
-    """rank(C(a1)/Z) + rank(C(a2)/Z) - 1, read off the entry lattices."""
-    L = rep.lattices
-    return L.A1.rank + L.A2.rank - 1
+    """rank(C(a1)/Z) + rank(C(a2)/Z) - 1, read off A1 and A2."""
+    return rep.A1.rank + rep.A2.rank - 1
 
 
 # ---------------------------------------------------------------------------
@@ -926,8 +915,8 @@ def parse_config(text: str) -> Representation:
     Each entry literal is read by ``rings.parse_terms`` (e12, e13, then
     e23) into the representation's ``terms``, so no ring element or matrix
     is made.  The frames and the law's tuples come from the terms; A takes
-    its HNF when a checker first reads the lattices, and A1 and A2 are cut
-    from it when one reads them (see ``EntryLattices``)."""
+    its HNF when a checker first reads it, and A1 and A2 are cut from it
+    when one reads them (see ``Representation.A1``)."""
     ring, full_center, generators = _config_parts(text)
     names, terms = ["a1", "a2"], _a1_a2(ring)
     for name, texts in generators:

@@ -333,12 +333,6 @@ class Retraction(Record):
     def as_dict(self) -> dict[str, int]:
         return dict(self.point)
 
-    def __str__(self) -> str:
-        if not self.point:
-            return f"project component {self.component + 1}"
-        subst = ", ".join(f"{n}->{v}" for n, v in self.point)
-        return f"component {self.component + 1}, {subst}"
-
 
 def retract(rho: Retraction, r: RingElem) -> int:
     names = r.ring.components[rho.component]
@@ -837,11 +831,13 @@ def parse_elem(ring: RingDesc, text: str) -> RingElem:
 def _parse_tokens(ring: RingDesc, text: str) -> dict[tuple[int, Monomial], int]:
     """``parse_terms`` by recursive descent over the tokens: any literal,
     and the error message of any text that is not one.  An expression holds
-    no comma, so a literal in parentheses that holds one is a tuple, whose
-    entries lie between its commas."""
+    no comma, so a text whose first parenthesis closes at its last token is
+    a tuple if it holds a comma at bracket depth 1, and its entries lie
+    between those commas; any other text is read as an expression."""
     tokens = _tokenize(text)
-    if tokens[:1] == ["("] and tokens[-1:] == [")"] and "," in tokens:
-        cuts = [i for i, tok in enumerate(tokens) if tok == ","]
+    depth = list(itertools.accumulate((tok == "(") - (tok == ")") for tok in tokens))
+    cuts = [i for i, tok in enumerate(tokens) if tok == "," and depth[i] == 1]
+    if tokens[:1] == ["("] and cuts and depth[-1] == 0 and min(depth[:-1]) > 0:
         parts = [tokens[i + 1 : j] for i, j in zip([0, *cuts], [*cuts, len(tokens) - 1])]
         if len(parts) != ring.ncomponents:
             raise RingParseError(

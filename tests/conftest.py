@@ -604,17 +604,16 @@ def tau_check_masks(rep: reprs.Representation) -> Verdict:
     """tau over all 2^k - 2 component masks in increasing order, with no
     pruning and no shortcut in the intersections: the first mask whose U
     and V are both nonzero gives the witness."""
-    L = rep.lattices
     k = rep.ring.ncomponents
     for mask in range(1, 2**k - 1):
         inside = [j for j in range(k) if mask >> j & 1]
         outside = [j for j in range(k) if not mask >> j & 1]
         u_coords = [c for j in outside for c in reprs._block_coords(rep, 0, j)]
-        latU = intersect_coordinate_zero_general(L.A2, u_coords)
+        latU = intersect_coordinate_zero_general(rep.A2, u_coords)
         if latU.rank == 0:
             continue
         v_coords = [c for j in inside for c in reprs._block_coords(rep, 1, j)]
-        latV = intersect_coordinate_zero_general(L.A1, v_coords)
+        latV = intersect_coordinate_zero_general(rep.A1, v_coords)
         if latV.rank == 0:
             continue
         y = rep.product_of_generators(latU.transform[0])
@@ -683,7 +682,7 @@ def domain_or_diagonal(rep: reprs.Representation) -> bool:
         return all(p == e.parts[0] for p in e.parts[1:])
 
     return len(set(rep.ring.components)) == 1 and all(
-        diagonal(x) for v in rep.lattices.A.basis for x in rep.elem_from_coords(v)
+        diagonal(x) for v in rep.A.basis for x in rep.elem_from_coords(v)
     )
 
 
@@ -695,12 +694,11 @@ def nzct_check_ringelem(rep: reprs.Representation, bound: int = 2) -> Verdict:
     x2 = q in the box, reprs.nzct_check finds at q, at -q or earlier."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    L = rep.lattices
-    if all(pair_det(rep, u, v).is_zero() for u, v in itertools.combinations(L.A.basis, 2)):
+    if all(pair_det(rep, u, v).is_zero() for u, v in itertools.combinations(rep.A.basis, 2)):
         return Verdict("holds", "exact_lattice")
     if domain_or_diagonal(rep):
         return Verdict("holds", "exact_lattice")
-    vectors = [v for v in L.A.vectors_up_to(bound) if any(v)]
+    vectors = [v for v in rep.A.vectors_up_to(bound) if any(v)]
 
     def line(v):  # the primitive vector on v's line whose first nonzero entry is negative
         g = math.gcd(*v) * (1 if next(x for x in v if x) < 0 else -1)
@@ -731,7 +729,7 @@ def nzct_check_ringelem(rep: reprs.Representation, bound: int = 2) -> Verdict:
                 continue
 
             def build(i):
-                return product_oracle(rep, zlattice.in_source_coordinates(L.A, vectors[i]))
+                return product_oracle(rep, zlattice.in_source_coordinates(rep.A, vectors[i]))
 
             witness = NzctWitness(rep.ring, *(entry_terms(build(i)) for i in (q, p, w, witness_y)))
             return Verdict("violated", "exact_lattice", witness, bound=bound)
@@ -749,8 +747,7 @@ def lame_check_def1(rep: reprs.Representation, bound: int = 3) -> Verdict:
     Candidates are small lattice vectors of A1 and A2 plus the basis vectors
     of every component-vanishing sublattice (which makes the search complete
     over this ring family while keeping it a genuine second code path)."""
-    L = rep.lattices
-    for lat, block in ((L.A2, 0), (L.A1, 1)):
+    for lat, block in ((rep.A2, 0), (rep.A1, 1)):
         candidates = list(lat.vectors_up_to(min(bound, 2) if lat.rank > 4 else bound))
         for comp in range(rep.ring.ncomponents):
             sub = zlattice.intersect_coordinate_zero(
@@ -796,7 +793,7 @@ def sigma_check_dlattice(rep: reprs.Representation) -> Verdict:
             if c is not None:
                 pad = (0,) * (len(rep.frame) - len(c))
                 vec = c + pad if block == 0 else pad + c
-            if c is None or not zlattice.member(rep.lattices.A, vec):
+            if c is None or not zlattice.member(rep.A, vec):
                 witness = SigmaWitness(rep.ring, rings.frame_terms(value), system)
                 return Verdict("violated", "exact_lattice", witness)
     return Verdict("holds", "exact_lattice")

@@ -885,6 +885,17 @@ def test_pin_tests_the_literal_on_the_identity_class_only(monkeypatch, capsys):
     assert {env.law.coset_key(x) for x, _ in calls} == {identity_class}
 
 
+def test_memo_rows_evaluate_each_choice_of_the_other_variables_once(monkeypatch, capsys):
+    # the Eq literal's last variable is z, and its memo row per position of
+    # x keeps it from being evaluated again for every y: 24,910 law.mul
+    # calls with the memos, about 1.07 million without them
+    calls = _count_calls(monkeypatch, "mul")
+    sentence = "exists x,y,z ( y*z!=z*y & x*z*x*z=z*x*z*x*[a1,a2]^3 )"
+    assert cli.main(["witness", sentence, "--example", "tau-fails-zxz", "--bound", "2"]) == 2
+    assert capsys.readouterr().out == "inconclusive method=bounded_search bound=2\n"
+    assert 0 < len(calls) <= 100_000
+
+
 def test_ct_chain_past_one_commutator_is_decided_before_search(monkeypatch, capsys):
     # [[w1,w2],x2] is 1 in class 2, so no assignment can falsify CT(20)
     def no_literal(*_args):

@@ -38,7 +38,6 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 X, Y = F.Var("x"), F.Var("y")
 E1 = RingElem.integer(Z, 3)
 Z2 = rings.parse_ring("Z^2")
-LAT = zlattice.Lattice(2, ((1, 0),), ((1,),))
 LAW = ut3.Class2Law.free(2)
 
 
@@ -75,7 +74,6 @@ def _samples():
         reprs.SigmaWitness: (Z, {(0, ()): 3}, "S"),
         reprs.Solution: (Z, t_a1, (1, 0)),
         reprs.Representation: (Z, h.names, h.terms, False),
-        reprs.EntryLattices: (LAT, 1),
         reprs.BigPowersCertificate: (Z, 2, "theta", (({}, {(0, ()): 2}, {}),)),
         reprs.Appropriateness: (Z, "refuted", {(0, ()): 3}, 3),
         nilform.NilForm: (2, (1, 0), (5,)),
@@ -105,7 +103,7 @@ def _copy(value):
 
 def test_every_record_class_has_a_sample():
     assert set(_samples()) == _record_classes()
-    assert len(_samples()) == 33
+    assert len(_samples()) == 32
 
 
 @pytest.mark.parametrize("cls", list(_samples()), ids=lambda c: c.__qualname__)

@@ -106,25 +106,23 @@ def commutator_rank(rep):
 
 
 def test_entry_lattices_H():
-    L = heisenberg().lattices
-    assert L.A.basis == ((1, 0), (0, 1))  # Z^2 from a1:(0,1), a2:(1,0)
-    assert L.A1.rank == 1 and L.A2.rank == 1
+    H = heisenberg()
+    assert H.A.basis == ((1, 0), (0, 1))  # Z^2 from a1:(0,1), a2:(1,0)
+    assert H.A1.rank == 1 and H.A2.rank == 1
     assert commutator_rank(heisenberg()) == 1
 
 
 def test_entry_lattices_zxz():
     rep = zxz_lame_rep()
-    L = rep.lattices
     # A1's 23-block spans the coordinates of 1 and e1 -> rank 2
-    assert L.A1.rank == 2
-    assert L.A2.rank == 1
+    assert rep.A1.rank == 2
+    assert rep.A2.rank == 1
 
 
 def test_entry_lattices_trivial_extra_ring():
     rep = representation(ZTH)
-    L = rep.lattices
-    H = heisenberg().lattices
-    assert L.A1.rank == H.A1.rank and L.A2.rank == H.A2.rank
+    H = heisenberg()
+    assert rep.A1.rank == H.A1.rank and rep.A2.rank == H.A2.rank
     assert commutator_rank(rep) == commutator_rank(heisenberg())
 
 
@@ -190,7 +188,7 @@ def test_entry_lattices_match_union_frame_oracle():
         labels, old = union_frame_lattices(rep)
         new_labels = [(0, m) for m in rep.f12] + [(1, m) for m in rep.f23]
         for name in ("A", "A1", "A2"):
-            new, ref = getattr(rep.lattices, name), getattr(old, name)
+            new, ref = getattr(rep, name), getattr(old, name)
             assert new.transform == ref.transform, name
             assert _nonzero_columns(new, new_labels) == _nonzero_columns(ref, labels), name
 
@@ -283,10 +281,9 @@ def test_lame_builds_only_the_chosen_witness(monkeypatch):
             assert built == []
             continue
         violated += 1
-        L = rep.lattices
         rows = [
             (coeffs, centralizer, comp)
-            for centralizer, lat, block in ((2, L.A2, 0), (1, L.A1, 1))
+            for centralizer, lat, block in ((2, rep.A2, 0), (1, rep.A1, 1))
             for comp in range(rep.ring.ncomponents)
             for coeffs in zlattice.intersect_coordinate_zero(
                 lat, reprs._block_coords(rep, block, comp)
@@ -401,7 +398,7 @@ def test_tau_walk_prunes_at_the_root_on_many_components(monkeypatch):
     text = (pathlib.Path(__file__).parent / "data" / "tau_z20.cfg").read_text()
     rep = reprs.parse_config(text)
     assert rep.ring.ncomponents == 20
-    rep.lattices.A1, rep.lattices.A2  # built before counting
+    rep.A1, rep.A2  # built before counting
     monkeypatch.setattr(zlattice, "intersect_coordinate_zero", counting)
     assert tau_check(rep).status == "holds"
     assert len(calls) == 2
@@ -423,7 +420,7 @@ def test_nzct_domain_exact():
 def test_nzct_rank_2_exact():
     # a1 and a2 are prepended and do not commute, so the group is not abelian
     rep = representation(ZZ, {"b": elem(ZZ, 0, 5, 0)})
-    assert rep.lattices.A.rank == 2
+    assert rep.A.rank == 2
     assert _verdict_strings(nzct_check(rep, 2)) == ("holds", "exact_lattice", None, None)
 
 
@@ -472,7 +469,7 @@ def _assert_nzct_matches_oracle(rep, bound):
         for b in (1, 2):
             assert nzct_check_ringelem(rep, b).status != "violated"
         return
-    assert rep.lattices.A.rank >= 4
+    assert rep.A.rank >= 4
     oracle = nzct_check_ringelem(rep, bound)
     if v.status == "violated":
         assert oracle.status != "holds"
@@ -496,7 +493,7 @@ def test_nzct_matches_ringelem_oracle_on_fixtures(name):
 @given(seed=st.integers(0, 10**6))
 def test_nzct_exact_at_rank_at_most_3(seed):
     rep = random_representation(random.Random(seed))
-    assume(rep.lattices.A.rank <= 3)
+    assume(rep.A.rank <= 3)
     assert _verdict_strings(nzct_check(rep, 1)) == ("holds", "exact_lattice", None, None)
     assert nzct_check_ringelem(rep, 1).status != "violated"
 
@@ -511,7 +508,7 @@ def _forbid_nzct_search(monkeypatch):
 def test_nzct_rank_3_runs_no_search(monkeypatch):
     _forbid_nzct_search(monkeypatch)
     rep = zxz_lame_rep()
-    assert rep.lattices.A.rank == 3
+    assert rep.A.rank == 3
     for bound in (1, 5, 50):
         assert _verdict_strings(nzct_check(rep, bound)) == ("holds", "exact_lattice", None, None)
 
@@ -520,7 +517,7 @@ def test_nzct_decides_each_candidate_over_its_whole_centralizer():
     # no pair of box vectors violates NZCT here, but the centralizer of a box
     # vector q is not abelian, and a pair of its kernel basis is the witness
     rep = corpus(30, seed=0)[29]
-    assert rep.lattices.A.rank == 4
+    assert rep.A.rank == 4
     assert nzct_check_ringelem(rep, 1).status == "inconclusive"
     v = nzct_check(rep, 1)
     assert (v.status, v.method, v.bound) == ("violated", "exact_lattice", 1)
@@ -573,7 +570,7 @@ def test_nzct_diagonal_shortcut_at_rank_4(monkeypatch):
     # each component's projection is injective and no search runs
     ring = parse_ring("Z[t] x Z[t]")
     rep = representation(ring, {"b": elem(ring, "t", "(t,0)", 0), "c": elem(ring, 0, 0, "t")})
-    assert rep.lattices.A.rank == 4
+    assert rep.A.rank == 4
     assert _verdict_strings(nzct_check_ringelem(rep, 1)) == ("holds", "exact_lattice", None, None)
     _forbid_nzct_search(monkeypatch)
     assert _verdict_strings(nzct_check(rep, 1)) == ("holds", "exact_lattice", None, None)
@@ -584,7 +581,7 @@ def test_nzct_projection_layer_without_domain_or_diagonal(monkeypatch):
     # projections are injective on the rank-4 entry-pair lattice
     text = (pathlib.Path(__file__).parent / "data" / "nzct_projections.cfg").read_text()
     rep = parse_config(text)
-    assert rep.lattices.A.rank == 4 and not domain_or_diagonal(rep)
+    assert rep.A.rank == 4 and not domain_or_diagonal(rep)
     for b in (1, 2):
         assert nzct_check_ringelem(rep, b).status != "violated"
     _forbid_nzct_search(monkeypatch)
@@ -596,7 +593,7 @@ def test_nzct_needs_every_projection_injective():
     # component, where a1 and w commute with it but not with each other
     ring = parse_ring("Z[t] x Z")
     rep = representation(ring, {"q": elem(ring, "(t,0)", 0, 0), "w": elem(ring, "(t^2,0)", 0, "(0,1)")})
-    assert rep.lattices.A.rank == 4
+    assert rep.A.rank == 4
     v = nzct_check(rep, 1)
     assert (v.status, v.method) == ("violated", "exact_lattice")
     _assert_nzct_witness(v.witness)
@@ -631,7 +628,7 @@ def test_nzct_walks_one_of_each_q_and_its_negation(monkeypatch):
     # q and -q have the same centralizer: only the q with a negative first
     # nonzero coefficient are decided, and the witness is still the first
     # one of the whole box in itertools.product order
-    reps = [rep for rep in corpus(40, seed=0) if rep.lattices.A.rank >= 4]
+    reps = [rep for rep in corpus(40, seed=0) if rep.A.rank >= 4]
     assert any(nzct_check(rep, 1).status == "inconclusive" for rep in reps)
     decided = []
     original = reprs._nzct_at
@@ -641,7 +638,7 @@ def test_nzct_walks_one_of_each_q_and_its_negation(monkeypatch):
         return original(rep, q)
 
     for rep in reps:
-        r = rep.lattices.A.rank
+        r = rep.A.rank
         box = (q for q in itertools.product(range(-1, 2), repeat=r) if any(q))
         first = next(filter(None, (original(rep, q) for q in box)), None)
         decided.clear()
@@ -668,7 +665,7 @@ def _form_det(rep, c, d):
 @given(seed=st.integers(0, 10**6), data=st.data())
 def test_det_form_is_the_ring_determinant(seed, data):
     rep = random_representation(random.Random(seed))
-    basis = rep.lattices.A.basis
+    basis = rep.A.basis
     coeffs = st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis))
     c, d = data.draw(coeffs), data.draw(coeffs)
     u = zlattice.combine(c, basis, len(rep.frame))
@@ -902,7 +899,7 @@ def test_solve_matches_the_block_coordinates_route():
     rng = random.Random(19)
     solved = unsolved = 0
     for rep in sigma_reps():
-        A, m = rep.lattices.A, len(rep.f13)
+        A, m = rep.A, len(rep.f13)
         values = [rep.to_ut3(rep.law.comm(g, h)).u13 for g, h in itertools.combinations(rep.law_generators, 2)]
         values += [rings.from_frame(rep.ring, rep.f13, [rng.randint(-2, 2) for _ in range(m)]) for _ in range(3)]
         values += [RingElem.var(rep.ring, name) ** 9 for name in rep.ring.components[0][:1]]

@@ -233,11 +233,11 @@ def test_prefix_intersection_matches_the_general_path(seed):
     # the rows of A's HNF that are 0 on range(m), with their transform rows,
     # are what the left-kernel path computes: basis and transform
     for rep in corpus(60, seed=seed):
-        A = rep.lattices.A
+        A = rep.A
         for m in range(1, A.ambient_dim + 1):
             assert intersect_coordinate_zero(A, range(m)) == intersect_coordinate_zero_general(A, range(m))
         n12 = len(rep.f12)
-        assert rep.lattices.A1 == intersect_coordinate_zero_general(A, range(n12))
+        assert rep.A1 == intersect_coordinate_zero_general(A, range(n12))
 
 
 @settings(max_examples=200, deadline=None)
