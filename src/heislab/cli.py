@@ -2,8 +2,9 @@
 
 Exit codes: 0 = holds/success, 1 = violated/counterexample (witness printed),
 2 = inconclusive/bound exhausted, 3 = usage or config error, 4 = internal
-error (a ``RingMismatchError``: arithmetic mixed elements of different
-rings or groups, which no input should cause).  A closed standard output
+error, which no input should cause: a ``RingMismatchError`` (arithmetic
+mixed elements of different rings or groups), or a ``discriminate``
+certificate that fails its own re-check.  A closed standard output
 (``heislab ... | head -1``) is also 3, whatever the verdict.
 
 The environment variable HEISLAB_MAX_BOUND caps every ``--bound``
@@ -351,6 +352,9 @@ def cmd_discriminate(args) -> int:
         if t == law.identity:
             raise UsageError(f"target {ln!r} is the identity")
     cert = nilform.discriminate_to_H(law, targets)
+    if not cert.verify(targets):
+        print("internal error: discrimination certificate fails its re-check", file=sys.stderr)
+        return 4
     doc = {
         "status": "holds",
         "extra_images": [list(e) for e in cert.extra_images],

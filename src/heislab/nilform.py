@@ -22,15 +22,14 @@ injective, and then choosing integer exponents one at a time with
 ``rings.nonvanishing_point``.  The generic image of a tuple is read off its
 exponents by the class-2 product rule: its 12- and 23-entries are linear
 forms in the q_k and p_k and its 13-entry is a quadratic form
-(``generic_forms``), summed as integer dictionaries over sparse monomials
-in the term format that ``rings.nonvanishing_point`` reads, so no ring
-element is built or multiplied.
+(``generic_forms``), summed as integer dictionaries and handed over as
+entry terms, so no ring element is built or multiplied.  The routine
+returns the forms at the chosen point, which are the target images.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 from . import rings
 from .record import Record, setfield
@@ -174,15 +173,16 @@ class DiscriminationCertificate(Record):
         targets = list(targets)
         if len(targets) != len(self.target_images) or any(len(t) != law.dim for t in targets):
             return False
-        got = tuple(functools.reduce(H.mul, map(H.pow_int, images, t), H.identity) for t in targets)
+        powers = ((H.pow_int(g, e) for g, e in zip(images, t) if e) for t in targets)
+        got = tuple(functools.reduce(H.mul, p, H.identity) for p in powers)
         return H.identity not in got and got == self.target_images
 
 
 def generic_forms(law: Class2Law, t: tuple[int, ...]) -> tuple[dict, dict, dict]:
     """The (12, 13, 23)-entries of the image of t, a tuple of
-    ``law = Class2Law.free(n)``, under the generic retraction, in the term
-    format of ``rings.nonvanishing_point`` for the names p3, q3, r3, p4, ...
-    (indices 0, 1, 2, 3, ...), all in component 0.
+    ``law = Class2Law.free(n)``, under the generic retraction, as entry
+    terms {(0, exponent vector): coefficient} over the one-component ring
+    Z[p3, q3, r3, p4, ...].
 
     a_k goes to the element with entries (Q_k, R_k, P_k): (0, 0, 1) for a1,
     (1, 0, 0) for a2 and (q_k, r_k, p_k) for k > 2.  The class-2 product
@@ -201,15 +201,15 @@ def generic_forms(law: Class2Law, t: tuple[int, ...]) -> tuple[dict, dict, dict]
     distinct names (a q and a p), so each exponent is 1.
     """
     n = law.central
-    Q = [None, ()] + [((3 * k + 1, 1),) for k in range(n - 2)]
-    R = [None, None] + [((3 * k + 2, 1),) for k in range(n - 2)]
-    P = [(), None] + [((3 * k, 1),) for k in range(n - 2)]
+    Q = [None, ()] + [(3 * k + 1,) for k in range(n - 2)]
+    R = [None, None] + [(3 * k + 2,) for k in range(n - 2)]
+    P = [(), None] + [(3 * k,) for k in range(n - 2)]
     f12, f13, f23 = {}, {}, {}
 
     def add(form, a, b, c):
         # c * a * b, where None is the form 0
         if a is not None and b is not None:
-            key = (0, tuple(sorted(a + b)))
+            key = a + b
             form[key] = form.get(key, 0) + c
 
     left = []  # (Q_j, e_j) for the letters before a_k
@@ -227,12 +227,13 @@ def generic_forms(law: Class2Law, t: tuple[int, ...]) -> tuple[dict, dict, dict]
         if t[k]:
             add(f13, Q[i], P[j], t[k])
             add(f13, Q[j], P[i], -t[k])
-    # the 13-entry's coefficients can cancel to 0; the format keeps none
-    return f12, {key: c for key, c in f13.items() if c}, f23
+    zero = (0,) * (3 * n - 6)
 
+    def vector(names):  # the exponent vector of a product of distinct names
+        return functools.reduce(lambda e, i: e[:i] + (1,) + e[i + 1 :], names, zero)
 
-def _evaluate(form: dict, values: list[int]) -> int:
-    return sum(c * math.prod(values[i] ** d for i, d in mono) for (_, mono), c in form.items())
+    # the 13-entry's coefficients can cancel to 0; entry terms keep none
+    return tuple({(0, vector(names)): c for names, c in form.items() if c} for form in (f12, f13, f23))
 
 
 def discriminate_to_H(law: Class2Law, targets) -> DiscriminationCertificate:
@@ -252,8 +253,9 @@ def discriminate_to_H(law: Class2Law, targets) -> DiscriminationCertificate:
 
     The forms are the terms of the entries that multiplying out the
     generic images gives, so every exponent taken is the one that
-    product would give.  The target images are the forms evaluated at the
-    chosen point, read as H's tuples (p, q, r) = (e23, e12, e13).
+    product would give.  The forms it returns at the chosen point, each a
+    constant or {} for 0, are the target images, read as H's tuples
+    (p, q, r) = (e23, e12, e13).
     """
     targets = list(targets)
     if not targets:
@@ -261,9 +263,8 @@ def discriminate_to_H(law: Class2Law, targets) -> DiscriminationCertificate:
     if law.identity in targets:
         raise ValueError("identity is annihilated by every retraction")
     names = [f"{v}{k}" for k in range(3, law.central + 1) for v in "pqr"]
-    forms = [generic_forms(law, t) for t in targets]
-    point = rings.nonvanishing_point(forms, names)
-    values = [point[v] for v in names]
-    exps = tuple(tuple(values[i : i + 3]) for i in range(0, len(values), 3))
-    images = tuple(tuple(_evaluate(f, values) for f in (f23, f12, f13)) for f12, f13, f23 in forms)
+    ring = rings.RingDesc((tuple(names),))
+    point, forms = rings.nonvanishing_point(ring, [generic_forms(law, t) for t in targets], names)
+    exps = tuple(tuple(map(point.get, names[i : i + 3])) for i in range(0, len(names), 3))
+    images = tuple(tuple(sum(f.values()) for f in (f23, f12, f13)) for f12, f13, f23 in forms)
     return DiscriminationCertificate(exps, images)

@@ -681,21 +681,6 @@ class BigPowersCertificate(Record):
         }
 
 
-def _retraction_table(rep: Representation, name: str) -> list[tuple]:
-    """(block, key, d, image key) per law coordinate: the coordinate's
-    block (0: f12, 1: f23, 2: f13), its key in
-    ``rings.nonvanishing_point``'s term format for [name], its degree d in
-    name, and its (component, monomial) key once name is set."""
-    where = [names.index(name) if name in names else None for names in rep.ring.components]
-    table = []
-    for block, (j, e) in rep.coordinates:
-        i = where[j]
-        d = 0 if i is None else e[i]
-        key = tuple(sorted((0 if k == i else k + 1, x) for k, x in enumerate(e) if x))
-        table.append((block, (j, key), d, (j, e[:i] + (0,) + e[i + 1 :] if d else e)))
-    return table
-
-
 def big_powers_retraction(
     rep_ext: Representation, targets, name: str | None = None
 ) -> BigPowersCertificate:
@@ -712,10 +697,9 @@ def big_powers_retraction(
     an entry in the indeterminate.  It reads n off the integer roots of the
     entries' coefficient lists, checked by integer evaluation; when the
     entries are linear in the indeterminate the work is linear in the
-    targets however large n is.  The targets reach it, and their images
-    are made, through one table over the law's coordinates
-    (``_retraction_table``): each image entry is the sum of c*n^d over the
-    coordinates with that image key."""
+    targets however large n is.  The targets reach it as their entry terms
+    (``Representation.entry_terms``), and the images are the terms it
+    returns, with the indeterminate's exponent 0."""
     if name is None:
         ring = rep_ext.ring
         if not ring.components[0]:
@@ -729,27 +713,13 @@ def big_powers_retraction(
         name = ring.components[0][-1]
     elif not any(name in names for names in rep_ext.ring.components):
         raise ValueError(f"{name!r} is not an indeterminate of {rep_ext.ring}")
-    targets = list(targets)
-    table = _retraction_table(rep_ext, name)
     groups = []
     for v in targets:
         if not any(v):
             raise ValueError("identity target cannot survive any retraction")
-        group = ({}, {}, {})
-        for (block, key, _, _), c in zip(table, v):
-            if c:
-                group[block][key] = c
-        groups.append(group)
-    n = rings.nonvanishing_point(groups, [name], start=1)[name]
-    weighted = [(block, key, n**d) for block, _, d, key in table]
-    images = []
-    for v in targets:
-        image = ({}, {}, {})
-        for (block, key, w), c in zip(weighted, v):
-            if c:
-                image[block][key] = image[block].get(key, 0) + c * w
-        images.append(tuple({k: c for k, c in e.items() if c} for e in image))
-    return BigPowersCertificate(rep_ext.ring, n, name, tuple(images))
+        groups.append(rep_ext.entry_terms(v))
+    point, images = rings.nonvanishing_point(rep_ext.ring, groups, [name], start=1)
+    return BigPowersCertificate(rep_ext.ring, point[name], name, tuple(map(tuple, images)))
 
 
 def c_rank(rep: Representation) -> int:

@@ -11,7 +11,8 @@ so they are represented by a component index plus an integer point.  Such
 points are chosen one indeterminate at a time by ``nonvanishing_point``: a
 nonzero polynomial of degree d in one variable over a domain has at most d
 roots, so each value is the least integer outside a few integer root sets
-and no search bound is needed.
+and no search bound is needed.  It is the one separation routine: every
+caller hands it entry terms and takes back the point and the images.
 """
 
 from __future__ import annotations
@@ -343,36 +344,19 @@ def retract(rho: Retraction, r: RingElem) -> int:
     return _peval(r.parts[rho.component], point)
 
 
-# The term format of ``nonvanishing_point`` for a list of names: an element
-# is {(component, monomial): nonzero coefficient}, a monomial the sorted
-# tuple of its (index, exponent) pairs.  Index i < len(names) stands for
-# names[i]; a component's other indeterminates sort last, from len(names) on.
+# ``nonvanishing_point`` reads entry terms {(component, exponent vector):
+# coefficient} into sparse monomials for its list of names: a monomial is
+# the sorted tuple of its (index, exponent) pairs, where index i <
+# len(names) stands for names[i] and a component's other indeterminates
+# sort last, from len(names) on, in their component order.
 
 
-def terms_of(groups, names) -> list[list[dict]]:
-    """Groups of ``RingElem``s in the term format for ``names``.  Each
-    exponent vector of a list of component names becomes a monomial once
-    per call, however many terms share it."""
-    position = {name: i for i, name in enumerate(names)}
-    known = {}  # component names -> (index of each, {exponent vector: monomial})
-    out = []
-    for group in groups:
-        elems = []
-        for r in group:
-            terms = {}
-            for j, (comp, p) in enumerate(zip(r.ring.components, r.parts)):
-                if comp not in known:
-                    index = [position.get(x, len(names) + i) for i, x in enumerate(comp)]
-                    known[comp] = index, {}
-                index, memo = known[comp]
-                for e, c in p:
-                    mono = memo.get(e)
-                    if mono is None:
-                        mono = memo[e] = tuple(sorted((index[i], d) for i, d in enumerate(e) if d))
-                    terms[j, mono] = c
-            elems.append(terms)
-        out.append(elems)
-    return out
+def _rekeyed(groups, rekey):
+    """The groups of elements with each term's key k replaced by
+    rekey(*k), made once per distinct key however many terms share it."""
+    memo = {k: rekey(*k) for k in {k for group in groups for terms in group for k in terms}}
+    # a zero element, {} here too, costs no comprehension
+    return [[{memo[k]: c for k, c in t.items()} if t else {} for t in group] for group in groups]
 
 
 def _split(terms: dict, k: int) -> dict:
@@ -436,47 +420,51 @@ def _least_live(sliced, start: int) -> int:
 
 
 def _images(sliced, value: int):
-    """The groups of sliced elements with the name set to ``value``, in
-    the term format, or None as soon as a group has no nonzero element
-    left."""
+    """The groups of sliced elements with the name set to ``value``, still
+    sparse and aligned with the groups ({} for a zero element), or None as
+    soon as a group has no nonzero element left."""
     images = []
     for group in sliced:
-        image = []
-        for s in group:
-            terms = {key: v for key, c in s.items() if (v := _horner(c, value))}
-            if terms:
-                image.append(terms)
-        if not image:
+        image = [{key: v for key, c in s.items() if (v := _horner(c, value))} if s else s for s in group]
+        if not any(image):
             return None
         images.append(image)
     return images
 
 
-def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
+def nonvanishing_point(ring: RingDesc, groups, names, start: int = 0):
     """Integer values for ``names`` under which every group keeps a nonzero
-    element.
+    element, and the groups' images under them.
 
-    Each group is a list of elements in the term format above (``terms_of``
-    converts ring elements), at least one of them nonzero.  The names are
-    assigned in order, each the least integer >= ``start`` after which
-    every group, with all earlier names already substituted, still has a
-    nonzero element.  With a single name the value is therefore the least
-    valid one.
+    Each group is a list of elements over ``ring`` as entry terms
+    {(component, exponent vector): nonzero coefficient} (the program's one
+    element format), at least one of them nonzero.  Returns (point,
+    images): point maps each name to its value, and images holds, per
+    group, the list of its elements' entry terms once every name is
+    substituted (as ``substitute`` does, each name's exponent 0), in the
+    order given, {} for an element that vanishes.  The names are assigned
+    in order, each the least integer >= ``start`` after which every group,
+    with all earlier names already substituted, still has a nonzero
+    element.  With a single name the value is therefore the least valid
+    one.  A component's indeterminates outside ``names`` stay in the
+    images, and a name no component carries takes ``start``.
 
-    Each element is split once per name into its slices (``_split``), and
-    an element vanishes at a value exactly when each of its slices, a list
-    of integer coefficients, vanishes there, which Horner's rule decides
-    on plain ints.  So a group dies at v exactly when all of its slices
-    vanish at v, and each of its dead values is an integer root of its
-    slice of least degree.  The value is read off these root sets
-    (``_least_live``): the least integer >= ``start`` in no group's dead
-    set, where each candidate root is checked on every slice of its group.
-    A loop trying start, start + 1, ... in turn takes exactly the values
-    in no dead set, so it would take the same value first.  For every name
-    but the last the substituted elements are the slices evaluated once at
-    the chosen value, still in the term format; that pass is made at
-    ``start`` first, and when it keeps every group alive ``start`` is
-    taken with no root looked for.
+    The elements are read once into sparse monomials for the names (the
+    format above).  Each element is split once per name into its slices
+    (``_split``), and an element vanishes at a value exactly when each of
+    its slices, a list of integer coefficients, vanishes there, which
+    Horner's rule decides on plain ints.  So a group dies at v exactly when
+    all of its slices vanish at v, and each of its dead values is an
+    integer root of its slice of least degree.  The value is read off these
+    root sets (``_least_live``): the least integer >= ``start`` in no
+    group's dead set, where each candidate root is checked on every slice
+    of its group.  A loop trying start, start + 1, ... in turn takes
+    exactly the values in no dead set, so it would take the same value
+    first.  The substituted elements are the slices evaluated once at the
+    chosen value (``_images``); for every name but the last that pass is
+    made at ``start`` first, and when it keeps every group alive ``start``
+    is taken with no root looked for.  The last images are read back into
+    entry terms.
 
     Termination and the window (the one-variable case of Alon's
     Combinatorial Nullstellensatz): the least slice of a group is a
@@ -487,23 +475,33 @@ def nonvanishing_point(groups, names, start: int = 0) -> dict[str, int]:
     most the sum over groups of the largest degree of an element in the
     name.
     """
-    groups = [[terms for terms in group if terms] for group in groups]
-    if not all(groups):
+    position = {name: i for i, name in enumerate(names)}
+    index = [[position.get(x, len(names) + i) for i, x in enumerate(c)] for c in ring.components]
+
+    def sparse(j, e):
+        at = index[j]
+        return j, tuple(sorted((at[i], e[i]) for i in itertools.compress(range(len(e)), e)))
+
+    def dense(j, mono):  # every name is substituted, so only the others are left
+        e = [0] * len(ring.components[j])
+        for i, d in mono:
+            e[i - len(names)] = d
+        return j, tuple(e)
+
+    groups = _rekeyed(groups, sparse)
+    if not all(map(any, groups)):
         raise ValueError("every group needs a nonzero element")
     point = {}
     for k, name in enumerate(names):
-        sliced = [[_split(terms, k) for terms in group] for group in groups]
-        if k == len(names) - 1:
-            # the last name: nothing is substituted
-            point[name] = _least_live(sliced, start)
-            break
+        sliced = [[_split(terms, k) if terms else terms for terms in group] for group in groups]
         value = start
-        groups = _images(sliced, value)
-        if groups is None:
+        images = _images(sliced, value) if k < len(names) - 1 else None
+        if images is None:
             value = _least_live(sliced, start)
-            groups = _images(sliced, value)
+            images = _images(sliced, value)
         point[name] = value
-    return point
+        groups = images
+    return point, _rekeyed(groups, dense)
 
 
 class DomainFailure(Record):
@@ -531,11 +529,8 @@ def discriminate(rs: list[RingElem]) -> Retraction | DomainFailure:
             raise RingMismatchError("mixed rings")
     for comp, names in enumerate(ring.components):
         if all(comp in r.support for r in rs):
-            groups = [
-                [RingElem(ring, tuple(p if j == comp else () for j, p in enumerate(r.parts)))]
-                for r in rs
-            ]
-            return Retraction.of(comp, nonvanishing_point(terms_of(groups, names), names))
+            groups = [[{(comp, e): c for e, c in r.parts[comp]}] for r in rs]
+            return Retraction.of(comp, nonvanishing_point(ring, groups, names)[0])
     # no component works: exhibit an annihilating pair
     for a, b in itertools.combinations(rs, 2):
         if (a * b).is_zero():

@@ -99,11 +99,12 @@ def nonvanishing_point_oracle(groups, names, start: int = 0) -> dict[str, int]:
 def big_powers_by_substitution(rep: reprs.Representation, ut3_targets, name: str):
     """``reprs.big_powers_retraction``'s exponent and printed images by the
     route it replaced, on matrices (``rep.to_ut3`` of its law tuples): the
-    entries reach ``rings.nonvanishing_point`` through ``rings.terms_of``,
+    entries reach ``rings.nonvanishing_point`` as their ``frame_terms``,
     and each image is the matrix of ``rings.substitute`` of every entry,
     printed by ``str``."""
     groups = [[t.u12, t.u13, t.u23] for t in ut3_targets]
-    n = rings.nonvanishing_point(rings.terms_of(groups, [name]), [name], start=1)[name]
+    terms = [list(map(rings.frame_terms, g)) for g in groups]
+    n = rings.nonvanishing_point(rep.ring, terms, [name], start=1)[0][name]
     images = [str(UT3Elem(rep.ring, *(rings.substitute(e, name, n) for e in g))) for g in groups]
     return n, images
 
@@ -149,7 +150,7 @@ def discriminate_to_H_generic(targets):
         ut3.identity(ring),
     )
     entries = [[g.u12, g.u13, g.u23] for g in map(generic, targets)]
-    point = rings.nonvanishing_point(rings.terms_of(entries, names), names)
+    point, _ = rings.nonvanishing_point(ring, [list(map(rings.frame_terms, g)) for g in entries], names)
     exps = tuple((point[f"p{k}"], point[f"q{k}"], point[f"r{k}"]) for k in extras)
     return entries, exps, tuple(map(h_hom(exps), targets))
 

@@ -470,6 +470,26 @@ def test_ring_mismatch_is_an_internal_error_exit_4(capsys, monkeypatch, tmp_path
         assert err == "internal error: Z vs Z x Z\n"
 
 
+def test_discriminate_rechecks_its_certificate(capsys, monkeypatch, tmp_path):
+    # a certificate whose first target image is changed fails verify, which
+    # is an internal error: exit 4 with nothing printed on stdout
+    from heislab import nilform
+
+    discriminate_to_H = nilform.discriminate_to_H
+
+    def corrupted(law, targets):
+        cert = discriminate_to_H(law, targets)
+        (p, q, r), *rest = cert.target_images
+        return nilform.DiscriminationCertificate(cert.extra_images, ((p, q, r + 1), *rest))
+
+    targets = tmp_path / "nil.txt"
+    targets.write_text("a3*a1^-1\n[a2,a1]\n")
+    assert run(capsys, "discriminate", "--targets", str(targets))[0] == 0
+    monkeypatch.setattr(nilform, "discriminate_to_H", corrupted)
+    code, out, err = run(capsys, "discriminate", "--targets", str(targets))
+    assert (code, out, err) == (4, "", "internal error: discrimination certificate fails its re-check\n")
+
+
 def test_missing_rep_file_is_exit_3(capsys):
     code, _, err = run(capsys, "lame", "--rep", "/nonexistent/x.cfg")
     assert code == 3

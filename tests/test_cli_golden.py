@@ -299,15 +299,15 @@ def test_cli_golden_makes_no_matrix(golden, files, monkeypatch):
 def test_constructions_and_entry_readers_make_no_matrix(golden, files, monkeypatch):
     """The cases of ``extend``, ``adjoin-y``, ``adjoin-center``,
     ``appropriate``, ``crank`` and ``bigpowers`` again, with
-    ``Representation.to_ut3``, ``rings.substitute``, ``rings.terms_of``
-    and ``rings.format_elem`` patched to raise: they work on the
+    ``Representation.to_ut3``, ``rings.substitute`` and
+    ``rings.format_elem`` patched to raise: they work on the
     generators' entry terms and the law's tuples and make no generator
     matrix, and ``bigpowers``, ``appropriate`` and the config writer
     substitute, multiply and print on terms."""
     from heislab import reprs, rings
 
     monkeypatch.setattr(reprs.Representation, "to_ut3", _refusing("Representation.to_ut3"))
-    for name in ("substitute", "terms_of", "format_elem"):
+    for name in ("substitute", "format_elem"):
         monkeypatch.setattr(rings, name, _refusing(f"rings.{name}"))
     commands = ("extend", "adjoin-y", "adjoin-center", "appropriate", "crank", "bigpowers")
     mismatches = _mismatches(golden, files, [case for case in _cases() if case["argv"][0] in commands])

@@ -1084,11 +1084,8 @@ def test_big_powers_substitutes_only_for_the_certificate(monkeypatch, k, first):
     t, a1_ = rep2.law_generators[-1], rep2.law_generators[0]
     targets = [law.mul(t, law.pow_int(a1_, -j)) for j in range(first, first + k)]
     calls = []
-    for fn in ("substitute", "terms_of"):
-        original = getattr(rings, fn)
-        monkeypatch.setattr(
-            rings, fn, lambda *args, f=original: calls.append(args) or f(*args)
-        )
+    substitute = rings.substitute
+    monkeypatch.setattr(rings, "substitute", lambda *args: calls.append(args) or substitute(*args))
     cert = big_powers_retraction(rep2, targets)
     assert cert.n == (first + k if first == 1 else 1)
     assert calls == []

@@ -18,12 +18,12 @@ from heislab.rings import (
     Z,
     discriminate,
     format_elem,
+    frame_terms,
     nonvanishing_point,
     parse_elem,
     parse_ring,
     retract,
     substitute,
-    terms_of,
 )
 
 ZZ = parse_ring("Z x Z")
@@ -508,6 +508,11 @@ def _degree(r, name):
     return max(degrees, default=0)
 
 
+def _terms(groups):
+    """Groups of ``RingElem``s as the entry terms ``nonvanishing_point`` reads."""
+    return [list(map(frame_terms, group)) for group in groups]
+
+
 def _all_alive(groups, point):
     """Whether every group keeps a nonzero element under the substitution."""
     for group in groups:
@@ -528,7 +533,7 @@ def test_nonvanishing_point_properties(ring, data):
     groups = data.draw(st.lists(group, min_size=1, max_size=4))
     start = data.draw(st.integers(-2, 2))
     names = ring.components[0]
-    point = nonvanishing_point(terms_of(groups, names), names, start)
+    point, _ = nonvanishing_point(ring, _terms(groups), names, start)
     assert list(point) == list(names)
     assert _all_alive(groups, point)
     for k, name in enumerate(names):
@@ -541,18 +546,23 @@ def test_nonvanishing_point_properties(ring, data):
             assert not _all_alive(groups, {**earlier, name: value})
 
 
-def test_terms_of_indexes_names_first():
-    # names[i] is index i in every component; a component's other
-    # indeterminates come after the names, in their component order
+def test_nonvanishing_point_indexes_names_first(monkeypatch):
+    # the sparse monomials it splits: names[i] is index i in every
+    # component; a component's other indeterminates come after the names,
+    # in their component order.  A zero element is not split and stays {}
+    # in its place
     ring = parse_ring("Z[t,s] x Z[u]")
-    (r,), (zero,) = terms_of([[parse_elem(ring, "(t*s^2+3, 2*u)")], [RingElem.zero(ring)]], ["s"])
-    assert r == {(0, ((0, 2), (1, 1))): 1, (0, ()): 3, (1, ((1, 1),)): 2}
-    assert zero == {}
+    split = []
+    monkeypatch.setattr(rings, "_split", lambda terms, k, f=rings._split: split.append(terms) or f(terms, k))
+    r = parse_elem(ring, "(t*s^2+3, 2*u)")
+    point, images = nonvanishing_point(ring, [[frame_terms(r), {}]], ["s"], 1)
+    assert split == [{(0, ((0, 2), (1, 1))): 1, (0, ()): 3, (1, ((1, 1),)): 2}]
+    assert (point, images) == ({"s": 1}, [[{(0, (1, 0)): 1, (0, (0, 0)): 3, (1, (1,)): 2}, {}]])
 
 
 def test_nonvanishing_point_rejects_dead_group():
     with pytest.raises(ValueError):
-        nonvanishing_point(terms_of([[RingElem.zero(ZTH)]], ["theta"]), ["theta"])
+        nonvanishing_point(ZTH, [[frame_terms(RingElem.zero(ZTH))]], ["theta"])
 
 
 # Ring shapes for the kernel's differential test: no indeterminate, one
@@ -643,9 +653,47 @@ def test_nonvanishing_point_matches_trial_substitution(ring, data):
     names = names[: data.draw(st.integers(1, len(names)))]
     start = data.draw(st.integers(-3, 1))
     groups = data.draw(_killable_groups(ring, names, start))
-    assert nonvanishing_point(terms_of(groups, names), names, start) == nonvanishing_point_oracle(
-        groups, names, start
-    )
+    point, _ = nonvanishing_point(ring, _terms(groups), names, start)
+    assert point == nonvanishing_point_oracle(groups, names, start)
+
+
+def _assert_images_are_substituted(ring, groups, names, start):
+    """Each image ``nonvanishing_point`` returns is its element with the
+    point substituted one name at a time, zero elements included and in
+    place; returns the images."""
+    point, images = nonvanishing_point(ring, _terms(groups), names, start)
+    assert len(images) == len(groups)
+    for group, image in zip(groups, images):
+        assert len(image) == len(group)
+        for r, terms in zip(group, image):
+            for name in names:
+                r = substitute(r, name, point[name])
+            assert frame_terms(r) == terms
+    return images
+
+
+@pytest.mark.parametrize("ring", SLICE_RINGS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_nonvanishing_point_images_are_the_substituted_elements(ring, data):
+    names = [n for c in ring.components for n in c]
+    names = data.draw(st.permutations(list(dict.fromkeys(names)) + ["v"]))
+    names = names[: data.draw(st.integers(1, len(names)))]
+    start = data.draw(st.integers(-3, 1))
+    groups = data.draw(_killable_groups(ring, names, start))
+    groups = [[RingElem.zero(ring), *group] for group in groups]
+    _assert_images_are_substituted(ring, groups, names, start)
+
+
+def test_nonvanishing_point_images_keep_the_other_indeterminates():
+    # t is substituted in both components; s and u, not among the names,
+    # stay in the images, and t = 0 and t = 1 kill the first group, so t = 2
+    ring = parse_ring("Z[t,s] x Z[t,u]")
+    groups = [["(t*(t-1)*s, 0)", "0"], ["(s^2*t+t, u^3-t)"]]
+    groups = [[parse_elem(ring, r) for r in group] for group in groups]
+    images = _assert_images_are_substituted(ring, groups, ["t"], 0)
+    want = {(0, (0, 2)): 2, (0, (0, 0)): 2, (1, (0, 3)): 1, (1, (0, 0)): -2}
+    assert images == [[{(0, (0, 1)): 2}, {}], [want]]
 
 
 def test_nonvanishing_point_skips_several_dead_values():
@@ -657,7 +705,7 @@ def test_nonvanishing_point_skips_several_dead_values():
     groups = [[t * (t - RingElem.idempotent(ring, 0))], [s * (s - two) + t - two]]
     for start in (0, 1):
         want = nonvanishing_point_oracle(groups, ["t", "s"], start)
-        assert nonvanishing_point(terms_of(groups, ["t", "s"]), ["t", "s"], start) == want
+        assert nonvanishing_point(ring, _terms(groups), ["t", "s"], start)[0] == want
     assert want == {"t": 2, "s": 1}
 
 
@@ -684,7 +732,7 @@ BIG = 10**39 + 7  # 40 digits
 def test_nonvanishing_point_fixed_cases(groups, start, want):
     groups = [[parse_elem(ZTH, r) for r in group] for group in groups]
     names = ["theta"]
-    got = nonvanishing_point(terms_of(groups, names), names, start)
+    got, _ = nonvanishing_point(ZTH, _terms(groups), names, start)
     assert got == nonvanishing_point_oracle(groups, names, start) == {"theta": want}
 
 
@@ -697,7 +745,7 @@ def test_nonvanishing_point_least_slice_roots_need_every_slice():
     r, q, t = (parse_elem(ring, x) for x in ("t-1+s*(t-2)*(t-3)", "t-2+s*(t-2)*(t-4)", "t"))
     cases = (([[r]], 1, 1), ([[r], [t]], 0, 1), ([[q]], 2, 3), ([[r], [q]], 1, 1), ([[r], [q], [t]], 0, 1))
     for groups, start, want in cases:
-        got = nonvanishing_point(terms_of(groups, ["t"]), ["t"], start)
+        got, _ = nonvanishing_point(ring, _terms(groups), ["t"], start)
         assert got == nonvanishing_point_oracle(groups, ["t"], start) == {"t": want}
 
 
@@ -717,14 +765,15 @@ def test_nonvanishing_point_work_on_curves_is_linear(monkeypatch, k):
     # kills the start 1, so the value is 2.  Only the values the walk
     # reaches are tested against a curve's lowest coefficient: the line
     # rules 1 out first, and at 2 each curve takes one remainder and, where
-    # 2 divides it, one Horner call.  Testing every value of the window
-    # [start, start + D], D = 2k + 1, would take about 2k^2 remainders.
+    # 2 divides it, one Horner call, and the images take one more per
+    # group.  Testing every value of the window [start, start + D],
+    # D = 2k + 1, would take about 2k^2 remainders.
     M = 10**6 + 1
-    curves = [[{(0, ()): _Counted(j * M), (0, ((0, 2),)): _Counted(j)}] for j in range(1, k + 1)]
-    groups = [*curves, [{(0, ()): -1, (0, ((0, 1),)): 1}]]
+    curves = [[{(0, (0,)): _Counted(j * M), (0, (2,)): _Counted(j)}] for j in range(1, k + 1)]
+    groups = [*curves, [{(0, (0,)): -1, (0, (1,)): 1}]]
     calls = []
     horner = rings._horner
     monkeypatch.setattr(rings, "_horner", lambda *args: calls.append(args) or horner(*args))
     monkeypatch.setattr(_Counted, "taken", [])
-    assert nonvanishing_point(groups, ["theta"], 1) == {"theta": 2}
+    assert nonvanishing_point(ZTH, groups, ["theta"], 1)[0] == {"theta": 2}
     assert len(_Counted.taken) + len(calls) <= 4 * k
