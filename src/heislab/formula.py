@@ -267,40 +267,63 @@ class _Parser:
         return self.node((Eq if op == "=" else Ne)(left, right), lh, rh)
 
     # -- terms -------------------------------------------------------------
+    # The term rules read ``self.tokens`` directly and count heights inline:
+    # every target line of ``discriminate`` and ``bigpowers`` comes through
+    # here.  A node's height is 1 + the greatest height below it, as
+    # ``node`` gives it.
 
     def term(self):
         out, height = self.factor()
-        while self.peek() == "*":
-            self.next()
+        tokens = self.tokens
+        while tokens[self.i] == "*":
+            self.i += 1
             right, rh = self.factor()
-            out, height = self.node(TMul(out, right), height, rh)
+            height = 1 + (height if height > rh else rh)
+            if height > MAX_DEPTH:
+                raise _TooDeep()
+            out = TMul(out, right)
         return out, height
 
     def factor(self):
         out, height = self.base()
-        while self.peek() == "^":
-            self.next()
-            out, height = self.node(TPow(out, self._integer()), height)
+        tokens = self.tokens
+        while tokens[self.i] == "^":
+            self.i += 1
+            out = TPow(out, self._integer())
+            height += 1
+            if height > MAX_DEPTH:
+                raise _TooDeep()
         return out, height
 
     def _integer(self) -> int:
-        tok = self.next()
-        sign = 1
+        tokens, i = self.tokens, self.i
+        tok, sign = tokens[i], 1
         if tok == "-":
-            sign, tok = -1, self.next()
+            i += 1
+            tok, sign = tokens[i], -1
+        if tok is None:
+            raise FormulaParseError("unexpected end of input")
+        self.i = i + 1
         if tok.isdigit():
             return sign * parse_int(tok, FormulaParseError)
         raise FormulaParseError(f"expected integer exponent, got {tok!r}")
 
     def base(self):
-        tok = self.next()
+        tok = self.tokens[self.i]
+        if tok is None:
+            raise FormulaParseError("unexpected end of input")
+        self.i += 1
+        if tok == "a1":
+            return A1, 1
+        if tok == "a2":
+            return A2, 1
         if tok == "1":
-            return self.node(ONE)
+            return ONE, 1
         if tok == "@":
             name = self.next()
             if not _IDENT_RE.fullmatch(name):
                 raise FormulaParseError(f"bad constant name {name!r}")
-            return self.node(Const(name))
+            return Const(name), 1
         if tok == "[":
             left, lh = self.group(self.term)
             self.expect(",")
@@ -311,10 +334,8 @@ class _Parser:
             out, height = self.group(self.term)
             self.expect(")")
             return out, height
-        if tok in ("a1", "a2"):
-            return self.node(Const(tok))
         if _IDENT_RE.fullmatch(tok) and tok not in ("forall", "exists"):
-            return self.node(Var(tok))
+            return Var(tok), 1
         if tok.isdigit():
             raise FormulaParseError(f"integer {tok!r} is not a group term (only 1 is)")
         raise FormulaParseError(f"unexpected token {tok!r}")

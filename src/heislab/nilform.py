@@ -166,14 +166,23 @@ class DiscriminationCertificate(Record):
     def verify(self, targets) -> bool:
         """Whether a1, a2 fixed and a_k -> a1^p a2^q [a2,a1]^r send the
         targets, tuples of ``Class2Law.free(n)``, to ``target_images`` and
-        none to 1, computed on H's tuples."""
-        H, images = Class2Law.free(2), [(1, 0, 0), (0, 1, 0), *self.extra_images]
-        law = Class2Law.free(len(images))
-        images += [H.comm(images[i], images[j]) for i, j, _ in law.table]  # one per coordinate
+        none to 1, computed on H's tuples.  A commutator coordinate's image
+        [image(a_i), image(a_j)] is made the first time a target uses it
+        (``free`` lists its ``table`` rows in coordinate order)."""
+        H, gens = Class2Law.free(2), [(1, 0, 0), (0, 1, 0), *self.extra_images]
+        law = Class2Law.free(len(gens))
         targets = list(targets)
         if len(targets) != len(self.target_images) or any(len(t) != law.dim for t in targets):
             return False
-        powers = ((H.pow_int(g, e) for g, e in zip(images, t) if e) for t in targets)
+        images = dict(enumerate(gens))
+
+        def image(k):
+            if k not in images:
+                i, j, _ = law.table[k - law.central]
+                images[k] = H.comm(gens[i], gens[j])
+            return images[k]
+
+        powers = ((H.pow_int(image(k), e) for k, e in enumerate(t) if e) for t in targets)
         got = tuple(functools.reduce(H.mul, p, H.identity) for p in powers)
         return H.identity not in got and got == self.target_images
 

@@ -419,6 +419,37 @@ def _least_live(sliced, start: int) -> int:
     return value
 
 
+def _at_start(groups, k: int, start: int):
+    """The groups with names[k] set to ``start``, substituted straight into
+    the sparse terms, or None as soon as a group has no nonzero element
+    left.  An element with no monomial led by names[k] is kept as it is; a
+    monomial c * names[k]^d * rest becomes c * start^d under (j, rest), and
+    a coefficient that cancels to 0 is dropped.  The keys come in the order
+    ``_images`` gives them at ``start``, so the result is the same."""
+    images = []
+    for group in groups:
+        image = []
+        for terms in group:
+            for _, mono in terms:
+                if mono and mono[0][0] == k:
+                    break
+            else:
+                image.append(terms)
+                continue
+            out = {}
+            for (j, mono), c in terms.items():
+                if mono and mono[0][0] == k:
+                    c *= start ** mono[0][1]
+                    mono = mono[1:]
+                key = j, mono
+                out[key] = out.get(key, 0) + c
+            image.append({key: c for key, c in out.items() if c})
+        if not any(image):
+            return None
+        images.append(image)
+    return images
+
+
 def _images(sliced, value: int):
     """The groups of sliced elements with the name set to ``value``, still
     sparse and aligned with the groups ({} for a zero element), or None as
@@ -450,7 +481,12 @@ def nonvanishing_point(ring: RingDesc, groups, names, start: int = 0):
     images, and a name no component carries takes ``start``.
 
     The elements are read once into sparse monomials for the names (the
-    format above).  Each element is split once per name into its slices
+    format above).  For every name but the last, ``start`` is first
+    substituted straight into these terms (``_at_start``): an element with
+    no monomial led by the name is kept as it is, and coefficients that
+    cancel to 0 are dropped.  When that keeps every group alive, ``start``
+    is taken with no slice made and no root looked for.  Otherwise, and
+    always for the last name, each element is split into its slices
     (``_split``), and an element vanishes at a value exactly when each of
     its slices, a list of integer coefficients, vanishes there, which
     Horner's rule decides on plain ints.  So a group dies at v exactly when
@@ -461,10 +497,8 @@ def nonvanishing_point(ring: RingDesc, groups, names, start: int = 0):
     of its group.  A loop trying start, start + 1, ... in turn takes
     exactly the values in no dead set, so it would take the same value
     first.  The substituted elements are the slices evaluated once at the
-    chosen value (``_images``); for every name but the last that pass is
-    made at ``start`` first, and when it keeps every group alive ``start``
-    is taken with no root looked for.  The last images are read back into
-    entry terms.
+    chosen value (``_images``).  The last images are read back into entry
+    terms.
 
     Termination and the window (the one-variable case of Alon's
     Combinatorial Nullstellensatz): the least slice of a group is a
@@ -493,10 +527,10 @@ def nonvanishing_point(ring: RingDesc, groups, names, start: int = 0):
         raise ValueError("every group needs a nonzero element")
     point = {}
     for k, name in enumerate(names):
-        sliced = [[_split(terms, k) if terms else terms for terms in group] for group in groups]
         value = start
-        images = _images(sliced, value) if k < len(names) - 1 else None
+        images = _at_start(groups, k, start) if k < len(names) - 1 else None
         if images is None:
+            sliced = [[_split(terms, k) if terms else terms for terms in group] for group in groups]
             value = _least_live(sliced, start)
             images = _images(sliced, value)
         point[name] = value

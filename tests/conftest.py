@@ -208,6 +208,80 @@ def parse_elem_oracle(ring: RingDesc, text: str) -> RingElem:
     return RingElem(ring, tuple(polys[names] for names in ring.components))
 
 
+class _TermRulesOracle(formula._Parser):
+    """formula._Parser with its term rules read through ``peek``/``next``,
+    heights made by ``node`` and a fresh leaf per token."""
+
+    def term(self):
+        out, height = self.factor()
+        while self.peek() == "*":
+            self.next()
+            right, rh = self.factor()
+            out, height = self.node(formula.TMul(out, right), height, rh)
+        return out, height
+
+    def factor(self):
+        out, height = self.base()
+        while self.peek() == "^":
+            self.next()
+            out, height = self.node(formula.TPow(out, self._integer()), height)
+        return out, height
+
+    def _integer(self) -> int:
+        tok = self.next()
+        sign = 1
+        if tok == "-":
+            sign, tok = -1, self.next()
+        if tok.isdigit():
+            return sign * rings.parse_int(tok, formula.FormulaParseError)
+        raise formula.FormulaParseError(f"expected integer exponent, got {tok!r}")
+
+    def base(self):
+        tok = self.next()
+        if tok == "1":
+            return self.node(formula.One())
+        if tok == "@":
+            name = self.next()
+            if not formula._IDENT_RE.fullmatch(name):
+                raise formula.FormulaParseError(f"bad constant name {name!r}")
+            return self.node(formula.Const(name))
+        if tok == "[":
+            left, lh = self.group(self.term)
+            self.expect(",")
+            right, rh = self.group(self.term)
+            self.expect("]")
+            return self.node(formula.TComm(left, right), lh, rh)
+        if tok == "(":
+            out, height = self.group(self.term)
+            self.expect(")")
+            return out, height
+        if tok in ("a1", "a2"):
+            return self.node(formula.Const(tok))
+        if formula._IDENT_RE.fullmatch(tok) and tok not in ("forall", "exists"):
+            return self.node(formula.Var(tok))
+        if tok.isdigit():
+            raise formula.FormulaParseError(f"integer {tok!r} is not a group term (only 1 is)")
+        raise formula.FormulaParseError(f"unexpected token {tok!r}")
+
+
+def parse_term_oracle(text: str):
+    """formula.parse_term through ``_TermRulesOracle``."""
+    p = _TermRulesOracle(text)
+    out, _ = p.term()
+    if p.peek() is not None:
+        raise formula.FormulaParseError(f"trailing input at {p.offset()}")
+    return out
+
+
+def parse_oracle(text: str):
+    """formula.parse through ``_TermRulesOracle``."""
+    p = _TermRulesOracle(text)
+    out, _ = p.sentence()
+    if p.peek() is not None:
+        raise formula.FormulaParseError(f"trailing input at {p.offset()}")
+    return out
+
+
 def _split_top_commas(text: str) -> list[str]:
     parts = []
     depth = start = 0

@@ -272,9 +272,10 @@ def test_discriminate_random_sets():
             assert img == h_tuple(h_hom(cert.extra_images)(t)) and any(img)
 
 
-def test_discriminate_leaves_the_exponent_cube():
-    # a3*[a2,a1]^-r*a2^-q*a1^-p dies when a3 goes to a1^p*a2^q*[a2,a1]^r, so
-    # these 27 targets leave a3 no exponent triple in {-1,0,1}^3
+def _cube_targets() -> list[NilForm]:
+    """a3*[a2,a1]^-r*a2^-q*a1^-p for (p, q, r) in {-1,0,1}^3, and a4*a5: the
+    first dies when a3 goes to a1^p*a2^q*[a2,a1]^r, so these 28 targets
+    leave a3 no exponent triple in the cube."""
     a1, a2, a3 = (generator(5, k) for k in (1, 2, 3))
     c = a2.comm(a1)
     targets = [
@@ -283,13 +284,49 @@ def test_discriminate_leaves_the_exponent_cube():
         for q in (-1, 0, 1)
         for r in (-1, 0, 1)
     ]
-    targets.append(generator(5, 4) * generator(5, 5))
-    law, ts = on_free_law(targets)
+    return targets + [generator(5, 4) * generator(5, 5)]
+
+
+def test_discriminate_leaves_the_exponent_cube():
+    law, ts = on_free_law(_cube_targets())
     started = time.perf_counter()
     cert = discriminate_to_H(law, ts)
     assert time.perf_counter() - started < 2.0
     assert cert.verify(ts)
     assert cert.extra_images == ((0, 0, 2), (0, 0, 0), (0, 0, 1))
+
+
+def test_start_trial_splits_only_the_names_it_fails(monkeypatch):
+    # nonvanishing_point first substitutes start = 0 for each name but the
+    # last straight into the terms; only a name where that kills a target,
+    # so that its exponent is above 0, and the last name are split into
+    # slices
+    split = []
+    monkeypatch.setattr(rings, "_split", lambda terms, k, f=rings._split: split.append(k) or f(terms, k))
+    cert = discriminate_to_H(*on_free_law(_cube_targets()))
+    exponents = [e for image in cert.extra_images for e in image]  # p3, q3, r3, p4, ...
+    assert exponents == [0, 0, 2, 0, 0, 0, 0, 0, 1]
+    assert set(split) == {k for k, e in enumerate(exponents[:-1]) if e} | {len(exponents) - 1} == {2, 8}
+
+
+def test_verify_makes_only_the_commutator_images_a_target_uses(monkeypatch):
+    # the 40-letter word over a1, ..., a100 of the CI gate: verify
+    # multiplies in H once per commutator coordinate the word uses, not for
+    # all 4950 rows of the rank-100 law, and still finds the word's image
+    from heislab import formula
+
+    word = "*".join(f"a{37 * i % 100 + 1}" + ("^-1" if i % 3 else "") for i in range(40))
+    law = ut3.Class2Law.free(100)
+    units = [(f"a{k}", tuple(int(i == k - 1) for i in range(law.dim))) for k in range(1, 101)]
+    t = formula.eval_term(formula.parse_term(word), formula.GroupEnv(law, units[:2]), dict(units[2:]))
+    cert = discriminate_to_H(law, [t])
+    used = [k for k in range(law.central, law.dim) if t[k]]
+    calls = []
+    comm = ut3.Class2Law.comm
+    monkeypatch.setattr(ut3.Class2Law, "comm", lambda self, x, y: calls.append(self.dim) or comm(self, x, y))
+    assert cert.verify([t])
+    assert cert.target_images == ((1, 0, 0),)
+    assert calls == [3] * len(used) and 0 < len(used) < 4950
 
 
 def test_discriminate_exponents_zero_when_trivial_retraction_works():

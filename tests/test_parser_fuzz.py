@@ -5,7 +5,7 @@ documented error."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import config_readings, parse_config_oracle, parse_elem_oracle
+from conftest import config_readings, parse_config_oracle, parse_elem_oracle, parse_oracle, parse_term_oracle
 from heislab import cli, formula, reprs, rings
 from heislab.formula import FormulaParseError
 from heislab.rings import RingParseError
@@ -91,6 +91,44 @@ def test_fuzz_formula_parse_term(text):
     except FormulaParseError:
         return
     assert formula.parse_term(formula.print_term(t)) == t
+
+
+def _parsed(parse, text):
+    """What parse returns, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated(_terms.map(formula.print_term), FORMULA_TOKENS))
+@example("(" * 100 + "a3" + ")" * 100)
+@example("(" * 101 + "a3" + ")" * 101)
+@example("a1" + "^2" * 99)
+@example("a1" + "^2" * 100)
+@example("x" + "*x" * 99)
+@example("x" + "*x" * 100)
+@example("[" * 101 + "x" + ",y]" * 101)
+@example("[" * 49 + "x" + ",y]^-1" * 49 + "*1")
+@example("[" * 50 + "x" + ",y]^-1" * 50)
+@example("a3*(a1")
+@example("a3^x")
+@example("a3^-")
+@example("@")
+@example("@1")
+def test_term_rules_match_the_oracle(text):
+    """parse_term gives the oracle's tree, or raises the same exception
+    with the same message, also where the nesting passes MAX_DEPTH."""
+    assert _parsed(formula.parse_term, text) == _parsed(parse_term_oracle, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated(_sentences.map(formula.print_formula), FORMULA_TOKENS))
+@example("x" + "*x" * 99 + "=1")
+@example("(" * 99 + "x=" + "x" + "^2" * 99 + ")" * 99)
+def test_sentence_rules_match_the_oracle(text):
+    assert _parsed(formula.parse, text) == _parsed(parse_oracle, text)
 
 
 # Digits are kept apart by spaces: digit runs would only make exponents

@@ -560,6 +560,23 @@ def test_nonvanishing_point_indexes_names_first(monkeypatch):
     assert (point, images) == ({"s": 1}, [[{(0, (1, 0)): 1, (0, (0, 0)): 3, (1, (1,)): 2}, {}]])
 
 
+def test_nonvanishing_point_start_trial_drops_cancelled_coefficients():
+    # t*u - 2*u is 0 at t = 2 and t at t = 0: a name but the last is tried
+    # at start on the terms, where these coefficients cancel to 0, so the
+    # group dies there and t takes the next value
+    ring = parse_ring("Z[t,s,u]")
+    dying, other = (frame_terms(parse_elem(ring, text)) for text in ("t*u-2*u", "s+1"))
+    assert nonvanishing_point(ring, [[dying], [other]], ["t", "s"], 2) == (
+        {"t": 3, "s": 2},
+        [[{(0, (0, 0, 1)): 1}], [{(0, (0, 0, 0)): 3}]],
+    )
+    t = frame_terms(parse_elem(ring, "t"))
+    assert nonvanishing_point(ring, [[t, {}], [other]], ["t", "s"]) == (
+        {"t": 1, "s": 0},
+        [[{(0, (0, 0, 0)): 1}, {}], [{(0, (0, 0, 0)): 1}]],
+    )
+
+
 def test_nonvanishing_point_rejects_dead_group():
     with pytest.raises(ValueError):
         nonvanishing_point(ZTH, [[frame_terms(RingElem.zero(ZTH))]], ["theta"])
